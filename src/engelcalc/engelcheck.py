@@ -193,16 +193,6 @@ def _plain(v: VecField) -> FracField:
     return FracField(v, ONE)
 
 
-def _zero_certificate(
-    scalars: Sequence[TrigScalar],
-    space: FramedSpace,
-    grid: int,
-    tol: float,
-    note: str = "",
-) -> Certificate:
-    return certify_vanishing(scalars, space, grid, tol, note=note)
-
-
 # -- Engel flags ----------------------------------------------------------------
 
 
@@ -291,7 +281,7 @@ def characteristic_foliation(
                                 "both defining coefficients vanish identically")
     w = flag.d1.scale(-u2) + flag.d2.scale(u1)
     residuals = [alpha(bracket(w, e, space)) for e in (flag.d1, flag.d2, flag.e3)]
-    cert = _zero_certificate(residuals, space, grid, tol,
+    cert = certify_vanishing(residuals, space, grid, tol,
                              note="alpha([W, E-generators])")
     if not cert.passed:
         raise VerificationError(
@@ -313,7 +303,7 @@ def j_invariance_check(
     scalars: list[TrigScalar] = []
     for v in (J.apply(d1), J.apply(d2)):
         scalars.extend(minors_of_fields([d1, d2, v]))
-    return _zero_certificate(scalars, space, grid, tol,
+    return certify_vanishing(scalars, space, grid, tol,
                              note="minors of (D1, D2, J D_i)")
 
 
@@ -409,7 +399,7 @@ def _reeb_from_threeform(
     certs[f"{label}_normaliser"] = cert
     if not cert.passed:
         raise VerificationError(f"{label}: normalising pairing vanishes somewhere")
-    certs[f"{label}_annihilation"] = _zero_certificate(
+    certs[f"{label}_annihilation"] = certify_vanishing(
         [zero_form(kernel)], space, grid, IDENTITY_TOL,
         note=f"{label} annihilates the complementary form")
     if not certs[f"{label}_annihilation"].passed:
@@ -465,7 +455,7 @@ def defining_forms(
         note="alpha ^ beta ^ d(beta) != 0")
 
     adab = wedge(ada, beta)
-    certs["alpha_da_beta_zero"] = _zero_certificate(
+    certs["alpha_da_beta_zero"] = certify_vanishing(
         [adab.component((0, 1, 2, 3))], space, grid, IDENTITY_TOL,
         note="alpha ^ d(alpha) ^ beta = 0")
 
@@ -525,7 +515,7 @@ def nijenhuis_certificate(
     for i, j in itertools.combinations(range(4), 2):
         n = nijenhuis(J, VecField.basis(i), VecField.basis(j), space)
         scalars.extend(n.coeffs)
-    return _zero_certificate(scalars, space, grid, tol, note="Nijenhuis tensor")
+    return certify_vanishing(scalars, space, grid, tol, note="Nijenhuis tensor")
 
 
 @dataclass(frozen=True)
@@ -564,7 +554,7 @@ def jofreeb_residual(
              - _plain(w).scale(q1) - _plain(J.apply(w)).scale(q2))
     res_r = (forms.R.apply_J(J) + forms.T
              - _plain(w).scale(q2) + _plain(J.apply(w)).scale(q1))
-    cert = _zero_certificate(
+    cert = certify_vanishing(
         list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid, tol,
         note="J(T), J(R) rotation residuals (numerators)")
 
@@ -574,7 +564,7 @@ def jofreeb_residual(
                  exterior_derivative(forms.beta, space)).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
     identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
-    dalpha_cert = _zero_certificate([identity], space, grid, tol,
+    dalpha_cert = certify_vanishing([identity], space, grid, tol,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
     return JofReebResult(res_t, res_r, cert, dalpha_cert)
 
@@ -631,7 +621,7 @@ def j_engel_splitting(
             raise VerificationError(f"rescaled Reeb direction vanished for "
                                     f"lambda = {lam_s}")
         residuals.extend(minors_of_fields([base, kernel]))
-    cert = _zero_certificate(residuals, space, grid, tol,
+    cert = certify_vanishing(residuals, space, grid, tol,
                              note="span(R_lambda) = span(R)")
     return SplittingResult(w, J.apply(w), forms.R, forms.R.apply_J(J), cert,
                            tuple(labels))
@@ -668,20 +658,20 @@ def transverse_engel_check(
     if not trans.passed:
         raise PreconditionError("Z is not transverse to E: alpha(Z) vanishes "
                                 f"(witness {trans.witness_point})")
-    bz = _zero_certificate([forms.beta(z)], space, grid, tol, note="beta(Z)")
+    bz = certify_vanishing([forms.beta(z)], space, grid, tol, note="beta(Z)")
     if not bz.passed:
         raise PreconditionError("JZ is not tangent to E: beta(Z) is not zero")
     minors: list[TrigScalar] = []
     for gen in (d1, d2):
         minors.extend(minors_of_fields([d1, d2, bracket(z, gen, space)]))
-    engel_field = _zero_certificate(minors, space, grid, tol,
+    engel_field = certify_vanishing(minors, space, grid, tol,
                                     note="L_Z D stays in D")
     if not engel_field.passed:
         raise VerificationError("Z does not preserve D; it is not an Engel field")
     contraction = wedge(forms.beta, exterior_derivative(forms.beta, space)).interior(z)
-    conclusion = _zero_certificate(list(contraction.terms.values()), space, grid,
+    conclusion = certify_vanishing(list(contraction.terms.values()), space, grid,
                                    tol, note="i_Z(beta ^ d(beta)) = 0")
-    reeb_match = _zero_certificate(minors_of_fields([forms.R.raw, z]), space, grid,
+    reeb_match = certify_vanishing(minors_of_fields([forms.R.raw, z]), space, grid,
                                    tol, note="span(Z) = span(R)")
     # the rescaled pair alpha/alpha(Z), (alpha/alpha(Z)) o J has Z as its
     # Reeb field; the division is exact only for invertible constant alpha(Z)
@@ -760,7 +750,7 @@ def k_engel_check(
     all_zero = True
     a_wr: Frac | None = None
     for key, br in comms.items():
-        certs[key] = _zero_certificate(list(br.raw.coeffs), space, grid, tol,
+        certs[key] = certify_vanishing(list(br.raw.coeffs), space, grid, tol,
                                        note=f"[{key[0]},{key[1]}] = 0")
         if not certs[key].passed:
             all_zero = False

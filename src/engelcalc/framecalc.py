@@ -13,10 +13,12 @@ over one fundamental period per appearing coordinate.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .trigring import Frequency, TrigLike, TrigScalar, normalize
 
@@ -34,6 +36,7 @@ __all__ = [
     "global_rank",
     "det_of_fields",
     "minors_of_fields",
+    "GridPoints",
     "grid_points",
     "certify_nonvanishing",
     "certify_vanishing",
@@ -273,11 +276,46 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
+class GridPoints(Sequence):
+    """The points of ``itertools.product(*axes)`` over ``coords``, as dicts.
+
+    Points are built only when indexed or iterated; ``abs_values`` samples a
+    scalar over the whole grid without building them.
+    """
+
+    def __init__(self, coords: Sequence[str], axes: Sequence[Sequence[float]]):
+        self.coords = tuple(coords)
+        self.axes = tuple(tuple(a) for a in axes)
+
+    def __len__(self) -> int:
+        return math.prod(len(a) for a in self.axes)
+
+    def __getitem__(self, i: int) -> dict[str, float]:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("grid point index out of range")
+        combo = []
+        for axis in reversed(self.axes):
+            i, k = divmod(i, len(axis))
+            combo.append(axis[k])
+        return dict(zip(self.coords, reversed(combo)))
+
+    def __iter__(self) -> Iterator[dict[str, float]]:
+        for combo in itertools.product(*self.axes):
+            yield dict(zip(self.coords, combo))
+
+    def abs_values(self, s: TrigScalar) -> list[float]:
+        """|s| at every grid point, in grid order."""
+        return list(map(abs, s.sample_grid(self.coords, self.axes)))
+
+
 def grid_points(
     space: FramedSpace,
     scalars: Sequence[TrigScalar],
     per_axis: int,
-) -> tuple[list[dict[str, float]], dict[str, int]]:
+) -> tuple[GridPoints, dict[str, int]]:
     """Deterministic grid over one period per coordinate appearing in scalars."""
     coords = sorted(set().union(*(s.coordinates() for s in scalars)) if scalars else set())
     axes: list[list[float]] = []
@@ -286,9 +324,7 @@ def grid_points(
         period = space.coordinate_period(c, scalars)
         axes.append([period * k / per_axis for k in range(per_axis)])
         shape[c] = per_axis
-    points = [dict(zip(coords, combo)) for combo in itertools.product(*axes)] \
-        if coords else [{}]
-    return points, shape
+    return GridPoints(coords, axes), shape
 
 
 # -- certificates -------------------------------------------------------------
@@ -343,16 +379,15 @@ def certify_nonvanishing(
                                note=note)
         return Certificate("SYMBOLIC", "nonvanishing", witness=str(const), note=note)
     points, shape = grid_points(space, [witness], grid)
-    best, best_pt = None, None
-    for p in points:
-        v = abs(witness.evaluate(p))
-        if best is None or v < best:
-            best, best_pt = v, p
+    values = points.abs_values(witness)
+    best = min(values)
     if best > tol:
         return Certificate("SAMPLED", "nonvanishing", grid=shape, bound=best,
                            tolerance=tol, note=note)
+    # the witness point is the first minimiser in grid order
     return Certificate("FAILED", "nonvanishing", grid=shape, bound=best,
-                       tolerance=tol, witness_point=best_pt, note=note)
+                       tolerance=tol, witness_point=points[values.index(best)],
+                       note=note)
 
 
 def certify_vanishing(
@@ -368,17 +403,18 @@ def certify_vanishing(
                            note=note)
     live = [s for s in scalars if not s.is_zero()]
     points, shape = grid_points(space, live, grid)
-    worst, worst_pt = 0.0, None
-    for p in points:
-        for s in live:
-            v = abs(s.evaluate(p))
-            if v > worst:
-                worst, worst_pt = v, p
+    peaks = points.abs_values(live[0])
+    for s in live[1:]:
+        peaks = list(map(max, peaks, points.abs_values(s)))
+    worst = max(peaks)
     if worst <= tol:
         return Certificate("SAMPLED", "vanishing", grid=shape, bound=worst,
                            tolerance=tol, note=note)
+    # the witness point is the first maximiser in grid order; none when
+    # every value is zero
     return Certificate("FAILED", "vanishing", grid=shape, bound=worst,
-                       tolerance=tol, witness_point=worst_pt, note=note)
+                       tolerance=tol, note=note,
+                       witness_point=points[peaks.index(worst)] if worst else None)
 
 
 # -- brackets and the complex structure ---------------------------------------

@@ -181,9 +181,9 @@ def leading_order_residual(inp: MappingTorusInput, n: int,
         if res.is_zero():
             sups.append(0.0)
             continue
-        points, _ = grid_points(inp.space, [c for c in res.coeffs
-                                            if not c.is_zero()], per_axis)
-        sups.append(max(max(abs(v) for v in res.evaluate(p)) for p in points))
+        live = [c for c in res.coeffs if not c.is_zero()]
+        points, _ = grid_points(inp.space, live, per_axis)
+        sups.append(max(max(points.abs_values(c)) for c in live))
     return ResidualReport(n, sups[0], sups[1], res1.is_zero(), res2.is_zero())
 
 

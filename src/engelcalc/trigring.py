@@ -27,9 +27,10 @@ are pure.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Frequency",
@@ -83,7 +84,9 @@ class Frequency:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Frequency)
+        if self is other:
+            return True
+        return (isinstance(other, Frequency) and self._hash == other._hash
                 and self.rat == other.rat and self.pi == other.pi)
 
     def __repr__(self) -> str:
@@ -93,13 +96,21 @@ class Frequency:
     def of(rational: RationalLike = 0, pi_part: RationalLike = 0) -> "Frequency":
         return Frequency(rat(rational), rat(pi_part))
 
+    # the zero fast paths below skip the Fraction arithmetic that dominates
+    # wave products, where most angle components are absent or cancel
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.pi == 0
+        return self is FREQ_ZERO or (not self.rat and not self.pi)
 
     def neg(self) -> "Frequency":
+        if self.is_zero():
+            return self
         return Frequency(-self.rat, -self.pi)
 
     def add(self, other: "Frequency") -> "Frequency":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Frequency(self.rat + other.rat, self.pi + other.pi)
 
     def scale(self, q: Fraction) -> "Frequency":
@@ -293,6 +304,9 @@ PI = PiScalar.from_pairs([(1, 1)])
 
 # wave key: (kind, ((coord, Frequency), ...) sorted by coord, phase Frequency)
 Wave = tuple[str, tuple[tuple[str, Frequency], ...], Frequency]
+
+# float form of a scalar, see _float_terms
+FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...]
 
 _CONST_WAVE: Wave = ("c", (), FREQ_ZERO)
 
@@ -521,16 +535,52 @@ class TrigScalar:
             out._add_term(kind, dict(fr), nph, c)
         return out
 
+    # -- floating-point evaluation --------------------------------------------
+
     def evaluate(self, point: Mapping[str, float]) -> float:
         total = 0.0
-        for (kind, fr, ph), c in self._terms.items():
-            angle = ph.value()
-            for coord, f in fr:
+        for is_cos, coeff, phase, freqs in _float_terms(self):
+            angle = phase
+            for coord, omega in freqs:
                 if coord not in point:
                     raise ValueError(f"coordinate '{coord}' not assigned")
-                angle += f.value() * point[coord]
-            wave = math.cos(angle) if kind == "c" else math.sin(angle)
-            total += c.evaluate() * wave
+                angle += omega * point[coord]
+            total += coeff * (math.cos(angle) if is_cos else math.sin(angle))
+        return total
+
+    def sample_grid(self, coords: Sequence[str],
+                    axes: Sequence[Sequence[float]]) -> list[float]:
+        """Values at every point of ``itertools.product(*axes)``, in that order.
+
+        ``axes[i]`` lists the values of ``coords[i]``.  Each value is
+        bit-identical to ``evaluate`` at the same point: a term's angles are
+        built axis by axis in its own coordinate order, each prefix shared by
+        the points that extend it, and its contributions are summed in term
+        order.  A term's wave is computed once per point of its own axes and
+        broadcast over the axes it does not depend on.
+        """
+        where = {c: i for i, c in enumerate(coords)}
+        sizes = [len(a) for a in axes]
+        total = [0.0] * math.prod(sizes)
+        gathers: dict[tuple[int, ...], list[int] | None] = {}
+        for is_cos, coeff, phase, freqs in _float_terms(self):
+            angles = [phase]
+            own: list[int] = []
+            for coord, omega in freqs:
+                if coord not in where:
+                    raise ValueError(f"coordinate '{coord}' not assigned")
+                steps = [omega * x for x in axes[where[coord]]]
+                angles = [a + step for a in angles for step in steps]
+                own.append(where[coord])
+            wave = math.cos if is_cos else math.sin
+            values = [coeff * w for w in map(wave, angles)]
+            key = tuple(own)
+            if key not in gathers:
+                gathers[key] = _gather_index(key, sizes)
+            gather = gathers[key]
+            if gather is not None:
+                values = list(map(values.__getitem__, gather))
+            total = list(map(operator.add, total, values))
         return total
 
     # -- comparisons / formatting -------------------------------------------
@@ -553,6 +603,40 @@ class TrigScalar:
 
 
 TrigLike = Union[TrigScalar, PiScalar, int, str, Fraction]
+
+
+def _float_terms(s: TrigScalar) -> FloatTerms:
+    """The float form of ``s``: one ``(is_cos, coeff, phase, ((coord, omega),
+    ...))`` per term, in term order.
+
+    ``coeff``, ``phase`` and ``omega`` are exactly ``PiScalar.evaluate()`` and
+    ``Frequency.value()`` of the exact term, so ``evaluate`` and
+    ``sample_grid``, which each build it once per call, perform the same float
+    operations.
+    """
+    return tuple((kind == "c", c.evaluate(), ph.value(),
+                  tuple((coord, f.value()) for coord, f in fr))
+                 for (kind, fr, ph), c in s._terms.items())
+
+
+def _gather_index(own: tuple[int, ...], sizes: Sequence[int]) -> list[int] | None:
+    """For each grid point, the index of its projection onto the ``own`` axes.
+
+    The projection grid lists ``own`` in the given order; None when it is
+    the whole grid in grid order, so no gather is needed.
+    """
+    if own == tuple(range(len(sizes))):
+        return None
+    stride = {}
+    step = 1
+    for axis in reversed(own):
+        stride[axis] = step
+        step *= sizes[axis]
+    index = [0]
+    for axis, n in enumerate(sizes):
+        st = stride.get(axis, 0)
+        index = [i + st * k for i in index for k in range(n)]
+    return index
 
 
 def normalize(x: TrigLike) -> TrigScalar:

@@ -61,3 +61,27 @@ def numeric_matrix(fields, point: dict) -> np.ndarray:
 def random_points(space: FramedSpace, rng, count: int) -> list[dict]:
     return [{c: rng.uniform(-3.0, 3.0) for c in space.coords}
             for _ in range(count)]
+
+
+def brute_force_certificate(scalars, points, claim: str) -> tuple[float, dict | None]:
+    """(bound, witness point) of a sampled certificate by point-by-point evaluation.
+
+    Nonvanishing takes the smallest |s| of the single scalar, vanishing the
+    largest |s| over all scalars; a tie goes to the first point in the order
+    given, and vanishing names no point when every value is zero.
+    """
+    if claim == "nonvanishing":
+        (s,) = scalars
+        best, at = None, None
+        for p in points:
+            v = abs(s.evaluate(p))
+            if best is None or v < best:
+                best, at = v, p
+        return best, at
+    best, at = 0.0, None
+    for p in points:
+        for s in scalars:
+            v = abs(s.evaluate(p))
+            if v > best:
+                best, at = v, p
+    return best, at

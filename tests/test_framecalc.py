@@ -12,6 +12,7 @@ from engelcalc.framecalc import (
     VecField,
     apply_J,
     bracket,
+    certify_nonvanishing,
     exterior_derivative,
     global_rank,
     grid_points,
@@ -20,7 +21,12 @@ from engelcalc.framecalc import (
 )
 from engelcalc.trigring import parse
 
-from oracles import numeric_bracket, numeric_matrix, random_points
+from oracles import (
+    brute_force_certificate,
+    numeric_bracket,
+    numeric_matrix,
+    random_points,
+)
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
 
@@ -340,6 +346,8 @@ def test_grid_uses_one_fundamental_period():
     assert max(p["x"] for p in pts) < 1 / 3  # period 2/6
     with pytest.raises(ValueError, match="incommensurate"):
         grid_points(space, [parse("sin(x) + sin(pi*x)")], 17)
+    with pytest.raises(ValueError, match="incommensurate"):
+        certify_nonvanishing(parse("2 + sin(x) + sin(pi*x)"), space)
 
 
 def test_declared_period_overrides_derived_one():
@@ -351,6 +359,11 @@ def test_declared_period_overrides_derived_one():
     pts, _ = grid_points(space, [parse("sin(x) + sin(pi*x)")], 8)
     assert len(pts) == 8  # incommensurate mix sampled under the declared box
     assert max(p["x"] for p in pts) == pytest.approx(4 * math.pi * 7 / 8)
+    witness = parse("3 + sin(x) + sin(pi*x)")
+    cert = certify_nonvanishing(witness, space, grid=8, tol=math.inf)
+    assert cert.grid == {"x": 8}
+    assert (cert.bound, cert.witness_point) == \
+        brute_force_certificate([witness], list(pts), "nonvanishing")
 
 
 def test_jacobi_holds_numerically_at_random_points():

@@ -222,3 +222,62 @@ def test_zero_scalar_has_no_terms_property():
     for _ in range(100):
         p = {"t": rng.uniform(-10, 10)}
         assert abs(z.evaluate(p)) < 1e-12
+
+
+# -- Frequency zero fast paths and the float form -----------------------------
+
+
+def test_frequency_zero_operands():
+    from engelcalc.trigring import FREQ_ZERO
+
+    f = Frequency.of("3/4", "-2/5")
+    assert f.add(FREQ_ZERO) is f
+    assert FREQ_ZERO.add(f) is f
+    assert FREQ_ZERO.neg() is FREQ_ZERO
+    zero = Frequency.of(0, 0)
+    assert zero is not FREQ_ZERO and zero.neg() is zero
+    assert f.add(zero) is f and zero.add(f) is f
+    assert f.neg().add(f) == FREQ_ZERO
+    assert f.add(f.neg()).is_zero()
+
+
+def test_frequency_equality_and_hash_agree():
+    from engelcalc.trigring import FREQ_ZERO
+
+    f = Frequency.of("3/4", "-2/5")
+    built = [f.add(f.neg()), Frequency(Fraction(0), Fraction(0)), Frequency.of(0)]
+    for z in built:
+        assert z == FREQ_ZERO and FREQ_ZERO == z
+        assert hash(z) == hash(FREQ_ZERO)
+    g = Frequency.of("1/4", 1).add(Frequency.of("1/2", "-7/5"))
+    assert g == f and hash(g) == hash(f)
+    assert g != Frequency.of("3/4", "2/5")
+    assert len({f, g, *built, FREQ_ZERO}) == 2
+
+
+def test_frequency_is_zero_survives_a_hash_collision():
+    from engelcalc.trigring import FREQ_ZERO
+
+    f = Frequency.of(1, 0)
+    f._hash = hash(FREQ_ZERO)  # as if (1, 1, 0, 1) hashed like (0, 1, 0, 1)
+    assert not f.is_zero()
+    assert f != FREQ_ZERO
+    assert f.neg() == Frequency.of(-1, 0)
+    assert FREQ_ZERO.add(f).rat == 1
+
+
+def _float_form(s):
+    return tuple((kind == "c", c.evaluate(), ph.value(),
+                  tuple((coord, f.value()) for coord, f in fr))
+                 for (kind, fr, ph), c in s.terms().items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars(), scalars(), st.sampled_from(_COORDS))
+def test_float_form_follows_the_terms(a, b, coord):
+    from engelcalc.trigring import _float_terms
+
+    derived = [a + b, a * b, a - b, a.differentiate(coord),
+               a.shift(coord, Fraction(1, 3)), parse(str(a))]
+    for s in [a, *derived]:
+        assert _float_terms(s) == _float_form(s)
