@@ -19,9 +19,12 @@ Values are kept in a canonical normal form at all times:
   the cos/sin basis,
 * zero coefficients are dropped and ``sin`` of the zero angle never appears.
 
-Semantically equal inputs therefore map to identical term maps, so equality
-and the zero test are syntactic.  All values are immutable and all operations
-are pure.
+Semantically equal inputs whose phases are free of rational multiples of pi
+other than quarter turns therefore map to identical term maps, and for them
+equality and the zero test are syntactic.  Other rational-pi phases are not
+reduced against each other: ``parse("cos(pi/3) - 1/2")`` is zero but does not
+normalise to zero (open item 3 of ROADMAP.md).  All values are immutable and
+all operations are pure.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ RationalLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-_TWO = Fraction(2)
 
 
 def rat(x: RationalLike) -> Fraction:
@@ -63,31 +65,45 @@ def rat(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class Frequency:
+def _qadd(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d in lowest terms, for reduced inputs with b, d > 0."""
+    n = a * d + c * b
+    b *= d
+    g = math.gcd(n, b)
+    return n // g, b // g
+
+
+class Frequency(tuple):
     """Exact frequency/phase value ``rat + pi * pi``.
 
     Since pi is irrational the value is zero iff both parts are zero, which
-    keeps equality and sign-normalisation exact.  The hash is precomputed:
-    frequencies live inside the wave keys of every term map, and hashing
-    Fractions directly dominated profiles.
+    keeps equality and sign-normalisation exact.  The value is stored as the
+    four ints ``(rat_num, rat_den, pi_num, pi_den)``, each pair in lowest
+    terms with a positive denominator.  Frequencies live inside the wave keys
+    of every term map, so equality and hashing are the tuple's own, on ints;
+    the hash is ``hash((rat_num, rat_den, pi_num, pi_den))``.  ``rat`` and
+    ``pi`` give the two parts as Fractions.  Frequency arithmetic goes
+    through ``add``, ``neg`` and ``scale`` only: ``+``, ``*`` and ``<`` are
+    the tuple's (concatenation, repetition, order of the raw ints), and a
+    frequency equals the plain tuple of its four ints.
     """
 
-    __slots__ = ("rat", "pi", "_hash")
+    __slots__ = ()
 
-    def __init__(self, rat_part: Fraction, pi_part: Fraction):
-        self.rat = rat_part
-        self.pi = pi_part
-        self._hash = hash((rat_part.numerator, rat_part.denominator,
-                           pi_part.numerator, pi_part.denominator))
+    def __new__(cls, rat_part: Fraction, pi_part: Fraction) -> "Frequency":
+        return tuple.__new__(cls, (rat_part.numerator, rat_part.denominator,
+                                   pi_part.numerator, pi_part.denominator))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        return self.rat, self.pi
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Frequency) and self._hash == other._hash
-                and self.rat == other.rat and self.pi == other.pi)
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self[0], self[1])
+
+    @property
+    def pi(self) -> Fraction:
+        return Fraction(self[2], self[3])
 
     def __repr__(self) -> str:
         return f"Frequency(rat={self.rat!r}, pi={self.pi!r})"
@@ -96,22 +112,25 @@ class Frequency:
     def of(rational: RationalLike = 0, pi_part: RationalLike = 0) -> "Frequency":
         return Frequency(rat(rational), rat(pi_part))
 
-    # the zero fast paths below skip the Fraction arithmetic that dominates
-    # wave products, where most angle components are absent or cancel
+    # the zero fast paths below skip the arithmetic of wave products, where
+    # most angle components are absent or cancel
     def is_zero(self) -> bool:
-        return self is FREQ_ZERO or (not self.rat and not self.pi)
+        return self is FREQ_ZERO or (not self[0] and not self[2])
 
     def neg(self) -> "Frequency":
-        if self.is_zero():
+        rn, rd, pn, pd = self
+        if not rn and not pn:
             return self
-        return Frequency(-self.rat, -self.pi)
+        return _freq((-rn, rd, -pn, pd))
 
     def add(self, other: "Frequency") -> "Frequency":
-        if other.is_zero():
+        on, od, qn, qd = other
+        if not on and not qn:
             return self
-        if self.is_zero():
+        rn, rd, pn, pd = self
+        if not rn and not pn:
             return other
-        return Frequency(self.rat + other.rat, self.pi + other.pi)
+        return _freq(_qadd(rn, rd, on, od) + _qadd(pn, pd, qn, qd))
 
     def scale(self, q: Fraction) -> "Frequency":
         return Frequency(self.rat * q, self.pi * q)
@@ -120,7 +139,9 @@ class Frequency:
         return PiScalar.from_pairs([(0, self.rat), (1, self.pi)])
 
     def value(self) -> float:
-        return float(self.rat) + float(self.pi) * math.pi
+        # float(Fraction(n, d)) is n / d, so this rounds as the Fractions did
+        rn, rd, pn, pd = self
+        return rn / rd + pn / pd * math.pi
 
     def to_json(self) -> dict:
         return {"rat": str(self.rat), "pi": str(self.pi)}
@@ -130,12 +151,18 @@ class Frequency:
         return Frequency(rat(obj["rat"]), rat(obj["pi"]))
 
 
+def _freq(parts: tuple[int, int, int, int]) -> Frequency:
+    # both pairs must already be in lowest terms, with positive denominators
+    return tuple.__new__(Frequency, parts)
+
+
 FREQ_ZERO = Frequency(_ZERO, _ZERO)
 
 
 def _freq_is_negative(f: Frequency) -> bool:
     # canonical orientation only; does not claim the real value is negative
-    return (f.pi, f.rat) < (_ZERO, _ZERO)
+    rn, _, pn, _ = f
+    return (pn, rn) < (0, 0)
 
 
 class PiScalar:
@@ -310,21 +337,24 @@ FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...
 
 _CONST_WAVE: Wave = ("c", (), FREQ_ZERO)
 
-# quarter-turn phase absorption: phase pi-part in {0, 1/2, 1, 3/2} after mod 2
+# quarter-turn phase absorption: phase pi-part (num, den) in {0, 1/2, 1, 3/2}
+# after mod 2
 _QUARTER = {
-    ("c", Fraction(0)): ("c", 1),
-    ("c", Fraction(1, 2)): ("s", -1),
-    ("c", Fraction(1)): ("c", -1),
-    ("c", Fraction(3, 2)): ("s", 1),
-    ("s", Fraction(0)): ("s", 1),
-    ("s", Fraction(1, 2)): ("c", 1),
-    ("s", Fraction(1)): ("s", -1),
-    ("s", Fraction(3, 2)): ("c", -1),
+    ("c", 0, 1): ("c", 1),
+    ("c", 1, 2): ("s", -1),
+    ("c", 1, 1): ("c", -1),
+    ("c", 3, 2): ("s", 1),
+    ("s", 0, 1): ("s", 1),
+    ("s", 1, 2): ("c", 1),
+    ("s", 1, 1): ("s", -1),
+    ("s", 3, 2): ("c", -1),
 }
 
 
 def _reduce_phase(p: Frequency) -> Frequency:
-    return Frequency(p.rat, p.pi % _TWO)
+    # pn/pd mod 2 is (pn mod 2*pd)/pd, still in lowest terms
+    rn, rd, pn, pd = p
+    return _freq((rn, rd, pn % (2 * pd), pd))
 
 
 def _canonical(
@@ -339,17 +369,20 @@ def _canonical(
     if fr:
         flip = _freq_is_negative(fr[min(fr)])
     else:
-        p1 = _reduce_phase(phase)
-        p2 = _reduce_phase(phase.neg())
-        flip = (p2.rat, p2.pi) < (p1.rat, p1.pi)
+        # orient the phase so that (rat, pi mod 2) is the smaller of the
+        # phase's and its negative's: the rat parts are r and -r, and on a
+        # tie at 0 the pi parts share the denominator pd
+        rn, _, pn, pd = phase
+        flip = rn > 0 if rn else -pn % (2 * pd) < pn % (2 * pd)
     if flip:
         fr = {c: f.neg() for c, f in fr.items()}
         phase = phase.neg()
         if kind == "s":
             sign = -sign
     phase = _reduce_phase(phase)
-    if phase.rat == 0 and phase.pi.denominator in (1, 2):
-        kind, s2 = _QUARTER[(kind, phase.pi)]
+    rn, _, pn, pd = phase
+    if not rn and pd <= 2:
+        kind, s2 = _QUARTER[(kind, pn, pd)]
         sign *= s2
         phase = FREQ_ZERO
     if kind == "s" and not fr and phase.is_zero():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*args):
+    # the child imports the same source tree as this process
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "engelcalc.cli", *args],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_catalog_list_names_all_families():

@@ -258,12 +258,67 @@ def test_frequency_equality_and_hash_agree():
 def test_frequency_is_zero_survives_a_hash_collision():
     from engelcalc.trigring import FREQ_ZERO
 
+    # equality compares all four ints, with no hash pre-check to collide
     f = Frequency.of(1, 0)
-    f._hash = hash(FREQ_ZERO)  # as if (1, 1, 0, 1) hashed like (0, 1, 0, 1)
     assert not f.is_zero()
     assert f != FREQ_ZERO
     assert f.neg() == Frequency.of(-1, 0)
     assert FREQ_ZERO.add(f).rat == 1
+    # a real collision: CPython hashes the ints -1 and -2 alike
+    g, h = Frequency.of(-1, 0), Frequency.of(-2, 0)
+    assert hash(g) == hash(h) and g != h and len({g, h}) == 2
+
+
+# mixed signs, and denominators both shared and coprime
+_RATIONALS = st.builds(Fraction, st.integers(-80, 80), st.integers(1, 36))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS)
+def test_frequency_ints_match_fraction_arithmetic(a, b, c, d, q):
+    import copy
+    import pickle
+
+    from engelcalc.trigring import _reduce_phase
+
+    f, g = Frequency(a, b), Frequency(c, d)
+    assert tuple(f) == (a.numerator, a.denominator, b.numerator, b.denominator)
+    assert (f.rat, f.pi) == (a, b)
+    total, neg, scaled = f.add(g), f.neg(), f.scale(q)
+    assert (total.rat, total.pi) == (a + c, b + d)
+    assert (neg.rat, neg.pi) == (-a, -b)
+    assert (scaled.rat, scaled.pi) == (a * q, b * q)
+    for h in (f, g, total, neg, scaled, f.add(neg), Frequency(a, -b)):
+        rn, rd, pn, pd = h
+        assert rd > 0 and pd > 0 and math.gcd(rn, rd) == math.gcd(pn, pd) == 1
+        assert h.is_zero() == (h.rat == 0 and h.pi == 0)
+        reduced = _reduce_phase(h)
+        assert (reduced.rat, reduced.pi) == (h.rat, h.pi % 2)
+        want = float(h.rat) + float(h.pi) * math.pi
+        assert h.value().hex() == want.hex()
+        assert hash(h) == hash((rn, rd, pn, pd))
+    # every construction route gives an equal key with an equal hash
+    parsed = parse(f"cos(t + ({a})*x + ({b})*pi*x)").frequencies_of("x")
+    assert parsed == (set() if f.is_zero() else {f})
+    routes = [Frequency.of(a, b), Frequency.of(str(a), str(b)),
+              Frequency.from_json(f.to_json()), g.add(Frequency(a - c, b - d)),
+              Frequency.of(a).add(Frequency.of(0, b)),
+              pickle.loads(pickle.dumps(f)), copy.deepcopy(f)]
+    for h in routes:
+        assert type(h) is Frequency and h == f and hash(h) == hash(f)
+    # orientation as defined on Fractions: a leading frequency is not
+    # negative in (pi, rat) order, and a constant wave keeps the smaller of
+    # its phase and the negated phase in (rat, pi mod 2) order
+    if not f.is_zero():
+        ((_, ((coord, lead), _), _),) = parse(
+            f"sin(({a})*u + ({b})*pi*u + x)").terms()
+        assert coord == "u" and lead in (f, f.neg())
+        assert (lead.pi, lead.rat) >= (0, 0)
+    for r in (c, 0):
+        if r or d.denominator > 2:  # not a quarter turn, so never absorbed
+            ((_, fr, phase),) = parse(f"cos(({r}) + ({d})*pi)").terms()
+            assert fr == ()
+            assert (phase.rat, phase.pi) == min((r, d % 2), (-r, -d % 2))
 
 
 def _float_form(s):
