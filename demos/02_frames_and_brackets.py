@@ -9,7 +9,7 @@ import itertools
 
 from engelcalc.framecalc import (
     ComplexStructure, FramedSpace, KForm, VecField,
-    apply_J, bracket, exterior_derivative, nijenhuis, wedge,
+    bracket, exterior_derivative, nijenhuis, wedge,
 )
 from engelcalc.trigring import parse
 
@@ -23,7 +23,7 @@ hopf = FramedSpace(
 J = ComplexStructure.pairing(0, 1, 2, 3)  # J X1 = X2, J X3 = X4
 
 A = VecField.of(1, 0, 1, 0)               # X1 + X3
-JA = apply_J(J, A)
+JA = J.apply(A)
 B = bracket(A, JA, hopf)
 C = bracket(A, B, hopf)
 print(f"  A       = {[str(c) for c in A.coeffs]}")
@@ -44,7 +44,7 @@ kodaira = FramedSpace(
     derivation={(3, "t"): 1},             # X4 = d/dt on the circle factor
 )
 A = VecField.of(parse("sin(t)"), parse("-cos(t)"), 0, 1)
-B = bracket(A, apply_J(J, A), kodaira)
+B = bracket(A, J.apply(A), kodaira)
 print(f"  oscillating generator: [A, JA] = {[str(c) for c in B.coeffs]}")
 print("  (the wave coefficients rotate; the X3 component collapses via "
       "sin^2 + cos^2)")

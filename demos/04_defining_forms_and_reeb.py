@@ -8,25 +8,22 @@ formulas, and R commuting with the frame detects metric compatibility.
 
 from engelcalc.catalog import build_family
 from engelcalc.engelcheck import (
-    characteristic_foliation, defining_forms, j_engel_splitting,
-    jofreeb_residual, k_engel_check, structure_functions,
-    transverse_engel_check, verify_engel,
+    Derivation, j_engel_splitting, jofreeb_residual, k_engel_check,
+    transverse_engel_check,
 )
 from engelcalc.framecalc import VecField
 
 
-def chain(name):
+def context(name):
+    # every stage below (flag, W, forms, structure functions) is derived
+    # once, on first use, and shared by the checks
     spec = build_family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
-    w = characteristic_foliation(flag, spec.space)
-    x = spec.J.apply(w)
-    sf = structure_functions(forms, w, x, spec.space)
-    return spec, flag, forms, w, x, sf
+    return Derivation(spec.d1, spec.d2, spec.J, spec.space)
 
 
 print("== forms and Reeb pair on the S^3 x R model ==")
-spec, flag, forms, w, x, sf = chain("hopf_s3r")
+ctx = context("hopf_s3r")
+forms, sf = ctx.forms, ctx.sf
 print(f"  alpha components: {[str(forms.alpha.component((i,))) for i in range(4)]}")
 print(f"  beta  components: {[str(forms.beta.component((i,))) for i in range(4)]}")
 print(f"  T = {[str(c) for c in forms.T_field.coeffs]}")
@@ -35,24 +32,22 @@ print(f"  structure functions: c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
       f"d_WR = {sf.d_WR}, d_XR = {sf.d_XR}")
 
 print("\n== the rotation identities hold exactly ==")
-res = jofreeb_residual(forms, sf, w, x, spec.J, spec.space)
+res = jofreeb_residual(ctx)
 print(f"  J(T), J(R) residuals: {res.certificate.kind}")
 print(f"  d(alpha)^2 = -2 d_WR alpha^beta^d(beta): {res.dalpha_identity.kind}")
 
 print("\n== the splitting ignores the choice of alpha ==")
-split = j_engel_splitting(spec.d1, spec.d2, spec.J, spec.space)
+split = j_engel_splitting(ctx)
 print(f"  scalings tested: {split.tested_scalings}; "
       f"certificate {split.invariance.kind}")
 
 print("\n== transverse symmetry and K-compatibility ==")
-rep = k_engel_check(forms, w, x, spec.space)
+rep = k_engel_check(ctx)
 print(f"  [W,R] = [X,R] = [T,R] = 0: {rep.passed}")
-tr = transverse_engel_check(VecField.basis(3), spec.d1, spec.d2, spec.J,
-                            forms, spec.space)
+tr = transverse_engel_check(VecField.basis(3), ctx)
 print(f"  X4 is an Engel field with i_Z(beta ^ d(beta)) = 0: "
       f"{tr.conclusion.passed}; spans the Reeb line: {tr.reeb_match.passed}")
 
 print("\n== and a family without the compatibility ==")
-spec, flag, forms, w, x, sf = chain("inoue_s0")
-rep = k_engel_check(forms, w, x, spec.space)
+rep = k_engel_check(context("inoue_s0"))
 print(f"  passes: {rep.passed}; obstruction coefficients: {rep.obstructions}")

@@ -3,7 +3,7 @@
 Verbs:
     engelcalc catalog list
     engelcalc catalog show FAMILY [--params k=v,...]
-    engelcalc verify TARGET [--suite s1,s2] [--grid N] [--tol T] [--seed S]
+    engelcalc verify TARGET [--suite s1,s2] [--grid N] [--tol T]
                             [--json PATH] [--params k=v,...]
     engelcalc geiges (--input PATH | --builtin flat|twisted)
                      [--variant j_engel|totally_real] [--nmax N] [--json PATH]
@@ -17,7 +17,6 @@ as strings, and no volatile fields, so identical runs emit identical bytes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -28,26 +27,25 @@ from typing import Mapping, Sequence
 from . import __version__, catalog, geiges
 from .engelcheck import (
     CheckError,
+    Derivation,
     PreconditionError,
     VerificationError,
-    characteristic_foliation,
-    defining_forms,
+    complex_framing,
     j_engel_splitting,
     j_invariance_check,
     jofreeb_residual,
     k_engel_check,
-    complex_framing,
-    nijenhuis_certificate,
-    structure_functions,
     totally_real_check,
     transverse_engel_check,
     verify_engel,
 )
-from .framecalc import Certificate, VecField, bracket, certify_vanishing
+from .framecalc import Certificate, VecField
 from .manifest import dump_manifest, load_manifest, manifest_from_parts
 
 SUITES = ("engel", "jengel", "forms", "jofreeb", "kengel", "splitting",
           "geiges", "equivariance")
+# suites that need both the plane field D and J
+PLANE_AND_J_SUITES = ("jengel", "forms", "jofreeb", "kengel", "splitting")
 
 
 @dataclass
@@ -77,7 +75,6 @@ class Report:
     suites: tuple[str, ...]
     grid: int
     tolerance: float
-    seed: int
     records: list[CheckRecord] = field(default_factory=list)
 
     @property
@@ -92,7 +89,6 @@ class Report:
             "suites": list(self.suites),
             "grid": self.grid,
             "tolerance": self.tolerance,
-            "seed": self.seed,
             "checks": [r.to_json() for r in self.records],
             "overall": self.overall,
         }
@@ -108,7 +104,7 @@ def emit_report(report: Report, format: str = "json") -> str:
 
 def _render_text(report: Report) -> str:
     lines = [f"target {report.target}   overall {report.overall}   "
-             f"(grid {report.grid}, tol {report.tolerance}, seed {report.seed})"]
+             f"(grid {report.grid}, tol {report.tolerance})"]
     if report.parameters:
         lines.append("parameters: " +
                      ", ".join(f"{k}={v}" for k, v in sorted(report.parameters.items())))
@@ -158,10 +154,7 @@ class _Runner:
         self.tgt = tgt
         self.grid = grid
         self.tol = tol
-        self._flag = None
-        self._w = None
-        self._forms = None
-        self._sf = None
+        self.ctx = Derivation(tgt.d1, tgt.d2, tgt.J, tgt.space, grid, tol)
         self.records: list[CheckRecord] = []
 
     def _run(self, name: str, fn, *, status_of=None) -> object:
@@ -188,42 +181,15 @@ class _Runner:
             wall_ms=(time.perf_counter() - t0) * 1e3))
         return result
 
-    # -- shared intermediate results -----------------------------------------
-
-    def flag(self):
-        if self._flag is None:
-            self._flag = verify_engel(self.tgt.d1, self.tgt.d2, self.tgt.space,
-                                      self.grid, self.tol)
-        return self._flag
-
-    def w_field(self):
-        if self._w is None:
-            self._w = characteristic_foliation(self.flag(), self.tgt.space,
-                                               self.grid)
-        return self._w
-
-    def forms(self):
-        if self._forms is None:
-            self._forms = defining_forms(self.flag(), self.tgt.J, self.tgt.space,
-                                         self.grid, self.tol)
-        return self._forms
-
-    def sfuncs(self):
-        if self._sf is None:
-            w = self.w_field()
-            self._sf = structure_functions(self.forms(), w,
-                                           self.tgt.J.apply(w), self.tgt.space,
-                                           self.grid, self.tol)
-        return self._sf
-
-    def _need_plane(self) -> bool:
-        return self.tgt.d1 is not None and self.tgt.d2 is not None
-
     # -- suites ---------------------------------------------------------------
 
     def suite_engel(self):
-        tgt = self.tgt
-        self._run("engel.jacobi", lambda: _jacobi_certificate(tgt.space))
+        tgt, ctx = self.tgt, self.ctx
+        # FramedSpace construction checks the Jacobi identity exactly
+        self._run("engel.jacobi",
+                  lambda: Certificate("SYMBOLIC", "vanishing",
+                                      witness="identically zero",
+                                      note="Jacobi identity"))
         if tgt.J is not None:
             self._run("engel.j_squared",
                       lambda: Certificate("SYMBOLIC", "vanishing",
@@ -239,15 +205,14 @@ class _Runner:
                                          "quoted pairing is almost complex only")
                 return "FAIL", "Nijenhuis tensor does not vanish"
 
-            self._run("engel.nijenhuis",
-                      lambda: nijenhuis_certificate(tgt.J, tgt.space, self.grid),
+            self._run("engel.nijenhuis", lambda: ctx.nijenhuis,
                       status_of=_nij_status)
-        if not self._need_plane():
+        if tgt.d1 is None or tgt.d2 is None:
             self.records.append(CheckRecord(
                 "engel.rank", "REJECTED",
                 notes="manifest declares no distribution"))
             return
-        flag = self.flag()
+        flag = ctx.flag
         for key in ("rank_d", "rank_e", "rank_tm"):
             cert = flag.certificates.get(key)
             self.records.append(CheckRecord(
@@ -256,7 +221,7 @@ class _Runner:
                 cert, cert.bound if cert else None,
                 "" if cert is not None else "not reached"))
         if flag.passed:
-            self._run("engel.characteristic", self.w_field,
+            self._run("engel.characteristic", lambda: ctx.w,
                       status_of=lambda w: (
                           "PASS",
                           f"flag: W = {_vec_str(w)} inside D = "
@@ -273,29 +238,18 @@ class _Runner:
                     None, note))
 
     def suite_jengel(self):
-        if not self._need_plane() or self.tgt.J is None:
-            self.records.append(CheckRecord("jengel", "REJECTED",
-                                            notes="needs a plane field and J"))
-            return
-        self._run("jengel.j_invariance",
-                  lambda: j_invariance_check(self.tgt.d1, self.tgt.d2, self.tgt.J,
-                                             self.tgt.space, self.grid))
-        self._run("jengel.complex_framing",
-                  lambda: complex_framing(self.tgt.d1, self.tgt.d2, self.tgt.J,
-                                          self.tgt.space, self.grid, self.tol))
+        ctx = self.ctx
+        self._run("jengel.j_invariance", lambda: ctx.j_invariance)
+        self._run("jengel.complex_framing", lambda: complex_framing(ctx))
 
     def suite_forms(self):
-        if not self._need_plane() or self.tgt.J is None:
-            self.records.append(CheckRecord("forms", "REJECTED",
-                                            notes="needs a plane field and J"))
-            return
-
         def _report(forms):
             alpha = _form_str(forms.alpha)
             beta = _form_str(forms.beta)
             return "PASS", f"alpha = {alpha}; beta = {beta}; {forms.normalization}"
 
-        forms = self._run("forms.construction", self.forms, status_of=_report)
+        forms = self._run("forms.construction", lambda: self.ctx.forms,
+                          status_of=_report)
         if forms is None:
             return
         for key in sorted(forms.certificates):
@@ -303,24 +257,13 @@ class _Runner:
             self.records.append(CheckRecord(
                 f"forms.{key}", "PASS" if cert.passed else "FAIL", cert,
                 cert.bound))
-        self._run("forms.structure_functions", self.sfuncs,
+        self._run("forms.structure_functions", lambda: self.ctx.sf,
                   status_of=lambda sf: ("PASS",
                                         f"c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
                                         f"d_WR = {sf.d_WR}, d_XR = {sf.d_XR}"))
 
     def suite_jofreeb(self):
-        if not self._need_plane() or self.tgt.J is None:
-            self.records.append(CheckRecord("jofreeb", "REJECTED",
-                                            notes="needs a plane field and J"))
-            return
-
-        def _go():
-            w = self.w_field()
-            return jofreeb_residual(self.forms(), self.sfuncs(), w,
-                                    self.tgt.J.apply(w), self.tgt.J,
-                                    self.tgt.space, self.grid)
-
-        result = self._run("jofreeb.residuals", _go,
+        result = self._run("jofreeb.residuals", lambda: jofreeb_residual(self.ctx),
                            status_of=lambda r: (
                                "PASS" if r.certificate.passed else "FAIL", ""))
         if result is not None:
@@ -334,15 +277,7 @@ class _Runner:
                 result.dalpha_identity, result.dalpha_identity.bound))
 
     def suite_kengel(self):
-        if not self._need_plane() or self.tgt.J is None:
-            self.records.append(CheckRecord("kengel", "REJECTED",
-                                            notes="needs a plane field and J"))
-            return
-
-        def _go():
-            w = self.w_field()
-            return k_engel_check(self.forms(), w, self.tgt.J.apply(w),
-                                 self.tgt.space, self.grid)
+        ctx = self.ctx
 
         def _status(rep):
             if rep.passed:
@@ -350,7 +285,8 @@ class _Runner:
             obs = ", ".join(f"{k} = {v}" for k, v in sorted(rep.obstructions.items()))
             return "FAIL", f"nonzero commutator coefficients: {obs}"
 
-        rep = self._run("kengel.commutators", _go, status_of=_status)
+        rep = self._run("kengel.commutators", lambda: k_engel_check(ctx),
+                        status_of=_status)
         if rep is None:
             return
         if rep.rescaling_solvable:
@@ -369,25 +305,14 @@ class _Runner:
             notes="d(beta)^2 = 0" if rep.dbeta_squared_zero else
                   "d(beta)^2 is not zero"))
         if rep.passed:
-            def _consistency():
-                forms = self.forms()
-                return transverse_engel_check(
-                    forms.R.raw, self.tgt.d1, self.tgt.d2, self.tgt.J,
-                    forms, self.tgt.space, self.grid)
-
-            self._run("kengel.transverse_consistency", _consistency,
+            self._run("kengel.transverse_consistency",
+                      lambda: transverse_engel_check(ctx.forms.R.raw, ctx),
                       status_of=lambda t: (
                           "PASS" if t.conclusion.passed and t.reeb_match.passed
                           else "FAIL", ""))
 
     def suite_splitting(self):
-        if not self._need_plane() or self.tgt.J is None:
-            self.records.append(CheckRecord("splitting", "REJECTED",
-                                            notes="needs a plane field and J"))
-            return
-        self._run("splitting.invariance",
-                  lambda: j_engel_splitting(self.tgt.d1, self.tgt.d2, self.tgt.J,
-                                            self.tgt.space, self.grid),
+        self._run("splitting.invariance", lambda: j_engel_splitting(self.ctx),
                   status_of=lambda s: (
                       "PASS" if s.invariance.passed else "FAIL",
                       "scalings tested: " + ", ".join(s.tested_scalings)))
@@ -422,18 +347,6 @@ class _Runner:
                       self.tgt.spec, self.grid))
 
 
-def _jacobi_certificate(space) -> Certificate:
-    # construction already validates; re-derive the residuals for the record
-    basis = [VecField.basis(i) for i in range(4)]
-    scalars = []
-    for i, j, k in itertools.combinations(range(4), 3):
-        jac = (bracket(basis[i], bracket(basis[j], basis[k], space), space)
-               + bracket(basis[j], bracket(basis[k], basis[i], space), space)
-               + bracket(basis[k], bracket(basis[i], basis[j], space), space))
-        scalars.extend(jac.coeffs)
-    return certify_vanishing(scalars, space, 17, 1e-12, note="Jacobi identity")
-
-
 def _vec_str(v: VecField) -> str:
     return "(" + ", ".join(str(c) for c in v.coeffs) + ")"
 
@@ -450,7 +363,6 @@ def run_verify(
     suites: Sequence[str] | None = None,
     grid: int = 17,
     tol: float = 1e-6,
-    seed: int = 0,
     params: Mapping[str, str] | None = None,
 ) -> Report:
     """Run the selected suites against a catalog family or manifest path."""
@@ -469,6 +381,11 @@ def run_verify(
     for suite in SUITES:  # canonical order regardless of request order
         if suite not in chosen:
             continue
+        if suite in PLANE_AND_J_SUITES and any(
+                part is None for part in (tgt.d1, tgt.d2, tgt.J)):
+            runner.records.append(CheckRecord(suite, "REJECTED",
+                                              notes="needs a plane field and J"))
+            continue
         try:
             getattr(runner, f"suite_{suite}")()
         except PreconditionError as exc:
@@ -477,7 +394,7 @@ def run_verify(
             runner.records.append(CheckRecord(suite, "FAIL", notes=str(exc)))
     parameters = {k: str(v) for k, v in (tgt.spec.parameters.items()
                                          if tgt.spec else (params or {}).items())}
-    return Report(tgt.name, parameters, chosen, grid, tol, seed, runner.records)
+    return Report(tgt.name, parameters, chosen, grid, tol, runner.records)
 
 
 def _parse_params(text: str | None) -> dict[str, str]:
@@ -508,7 +425,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                    help="comma-separated subset of: " + ", ".join(SUITES))
     v.add_argument("--grid", type=int, default=17)
     v.add_argument("--tol", type=float, default=1e-6)
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", dest="json_path", default=None)
     v.add_argument("--params", default=None)
 
@@ -543,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.verb == "verify":
         suites = tuple(s.strip() for s in args.suite.split(",")) if args.suite \
             else None
-        report = run_verify(args.target, suites, args.grid, args.tol, args.seed,
+        report = run_verify(args.target, suites, args.grid, args.tol,
                             _parse_params(args.params))
         sys.stdout.write(emit_report(report, "text"))
         if args.json_path:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .framecalc import (
@@ -45,6 +46,7 @@ __all__ = [
     "FracField",
     "DefiningForms",
     "StructureFunctions",
+    "Derivation",
     "verify_engel",
     "characteristic_foliation",
     "j_invariance_check",
@@ -204,16 +206,12 @@ class EngelFlag:
     d2: VecField
     e3: VecField
     certificates: Mapping[str, Certificate]
-    w: VecField | None = None
 
     @property
     def passed(self) -> bool:
         needed = ("rank_d", "rank_e", "rank_tm")
         return all(k in self.certificates and self.certificates[k].passed
                    for k in needed)
-
-    def with_characteristic(self, w: VecField) -> "EngelFlag":
-        return EngelFlag(self.d1, self.d2, self.e3, self.certificates, w)
 
 
 def verify_engel(
@@ -307,29 +305,20 @@ def j_invariance_check(
                              note="minors of (D1, D2, J D_i)")
 
 
-def complex_framing(
-    d1: VecField,
-    d2: VecField,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> Certificate:
+def complex_framing(ctx: Derivation) -> Certificate:
     """Global rank-4 certificate for {W, JW, [W,JW], J[W,JW]}.
 
     This framing exists exactly when D is J-invariant Engel, and its global
     existence is the computable counterpart of the vanishing of both Chern
     classes.
     """
-    flag = verify_engel(d1, d2, space, grid, tol)
-    if not flag.passed:
+    if not ctx.flag.passed:
         raise PreconditionError("complex framing needs a certified Engel structure")
-    if not j_invariance_check(d1, d2, J, space, grid).passed:
+    if not ctx.j_invariance.passed:
         raise PreconditionError("complex framing needs JD = D")
-    w = characteristic_foliation(flag, space, grid)
-    jw = J.apply(w)
-    y = bracket(w, jw, space)
-    return global_rank([w, jw, y, J.apply(y)], space, grid, tol,
+    w, jw = ctx.w, ctx.x
+    y = bracket(w, jw, ctx.space)
+    return global_rank([w, jw, y, ctx.J.apply(y)], ctx.space, ctx.grid, ctx.tol,
                        note="framing W, JW, [W,JW], J[W,JW]")
 
 
@@ -351,10 +340,12 @@ def totally_real_check(
 
 @dataclass(frozen=True)
 class DefiningForms:
-    """alpha, beta = alpha o J, and the Reeb pair T, R they determine."""
+    """alpha, beta = alpha o J, their differentials, and the Reeb pair T, R."""
 
     alpha: KForm
     beta: KForm
+    d_alpha: KForm
+    d_beta: KForm
     T: FracField
     R: FracField
     certificates: Mapping[str, Certificate]
@@ -468,7 +459,7 @@ def defining_forms(
                              "T", certs)
     R = _reeb_from_threeform(wedge(beta, d_beta), alpha, beta, space, grid, tol,
                              "R", certs)
-    return DefiningForms(alpha, beta, T, R, certs, normalization)
+    return DefiningForms(alpha, beta, d_alpha, d_beta, T, R, certs, normalization)
 
 
 @dataclass(frozen=True)
@@ -518,6 +509,62 @@ def nijenhuis_certificate(
     return certify_vanishing(scalars, space, grid, tol, note="Nijenhuis tensor")
 
 
+# -- one derivation per target ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Derivation:
+    """The chain flag -> W -> forms -> structure functions of one target.
+
+    Each stage is computed on first use by its public stage function and
+    then kept, so the checks below read it from here instead of deriving it
+    again; a stage that raises keeps nothing and raises again when next
+    read.  The plane-field stages need ``d1`` and ``d2``, the complex ones
+    ``J``.
+
+    Tolerance policy, for these stages and for the checks that take the
+    context: rank and nonvanishing certificates use ``tol``; identity
+    certificates (vanishing residuals, invariance of spans, JD = D, the
+    Nijenhuis tensor) use ``IDENTITY_TOL``.
+    """
+
+    d1: VecField | None
+    d2: VecField | None
+    J: ComplexStructure | None
+    space: FramedSpace
+    grid: int = DEFAULT_GRID
+    tol: float = DEFAULT_TOL
+
+    @cached_property
+    def flag(self) -> EngelFlag:
+        return verify_engel(self.d1, self.d2, self.space, self.grid, self.tol)
+
+    @cached_property
+    def w(self) -> VecField:
+        return characteristic_foliation(self.flag, self.space, self.grid)
+
+    @cached_property
+    def x(self) -> VecField:
+        return self.J.apply(self.w)
+
+    @cached_property
+    def j_invariance(self) -> Certificate:
+        return j_invariance_check(self.d1, self.d2, self.J, self.space, self.grid)
+
+    @cached_property
+    def forms(self) -> DefiningForms:
+        return defining_forms(self.flag, self.J, self.space, self.grid, self.tol)
+
+    @cached_property
+    def sf(self) -> StructureFunctions:
+        return structure_functions(self.forms, self.w, self.x, self.space,
+                                   self.grid, self.tol)
+
+    @cached_property
+    def nijenhuis(self) -> Certificate:
+        return nijenhuis_certificate(self.J, self.space, self.grid)
+
+
 @dataclass(frozen=True)
 class JofReebResult:
     residual_T: FracField
@@ -526,16 +573,7 @@ class JofReebResult:
     dalpha_identity: Certificate
 
 
-def jofreeb_residual(
-    forms: DefiningForms,
-    sf: StructureFunctions,
-    w: VecField,
-    x: VecField,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
-) -> JofReebResult:
+def jofreeb_residual(ctx: Derivation) -> JofReebResult:
     """Residuals of the closed formulas for J(T) and J(R).
 
     With q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX the expected identities
@@ -543,28 +581,28 @@ def jofreeb_residual(
     the integrability of J, so a nonzero Nijenhuis tensor rejects the check.
     Additionally certifies d(alpha)^2 = -2 d_WR alpha ^ beta ^ d(beta).
     """
-    n_cert = nijenhuis_certificate(J, space, grid, tol)
-    if not n_cert.passed:
+    if not ctx.nijenhuis.passed:
         raise PreconditionError("J is not integrable (nonzero Nijenhuis tensor); "
                                 "the Reeb rotation formulas do not apply")
+    w, x, forms, sf = ctx.w, ctx.x, ctx.forms, ctx.sf
+    J, space, grid = ctx.J, ctx.space, ctx.grid
     c_inv = Frac(ONE, sf.c_WX)
     q1 = (sf.d_WR + sf.d_XT) * c_inv
     q2 = sf.d_XR * c_inv
     res_t = (forms.T.apply_J(J) - forms.R
-             - _plain(w).scale(q1) - _plain(J.apply(w)).scale(q2))
+             - _plain(w).scale(q1) - _plain(x).scale(q2))
     res_r = (forms.R.apply_J(J) + forms.T
-             - _plain(w).scale(q2) + _plain(J.apply(w)).scale(q1))
+             - _plain(w).scale(q2) + _plain(x).scale(q1))
     cert = certify_vanishing(
-        list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid, tol,
-        note="J(T), J(R) rotation residuals (numerators)")
+        list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid,
+        IDENTITY_TOL, note="J(T), J(R) rotation residuals (numerators)")
 
-    d_alpha = exterior_derivative(forms.alpha, space)
-    lhs = wedge(d_alpha, d_alpha).component((0, 1, 2, 3))
+    lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
     abdb = wedge(wedge(forms.alpha, forms.beta),
-                 exterior_derivative(forms.beta, space)).component((0, 1, 2, 3))
+                 forms.d_beta).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
     identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
-    dalpha_cert = certify_vanishing([identity], space, grid, tol,
+    dalpha_cert = certify_vanishing([identity], space, grid, IDENTITY_TOL,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
     return JofReebResult(res_t, res_r, cert, dalpha_cert)
 
@@ -583,12 +621,7 @@ class SplittingResult:
 
 
 def j_engel_splitting(
-    d1: VecField,
-    d2: VecField,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
+    ctx: Derivation,
     scalings: Sequence[TrigLike] | None = None,
 ) -> SplittingResult:
     """The four line fields W, JW, JZ, Z and the scaling-invariance certificate.
@@ -597,13 +630,12 @@ def j_engel_splitting(
     tested nowhere-zero lambda the raw Reeb directions of the rescaled forms
     must stay proportional to the original one at every point.
     """
-    flag = verify_engel(d1, d2, space, grid)
-    if not flag.passed:
+    if not ctx.flag.passed:
         raise PreconditionError("splitting needs a certified Engel structure")
-    if not j_invariance_check(d1, d2, J, space, grid).passed:
+    if not ctx.j_invariance.passed:
         raise PreconditionError("splitting needs JD = D")
-    w = characteristic_foliation(flag, space, grid)
-    forms = defining_forms(flag, J, space, grid)
+    w, forms = ctx.w, ctx.forms
+    J, space = ctx.J, ctx.space
     if scalings is None:
         scalings = ["2", "3/2"]
         if space.coords:
@@ -621,9 +653,9 @@ def j_engel_splitting(
             raise VerificationError(f"rescaled Reeb direction vanished for "
                                     f"lambda = {lam_s}")
         residuals.extend(minors_of_fields([base, kernel]))
-    cert = certify_vanishing(residuals, space, grid, tol,
+    cert = certify_vanishing(residuals, space, ctx.grid, IDENTITY_TOL,
                              note="span(R_lambda) = span(R)")
-    return SplittingResult(w, J.apply(w), forms.R, forms.R.apply_J(J), cert,
+    return SplittingResult(w, ctx.x, forms.R, forms.R.apply_J(J), cert,
                            tuple(labels))
 
 
@@ -637,42 +669,36 @@ class TransverseReport:
     note: str
 
 
-def transverse_engel_check(
-    z: VecField,
-    d1: VecField,
-    d2: VecField,
-    J: ComplexStructure,
-    forms: DefiningForms,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
-) -> TransverseReport:
+def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
     """For an Engel field Z transverse to E with JZ in E: certify i_Z(beta^dbeta)=0.
 
     Preconditions are rejected (not failed): alpha(Z) must vanish nowhere and
     beta(Z) must vanish identically.  The conclusion certificate implies
     Z spans the Reeb direction of the rescaled forms alpha/alpha(Z).
     """
+    forms, d1, d2 = ctx.forms, ctx.d1, ctx.d2
+    space, grid = ctx.space, ctx.grid
     az = forms.alpha(z)
-    trans = certify_nonvanishing(az, space, grid, DEFAULT_TOL, note="alpha(Z)")
+    trans = certify_nonvanishing(az, space, grid, ctx.tol, note="alpha(Z)")
     if not trans.passed:
         raise PreconditionError("Z is not transverse to E: alpha(Z) vanishes "
                                 f"(witness {trans.witness_point})")
-    bz = certify_vanishing([forms.beta(z)], space, grid, tol, note="beta(Z)")
+    bz = certify_vanishing([forms.beta(z)], space, grid, IDENTITY_TOL,
+                           note="beta(Z)")
     if not bz.passed:
         raise PreconditionError("JZ is not tangent to E: beta(Z) is not zero")
     minors: list[TrigScalar] = []
     for gen in (d1, d2):
         minors.extend(minors_of_fields([d1, d2, bracket(z, gen, space)]))
-    engel_field = certify_vanishing(minors, space, grid, tol,
+    engel_field = certify_vanishing(minors, space, grid, IDENTITY_TOL,
                                     note="L_Z D stays in D")
     if not engel_field.passed:
         raise VerificationError("Z does not preserve D; it is not an Engel field")
-    contraction = wedge(forms.beta, exterior_derivative(forms.beta, space)).interior(z)
+    contraction = wedge(forms.beta, forms.d_beta).interior(z)
     conclusion = certify_vanishing(list(contraction.terms.values()), space, grid,
-                                   tol, note="i_Z(beta ^ d(beta)) = 0")
+                                   IDENTITY_TOL, note="i_Z(beta ^ d(beta)) = 0")
     reeb_match = certify_vanishing(minors_of_fields([forms.R.raw, z]), space, grid,
-                                   tol, note="span(Z) = span(R)")
+                                   IDENTITY_TOL, note="span(Z) = span(R)")
     # the rescaled pair alpha/alpha(Z), (alpha/alpha(Z)) o J has Z as its
     # Reeb field; the division is exact only for invertible constant alpha(Z)
     alpha_r = beta_r = None
@@ -682,7 +708,7 @@ def transverse_engel_check(
             alpha_r = KForm.one_form(
                 [forms.alpha.component((i,)).div_constant(az_const)
                  for i in range(4)])
-            beta_r = _compose_with_J(alpha_r, J)
+            beta_r = _compose_with_J(alpha_r, ctx.J)
         except ValueError:
             alpha_r = beta_r = None
     note = f"alpha(Z) = {az}" + ("" if alpha_r is not None
@@ -721,14 +747,7 @@ def _expand_in_basis(
     return out
 
 
-def k_engel_check(
-    forms: DefiningForms,
-    w: VecField,
-    x: VecField,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
-) -> KEngelReport:
+def k_engel_check(ctx: Derivation) -> KEngelReport:
     """Diagnose whether R commutes with W, X and T.
 
     All three commutators vanishing exhibits defining forms and a framing
@@ -737,6 +756,7 @@ def k_engel_check(
     adapted frame (W, X, T, R) plus the solvability of the rescaling
     equation, which for translation-invariant data amounts to a_WR = 0.
     """
+    w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     t, r = forms.T, forms.R
     names = ("W", "X", "T", "R")
     basis = [_plain(w), _plain(x), t, r]
@@ -750,8 +770,8 @@ def k_engel_check(
     all_zero = True
     a_wr: Frac | None = None
     for key, br in comms.items():
-        certs[key] = certify_vanishing(list(br.raw.coeffs), space, grid, tol,
-                                       note=f"[{key[0]},{key[1]}] = 0")
+        certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
+                                       IDENTITY_TOL, note=f"[{key[0]},{key[1]}] = 0")
         if not certs[key].passed:
             all_zero = False
         coefs = _expand_in_basis(br, basis, space)
@@ -772,8 +792,7 @@ def k_engel_check(
         else:
             rescaling = None
             note = "a_WR is not constant; rescaling equation not decided"
-    dbeta = exterior_derivative(forms.beta, space)
-    dbeta2 = wedge(dbeta, dbeta).component((0, 1, 2, 3))
+    dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
     return KEngelReport(
         passed=all_zero,
         commutators=certs,

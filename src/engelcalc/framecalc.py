@@ -29,7 +29,6 @@ __all__ = [
     "KForm",
     "Certificate",
     "bracket",
-    "apply_J",
     "nijenhuis",
     "exterior_derivative",
     "wedge",
@@ -110,7 +109,6 @@ class FramedSpace:
         derivation: Mapping[tuple[int, str], TrigLike] | None = None,
         periods: Mapping[str, Frequency] | None = None,
         name: str = "",
-        validate: bool = True,
     ):
         if len(frame) != 4 or len(set(frame)) != 4:
             raise ValueError("frame must consist of 4 distinct names")
@@ -139,8 +137,7 @@ class FramedSpace:
             for c in entry:
                 if not c.coordinates() <= declared:
                     raise ValueError("structure table uses undeclared coordinates")
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- basic calculus ------------------------------------------------------
 
@@ -474,10 +471,6 @@ class ComplexStructure:
                     acc = acc + self.matrix[i][j] * v.coeffs[j]
             out.append(acc)
         return VecField(tuple(out))
-
-
-def apply_J(J: ComplexStructure, v: VecField) -> VecField:
-    return J.apply(v)
 
 
 def nijenhuis(J: ComplexStructure, v: VecField, w: VecField,

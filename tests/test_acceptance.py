@@ -14,14 +14,13 @@ from engelcalc.catalog import (
     hyperelliptic_equivariance_check,
 )
 from engelcalc.engelcheck import (
-    defining_forms,
-    characteristic_foliation,
+    IDENTITY_TOL,
+    Derivation,
     j_engel_splitting,
     j_invariance_check,
     jofreeb_residual,
     k_engel_check,
     nijenhuis_certificate,
-    structure_functions,
     verify_engel,
 )
 from engelcalc.framecalc import VecField, nijenhuis
@@ -99,20 +98,15 @@ def test_criterion_2_quoted_bracket_reproduction():
            "deviations carry DEVIATION status and keep the rank-4 span")
 
 
-def _forms_chain(name):
+def _context(name):
     spec = build_family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
-    w = characteristic_foliation(flag, spec.space)
-    x = spec.J.apply(w)
-    sf = structure_functions(forms, w, x, spec.space)
-    return spec, forms, sf, w, x
+    return Derivation(spec.d1, spec.d2, spec.J, spec.space)
 
 
 def test_criterion_3_reeb_rotation_identities():
+    assert IDENTITY_TOL == 1e-9  # the residual certificates' tolerance
     for name in ("hopf_s3r", "hyperelliptic_solv"):
-        spec, forms, sf, w, x = _forms_chain(name)
-        res = jofreeb_residual(forms, sf, w, x, spec.J, spec.space, tol=1e-9)
+        res = jofreeb_residual(_context(name))
         assert res.certificate.kind == "SYMBOLIC", name
         assert res.dalpha_identity.kind == "SYMBOLIC", name
     report(3, True, "J(T), J(R) residuals and the d(alpha)^2 identity vanish "
@@ -121,12 +115,10 @@ def test_criterion_3_reeb_rotation_identities():
 
 def test_criterion_4_k_engel():
     for name in ("hopf_s3r", "hyperelliptic_solv"):
-        spec, forms, sf, w, x = _forms_chain(name)
-        rep = k_engel_check(forms, w, x, spec.space)
+        rep = k_engel_check(_context(name))
         assert rep.passed, name
         assert all(c.kind == "SYMBOLIC" for c in rep.commutators.values()), name
-    spec, forms, sf, w, x = _forms_chain("inoue_s0")
-    rep = k_engel_check(forms, w, x, spec.space)
+    rep = k_engel_check(_context("inoue_s0"))
     assert not rep.passed and rep.obstructions
     report(4, True, "K-compatibility passes on hopf_s3r and hyperelliptic_solv "
                     f"and fails on inoue_s0 with obstruction "
@@ -134,10 +126,11 @@ def test_criterion_4_k_engel():
 
 
 def test_criterion_5_splitting_invariance():
+    assert IDENTITY_TOL == 1e-9  # the invariance certificate's tolerance
     for name in FAMILIES:
         spec = build_family(name)
-        result = j_engel_splitting(spec.d1, spec.d2, spec.J, spec.space,
-                                   tol=1e-9)
+        result = j_engel_splitting(Derivation(spec.d1, spec.d2, spec.J,
+                                              spec.space))
         assert result.invariance.passed, name
         ok = result.invariance.kind == "SYMBOLIC" or \
             result.invariance.bound < 1e-9

@@ -132,14 +132,83 @@ def test_incommensurate_frequencies_reported_not_crashed(tmp_path):
 
 
 def test_json_reports_byte_stable(tmp_path):
-    a = emit_report(run_verify("hopf_s3r", seed=7), "json")
-    b = emit_report(run_verify("hopf_s3r", seed=7), "json")
+    a = emit_report(run_verify("hopf_s3r"), "json")
+    b = emit_report(run_verify("hopf_s3r"), "json")
     assert a == b
     doc = json.loads(a)
     assert doc["overall"] == "PASS"
     assert doc["artifact"]["name"] == "engelcalc"
     # volatile timing never reaches the JSON surface
     assert "wall_ms" not in a
+
+
+STAGES = ("verify_engel", "characteristic_foliation", "j_invariance_check",
+          "defining_forms", "structure_functions", "nijenhuis_certificate")
+
+
+def test_each_stage_runs_once_per_target(monkeypatch):
+    from engelcalc import cli, engelcheck
+
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counting(*args, _name=name, _stage=getattr(engelcheck, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        for module in (engelcheck, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert run_verify("hopf_s3r").overall == "PASS"
+    assert calls == dict.fromkeys(STAGES, 1)
+
+
+def test_splitting_uses_the_run_tolerance(tmp_path):
+    # D = <f*D1, D2> on the coordinate torus of torus_trig, f = 3 + 2*cos(2*pi*x1):
+    # at tol 1e3 the rank of D is not certified, so every check built on the
+    # Engel flag must be rejected, the splitting included
+    f = "(3 + 2*cos(2*pi*x1))"
+    coords = ["x1", "y1", "x2", "y2"]
+    doc = {
+        "name": "rescaled_torus",
+        "frame": ["dx1", "dy1", "dx2", "dy2"],
+        "coordinates": coords,
+        "structure": {},
+        "derivation": {f"d{c}": {c: "1"} for c in coords},
+        "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+        "distribution": [[f, "0", f"{f}*sin(2*pi*x1)", f"-{f}*cos(2*pi*x1)"],
+                         ["0", "1", "cos(2*pi*x1)", "sin(2*pi*x1)"]],
+    }
+    path = tmp_path / "rescaled_torus.json"
+    path.write_text(json.dumps(doc))
+    rep = run_verify(str(path), grid=11, tol=1e3)
+    records = {r.name: r for r in rep.records}
+    assert records["engel.rank_d"].status == "FAIL"
+    for name in ("jengel.complex_framing", "forms.construction",
+                 "jofreeb.residuals", "kengel.commutators"):
+        assert records[name].status == "REJECTED", name
+    split = records["splitting.invariance"]
+    assert split.status == "REJECTED"
+    assert split.notes == "splitting needs a certified Engel structure"
+
+
+def test_plane_and_j_suites_rejected_without_either(tmp_path):
+    full = json.loads((FIXTURES / "abelian.json").read_text())
+    for missing in ("complex_structure", "distribution"):
+        doc = {k: v for k, v in full.items() if k != missing}
+        path = tmp_path / f"no_{missing}.json"
+        path.write_text(json.dumps(doc))
+        records = {r.name: r for r in run_verify(str(path)).records}
+        for suite in ("jengel", "forms", "jofreeb", "kengel", "splitting"):
+            assert records[suite].status == "REJECTED", (missing, suite)
+            assert records[suite].notes == "needs a plane field and J"
+        if missing == "distribution":
+            assert records["engel.rank"].status == "REJECTED"
+            assert records["engel.nijenhuis"].status == "PASS"
+        else:
+            assert "engel.nijenhuis" not in records
+            assert records["engel.rank_e"].status == "FAIL"
 
 
 def test_text_report_contains_flag_summary():

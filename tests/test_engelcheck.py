@@ -5,6 +5,7 @@ import pytest
 
 from engelcalc.engelcheck import (
     DefiningForms,
+    Derivation,
     PreconditionError,
     VerificationError,
     annihilating_form,
@@ -27,7 +28,6 @@ from engelcalc.framecalc import (
     FramedSpace,
     KForm,
     VecField,
-    apply_J,
     bracket,
     exterior_derivative,
     minors_of_fields,
@@ -144,14 +144,15 @@ def test_j_invariance_fails_for_totally_real_plane():
 def test_complex_framing_families():
     for name in ("hopf_s3r", "hyperelliptic_solv"):
         spec = family(name)
-        cert = complex_framing(spec.d1, spec.d2, spec.J, spec.space)
+        cert = complex_framing(Derivation(spec.d1, spec.d2, spec.J, spec.space))
         assert cert.kind == "SYMBOLIC", name
 
 
 def test_complex_framing_rejects_non_engel():
     space = FramedSpace()
     with pytest.raises(PreconditionError):
-        complex_framing(VecField.basis(0), VecField.basis(1), J_STD, space)
+        complex_framing(Derivation(VecField.basis(0), VecField.basis(1), J_STD,
+                                   space))
 
 
 def test_totally_real_check_on_j_invariant_plane_fails():
@@ -249,7 +250,7 @@ def test_hopf_c_wx_direct_pairing_oracle():
     spec = family("hopf_s3r")
     beta = KForm.one_form([-1, 0, 1, 0])
     w = VecField.of(0, 1, 0, 1)            # characteristic direction X2 + X4
-    x = apply_J(spec.J, w)
+    x = spec.J.apply(w)
     assert beta(bracket(w, x, spec.space)) == parse("2")
 
 
@@ -258,7 +259,7 @@ def test_structure_functions_pipeline_consistency():
     flag = verify_engel(spec.d1, spec.d2, spec.space)
     forms = defining_forms(flag, spec.J, spec.space)
     w = characteristic_foliation(flag, spec.space)
-    sf = structure_functions(forms, w, apply_J(spec.J, w), spec.space)
+    sf = structure_functions(forms, w, spec.J.apply(w), spec.space)
     assert sf.certificate.kind == "SYMBOLIC"
     assert sf.d_WR.is_zero() and sf.d_XR.is_zero()
 
@@ -270,7 +271,9 @@ def test_structure_functions_reject_abelian():
     beta = KForm.one_form([0, 0, 0, 1])
     from engelcalc.engelcheck import FracField
 
-    forms = DefiningForms(alpha, beta, FracField(VecField.basis(3)),
+    forms = DefiningForms(alpha, beta, exterior_derivative(alpha, space),
+                          exterior_derivative(beta, space),
+                          FracField(VecField.basis(3)),
                           FracField(VecField.basis(0)), {})
     with pytest.raises(VerificationError):
         structure_functions(forms, VecField.basis(1), VecField.basis(2), space)
@@ -279,20 +282,14 @@ def test_structure_functions_reject_abelian():
 # -- J of the Reeb pair --------------------------------------------------------------
 
 
-def _jofreeb(name):
+def _context(name):
     spec = family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
-    w = characteristic_foliation(flag, spec.space)
-    x = apply_J(spec.J, w)
-    sf = structure_functions(forms, w, x, spec.space)
-    return spec, forms, sf, w, x
+    return Derivation(spec.d1, spec.d2, spec.J, spec.space)
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
 def test_jofreeb_residual_symbolically_zero(name):
-    spec, forms, sf, w, x = _jofreeb(name)
-    res = jofreeb_residual(forms, sf, w, x, spec.J, spec.space)
+    res = jofreeb_residual(_context(name))
     assert res.certificate.kind == "SYMBOLIC"
     assert res.residual_T.is_zero() and res.residual_R.is_zero()
     assert res.dalpha_identity.kind == "SYMBOLIC"
@@ -300,8 +297,7 @@ def test_jofreeb_residual_symbolically_zero(name):
 
 def test_jofreeb_residual_numeric_sampling_agreement():
     # the residual numerators must vanish at 100 random points as floats
-    spec, forms, sf, w, x = _jofreeb("hopf_s3r")
-    res = jofreeb_residual(forms, sf, w, x, spec.J, spec.space)
+    res = jofreeb_residual(_context("hopf_s3r"))
     rng = random.Random(9)
     for _ in range(100):
         p = {}
@@ -311,10 +307,10 @@ def test_jofreeb_residual_numeric_sampling_agreement():
 
 
 def test_jofreeb_gate_rejects_non_integrable():
-    spec, forms, sf, w, x = _jofreeb("hopf_s3r")
+    spec = family("hopf_s3r")
     bad = build_family("elliptic_sl2r")
     with pytest.raises(PreconditionError):
-        jofreeb_residual(forms, sf, w, x, bad.J, bad.space)
+        jofreeb_residual(Derivation(spec.d1, spec.d2, bad.J, bad.space))
 
 
 def test_jofreeb_symbolic_on_every_integrable_family():
@@ -324,8 +320,7 @@ def test_jofreeb_symbolic_on_every_integrable_family():
         spec = build_family(name)
         if not spec.j_integrable:
             continue
-        s, forms, sf, w, x = _jofreeb(name)
-        res = jofreeb_residual(forms, sf, w, x, s.J, s.space)
+        res = jofreeb_residual(_context(name))
         assert res.certificate.kind == "SYMBOLIC", name
         assert res.dalpha_identity.kind == "SYMBOLIC", name
 
@@ -336,9 +331,8 @@ def test_jofreeb_gate_rejects_perturbed_pairing():
     spec = build_family("inoue_spm")
     perturbed = ComplexStructure.pairing(0, 3, 1, 2)  # J X1 = X4, J X2 = X3
     assert nijenhuis_certificate(perturbed, spec.space).kind == "FAILED"
-    s, forms, sf, w, x = _jofreeb("inoue_spm")
     with pytest.raises(PreconditionError):
-        jofreeb_residual(forms, sf, w, x, perturbed, spec.space)
+        jofreeb_residual(Derivation(spec.d1, spec.d2, perturbed, spec.space))
 
 
 def test_dalpha_identity_abelian_trivial():
@@ -362,7 +356,7 @@ def test_jofreeb_nonintegrable_gate_via_nijenhuis_cert():
                                   "kodaira_primary", "torus_trig"])
 def test_splitting_invariance(name):
     spec = family(name)
-    result = j_engel_splitting(spec.d1, spec.d2, spec.J, spec.space)
+    result = j_engel_splitting(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert result.invariance.passed
     assert result.invariance.kind == "SYMBOLIC"
     if spec.space.coords:
@@ -384,12 +378,9 @@ def test_splitting_scaling_by_two_matches_half_reeb():
 
 def test_transverse_engel_hopf_and_hyperelliptic():
     for name, idx in (("hopf_s3r", 3), ("hyperelliptic_solv", 2)):
-        spec = family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
-        forms = defining_forms(flag, spec.J, spec.space)
+        ctx = _context(name)
         z = VecField.basis(idx)
-        rep = transverse_engel_check(z, spec.d1, spec.d2, spec.J, forms,
-                                     spec.space)
+        rep = transverse_engel_check(z, ctx)
         assert rep.engel_field.passed and rep.conclusion.passed
         assert rep.reeb_match.passed, name
         # the rescaled forms must have Z itself as their Reeb field
@@ -397,23 +388,19 @@ def test_transverse_engel_hopf_and_hyperelliptic():
         assert rep.rescaled_alpha(z) == parse("1")
         assert rep.rescaled_beta(z).is_zero()
         k = wedge(rep.rescaled_beta,
-                  exterior_derivative(rep.rescaled_beta, spec.space)).kernel_field()
+                  exterior_derivative(rep.rescaled_beta, ctx.space)).kernel_field()
         assert all(m.is_zero() for m in minors_of_fields([k, z])), name
 
 
 def test_transverse_engel_rejects_tangent_field():
-    spec = family("hopf_s3r")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
+    ctx = _context("hopf_s3r")
     with pytest.raises(PreconditionError, match="transverse"):
-        transverse_engel_check(spec.d1, spec.d1, spec.d2, spec.J, forms,
-                               spec.space)
+        transverse_engel_check(ctx.d1, ctx)
 
 
 def test_k_engel_pass_families():
     for name in ("hopf_s3r", "hyperelliptic_solv"):
-        spec, forms, sf, w, x = _jofreeb(name)
-        rep = k_engel_check(forms, w, x, spec.space)
+        rep = k_engel_check(_context(name))
         assert rep.passed, name
         assert all(c.kind == "SYMBOLIC" for c in rep.commutators.values())
         assert rep.dbeta_squared_zero
@@ -421,19 +408,17 @@ def test_k_engel_pass_families():
 
 
 def test_k_engel_fail_inoue_s0_with_obstruction():
-    spec, forms, sf, w, x = _jofreeb("inoue_s0")
-    rep = k_engel_check(forms, w, x, spec.space)
+    rep = k_engel_check(_context("inoue_s0"))
     assert not rep.passed
     assert rep.obstructions  # nonzero coefficients reported
 
 
 def test_k_engel_pass_implies_transverse_consistency():
     for name in ("hopf_s3r", "hyperelliptic_solv"):
-        spec, forms, sf, w, x = _jofreeb(name)
-        rep = k_engel_check(forms, w, x, spec.space)
+        ctx = _context(name)
+        rep = k_engel_check(ctx)
         assert rep.passed
-        tr = transverse_engel_check(forms.R.raw, spec.d1, spec.d2, spec.J,
-                                    forms, spec.space)
+        tr = transverse_engel_check(ctx.forms.R.raw, ctx)
         assert tr.conclusion.passed and tr.reeb_match.passed
 
 

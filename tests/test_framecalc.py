@@ -10,7 +10,6 @@ from engelcalc.framecalc import (
     FramedSpace,
     KForm,
     VecField,
-    apply_J,
     bracket,
     certify_nonvanishing,
     exterior_derivative,
@@ -53,14 +52,14 @@ def test_inoue_s0_bracket_quoted_value():
                         structure={(0, 3): (-a, b, 0, 0), (1, 3): (-b, -a, 0, 0),
                                    (2, 3): (0, 0, 2 * a, 0)})
     A = VecField.of(1, 0, 0, 1)
-    assert bracket(A, apply_J(J_STD, A), space) == VecField.of(b, a, 2 * a, 0)
+    assert bracket(A, J_STD.apply(A), space) == VecField.of(b, a, 2 * a, 0)
 
 
 def test_hyperelliptic_solv_brackets_quoted_values():
     space = FramedSpace(frame=("X1", "X2", "X3", "X4"),
                         structure={(0, 3): (0, 1, 0, 0), (1, 3): (-1, 0, 0, 0)})
     A = VecField.of(1, 0, 0, 1)
-    B = bracket(A, apply_J(J_STD, A), space)
+    B = bracket(A, J_STD.apply(A), space)
     assert B == VecField.of(1, 0, 0, 0)
     assert bracket(A, B, space) == VecField.of(0, -1, 0, 0)
 
@@ -77,7 +76,7 @@ def test_kodaira_primary_bracket_sign():
     # the Leibniz expansion yields -X3; the quoted value carries +X3
     space = kodaira_space()
     A = VecField.of(parse("sin(t)"), parse("-cos(t)"), 0, 1)
-    B = bracket(A, apply_J(J_STD, A), space)
+    B = bracket(A, J_STD.apply(A), space)
     assert B == VecField.of(parse("-sin(t)"), parse("cos(t)"), -1, 0)
     # second bracket agrees with the quoted value
     assert bracket(A, B, space) == VecField.of(parse("-cos(t)"), parse("-sin(t)"),
@@ -88,7 +87,7 @@ def test_bracket_matches_numeric_assembly_oracle():
     # evaluate(bracket) against a finite-difference reconstruction
     space = kodaira_space()
     A = VecField.of(parse("sin(t)"), parse("-cos(t)"), 0, 1)
-    JA = apply_J(J_STD, A)
+    JA = J_STD.apply(A)
     B = bracket(A, JA, space)
     rng = random.Random(7)
     for p in random_points(space, rng, 25):
@@ -112,9 +111,9 @@ def test_bracket_leibniz_rule():
 
 
 def test_apply_J_examples():
-    assert apply_J(J_STD, VecField.of(1, 0, 1, 0)) == VecField.of(0, 1, 0, 1)
+    assert J_STD.apply(VecField.of(1, 0, 1, 0)) == VecField.of(0, 1, 0, 1)
     v = VecField.of(2, -1, 3, 5)
-    assert apply_J(J_STD, apply_J(J_STD, v)) == -v
+    assert J_STD.apply(J_STD.apply(v)) == -v
 
 
 def test_apply_J_inoue_spm_q1():
@@ -262,7 +261,7 @@ def test_global_rank_sl2r_symbolic_constant():
                         structure={(0, 1): (0, 0, 1, 0), (1, 2): (1, 0, 0, 0),
                                    (0, 2): (0, 1, 0, 0)})
     A = VecField.of(1, 1, 1, 0)
-    JA = apply_J(J_STD, A)
+    JA = J_STD.apply(A)
     B = bracket(A, JA, space)
     C = bracket(A, B, space)
     cert = global_rank([A, JA, B, C], space)
