@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 
 from .engelcheck import VerificationError
 from .framecalc import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
     Certificate,
     ComplexStructure,
     FramedSpace,
@@ -415,8 +417,8 @@ class BracketRecord:
     spanning: Certificate | None = None
 
 
-def check_quoted_brackets(spec: FamilySpec, grid: int = 17,
-                          tol: float = 1e-6) -> list[BracketRecord]:
+def check_quoted_brackets(spec: FamilySpec, grid: int = DEFAULT_GRID,
+                          tol: float = DEFAULT_TOL) -> list[BracketRecord]:
     """Compare computed brackets against the quoted expectations.
 
     Expectations marked as deviations must reproduce the recorded computed
@@ -458,7 +460,7 @@ def _rotation(entry_cos: TrigScalar, entry_sin: TrigScalar) -> list[list[TrigSca
 
 
 def hyperelliptic_equivariance_check(spec: FamilySpec,
-                                     grid: int = 17) -> Certificate:
+                                     grid: int = DEFAULT_GRID) -> Certificate:
     """Rotation equivariance of the hyperelliptic plane field, symbolically.
 
     The tangent map of the generator rotates the (x1, y1) block by the angle

@@ -39,8 +39,8 @@ from .engelcheck import (
     transverse_engel_check,
     verify_engel,
 )
-from .framecalc import Certificate, VecField
-from .manifest import dump_manifest, load_manifest, manifest_from_parts
+from .framecalc import DEFAULT_GRID, DEFAULT_TOL, Certificate, VecField
+from .manifest import Manifest, dump_manifest, load_manifest, manifest_from_parts
 
 SUITES = ("engel", "jengel", "forms", "jofreeb", "kengel", "splitting",
           "geiges", "equivariance")
@@ -131,6 +131,23 @@ class _Target:
     mapping_torus: Mapping | None = None
 
 
+def _read_manifest(path: Path) -> Manifest:
+    try:
+        return load_manifest(path.read_text())
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read manifest {path}: {exc.strerror}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit(f"error: malformed manifest {path}: {exc}")
+
+
+def _mapping_torus_input(tgt: _Target | Manifest) -> geiges.MappingTorusInput:
+    mt = tgt.mapping_torus
+    if mt is None:
+        raise PreconditionError("target carries no mapping-torus data")
+    return geiges.MappingTorusInput(space=tgt.space, V=mt["V"], X=mt["X"],
+                                    J=tgt.J, t=mt["coordinate"])
+
+
 def _resolve_target(target: str, params: Mapping[str, str]) -> _Target:
     if target in catalog.FAMILIES:
         spec = catalog.build_family(target, params or None)
@@ -139,10 +156,7 @@ def _resolve_target(target: str, params: Mapping[str, str]) -> _Target:
     if not path.exists():
         raise SystemExit(f"error: target {target!r} is neither a catalog family "
                          f"nor a manifest file")
-    try:
-        mf = load_manifest(path.read_text())
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: malformed manifest {target}: {exc}")
+    mf = _read_manifest(path)
     return _Target(mf.name or path.stem, mf.space, mf.J, mf.d1, mf.d2,
                    mapping_torus=mf.mapping_torus)
 
@@ -152,8 +166,6 @@ class _Runner:
 
     def __init__(self, tgt: _Target, grid: int, tol: float):
         self.tgt = tgt
-        self.grid = grid
-        self.tol = tol
         self.ctx = Derivation(tgt.d1, tgt.d2, tgt.J, tgt.space, grid, tol)
         self.records: list[CheckRecord] = []
 
@@ -228,7 +240,7 @@ class _Runner:
                           f"<{_vec_str(tgt.d1)}, {_vec_str(tgt.d2)}>; "
                           f"E adds [D1,D2] = {_vec_str(flag.e3)}"))
         if tgt.spec is not None and tgt.spec.expected_brackets:
-            for rec in catalog.check_quoted_brackets(tgt.spec, self.grid, self.tol):
+            for rec in catalog.check_quoted_brackets(tgt.spec, ctx.grid, ctx.tol):
                 note = rec.note
                 if rec.status == "DEVIATION":
                     note += (f"; computed {_vec_str(rec.computed)}, "
@@ -318,15 +330,7 @@ class _Runner:
                       "scalings tested: " + ", ".join(s.tested_scalings)))
 
     def suite_geiges(self, n_max: int = 8):
-        if self.tgt.mapping_torus is None:
-            self.records.append(CheckRecord(
-                "geiges", "REJECTED",
-                notes="target carries no mapping-torus data"))
-            return
-        mt = self.tgt.mapping_torus
-        inp = geiges.MappingTorusInput(
-            space=self.tgt.space, V=mt["V"], X=mt["X"], J=self.tgt.J,
-            t=mt["coordinate"])
+        inp = _mapping_torus_input(self.tgt)
 
         def _status(res):
             if res.n_star is None:
@@ -344,7 +348,7 @@ class _Runner:
             return
         self._run("equivariance.rotation",
                   lambda: catalog.hyperelliptic_equivariance_check(
-                      self.tgt.spec, self.grid))
+                      self.tgt.spec, self.ctx.grid))
 
 
 def _vec_str(v: VecField) -> str:
@@ -361,8 +365,8 @@ def _form_str(form) -> str:
 def run_verify(
     target: str,
     suites: Sequence[str] | None = None,
-    grid: int = 17,
-    tol: float = 1e-6,
+    grid: int = DEFAULT_GRID,
+    tol: float = DEFAULT_TOL,
     params: Mapping[str, str] | None = None,
 ) -> Report:
     """Run the selected suites against a catalog family or manifest path."""
@@ -423,8 +427,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     v.add_argument("target")
     v.add_argument("--suite", default=None,
                    help="comma-separated subset of: " + ", ".join(SUITES))
-    v.add_argument("--grid", type=int, default=17)
-    v.add_argument("--tol", type=float, default=1e-6)
+    v.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
     v.add_argument("--json", dest="json_path", default=None)
     v.add_argument("--params", default=None)
 
@@ -435,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     g.add_argument("--variant", choices=("j_engel", "totally_real"),
                    default="j_engel")
     g.add_argument("--nmax", type=int, default=16)
-    g.add_argument("--grid", type=int, default=17)
+    g.add_argument("--grid", type=int, default=geiges.GRID_PER_LEVEL)
     g.add_argument("--json", dest="json_path", default=None)
 
     args = ap.parse_args(argv)
@@ -472,12 +476,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else geiges.twisted_torus_input()
             name = f"builtin:{args.builtin}"
         else:
-            mf = load_manifest(Path(args.input_path).read_text())
-            if mf.mapping_torus is None:
-                raise SystemExit("error: manifest has no mapping_torus section")
-            inp = geiges.MappingTorusInput(
-                space=mf.space, V=mf.mapping_torus["V"], X=mf.mapping_torus["X"],
-                J=mf.J, t=mf.mapping_torus["coordinate"])
+            mf = _read_manifest(Path(args.input_path))
+            try:
+                inp = _mapping_torus_input(mf)
+            except PreconditionError as exc:
+                raise SystemExit(f"error: {exc}")
             name = mf.name
         result = geiges.minimal_n_search(inp, args.nmax, grid=args.grid)
         doc = {

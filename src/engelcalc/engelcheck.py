@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 from .framecalc import (
     DEFAULT_GRID,
     DEFAULT_TOL,
+    IDENTITY_TOL,
     Certificate,
     ComplexStructure,
     FramedSpace,
@@ -65,8 +66,6 @@ __all__ = [
 ZERO = TrigScalar.constant(0)
 ONE = TrigScalar.constant(1)
 
-IDENTITY_TOL = 1e-9
-
 
 class CheckError(Exception):
     """Base class for verification failures."""
@@ -90,10 +89,6 @@ class Frac:
     num: TrigScalar
     den: TrigScalar = ONE
 
-    @staticmethod
-    def of(x: TrigLike) -> "Frac":
-        return Frac(normalize(x))
-
     def __add__(self, other: "Frac") -> "Frac":
         if self.den == other.den:
             return Frac(self.num + other.num, self.den)
@@ -108,11 +103,6 @@ class Frac:
 
     def __mul__(self, other: "Frac") -> "Frac":
         return Frac(self.num * other.num, self.den * other.den)
-
-    def invert(self) -> "Frac":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting a zero scalar")
-        return Frac(self.den, self.num)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -191,21 +181,28 @@ def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
     return FracField(core, s * s * r * r)
 
 
-def _plain(v: VecField) -> FracField:
-    return FracField(v, ONE)
-
-
 # -- Engel flags ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EngelFlag:
-    """The flag W < D < E < TM with its rank certificates."""
+    """The flag W < D < E < TM with its rank certificates.
+
+    ``alpha`` annihilates E; it is built on first read.  ``pairings`` are
+    the top minors det(D1, D2, E3, [D_i, E3]) = alpha([D_i, E3]) (Laplace
+    expansion along the last column), set once rank(E) = 3 is certified:
+    they certify rank([D, E]) = 4, give W = -u2 D1 + u1 D2 and normalise alpha.
+    """
 
     d1: VecField
     d2: VecField
     e3: VecField
     certificates: Mapping[str, Certificate]
+    pairings: tuple[TrigScalar, TrigScalar] | None = None
+
+    @cached_property
+    def alpha(self) -> KForm:
+        return annihilating_form(self.d1, self.d2, self.e3)
 
     @property
     def passed(self) -> bool:
@@ -248,7 +245,7 @@ def verify_engel(
         cert_tm = certify_nonvanishing(det1 * det1 + det2 * det2, space, grid, tol,
                                        note="sum of squares of the two top minors")
     certs["rank_tm"] = cert_tm
-    return EngelFlag(d1, d2, e3, certs)
+    return EngelFlag(d1, d2, e3, certs, (det1, det2))
 
 
 def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
@@ -266,14 +263,13 @@ def characteristic_foliation(
     """The line field W in D with [W, E] inside E.
 
     Writing W = l1 D1 + l2 D2, the constraint alpha([W, E3]) = 0 is pointwise
-    linear with coefficients u_i = alpha([D_i, E3]), so W = -u2 D1 + u1 D2.
-    The Engel certificate guarantees (u1, u2) never both vanish.
+    linear with coefficients u_i = alpha([D_i, E3]), the flag's ``pairings``,
+    so W = -u2 D1 + u1 D2; the Engel certificate keeps them from both vanishing.
     """
     if not flag.passed:
         raise PreconditionError("characteristic foliation needs a certified flag")
-    alpha = annihilating_form(flag.d1, flag.d2, flag.e3)
-    u1 = alpha(bracket(flag.d1, flag.e3, space))
-    u2 = alpha(bracket(flag.d2, flag.e3, space))
+    alpha = flag.alpha
+    u1, u2 = flag.pairings
     if u1.is_zero() and u2.is_zero():
         raise VerificationError("characteristic direction undetermined: "
                                 "both defining coefficients vanish identically")
@@ -415,10 +411,10 @@ def defining_forms(
     """
     if not flag.passed:
         raise PreconditionError("defining forms need a certified Engel flag")
-    alpha = annihilating_form(flag.d1, flag.d2, flag.e3)
+    alpha = flag.alpha
     normalization = "raw"
-    for gen, label in ((flag.d1, "[D1,[D1,D2]]"), (flag.d2, "[D2,[D1,D2]]")):
-        s0 = alpha(bracket(gen, flag.e3, space)).constant_value()
+    for pairing, label in zip(flag.pairings, ("[D1,[D1,D2]]", "[D2,[D1,D2]]")):
+        s0 = pairing.constant_value()
         if s0 is not None and not s0.is_zero():
             try:
                 alpha = KForm.one_form(
@@ -487,9 +483,9 @@ def structure_functions(
     if not cert.passed:
         raise VerificationError("c_WX vanishes; D is not bracket-generating "
                                 "against these forms")
-    d_xt = frac_bracket(_plain(x), forms.T, space).pair(forms.alpha)
-    d_wr = frac_bracket(_plain(w), forms.R, space).pair(forms.alpha)
-    d_xr = frac_bracket(_plain(x), forms.R, space).pair(forms.alpha)
+    d_xt = frac_bracket(FracField(x), forms.T, space).pair(forms.alpha)
+    d_wr = frac_bracket(FracField(w), forms.R, space).pair(forms.alpha)
+    d_xr = frac_bracket(FracField(x), forms.R, space).pair(forms.alpha)
     return StructureFunctions(c_wx, d_xt, d_wr, d_xr, cert)
 
 
@@ -590,9 +586,9 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
     q1 = (sf.d_WR + sf.d_XT) * c_inv
     q2 = sf.d_XR * c_inv
     res_t = (forms.T.apply_J(J) - forms.R
-             - _plain(w).scale(q1) - _plain(x).scale(q2))
+             - FracField(w).scale(q1) - FracField(x).scale(q2))
     res_r = (forms.R.apply_J(J) + forms.T
-             - _plain(w).scale(q2) + _plain(x).scale(q1))
+             - FracField(w).scale(q2) + FracField(x).scale(q1))
     cert = certify_vanishing(
         list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid,
         IDENTITY_TOL, note="J(T), J(R) rotation residuals (numerators)")
@@ -759,10 +755,10 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     t, r = forms.T, forms.R
     names = ("W", "X", "T", "R")
-    basis = [_plain(w), _plain(x), t, r]
+    basis = [FracField(w), FracField(x), t, r]
     comms = {
-        "WR": frac_bracket(_plain(w), r, space),
-        "XR": frac_bracket(_plain(x), r, space),
+        "WR": frac_bracket(FracField(w), r, space),
+        "XR": frac_bracket(FracField(x), r, space),
         "TR": frac_bracket(t, r, space),
     }
     certs: dict[str, Certificate] = {}

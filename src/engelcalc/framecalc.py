@@ -46,6 +46,7 @@ ONE = TrigScalar.constant(1)
 
 DEFAULT_GRID = 17
 DEFAULT_TOL = 1e-6
+IDENTITY_TOL = 1e-9
 
 
 def _coerce4(coeffs: Sequence[TrigLike]) -> tuple[TrigScalar, ...]:
@@ -391,7 +392,7 @@ def certify_vanishing(
     scalars: Sequence[TrigScalar],
     space: FramedSpace,
     grid: int = DEFAULT_GRID,
-    tol: float = 1e-9,
+    tol: float = IDENTITY_TOL,
     note: str = "",
 ) -> Certificate:
     """Certify that every scalar in the list is identically zero."""

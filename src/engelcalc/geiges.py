@@ -25,6 +25,7 @@ from .engelcheck import (
     verify_engel,
 )
 from .framecalc import (
+    DEFAULT_TOL,
     Certificate,
     ComplexStructure,
     FramedSpace,
@@ -62,6 +63,8 @@ class MappingTorusInput:
     framing_certificate: Certificate = None
 
     def __post_init__(self):
+        if self.J is None:
+            raise PreconditionError("the mapping torus needs a complex structure J")
         if self.t not in self.space.coords:
             raise PreconditionError(f"coordinate {self.t!r} is not declared")
         vt = self.space.coordinate_derivative(self.V, self.t)
@@ -223,7 +226,7 @@ class SearchResult:
 
 def minimal_n_search(inp: MappingTorusInput, n_max: int,
                      grid: int = GRID_PER_LEVEL,
-                     tol: float = 1e-6) -> SearchResult:
+                     tol: float = DEFAULT_TOL) -> SearchResult:
     """Smallest level whose plane field earns an Engel certificate.
 
     Levels are swept in order with grid resolution scaled by the level (the

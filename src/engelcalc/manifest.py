@@ -116,6 +116,8 @@ def load_manifest(doc: Mapping | str) -> Manifest:
     """Parse a manifest document (dict or JSON text) into exact objects."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, Mapping):
+        raise ValueError("a manifest must be a JSON object")
     name = str(doc.get("name", ""))
     space = space_from_json(doc, name=name)
     J = None

@@ -203,14 +203,6 @@ class PiScalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> Fraction | None:
-        """The value as a Fraction if it is a pure rational, else None."""
-        if not self._terms:
-            return _ZERO
-        if len(self._terms) == 1 and self._terms[0][0] == 0:
-            return self._terms[0][1]
-        return None
-
     def __add__(self, other: "PiScalarLike") -> "PiScalar":
         other = PiScalar.of(other)
         a, b = self._terms, other._terms

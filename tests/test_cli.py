@@ -8,6 +8,7 @@ import pytest
 
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, main, run_verify
+from engelcalc.framecalc import VecField, bracket
 from engelcalc.manifest import dump_manifest, load_manifest, manifest_from_parts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,12 +90,64 @@ def test_unresolvable_target_errors():
     assert "neither" in res.stderr
 
 
-def test_malformed_manifest_diagnostics(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"frame": ["a", "b"]}')
-    res = run_cli("verify", str(bad))
+def _flat_torus_manifest(**mapping_torus):
+    from engelcalc.geiges import flat_torus_input
+
+    inp = flat_torus_input()
+    return manifest_from_parts(
+        "flat", inp.space, inp.J, parameters={},
+        mapping_torus={"coordinate": "t", "V": inp.V, "X": inp.X, **mapping_torus})
+
+
+def _manifest_without(key):
+    doc = _flat_torus_manifest()
+    del doc[key]
+    return doc
+
+
+HOSTILE_MANIFESTS = {
+    "two_frame_names": lambda: {"frame": ["a", "b"]},
+    "not_an_object": lambda: [],
+    "missing_file": None,
+    "mapping_torus_without_j": lambda: _manifest_without("complex_structure"),
+    "no_mapping_torus": lambda: _manifest_without("mapping_torus"),
+    "v_of_t_not_one": lambda: _flat_torus_manifest(V=VecField.basis(1)),
+}
+
+
+DIAGNOSTICS = [
+    ("verify", "two_frame_names", "malformed manifest"),
+    ("verify", "not_an_object", "malformed manifest"),
+    ("verify", "missing_file", "neither"),
+    ("geiges", "two_frame_names", "malformed manifest"),
+    ("geiges", "not_an_object", "malformed manifest"),
+    ("geiges", "missing_file", "cannot read manifest"),
+    ("geiges", "mapping_torus_without_j", "complex structure"),
+    ("geiges", "no_mapping_torus", "mapping-torus data"),
+    ("geiges", "v_of_t_not_one", "V(t) = 1"),
+]
+
+
+@pytest.mark.parametrize("verb, manifest, expected", DIAGNOSTICS,
+                         ids=[f"{verb}-{name}" for verb, name, _ in DIAGNOSTICS])
+def test_malformed_manifest_diagnostics(tmp_path, verb, manifest, expected):
+    path = tmp_path / "bad.json"
+    make = HOSTILE_MANIFESTS[manifest]
+    if make is not None:
+        path.write_text(json.dumps(make()))
+    args = [str(path)] if verb == "verify" else ["--input", str(path), "--nmax", "1"]
+    res = run_cli(verb, *args)
     assert res.returncode != 0
-    assert "malformed manifest" in res.stderr
+    assert "error:" in res.stderr and expected in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_rejects_geiges_for_mapping_torus_without_j(tmp_path):
+    path = tmp_path / "no_j.json"
+    path.write_text(json.dumps(_manifest_without("complex_structure")))
+    rep = run_verify(str(path))
+    rec = next(r for r in rep.records if r.name == "geiges")
+    assert rec.status == "REJECTED" and "complex structure" in rec.notes
 
 
 def test_unknown_suite_rejected():
@@ -161,6 +214,26 @@ def test_each_stage_runs_once_per_target(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert run_verify("hopf_s3r").overall == "PASS"
     assert calls == dict.fromkeys(STAGES, 1)
+
+
+def test_each_top_pairing_bracketed_once_per_target(monkeypatch):
+    from engelcalc import engelcheck
+
+    spec = build_family("hopf_s3r")
+    e3 = bracket(spec.d1, spec.d2, spec.space)
+    pairs = {"D1,E3": (spec.d1, e3), "D2,E3": (spec.d2, e3)}
+    calls = dict.fromkeys(pairs, 0)
+    bracket_of = engelcheck.bracket
+
+    def counting(a, b, space):
+        for name, pair in pairs.items():
+            if (a, b) == pair:
+                calls[name] += 1
+        return bracket_of(a, b, space)
+
+    monkeypatch.setattr(engelcheck, "bracket", counting)
+    assert run_verify("hopf_s3r").overall == "PASS"
+    assert calls == dict.fromkeys(pairs, 1)
 
 
 def test_splitting_uses_the_run_tolerance(tmp_path):
@@ -259,15 +332,8 @@ def test_geiges_verb_totally_real():
 
 
 def test_geiges_verb_manifest_input(tmp_path):
-    from engelcalc.geiges import flat_torus_input
-
-    inp = flat_torus_input()
-    doc = manifest_from_parts(
-        "flat", inp.space, inp.J,
-        parameters={},
-        mapping_torus={"coordinate": "t", "V": inp.V, "X": inp.X})
     path = tmp_path / "flat.json"
-    path.write_text(dump_manifest(doc))
+    path.write_text(dump_manifest(_flat_torus_manifest()))
     res = run_cli("geiges", "--input", str(path), "--nmax", "2")
     assert res.returncode == 0
     assert json.loads(res.stdout)["n_star"] == 1

@@ -33,7 +33,7 @@ from engelcalc.framecalc import (
     minors_of_fields,
     wedge,
 )
-from engelcalc.catalog import build_family
+from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.trigring import parse
 
 from oracles import numeric_matrix, random_points
@@ -98,14 +98,18 @@ def test_characteristic_inoue_spm_hand_value():
     assert all(m.is_zero() for m in minors_of_fields([w, VecField.of(1, 0, 0, 1)]))
 
 
-def test_characteristic_pointwise_nullspace_oracle():
-    # W(p) must span the nullspace of [alpha([D1,E3]), alpha([D2,E3])] at p
-    spec = family("torus_bryant")
+@pytest.mark.parametrize("name", FAMILIES)
+def test_characteristic_pointwise_nullspace_oracle(name):
+    # W(p) must span the nullspace of [alpha([D1,E3]), alpha([D2,E3])] at p,
+    # and the flag must carry exactly alpha and these two pairings
+    spec = family(name)
     flag = verify_engel(spec.d1, spec.d2, spec.space)
     w = characteristic_foliation(flag, spec.space)
     alpha = annihilating_form(spec.d1, spec.d2, flag.e3)
     u1 = alpha(bracket(spec.d1, flag.e3, spec.space))
     u2 = alpha(bracket(spec.d2, flag.e3, spec.space))
+    assert flag.alpha == alpha
+    assert flag.pairings == (u1, u2)
     rng = random.Random(4)
     for p in random_points(spec.space, rng, 40):
         lam = np.array([-u2.evaluate(p), u1.evaluate(p)])
