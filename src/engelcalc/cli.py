@@ -5,8 +5,8 @@ Verbs:
     engelcalc catalog show FAMILY [--params k=v,...]
     engelcalc verify TARGET [--suite s1,s2] [--grid N] [--tol T]
                             [--json PATH] [--params k=v,...]
-    engelcalc geiges (--input PATH | --builtin flat|twisted)
-                     [--variant j_engel|totally_real] [--nmax N] [--json PATH]
+    engelcalc geiges (--input PATH | --builtin flat|twisted) [--nmax N]
+                     [--grid N] [--json PATH]
 
 TARGET is a catalog family id or a path to a manifest JSON file.  Exit code
 0 means no FAIL record (REJECTED preconditions and documented DEVIATIONs do
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,12 +33,11 @@ from .engelcheck import (
     VerificationError,
     complex_framing,
     j_engel_splitting,
-    j_invariance_check,
     jofreeb_residual,
     k_engel_check,
     totally_real_check,
     transverse_engel_check,
-    verify_engel,
+    verify_engel,  # noqa: F401  bench/test_bench.py patches this binding
 )
 from .framecalc import DEFAULT_GRID, DEFAULT_TOL, Certificate, VecField
 from .manifest import Manifest, dump_manifest, load_manifest, manifest_from_parts
@@ -329,15 +329,18 @@ class _Runner:
                       "PASS" if s.invariance.passed else "FAIL",
                       "scalings tested: " + ", ".join(s.tested_scalings)))
 
-    def suite_geiges(self, n_max: int = 8):
+    def suite_geiges(self):
         inp = _mapping_torus_input(self.tgt)
+        n_max = 8
 
         def _status(res):
             if res.n_star is None:
                 return "FAIL", f"no passing level up to n = {n_max}"
             return "PASS", f"minimal passing level n* = {res.n_star}"
 
-        self._run("geiges.minimal_n", lambda: geiges.minimal_n_search(inp, n_max),
+        self._run("geiges.minimal_n",
+                  lambda: geiges.minimal_n_search(inp, n_max, self.ctx.grid,
+                                                  self.ctx.tol),
                   status_of=_status)
 
     def suite_equivariance(self):
@@ -413,6 +416,24 @@ def _parse_params(text: str | None) -> dict[str, str]:
     return out
 
 
+def _checked(kind, ok, expected: str):
+    """An argparse ``type`` that parses with ``kind`` and requires ``ok``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                      "a finite number >= 0")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="engelcalc",
                                  description=__doc__.splitlines()[0])
@@ -427,8 +448,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     v.add_argument("target")
     v.add_argument("--suite", default=None,
                    help="comma-separated subset of: " + ", ".join(SUITES))
-    v.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    v.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID)
+    v.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     v.add_argument("--json", dest="json_path", default=None)
     v.add_argument("--params", default=None)
 
@@ -436,10 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     src = g.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", dest="input_path")
     src.add_argument("--builtin", choices=("flat", "twisted"))
-    g.add_argument("--variant", choices=("j_engel", "totally_real"),
-                   default="j_engel")
-    g.add_argument("--nmax", type=int, default=16)
-    g.add_argument("--grid", type=int, default=geiges.GRID_PER_LEVEL)
+    g.add_argument("--nmax", type=_positive_int, default=16)
+    g.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID,
+                   help="samples per level-1 period, scaled by the level n")
     g.add_argument("--json", dest="json_path", default=None)
 
     args = ap.parse_args(argv)
@@ -486,23 +506,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         doc = {
             "artifact": {"name": "engelcalc", "version": __version__},
             "input": name,
-            "variant": args.variant,
             "n_max": args.nmax,
             "n_star": result.n_star,
             "trace": list(result.trace),
         }
-        if args.variant == "totally_real" and result.n_star is not None:
-            n = result.n_star
-            d1, d2 = geiges.build_An(inp, n, "totally_real")
-            cert = totally_real_check(d1, d2, inp.J, inp.space, args.grid * n)
-            inv = j_invariance_check(d1, d2, inp.J, inp.space, args.grid * n)
-            flag = verify_engel(d1, d2, inp.space, grid=args.grid * n)
+        if result.n_star is not None:
+            ctx = geiges.level_derivation(inp, result.n_star, "totally_real",
+                                          args.grid)
+            cert = totally_real_check(ctx.d1, ctx.d2, ctx.J, ctx.space,
+                                      ctx.grid, ctx.tol)
             doc["totally_real"] = {
                 "rank_certificate": cert.to_json(),
-                "j_invariant": inv.passed,
-                "engel": flag.passed,
+                "j_invariant": ctx.j_invariance.passed,
+                "engel": ctx.flag.passed,
                 "engel_certificates": {k: c.to_json()
-                                       for k, c in flag.certificates.items()},
+                                       for k, c in ctx.flag.certificates.items()},
             }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         sys.stdout.write(text)

@@ -357,15 +357,7 @@ class DefiningForms:
 
 
 def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
-    row = []
-    for i in range(4):
-        acc = ZERO
-        for k in range(4):
-            c = alpha.component((k,))
-            if not c.is_zero() and not J.matrix[k][i].is_zero():
-                acc = acc + c * J.matrix[k][i]
-        row.append(acc)
-    return KForm.one_form(row)
+    return KForm.one_form([alpha(J.apply(VecField.basis(i))) for i in range(4)])
 
 
 def _reeb_from_threeform(
@@ -726,7 +718,6 @@ class KEngelReport:
 def _expand_in_basis(
     target: FracField,
     basis: Sequence[FracField],
-    space: FramedSpace,
 ) -> list[Frac] | None:
     """Coefficients of target in a 4-element basis, by Cramer's rule."""
     raws = [b.raw for b in basis]
@@ -770,7 +761,7 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
                                        IDENTITY_TOL, note=f"[{key[0]},{key[1]}] = 0")
         if not certs[key].passed:
             all_zero = False
-        coefs = _expand_in_basis(br, basis, space)
+        coefs = _expand_in_basis(br, basis)
         if coefs is not None:
             for name, c in zip(names, coefs):
                 if not c.is_zero():

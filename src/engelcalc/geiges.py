@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .engelcheck import (
-    EngelFlag,
-    PreconditionError,
-    j_invariance_check,
-    verify_engel,
-)
+from .engelcheck import Derivation, EngelFlag, PreconditionError
 from .framecalc import (
+    DEFAULT_GRID,
     DEFAULT_TOL,
     Certificate,
     ComplexStructure,
@@ -32,7 +28,6 @@ from .framecalc import (
     VecField,
     bracket,
     global_rank,
-    grid_points,
 )
 from .trigring import Frequency, TrigScalar
 
@@ -41,13 +36,12 @@ __all__ = [
     "flat_torus_input",
     "twisted_torus_input",
     "build_An",
+    "level_derivation",
     "leading_order_residual",
     "residual_decay_fit",
     "minimal_n_search",
     "SearchResult",
 ]
-
-GRID_PER_LEVEL = 17  # samples per period, scaled by the level n
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,20 @@ def build_An(inp: MappingTorusInput, n: int,
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def level_derivation(inp: MappingTorusInput, n: int, variant: str = "j_engel",
+                     grid: int = DEFAULT_GRID,
+                     tol: float = DEFAULT_TOL) -> Derivation:
+    """The derivation of level n of a variant, sampled at ``grid * n`` points
+    per level-1 period, since the waves oscillate at frequency n^2."""
+    d1, d2 = build_An(inp, n, variant)
+    return Derivation(d1, d2, inp.J, inp.space, grid * n, tol)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
+    """Residual norms at one level: ``sup_*`` is the largest l1 norm
+    sum |c_w| over the four coefficients, an exact bound on the sup norm."""
+
     n: int
     sup_first: float
     sup_second: float
@@ -155,9 +161,14 @@ class ResidualReport:
     second_exact_zero: bool
 
 
-def leading_order_residual(inp: MappingTorusInput, n: int,
-                           grid: int | None = None) -> ResidualReport:
-    """Sup-norm distance of the exact scaled brackets from their leading terms.
+def _l1_bound(res: VecField) -> float:
+    return max(sum((abs(c.evaluate()) for c in coeff.terms().values()), 0.0)
+               for coeff in res.coeffs)
+
+
+def leading_order_residual(inp: MappingTorusInput, n: int) -> ResidualReport:
+    """l1 bounds on the distance of the exact scaled brackets from their
+    leading terms.
 
     The leading expressions are
         (1/n) [A_n, JA_n]            ~ -(s + a c) X + (c - a s) JX
@@ -178,23 +189,14 @@ def leading_order_residual(inp: MappingTorusInput, n: int,
     lead2 = inp.X.scale(-(c - a * s)) + jx.scale(-(s + a * c))
     res2 = b2 - lead2
 
-    per_axis = grid if grid is not None else GRID_PER_LEVEL * n
-    sups = []
-    for res in (res1, res2):
-        if res.is_zero():
-            sups.append(0.0)
-            continue
-        live = [c for c in res.coeffs if not c.is_zero()]
-        points, _ = grid_points(inp.space, live, per_axis)
-        sups.append(max(max(points.abs_values(c)) for c in live))
-    return ResidualReport(n, sups[0], sups[1], res1.is_zero(), res2.is_zero())
+    return ResidualReport(n, _l1_bound(res1), _l1_bound(res2),
+                          res1.is_zero(), res2.is_zero())
 
 
 def residual_decay_fit(inp: MappingTorusInput,
-                       levels: Sequence[int] = (2, 4, 8, 16, 32),
-                       grid: int | None = None) -> dict:
-    """Least-squares log-log slopes of both residual norms over the levels."""
-    reports = [leading_order_residual(inp, n, grid) for n in levels]
+                       levels: Sequence[int] = (2, 4, 8, 16, 32)) -> dict:
+    """Least-squares log-log slopes of both residual l1 bounds over the levels."""
+    reports = [leading_order_residual(inp, n) for n in levels]
 
     def slope(values: Sequence[float]) -> float | None:
         pairs = [(math.log(n), math.log(v))
@@ -225,26 +227,26 @@ class SearchResult:
 
 
 def minimal_n_search(inp: MappingTorusInput, n_max: int,
-                     grid: int = GRID_PER_LEVEL,
+                     grid: int = DEFAULT_GRID,
                      tol: float = DEFAULT_TOL) -> SearchResult:
-    """Smallest level whose plane field earns an Engel certificate.
+    """Smallest level whose plane field earns an Engel certificate and JD = D.
 
-    Levels are swept in order with grid resolution scaled by the level (the
-    waves oscillate at frequency n^2).  The result is deterministic; on
-    exhaustion the trace still carries the per-level certificates.
+    Levels are swept in order, each on its ``level_derivation``.  The result
+    is deterministic; on exhaustion the trace still carries the per-level
+    certificates.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     trace: list[dict] = []
     for n in range(1, n_max + 1):
-        a_n, ja_n = build_An(inp, n, "j_engel")
-        flag = verify_engel(a_n, ja_n, inp.space, grid=grid * n, tol=tol)
+        ctx = level_derivation(inp, n, grid=grid, tol=tol)
+        flag = ctx.flag
         entry = {"n": n, "passed": flag.passed}
         for key, cert in flag.certificates.items():
             entry[key] = cert.kind
             if cert.bound is not None:
                 entry[f"{key}_bound"] = cert.bound
-        inv = j_invariance_check(a_n, ja_n, inp.J, inp.space, grid=grid * n)
+        inv = ctx.j_invariance
         entry["j_invariant"] = inv.passed
         trace.append(entry)
         if flag.passed and inv.passed:

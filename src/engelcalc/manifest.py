@@ -15,7 +15,25 @@ from typing import Mapping
 from .framecalc import ComplexStructure, FramedSpace, VecField
 from .trigring import Frequency, parse, rat
 
-__all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts"]
+__all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts",
+           "SECTION_TYPES"]
+
+# The JSON type of each manifest section, as in docs/manifest.schema.json;
+# "derivation/*" stands for each row of the derivation section.
+SECTION_TYPES = {
+    "name": "string",
+    "frame": "array",
+    "coordinates": "array",
+    "structure": "object",
+    "derivation": "object",
+    "derivation/*": "object",
+    "periods": "object",
+    "complex_structure": "array",
+    "distribution": "array",
+    "parameters": "object",
+    "mapping_torus": "object",
+}
+_PY_TYPES = {"string": str, "array": list, "object": Mapping}
 
 
 @dataclass(frozen=True)
@@ -112,12 +130,30 @@ def dump_manifest(doc: Mapping) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_section_types(doc: Mapping) -> None:
+    """Raise ValueError naming the first section of the wrong JSON type."""
+    for key, kind in SECTION_TYPES.items():
+        section, _, each = key.partition("/")
+        if section not in doc:
+            continue
+        values = doc[section].items() if each else [(None, doc[section])]
+        for row, value in values:
+            if not isinstance(value, _PY_TYPES[kind]):
+                where = f"{section} row {row!r}" if each else f"section {section!r}"
+                raise ValueError(f"{where} must be a JSON {kind}")
+
+
 def load_manifest(doc: Mapping | str) -> Manifest:
-    """Parse a manifest document (dict or JSON text) into exact objects."""
+    """Parse a manifest document (dict or JSON text) into exact objects.
+
+    The JSON type of each section is checked against ``SECTION_TYPES``
+    before anything is parsed.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, Mapping):
         raise ValueError("a manifest must be a JSON object")
+    _check_section_types(doc)
     name = str(doc.get("name", ""))
     space = space_from_json(doc, name=name)
     J = None

@@ -563,26 +563,19 @@ class TrigScalar:
     # -- floating-point evaluation --------------------------------------------
 
     def evaluate(self, point: Mapping[str, float]) -> float:
-        total = 0.0
-        for is_cos, coeff, phase, freqs in _float_terms(self):
-            angle = phase
-            for coord, omega in freqs:
-                if coord not in point:
-                    raise ValueError(f"coordinate '{coord}' not assigned")
-                angle += omega * point[coord]
-            total += coeff * (math.cos(angle) if is_cos else math.sin(angle))
-        return total
+        """The value at ``point``: ``sample_grid`` over the one-point grid."""
+        return self.sample_grid(tuple(point), [(x,) for x in point.values()])[0]
 
     def sample_grid(self, coords: Sequence[str],
                     axes: Sequence[Sequence[float]]) -> list[float]:
         """Values at every point of ``itertools.product(*axes)``, in that order.
 
-        ``axes[i]`` lists the values of ``coords[i]``.  Each value is
-        bit-identical to ``evaluate`` at the same point: a term's angles are
+        ``axes[i]`` lists the values of ``coords[i]``.  A term's angles are
         built axis by axis in its own coordinate order, each prefix shared by
         the points that extend it, and its contributions are summed in term
-        order.  A term's wave is computed once per point of its own axes and
-        broadcast over the axes it does not depend on.
+        order, so a value does not depend on the rest of the grid.  A term's
+        wave is computed once per point of its own axes and broadcast over the
+        axes it does not depend on.
         """
         where = {c: i for i, c in enumerate(coords)}
         sizes = [len(a) for a in axes]
@@ -635,9 +628,8 @@ def _float_terms(s: TrigScalar) -> FloatTerms:
     ...))`` per term, in term order.
 
     ``coeff``, ``phase`` and ``omega`` are exactly ``PiScalar.evaluate()`` and
-    ``Frequency.value()`` of the exact term, so ``evaluate`` and
-    ``sample_grid``, which each build it once per call, perform the same float
-    operations.
+    ``Frequency.value()`` of the exact term; ``sample_grid`` builds it once
+    per call.
     """
     return tuple((kind == "c", c.evaluate(), ph.value(),
                   tuple((coord, f.value()) for coord, f in fr))
@@ -648,9 +640,10 @@ def _gather_index(own: tuple[int, ...], sizes: Sequence[int]) -> list[int] | Non
     """For each grid point, the index of its projection onto the ``own`` axes.
 
     The projection grid lists ``own`` in the given order; None when it is
-    the whole grid in grid order, so no gather is needed.
+    the whole grid in grid order, so no gather is needed: when ``own`` holds
+    every axis with more than one point, in grid order.
     """
-    if own == tuple(range(len(sizes))):
+    if [a for a in own if sizes[a] > 1] == [a for a, n in enumerate(sizes) if n > 1]:
         return None
     stride = {}
     step = 1

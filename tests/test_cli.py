@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from engelcalc import cli
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, main, run_verify
 from engelcalc.framecalc import VecField, bracket
@@ -114,6 +116,21 @@ HOSTILE_MANIFESTS = {
     "v_of_t_not_one": lambda: _flat_torus_manifest(V=VecField.basis(1)),
 }
 
+_FRAME = ["a", "b", "c", "d"]
+# manifest sections of the wrong JSON type, and the section each names
+WRONG_TYPE_MANIFESTS = {
+    "structure_list": ({"frame": _FRAME, "structure": []}, "'structure'"),
+    "derivation_list": ({"frame": _FRAME, "derivation": []}, "'derivation'"),
+    "derivation_row_list": ({"frame": _FRAME, "derivation": {"a": ["1"]}},
+                            "derivation row 'a'"),
+    "periods_list": ({"frame": _FRAME, "periods": []}, "'periods'"),
+    "parameters_list": ({"frame": _FRAME, "parameters": []}, "'parameters'"),
+    "coordinates_string": ({"frame": _FRAME, "coordinates": "xy"},
+                           "'coordinates'"),
+    "mapping_torus_list": ({**_flat_torus_manifest(), "mapping_torus": []},
+                           "'mapping_torus'"),
+}
+
 
 DIAGNOSTICS = [
     ("verify", "two_frame_names", "malformed manifest"),
@@ -140,6 +157,67 @@ def test_malformed_manifest_diagnostics(tmp_path, verb, manifest, expected):
     assert res.returncode != 0
     assert "error:" in res.stderr and expected in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("verb", ("verify", "geiges"))
+@pytest.mark.parametrize("manifest", WRONG_TYPE_MANIFESTS)
+def test_wrong_section_type_diagnostics(tmp_path, capsys, verb, manifest):
+    doc, section = WRONG_TYPE_MANIFESTS[manifest]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    args = [str(path)] if verb == "verify" else ["--input", str(path), "--nmax", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *args])
+    assert str(exc.value.code).startswith("error: malformed manifest")
+    assert section in exc.value.code
+    assert capsys.readouterr().out == ""
+
+
+TWISTED = str(ROOT / "demos" / "manifests" / "twisted_torus.json")
+BAD_ARGUMENTS = {
+    "nmax_zero": ["geiges", "--builtin", "flat", "--nmax", "0"],
+    "nmax_negative": ["geiges", "--builtin", "flat", "--nmax", "-3"],
+    "geiges_grid_zero": ["geiges", "--builtin", "twisted", "--grid", "0"],
+    "geiges_grid_fraction": ["geiges", "--builtin", "twisted", "--grid", "1.5"],
+    "verify_grid_zero": ["verify", TWISTED, "--suite", "engel", "--grid", "0"],
+    "tol_negative": ["verify", TWISTED, "--grid", "11", "--tol", "-1"],
+    "tol_nan": ["verify", TWISTED, "--tol", "nan"],
+    "tol_inf": ["verify", TWISTED, "--tol", "inf"],
+    "tol_text": ["verify", TWISTED, "--tol", "small"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_numeric_arguments_validated(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def _synopsis(verb: str) -> str:
+    """The verb's lines of the usage block in the cli docstring."""
+    lines, keep = [], False
+    for line in cli.__doc__.splitlines():
+        if line.strip().startswith("engelcalc "):
+            keep = line.split()[1] == verb
+        elif not line.startswith("       "):
+            keep = False
+        if keep:
+            lines.append(line)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("verb", ("catalog", "verify", "geiges"))
+def test_cli_synopsis_lists_each_option(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    synopsis = _synopsis(verb)
+    assert synopsis
+    assert options - {"--help"} == set(re.findall(r"--[a-z][a-z-]*", synopsis))
 
 
 def test_verify_rejects_geiges_for_mapping_torus_without_j(tmp_path):
@@ -318,12 +396,13 @@ def test_geiges_verb_builtin():
     doc = json.loads(res.stdout)
     assert doc["n_star"] == 1
     assert doc["trace"][0]["j_invariant"] is True
+    assert "totally_real" in doc
 
 
 def test_geiges_verb_totally_real():
-    res = run_cli("geiges", "--builtin", "flat", "--variant", "totally_real",
-                  "--nmax", "2")
+    res = run_cli("geiges", "--builtin", "flat", "--nmax", "2")
     doc = json.loads(res.stdout)
+    assert "variant" not in doc
     assert doc["totally_real"]["rank_certificate"]["kind"] == "SYMBOLIC"
     assert doc["totally_real"]["j_invariant"] is False
     assert doc["totally_real"]["engel"] is True
@@ -352,6 +431,15 @@ def test_verify_geiges_suite_on_mapping_torus_manifest(tmp_path):
     rep = run_verify(str(path), suites=("geiges",))
     rec = next(r for r in rep.records if r.name == "geiges.minimal_n")
     assert rec.status == "PASS" and "n* = 1" in rec.notes
+
+
+def test_geiges_suite_uses_the_run_tolerance():
+    # the level-1 rank_d witness has minimum 4, so no level passes at tol 5
+    for tol, status, note in ((5.0, "FAIL", "up to n = 8"),
+                              (1e-6, "PASS", "n* = 1")):
+        rep = run_verify(TWISTED, suites=("geiges",), tol=tol)
+        rec = next(r for r in rep.records if r.name == "geiges.minimal_n")
+        assert rec.status == status and note in rec.notes, tol
 
 
 def test_geiges_suite_rejected_for_plain_families():

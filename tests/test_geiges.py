@@ -12,6 +12,7 @@ from engelcalc.geiges import (
     build_An,
     flat_torus_input,
     leading_order_residual,
+    level_derivation,
     minimal_n_search,
     residual_decay_fit,
     twisted_torus_input,
@@ -58,17 +59,32 @@ def test_flat_residuals_exactly_zero():
 
 
 def test_twisted_first_residual_is_tilt_over_n():
-    # hand value: residual_1 = (1/n) cos(t) JX, so the sup-norm is 1/n
+    # hand values: residual_1 = (1/n) cos(t) JX and residual_2 =
+    # -(1/n^3) sin(t) JX, single waves, so their l1 bounds are the sup norms
     inp = twisted_torus_input()
-    for n in (2, 4, 8):
+    for n in (1, 2, 3, 4, 8):
         rep = leading_order_residual(inp, n)
-        assert rep.sup_first == pytest.approx(1.0 / n, rel=1e-6)
+        assert rep.sup_first == pytest.approx(1.0 / n, rel=1e-12)
+        assert rep.sup_second == pytest.approx(1.0 / n**3, rel=1e-12)
 
 
 def test_decay_slope_window():
     fit = residual_decay_fit(twisted_torus_input(), (2, 4, 8, 16, 32))
     assert -1.3 <= fit["slope_first"] <= -0.7
     assert fit["slope_second"] <= -0.7  # decays at least as fast as claimed
+
+
+def test_decay_fit_slopes_are_exact():
+    fit = residual_decay_fit(twisted_torus_input(), (2, 4, 8, 16, 32))
+    assert fit["slope_first"] == pytest.approx(-1.0, rel=1e-12)
+    assert fit["slope_second"] == pytest.approx(-3.0, rel=1e-12)
+
+
+def test_level_derivation_scales_the_grid():
+    inp = twisted_torus_input()
+    ctx = level_derivation(inp, 3, "totally_real", grid=5, tol=0.5)
+    assert (ctx.d1, ctx.d2) == build_An(inp, 3, "totally_real")
+    assert (ctx.J, ctx.space, ctx.grid, ctx.tol) == (inp.J, inp.space, 15, 0.5)
 
 
 def test_minimal_n_search_flat_and_twisted():

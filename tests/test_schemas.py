@@ -7,7 +7,12 @@ import pytest
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, run_verify
 from engelcalc.geiges import flat_torus_input
-from engelcalc.manifest import dump_manifest, manifest_from_parts
+from engelcalc.manifest import (
+    SECTION_TYPES,
+    dump_manifest,
+    load_manifest,
+    manifest_from_parts,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -49,3 +54,22 @@ def test_schema_rejects_malformed_report():
     doc["overall"] = "MAYBE"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, REPORT_SCHEMA)
+
+
+def test_section_types_agree_with_manifest_schema():
+    props = MANIFEST_SCHEMA["properties"]
+    expected = {key: spec["type"] for key, spec in props.items()}
+    expected["derivation/*"] = props["derivation"]["additionalProperties"]["type"]
+    assert SECTION_TYPES == expected
+
+
+@pytest.mark.parametrize("key", SECTION_TYPES)
+def test_schema_and_loader_reject_each_wrong_section_type(key):
+    section, _, each = key.partition("/")
+    wrong = 7 if SECTION_TYPES[key] == "string" else "7"
+    doc = {"frame": ["a", "b", "c", "d"],
+           section: {"a": wrong} if each else wrong}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, MANIFEST_SCHEMA)
+    with pytest.raises(ValueError, match=f"{section}.* must be a JSON"):
+        load_manifest(doc)
