@@ -26,7 +26,7 @@ from .framecalc import (
     certify_vanishing,
     global_rank,
 )
-from .trigring import Frequency, TrigScalar, rat
+from .trigring import ONE, ZERO, Frequency, TrigScalar, rat
 
 __all__ = [
     "FAMILIES",
@@ -482,13 +482,13 @@ def hyperelliptic_equivariance_check(spec: FamilySpec,
     residuals: list[TrigScalar] = []
     for i in range(2):
         for j in range(2):
-            acc = TrigScalar.constant(0)
+            acc = ZERO
             for l in range(2):
                 acc = acc + r_theta[i][l] * r_x[l][j]
             residuals.append(acc - shifted[i][j])
     for v in (spec.d1, spec.d2):
         for c in v.coeffs:
             if not c.coordinates() <= {"x2"}:
-                residuals.append(TrigScalar.constant(1))  # translation breaks
+                residuals.append(ONE)  # translation breaks
     return certify_vanishing(residuals, spec.space, grid,
-                             tol=1e-12, note="rotation equivariance residuals")
+                             note="rotation equivariance residuals")

@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 from .framecalc import (
     DEFAULT_GRID,
     DEFAULT_TOL,
-    IDENTITY_TOL,
     Certificate,
     ComplexStructure,
     FramedSpace,
@@ -36,7 +35,7 @@ from .framecalc import (
     minors_of_fields,
     wedge,
 )
-from .trigring import TrigLike, TrigScalar, normalize
+from .trigring import ONE, ZERO, TrigLike, TrigScalar, normalize
 
 __all__ = [
     "CheckError",
@@ -62,10 +61,6 @@ __all__ = [
     "transverse_engel_check",
     "k_engel_check",
 ]
-
-ZERO = TrigScalar.constant(0)
-ONE = TrigScalar.constant(1)
-
 
 class CheckError(Exception):
     """Base class for verification failures."""
@@ -110,12 +105,7 @@ class Frac:
     def as_trig(self) -> TrigScalar | None:
         """Exact TrigScalar value when the denominator divides out."""
         const = self.den.constant_value()
-        if const is None:
-            return None
-        try:
-            return self.num.div_constant(const)
-        except ValueError:
-            return None
+        return None if const is None else self.num.div_exact(const)
 
     def evaluate(self, point: Mapping[str, float]) -> float:
         return self.num.evaluate(point) / self.den.evaluate(point)
@@ -162,10 +152,8 @@ class FracField:
         const = self.den.constant_value()
         if const is None:
             return None
-        try:
-            return VecField(tuple(c.div_constant(const) for c in self.raw.coeffs))
-        except ValueError:
-            return None
+        coeffs = tuple(c.div_exact(const) for c in self.raw.coeffs)
+        return None if None in coeffs else VecField(coeffs)
 
     def evaluate(self, point: Mapping[str, float]) -> tuple[float, ...]:
         d = self.den.evaluate(point)
@@ -188,21 +176,19 @@ def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
 class EngelFlag:
     """The flag W < D < E < TM with its rank certificates.
 
-    ``alpha`` annihilates E; it is built on first read.  ``pairings`` are
-    the top minors det(D1, D2, E3, [D_i, E3]) = alpha([D_i, E3]) (Laplace
-    expansion along the last column), set once rank(E) = 3 is certified:
-    they certify rank([D, E]) = 4, give W = -u2 D1 + u1 D2 and normalise alpha.
+    ``alpha`` annihilates E, set once rank(D) = 2 is certified: its
+    coefficients are the signed maximal minors of (D1, D2, E3), which also
+    witness rank(E) = 3.  ``pairings`` are u_i = alpha([D_i, E3]), set once
+    rank(E) = 3 is certified: they certify rank([D, E]) = 4, give
+    W = -u2 D1 + u1 D2 and normalise alpha.
     """
 
     d1: VecField
     d2: VecField
     e3: VecField
     certificates: Mapping[str, Certificate]
+    alpha: KForm | None = None
     pairings: tuple[TrigScalar, TrigScalar] | None = None
-
-    @cached_property
-    def alpha(self) -> KForm:
-        return annihilating_form(self.d1, self.d2, self.e3)
 
     @property
     def passed(self) -> bool:
@@ -220,45 +206,55 @@ def verify_engel(
 ) -> EngelFlag:
     """Certify rank(D) = 2, rank(D + [D1,D2]) = 3, and rank([D,E]) = 4.
 
-    The top rank is witnessed by the pair of determinants obtained by
-    adjoining [D1, E3] and [D2, E3]: at each point at least one of them must
-    be nonzero, so the sampled witness is their sum of squares.
+    rank(E) is witnessed by the sum of squares of the coefficients of alpha,
+    the maximal minors of (D1, D2, E3).  The top rank is witnessed by the
+    pairings u_i = alpha([D_i, E3]) = det(D1, D2, E3, [D_i, E3]): at each
+    point at least one of them must be nonzero, so the sampled witness is
+    their sum of squares.
     """
     certs: dict[str, Certificate] = {}
     certs["rank_d"] = global_rank([d1, d2], space, grid, tol)
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    certs["rank_e"] = global_rank([d1, d2, e3], space, grid, tol)
+    alpha = annihilating_form(d1, d2, e3)
+    witness = ZERO
+    for i in (3, 2, 1, 0):  # the order of minors_of_fields
+        c = alpha.component((i,))
+        witness = witness + c * c
+    certs["rank_e"] = certify_nonvanishing(witness, space, grid, tol)
     if not certs["rank_e"].passed:
-        return EngelFlag(d1, d2, e3, certs)
-    det1 = det_of_fields([d1, d2, e3, bracket(d1, e3, space)])
-    det2 = det_of_fields([d1, d2, e3, bracket(d2, e3, space)])
+        return EngelFlag(d1, d2, e3, certs, alpha)
+    u1 = alpha(bracket(d1, e3, space))
+    u2 = alpha(bracket(d2, e3, space))
     cert_tm = None
-    for w, label in ((det1, "det with [D1,E3]"), (det2, "det with [D2,E3]")):
-        const = w.constant_value()
+    for u, label in ((u1, "det with [D1,E3]"), (u2, "det with [D2,E3]")):
+        const = u.constant_value()
         if const is not None and not const.is_zero():
             cert_tm = Certificate("SYMBOLIC", "nonvanishing", witness=str(const),
                                   note=label)
             break
     if cert_tm is None:
-        cert_tm = certify_nonvanishing(det1 * det1 + det2 * det2, space, grid, tol,
+        cert_tm = certify_nonvanishing(u1 * u1 + u2 * u2, space, grid, tol,
                                        note="sum of squares of the two top minors")
     certs["rank_tm"] = cert_tm
-    return EngelFlag(d1, d2, e3, certs, (det1, det2))
+    return EngelFlag(d1, d2, e3, certs, alpha, (u1, u2))
 
 
 def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
-    """The 1-form u -> det(D1, D2, E3, u); its kernel is span(D1, D2, E3)."""
-    coeffs = [det_of_fields([d1, d2, e3, VecField.basis(i)]) for i in range(4)]
-    return KForm.one_form(coeffs)
+    """The 1-form u -> det(D1, D2, E3, u); its kernel is span(D1, D2, E3).
+
+    Expanding the determinant along u, its coefficients are the signed
+    maximal minors (-m3, m2, -m1, m0) of (D1, D2, E3).
+    """
+    m0, m1, m2, m3 = minors_of_fields([d1, d2, e3])
+    return KForm.one_form([-m3, m2, -m1, m0])
 
 
 def characteristic_foliation(
     flag: EngelFlag,
     space: FramedSpace,
     grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
 ) -> VecField:
     """The line field W in D with [W, E] inside E.
 
@@ -275,7 +271,7 @@ def characteristic_foliation(
                                 "both defining coefficients vanish identically")
     w = flag.d1.scale(-u2) + flag.d2.scale(u1)
     residuals = [alpha(bracket(w, e, space)) for e in (flag.d1, flag.d2, flag.e3)]
-    cert = certify_vanishing(residuals, space, grid, tol,
+    cert = certify_vanishing(residuals, space, grid,
                              note="alpha([W, E-generators])")
     if not cert.passed:
         raise VerificationError(
@@ -291,14 +287,12 @@ def j_invariance_check(
     J: ComplexStructure,
     space: FramedSpace,
     grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
 ) -> Certificate:
     """JD = D, certified by vanishing of the maximal minors of (D1, D2, JDi)."""
     scalars: list[TrigScalar] = []
     for v in (J.apply(d1), J.apply(d2)):
         scalars.extend(minors_of_fields([d1, d2, v]))
-    return certify_vanishing(scalars, space, grid, tol,
-                             note="minors of (D1, D2, J D_i)")
+    return certify_vanishing(scalars, space, grid, note="minors of (D1, D2, J D_i)")
 
 
 def complex_framing(ctx: Derivation) -> Certificate:
@@ -356,6 +350,15 @@ class DefiningForms:
         return self.R.as_field()
 
 
+def _div_form(form: KForm, s: TrigScalar) -> KForm | None:
+    """form / s, when s is a nonzero constant that divides exactly."""
+    const = s.constant_value()
+    if const is None or const.is_zero():
+        return None
+    coeffs = [form.component((i,)).div_exact(const) for i in range(4)]
+    return None if None in coeffs else KForm.one_form(coeffs)
+
+
 def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
     return KForm.one_form([alpha(J.apply(VecField.basis(i))) for i in range(4)])
 
@@ -379,7 +382,7 @@ def _reeb_from_threeform(
     if not cert.passed:
         raise VerificationError(f"{label}: normalising pairing vanishes somewhere")
     certs[f"{label}_annihilation"] = certify_vanishing(
-        [zero_form(kernel)], space, grid, IDENTITY_TOL,
+        [zero_form(kernel)], space, grid,
         note=f"{label} annihilates the complementary form")
     if not certs[f"{label}_annihilation"].passed:
         raise VerificationError(f"{label}: complementary pairing does not vanish")
@@ -406,16 +409,10 @@ def defining_forms(
     alpha = flag.alpha
     normalization = "raw"
     for pairing, label in zip(flag.pairings, ("[D1,[D1,D2]]", "[D2,[D1,D2]]")):
-        s0 = pairing.constant_value()
-        if s0 is not None and not s0.is_zero():
-            try:
-                alpha = KForm.one_form(
-                    [alpha.component((i,)).div_constant(s0) for i in range(4)]
-                )
-                normalization = f"alpha({label}) = 1"
-                break
-            except ValueError:
-                continue
+        scaled = _div_form(alpha, pairing)
+        if scaled is not None:
+            alpha, normalization = scaled, f"alpha({label}) = 1"
+            break
     beta = _compose_with_J(alpha, J)
     d_alpha = exterior_derivative(alpha, space)
     d_beta = exterior_derivative(beta, space)
@@ -435,7 +432,7 @@ def defining_forms(
 
     adab = wedge(ada, beta)
     certs["alpha_da_beta_zero"] = certify_vanishing(
-        [adab.component((0, 1, 2, 3))], space, grid, IDENTITY_TOL,
+        [adab.component((0, 1, 2, 3))], space, grid,
         note="alpha ^ d(alpha) ^ beta = 0")
 
     for key in ("alpha_da_nonzero", "alpha_beta_dbeta_nonzero",
@@ -485,7 +482,6 @@ def nijenhuis_certificate(
     J: ComplexStructure,
     space: FramedSpace,
     grid: int = DEFAULT_GRID,
-    tol: float = IDENTITY_TOL,
 ) -> Certificate:
     """Certify N_J = 0 on all frame pairs (integrability of J)."""
     from .framecalc import nijenhuis
@@ -494,7 +490,7 @@ def nijenhuis_certificate(
     for i, j in itertools.combinations(range(4), 2):
         n = nijenhuis(J, VecField.basis(i), VecField.basis(j), space)
         scalars.extend(n.coeffs)
-    return certify_vanishing(scalars, space, grid, tol, note="Nijenhuis tensor")
+    return certify_vanishing(scalars, space, grid, note="Nijenhuis tensor")
 
 
 # -- one derivation per target ---------------------------------------------------
@@ -513,7 +509,7 @@ class Derivation:
     Tolerance policy, for these stages and for the checks that take the
     context: rank and nonvanishing certificates use ``tol``; identity
     certificates (vanishing residuals, invariance of spans, JD = D, the
-    Nijenhuis tensor) use ``IDENTITY_TOL``.
+    Nijenhuis tensor) use ``certify_vanishing``'s default, ``IDENTITY_TOL``.
     """
 
     d1: VecField | None
@@ -583,14 +579,14 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
              - FracField(w).scale(q2) + FracField(x).scale(q1))
     cert = certify_vanishing(
         list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid,
-        IDENTITY_TOL, note="J(T), J(R) rotation residuals (numerators)")
+        note="J(T), J(R) rotation residuals (numerators)")
 
     lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
     abdb = wedge(wedge(forms.alpha, forms.beta),
                  forms.d_beta).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
     identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
-    dalpha_cert = certify_vanishing([identity], space, grid, IDENTITY_TOL,
+    dalpha_cert = certify_vanishing([identity], space, grid,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
     return JofReebResult(res_t, res_r, cert, dalpha_cert)
 
@@ -641,7 +637,7 @@ def j_engel_splitting(
             raise VerificationError(f"rescaled Reeb direction vanished for "
                                     f"lambda = {lam_s}")
         residuals.extend(minors_of_fields([base, kernel]))
-    cert = certify_vanishing(residuals, space, ctx.grid, IDENTITY_TOL,
+    cert = certify_vanishing(residuals, space, ctx.grid,
                              note="span(R_lambda) = span(R)")
     return SplittingResult(w, ctx.x, forms.R, forms.R.apply_J(J), cert,
                            tuple(labels))
@@ -671,34 +667,24 @@ def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
     if not trans.passed:
         raise PreconditionError("Z is not transverse to E: alpha(Z) vanishes "
                                 f"(witness {trans.witness_point})")
-    bz = certify_vanishing([forms.beta(z)], space, grid, IDENTITY_TOL,
-                           note="beta(Z)")
+    bz = certify_vanishing([forms.beta(z)], space, grid, note="beta(Z)")
     if not bz.passed:
         raise PreconditionError("JZ is not tangent to E: beta(Z) is not zero")
     minors: list[TrigScalar] = []
     for gen in (d1, d2):
         minors.extend(minors_of_fields([d1, d2, bracket(z, gen, space)]))
-    engel_field = certify_vanishing(minors, space, grid, IDENTITY_TOL,
-                                    note="L_Z D stays in D")
+    engel_field = certify_vanishing(minors, space, grid, note="L_Z D stays in D")
     if not engel_field.passed:
         raise VerificationError("Z does not preserve D; it is not an Engel field")
     contraction = wedge(forms.beta, forms.d_beta).interior(z)
     conclusion = certify_vanishing(list(contraction.terms.values()), space, grid,
-                                   IDENTITY_TOL, note="i_Z(beta ^ d(beta)) = 0")
+                                   note="i_Z(beta ^ d(beta)) = 0")
     reeb_match = certify_vanishing(minors_of_fields([forms.R.raw, z]), space, grid,
-                                   IDENTITY_TOL, note="span(Z) = span(R)")
+                                   note="span(Z) = span(R)")
     # the rescaled pair alpha/alpha(Z), (alpha/alpha(Z)) o J has Z as its
     # Reeb field; the division is exact only for invertible constant alpha(Z)
-    alpha_r = beta_r = None
-    az_const = az.constant_value()
-    if az_const is not None:
-        try:
-            alpha_r = KForm.one_form(
-                [forms.alpha.component((i,)).div_constant(az_const)
-                 for i in range(4)])
-            beta_r = _compose_with_J(alpha_r, ctx.J)
-        except ValueError:
-            alpha_r = beta_r = None
+    alpha_r = _div_form(forms.alpha, az)
+    beta_r = None if alpha_r is None else _compose_with_J(alpha_r, ctx.J)
     note = f"alpha(Z) = {az}" + ("" if alpha_r is not None
                                  else "; rescaling kept implicit (non-constant)")
     return TransverseReport(engel_field, conclusion, reeb_match,
@@ -758,7 +744,7 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     a_wr: Frac | None = None
     for key, br in comms.items():
         certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
-                                       IDENTITY_TOL, note=f"[{key[0]},{key[1]}] = 0")
+                                       note=f"[{key[0]},{key[1]}] = 0")
         if not certs[key].passed:
             all_zero = False
         coefs = _expand_in_basis(br, basis)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
-from .trigring import Frequency, TrigLike, TrigScalar, normalize
+from .trigring import ONE, ZERO, Frequency, TrigLike, TrigScalar, normalize
 
 __all__ = [
     "VecField",
@@ -40,9 +40,6 @@ __all__ = [
     "certify_nonvanishing",
     "certify_vanishing",
 ]
-
-ZERO = TrigScalar.constant(0)
-ONE = TrigScalar.constant(1)
 
 DEFAULT_GRID = 17
 DEFAULT_TOL = 1e-6
@@ -67,11 +64,11 @@ class VecField:
 
     @staticmethod
     def basis(i: int) -> "VecField":
-        return VecField.of(*(1 if j == i else 0 for j in range(4)))
+        return _BASIS[i]
 
     @staticmethod
     def zero() -> "VecField":
-        return VecField.of(0, 0, 0, 0)
+        return _ZERO_FIELD
 
     def __add__(self, other: "VecField") -> "VecField":
         return VecField(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -99,8 +96,20 @@ class VecField:
         return out
 
 
+# values are immutable, so these are shared
+_ZERO_FIELD = VecField((ZERO,) * 4)
+_BASIS = tuple(VecField(tuple(ONE if j == i else ZERO for j in range(4)))
+               for i in range(4))
+
+
 class FramedSpace:
-    """Frame names, structure table, coordinates, and derivation table."""
+    """Frame names, structure table, coordinates, and derivation table.
+
+    Both tables are built once, here, and read as they are:
+    ``structure[(i, j)]`` is [E_i, E_j] for i < j, holding the nonzero
+    entries only, in (i, j) order; ``derivation[i][coord]`` is E_i(coord),
+    holding the nonzero entries only.
+    """
 
     def __init__(
         self,
@@ -118,47 +127,39 @@ class FramedSpace:
         self.name = name
         self.frame = tuple(frame)
         self.coords = tuple(coords)
-        self._structure: dict[tuple[int, int], tuple[TrigScalar, ...]] = {}
-        for (i, j), comp in (structure or {}).items():
+        self.structure: dict[tuple[int, int], VecField] = {}
+        for (i, j), comp in sorted((structure or {}).items()):
             if not 0 <= i < j < 4:
                 raise ValueError(f"structure key must have i < j, got {(i, j)}")
-            cc = _coerce4(comp)
-            if not all(c.is_zero() for c in cc):
-                self._structure[(i, j)] = cc
-        self._deriv: tuple[dict[str, TrigScalar], ...] = tuple({} for _ in range(4))
+            v = VecField.of(*comp)
+            if not v.is_zero():
+                self.structure[(i, j)] = v
+        self.derivation: tuple[dict[str, TrigScalar], ...] = tuple({} for _ in range(4))
         for (i, coord), s in (derivation or {}).items():
             if coord not in self.coords:
                 raise ValueError(f"derivation refers to undeclared coordinate {coord!r}")
             s = normalize(s)
             if not s.is_zero():
-                self._deriv[i][coord] = s
+                self.derivation[i][coord] = s
         self.periods = dict(periods or {})
-        declared = set(self.coords)
-        for entry in self._structure.values():
-            for c in entry:
-                if not c.coordinates() <= declared:
-                    raise ValueError("structure table uses undeclared coordinates")
+        used = set().union(*(v.coordinates() for v in self.structure.values()))
+        if not used <= set(self.coords):
+            raise ValueError("structure table uses undeclared coordinates")
         self.validate()
 
     # -- basic calculus ------------------------------------------------------
 
     def structure_bracket(self, i: int, j: int) -> VecField:
         """[E_i, E_j] from the table, for any index order."""
-        if i == j:
-            return VecField.zero()
-        sign = 1
         if i > j:
-            i, j, sign = j, i, -1
-        comp = self._structure.get((i, j))
-        if comp is None:
-            return VecField.zero()
-        return VecField(comp) if sign > 0 else -VecField(comp)
+            return -self.structure_bracket(j, i)
+        return self.structure.get((i, j), _ZERO_FIELD)
 
     def frame_derivative(self, i: int, s: TrigScalar) -> TrigScalar:
         """E_i(s) through the derivation table."""
         out = ZERO
         for coord in s.coordinates():
-            d = self._deriv[i].get(coord)
+            d = self.derivation[i].get(coord)
             if d is not None:
                 out = out + d * s.differentiate(coord)
         return out
@@ -181,7 +182,7 @@ class FramedSpace:
             raise ValueError(f"undeclared coordinate {coord!r}")
         out = ZERO
         for i in range(4):
-            d = self._deriv[i].get(coord)
+            d = self.derivation[i].get(coord)
             if d is not None and not v.coeffs[i].is_zero():
                 out = out + v.coeffs[i] * d
         return out
@@ -206,13 +207,13 @@ class FramedSpace:
                     f"({self.frame[i]},{self.frame[j]},{self.frame[k]})"
                 )
         for i, j in itertools.combinations(range(4), 2):
-            br = self.structure_bracket(i, j)
+            br = self.structure.get((i, j), _ZERO_FIELD)
             for coord in self.coords:
-                lhs = self.frame_derivative(i, self._deriv[j].get(coord, ZERO)) - \
-                    self.frame_derivative(j, self._deriv[i].get(coord, ZERO))
+                lhs = self.frame_derivative(i, self.derivation[j].get(coord, ZERO)) - \
+                    self.frame_derivative(j, self.derivation[i].get(coord, ZERO))
                 rhs = ZERO
                 for k in range(4):
-                    d = self._deriv[k].get(coord)
+                    d = self.derivation[k].get(coord)
                     if d is not None:
                         rhs = rhs + br.coeffs[k] * d
                 if lhs != rhs:
@@ -423,10 +424,7 @@ def bracket(v: VecField, w: VecField, space: FramedSpace) -> VecField:
     out = [ZERO, ZERO, ZERO, ZERO]
     for k in range(4):
         out[k] = space.apply(v, w.coeffs[k]) - space.apply(w, v.coeffs[k])
-    for i, j in itertools.combinations(range(4), 2):
-        comp = space.structure_bracket(i, j)
-        if comp.is_zero():
-            continue
+    for (i, j), comp in space.structure.items():
         c = v.coeffs[i] * w.coeffs[j] - v.coeffs[j] * w.coeffs[i]
         if c.is_zero():
             continue
@@ -631,8 +629,8 @@ def exterior_derivative(form: KForm, space: FramedSpace) -> KForm:
             term = space.frame_derivative(idx[a], form.component(rest))
             acc = acc + (term if a % 2 == 0 else -term)
         for a, b in itertools.combinations(range(d + 1), 2):
-            br = space.structure_bracket(idx[a], idx[b])
-            if br.is_zero():
+            br = space.structure.get((idx[a], idx[b]))
+            if br is None:
                 continue
             rest = tuple(idx[c] for c in range(d + 1) if c not in (a, b))
             val = ZERO

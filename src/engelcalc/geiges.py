@@ -29,7 +29,7 @@ from .framecalc import (
     bracket,
     global_rank,
 )
-from .trigring import Frequency, TrigScalar
+from .trigring import ONE, Frequency, TrigScalar
 
 __all__ = [
     "MappingTorusInput",
@@ -62,7 +62,7 @@ class MappingTorusInput:
         if self.t not in self.space.coords:
             raise PreconditionError(f"coordinate {self.t!r} is not declared")
         vt = self.space.coordinate_derivative(self.V, self.t)
-        if vt != TrigScalar.constant(1):
+        if vt != ONE:
             raise PreconditionError(f"the framing requires V(t) = 1 exactly, "
                                     f"got {vt}")
         jv = self.J.apply(self.V)

@@ -51,18 +51,24 @@ def _vec_to_json(v: VecField) -> list[str]:
     return [str(c) for c in v.coeffs]
 
 
-def _vec_from_json(row) -> VecField:
-    return VecField.of(*(parse(str(c)) for c in row))
+def _row_from_json(row, where: str) -> list:
+    """The parsed scalars of a JSON array; a string is not read as one."""
+    if not isinstance(row, list):
+        raise ValueError(f"{where} must be a JSON array")
+    return [parse(str(c)) for c in row]
+
+
+def _vec_from_json(row, where: str) -> VecField:
+    return VecField.of(*_row_from_json(row, where))
 
 
 def space_to_json(space: FramedSpace) -> dict:
     structure = {}
-    for (i, j) in sorted(space._structure):
-        key = f"{space.frame[i]},{space.frame[j]}"
-        structure[key] = [str(c) for c in space._structure[(i, j)]]
+    for (i, j), v in space.structure.items():
+        structure[f"{space.frame[i]},{space.frame[j]}"] = _vec_to_json(v)
     derivation: dict[str, dict[str, str]] = {}
     for i in range(4):
-        row = {c: str(s) for c, s in sorted(space._deriv[i].items())}
+        row = {c: str(s) for c, s in sorted(space.derivation[i].items())}
         if row:
             derivation[space.frame[i]] = row
     out = {
@@ -147,7 +153,8 @@ def load_manifest(doc: Mapping | str) -> Manifest:
     """Parse a manifest document (dict or JSON text) into exact objects.
 
     The JSON type of each section is checked against ``SECTION_TYPES``
-    before anything is parsed.
+    before anything is parsed, and each vector row is checked to be an array
+    as it is read.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -158,21 +165,22 @@ def load_manifest(doc: Mapping | str) -> Manifest:
     space = space_from_json(doc, name=name)
     J = None
     if "complex_structure" in doc:
-        J = ComplexStructure([[parse(str(e)) for e in row]
-                              for row in doc["complex_structure"]])
+        J = ComplexStructure([_row_from_json(row, f"complex_structure row {k}")
+                              for k, row in enumerate(doc["complex_structure"])])
     d1 = d2 = None
     if "distribution" in doc:
         rows = doc["distribution"]
         if len(rows) != 2:
             raise ValueError("distribution must list exactly two generators")
-        d1, d2 = _vec_from_json(rows[0]), _vec_from_json(rows[1])
+        d1, d2 = (_vec_from_json(row, f"distribution row {k}")
+                  for k, row in enumerate(rows))
     parameters = {k: rat(str(v)) for k, v in doc.get("parameters", {}).items()}
     mapping_torus = None
     if "mapping_torus" in doc:
         mt = doc["mapping_torus"]
         mapping_torus = {
             "coordinate": str(mt["coordinate"]),
-            "V": _vec_from_json(mt["V"]),
-            "X": _vec_from_json(mt["X"]),
+            "V": _vec_from_json(mt["V"], "mapping_torus.V"),
+            "X": _vec_from_json(mt["X"], "mapping_torus.X"),
         }
     return Manifest(name, space, J, d1, d2, parameters, mapping_torus)

@@ -524,14 +524,14 @@ class TrigScalar:
 
     __rmul__ = __mul__
 
-    def div_constant(self, divisor: PiScalarLike) -> "TrigScalar":
-        """Divide by a nonzero constant; raises ValueError when inexact."""
+    def div_exact(self, divisor: PiScalarLike) -> "TrigScalar | None":
+        """Exact quotient by a nonzero constant, or None when it is inexact."""
         d = PiScalar.of(divisor)
         out: dict[Wave, PiScalar] = {}
         for w, c in self._terms.items():
             q = c.div_exact(d)
             if q is None:
-                raise ValueError(f"inexact division of {c} by {d}")
+                return None
             out[w] = q
         return TrigScalar(out)
 

@@ -21,7 +21,7 @@ def numeric_directional(space: FramedSpace, v: VecField, scalar, point: dict,
         if vi == 0.0:
             continue
         for coord in space.coords:
-            d = space._deriv[i].get(coord)
+            d = space.derivation[i].get(coord)
             if d is None:
                 continue
             up = dict(point); up[coord] += h
@@ -38,17 +38,13 @@ def numeric_bracket(space: FramedSpace, v: VecField, w: VecField,
     for k in range(4):
         out[k] = numeric_directional(space, v, w.coeffs[k], point, h) \
             - numeric_directional(space, w, v.coeffs[k], point, h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            comp = space.structure_bracket(i, j)
-            if comp.is_zero():
-                continue
-            c = v.coeffs[i].evaluate(point) * w.coeffs[j].evaluate(point) \
-                - v.coeffs[j].evaluate(point) * w.coeffs[i].evaluate(point)
-            for k in range(4):
-                ck = comp.coeffs[k]
-                if not ck.is_zero():
-                    out[k] += c * ck.evaluate(point)
+    for (i, j), comp in space.structure.items():
+        c = v.coeffs[i].evaluate(point) * w.coeffs[j].evaluate(point) \
+            - v.coeffs[j].evaluate(point) * w.coeffs[i].evaluate(point)
+        for k in range(4):
+            ck = comp.coeffs[k]
+            if not ck.is_zero():
+                out[k] += c * ck.evaluate(point)
     return out
 
 

@@ -14,7 +14,6 @@ from engelcalc.catalog import (
     hyperelliptic_equivariance_check,
 )
 from engelcalc.engelcheck import (
-    IDENTITY_TOL,
     Derivation,
     j_engel_splitting,
     j_invariance_check,
@@ -23,7 +22,7 @@ from engelcalc.engelcheck import (
     nijenhuis_certificate,
     verify_engel,
 )
-from engelcalc.framecalc import VecField, nijenhuis
+from engelcalc.framecalc import IDENTITY_TOL, VecField, nijenhuis
 from engelcalc.geiges import (
     build_An,
     flat_torus_input,

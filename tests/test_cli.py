@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from engelcalc import cli
@@ -15,6 +16,7 @@ from engelcalc.manifest import dump_manifest, load_manifest, manifest_from_parts
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
+MANIFEST_SCHEMA = json.loads((ROOT / "docs" / "manifest.schema.json").read_text())
 
 
 def run_cli(*args):
@@ -116,6 +118,13 @@ HOSTILE_MANIFESTS = {
     "v_of_t_not_one": lambda: _flat_torus_manifest(V=VecField.basis(1)),
 }
 
+
+def _with_torus_vector(key, value):
+    doc = _flat_torus_manifest()
+    doc["mapping_torus"] = {**doc["mapping_torus"], key: value}
+    return doc
+
+
 _FRAME = ["a", "b", "c", "d"]
 # manifest sections of the wrong JSON type, and the section each names
 WRONG_TYPE_MANIFESTS = {
@@ -129,6 +138,17 @@ WRONG_TYPE_MANIFESTS = {
                            "'coordinates'"),
     "mapping_torus_list": ({**_flat_torus_manifest(), "mapping_torus": []},
                            "'mapping_torus'"),
+    # a vector given as a string is not read character by character
+    "distribution_row_string": ({**_flat_torus_manifest(),
+                                 "distribution": ["1000", ["0", "1", "0", "0"]]},
+                                "distribution row 0"),
+    "complex_structure_row_string": (
+        {**_flat_torus_manifest(),
+         "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                               "000-1", ["0", "0", "1", "0"]]},
+        "complex_structure row 2"),
+    "mapping_torus_v_string": (_with_torus_vector("V", "1000"), "mapping_torus.V"),
+    "mapping_torus_x_string": (_with_torus_vector("X", "0010"), "mapping_torus.X"),
 }
 
 
@@ -171,6 +191,13 @@ def test_wrong_section_type_diagnostics(tmp_path, capsys, verb, manifest):
     assert str(exc.value.code).startswith("error: malformed manifest")
     assert section in exc.value.code
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("manifest", WRONG_TYPE_MANIFESTS)
+def test_manifest_schema_rejects_each_wrong_type(manifest):
+    doc, _ = WRONG_TYPE_MANIFESTS[manifest]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(json.dumps(doc)), MANIFEST_SCHEMA)
 
 
 TWISTED = str(ROOT / "demos" / "manifests" / "twisted_torus.json")

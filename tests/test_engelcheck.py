@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from engelcalc import engelcheck
 from engelcalc.engelcheck import (
     DefiningForms,
     Derivation,
@@ -29,12 +30,14 @@ from engelcalc.framecalc import (
     KForm,
     VecField,
     bracket,
+    det_of_fields,
     exterior_derivative,
     minors_of_fields,
     wedge,
 )
 from engelcalc.catalog import FAMILIES, build_family
-from engelcalc.trigring import parse
+from engelcalc.laws import _law_space, _random_scalar
+from engelcalc.trigring import Frequency, parse
 
 from oracles import numeric_matrix, random_points
 
@@ -96,6 +99,44 @@ def test_characteristic_inoue_spm_hand_value():
     flag = verify_engel(spec.d1, spec.d2, spec.space)
     w = characteristic_foliation(flag, spec.space)
     assert all(m.is_zero() for m in minors_of_fields([w, VecField.of(1, 0, 0, 1)]))
+
+
+def _graph_fields(seed):
+    """Seeded random D = <E1 + a E3 + b E4, E2 + c E3 + d E4> on the law-suite space."""
+    space = _law_space()
+    # the law-suite frequencies mix 1 and pi; sample over [0, 2 pi) in each
+    space.periods.update(t=Frequency.of(0, 2), x=Frequency.of(0, 2))
+    rng = random.Random(seed)
+    a, b, c, d = (_random_scalar(rng, space.coords) for _ in range(4))
+    return VecField.of(1, 0, a, b), VecField.of(0, 1, c, d), space
+
+
+def _assert_flag_matches_determinants(monkeypatch, d1, d2, space):
+    # the flag reads alpha and its pairings off the rank-E minors; the
+    # 4x4 determinants with a basis or a bracket column stay as the reference
+    def no_determinant(fields):
+        raise AssertionError("the flag took a 4x4 determinant")
+
+    monkeypatch.setattr(engelcheck, "det_of_fields", no_determinant)
+    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    e3 = flag.e3
+    for i in range(4):
+        assert flag.alpha.component((i,)) == \
+            det_of_fields([d1, d2, e3, VecField.basis(i)]), i
+    assert flag.alpha == annihilating_form(d1, d2, e3)
+    assert flag.pairings == tuple(det_of_fields([d1, d2, e3, bracket(d, e3, space)])
+                                  for d in (d1, d2))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_flag_alpha_and_pairings_are_the_determinants(monkeypatch, name):
+    spec = family(name)
+    _assert_flag_matches_determinants(monkeypatch, spec.d1, spec.d2, spec.space)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flag_alpha_and_pairings_on_random_fields(monkeypatch, seed):
+    _assert_flag_matches_determinants(monkeypatch, *_graph_fields(seed))
 
 
 @pytest.mark.parametrize("name", FAMILIES)

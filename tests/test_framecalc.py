@@ -18,6 +18,8 @@ from engelcalc.framecalc import (
     nijenhuis,
     wedge,
 )
+from engelcalc.catalog import FAMILIES, build_family
+from engelcalc.manifest import space_from_json, space_to_json
 from engelcalc.trigring import parse
 
 from oracles import (
@@ -311,6 +313,34 @@ def test_global_rank_submaximal_family():
 def test_global_rank_rejects_empty():
     with pytest.raises(ValueError):
         global_rank([], FramedSpace())
+
+
+# -- frame tables -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_structure_table_holds_the_nonzero_brackets(name):
+    space = build_family(name).space
+    brackets = {(i, j): bracket(VecField.basis(i), VecField.basis(j), space)
+                for i, j in itertools.combinations(range(4), 2)}
+    assert space.structure == {k: v for k, v in brackets.items() if not v.is_zero()}
+    assert list(space.structure) == sorted(space.structure)
+    for (i, j), v in brackets.items():
+        assert space.structure_bracket(i, j) == v
+        assert space.structure_bracket(j, i) == -v
+    again = space_from_json(space_to_json(space))
+    assert again.structure == space.structure
+    assert again.derivation == space.derivation
+
+
+def test_structure_table_in_index_order_and_shared_constants():
+    space = hopf_space()  # given as (0, 1), (1, 2), (0, 2)
+    assert list(space.structure) == [(0, 1), (0, 2), (1, 2)]
+    assert space.structure_bracket(3, 3) is VecField.zero()
+    assert space.structure_bracket(0, 3) is VecField.zero()
+    assert VecField.basis(2) is VecField.basis(2) == VecField.of(0, 0, 1, 0)
+    assert VecField.zero() == VecField.of(0, 0, 0, 0)
+    assert all(not row for row in space.derivation)
 
 
 # -- space validation --------------------------------------------------------------

@@ -96,13 +96,13 @@ def test_shift_substitution():
 
 def test_division_by_constants():
     s = parse("2*pi*cos(t)")
-    assert s.div_constant(PiScalar.from_pairs([(1, 2)])) == parse("cos(t)")
+    assert s.div_exact(PiScalar.from_pairs([(1, 2)])) == parse("cos(t)")
     # pi-monomials are units of the Laurent ring, so this is exact
-    q = parse("(1 + pi)*cos(t)").div_constant(PiScalar.from_pairs([(1, 1)]))
+    q = parse("(1 + pi)*cos(t)").div_exact(PiScalar.from_pairs([(1, 1)]))
     assert q == parse("(pi^-1 + 1)*cos(t)")
     # but a non-monomial constant need not divide
-    with pytest.raises(ValueError):
-        parse("(1 + pi)*cos(t)").div_constant(PiScalar.from_pairs([(0, 1), (1, -1)]))
+    assert parse("(1 + pi)*cos(t)").div_exact(
+        PiScalar.from_pairs([(0, 1), (1, -1)])) is None
     assert PiScalar.from_pairs([(2, 4)]).div_exact(
         PiScalar.from_pairs([(1, 2)])) == PiScalar.from_pairs([(1, 2)])
 
