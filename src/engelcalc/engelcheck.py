@@ -261,6 +261,17 @@ def characteristic_foliation(
     Writing W = l1 D1 + l2 D2, the constraint alpha([W, E3]) = 0 is pointwise
     linear with coefficients u_i = alpha([D_i, E3]), the flag's ``pairings``,
     so W = -u2 D1 + u1 D2; the Engel certificate keeps them from both vanishing.
+
+    [W, E] lies in E when alpha([W, X]) vanishes for X = D1, D2, E3.  The
+    Leibniz rule [l D, X] = l [D, X] - X(l) D and the linearity of alpha give
+
+        alpha([W, X]) = l1 alpha([D1, X]) + l2 alpha([D2, X])
+                        - X(l1) alpha(D1) - X(l2) alpha(D2),
+
+    where alpha([D_i, D_i]) = 0, alpha([D1, D2]) = alpha(E3) and
+    alpha([D_i, E3]) = u_i.  So no bracket is taken, and X(l_i) only where
+    alpha(D_i) is not identically zero.  The precondition is that
+    ``pairings`` are alpha([D_i, E3]) exactly, as ``verify_engel`` sets them.
     """
     if not flag.passed:
         raise PreconditionError("characteristic foliation needs a certified flag")
@@ -269,8 +280,17 @@ def characteristic_foliation(
     if u1.is_zero() and u2.is_zero():
         raise VerificationError("characteristic direction undetermined: "
                                 "both defining coefficients vanish identically")
-    w = flag.d1.scale(-u2) + flag.d2.scale(u1)
-    residuals = [alpha(bracket(w, e, space)) for e in (flag.d1, flag.d2, flag.e3)]
+    l1, l2 = -u2, u1
+    w = flag.d1.scale(l1) + flag.d2.scale(l2)
+    gens = (flag.d1, flag.d2, flag.e3)
+    on_d1, on_d2, on_e3 = (alpha(x) for x in gens)
+    top = (-(l2 * on_e3), l1 * on_e3, l1 * u1 + l2 * u2)
+    residuals = []
+    for x, r in zip(gens, top):
+        for l, on_d in ((l1, on_d1), (l2, on_d2)):
+            if not on_d.is_zero():
+                r = r - space.apply(x, l) * on_d
+        residuals.append(r)
     cert = certify_vanishing(residuals, space, grid,
                              note="alpha([W, E-generators])")
     if not cert.passed:

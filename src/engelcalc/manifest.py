@@ -19,11 +19,14 @@ __all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts",
            "SECTION_TYPES"]
 
 # The JSON type of each manifest section, as in docs/manifest.schema.json;
-# "derivation/*" stands for each row of the derivation section.
+# "frame/*" stands for each entry of the frame, "derivation/*" for each row
+# of the derivation section, and "mapping_torus/coordinate" for that member.
 SECTION_TYPES = {
     "name": "string",
     "frame": "array",
+    "frame/*": "string",
     "coordinates": "array",
+    "coordinates/*": "string",
     "structure": "object",
     "derivation": "object",
     "derivation/*": "object",
@@ -32,6 +35,7 @@ SECTION_TYPES = {
     "distribution": "array",
     "parameters": "object",
     "mapping_torus": "object",
+    "mapping_torus/coordinate": "string",
 }
 _PY_TYPES = {"string": str, "array": list, "object": Mapping}
 
@@ -83,23 +87,33 @@ def space_to_json(space: FramedSpace) -> dict:
 
 
 def space_from_json(obj: Mapping, name: str = "") -> FramedSpace:
-    frame = [str(f) for f in obj["frame"]]
+    frame = list(obj["frame"])
     index = {f: i for i, f in enumerate(frame)}
+
+    def frame_index(fname: str, where: str) -> int:
+        if fname not in index:
+            raise ValueError(f"{where} is not in the frame {frame}")
+        return index[fname]
+
     structure = {}
     for key, comps in obj.get("structure", {}).items():
-        a, b = (s.strip() for s in key.split(","))
-        i, j = index[a], index[b]
+        names = [f.strip() for f in key.split(",")]
+        if len(names) != 2:
+            raise ValueError(f"structure key {key!r} must be two frame names "
+                             f"joined by one comma, from the frame {frame}")
+        i, j = (frame_index(f, f"{f!r} in structure key {key!r}") for f in names)
         if i > j:
             raise ValueError(f"structure key {key!r} must list frame names in order")
         structure[(i, j)] = [parse(str(c)) for c in comps]
     derivation = {}
     for fname, row in obj.get("derivation", {}).items():
+        i = frame_index(fname, f"derivation row {fname!r}")
         for coord, s in row.items():
-            derivation[(index[fname], coord)] = parse(str(s))
+            derivation[(i, coord)] = parse(str(s))
     periods = {c: Frequency.from_json(p) for c, p in obj.get("periods", {}).items()}
     return FramedSpace(
         frame=frame,
-        coords=[str(c) for c in obj.get("coordinates", [])],
+        coords=list(obj.get("coordinates", [])),
         structure=structure,
         derivation=derivation,
         periods=periods or None,
@@ -137,15 +151,22 @@ def dump_manifest(doc: Mapping) -> str:
 
 
 def _check_section_types(doc: Mapping) -> None:
-    """Raise ValueError naming the first section of the wrong JSON type."""
+    """Raise ValueError naming the first section or entry of the wrong JSON type."""
     for key, kind in SECTION_TYPES.items():
-        section, _, each = key.partition("/")
+        section, _, member = key.partition("/")
         if section not in doc:
             continue
-        values = doc[section].items() if each else [(None, doc[section])]
-        for row, value in values:
-            if not isinstance(value, _PY_TYPES[kind]):
-                where = f"{section} row {row!r}" if each else f"section {section!r}"
+        value = doc[section]
+        if not member:
+            values = [(f"section {section!r}", value)]
+        elif member != "*":
+            values = [(f"{section}.{member}", value[member])] if member in value else []
+        elif isinstance(value, Mapping):
+            values = [(f"{section} row {row!r}", v) for row, v in value.items()]
+        else:
+            values = [(f"{section} entry {k}", v) for k, v in enumerate(value)]
+        for where, v in values:
+            if not isinstance(v, _PY_TYPES[kind]):
                 raise ValueError(f"{where} must be a JSON {kind}")
 
 
@@ -179,7 +200,7 @@ def load_manifest(doc: Mapping | str) -> Manifest:
     if "mapping_torus" in doc:
         mt = doc["mapping_torus"]
         mapping_torus = {
-            "coordinate": str(mt["coordinate"]),
+            "coordinate": mt["coordinate"],
             "V": _vec_from_json(mt["V"], "mapping_torus.V"),
             "X": _vec_from_json(mt["X"], "mapping_torus.X"),
         }

@@ -2,14 +2,20 @@
 
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
-code paths they are checking.
+code paths they are checking.  The one exception, ``direct_w_residuals``, is
+the exact expansion that a shortcut in the code replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from engelcalc.framecalc import FramedSpace, VecField
+from engelcalc.framecalc import FramedSpace, VecField, bracket
+
+
+def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
+    """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
+    return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
 
 
 def numeric_directional(space: FramedSpace, v: VecField, scalar, point: dict,

@@ -149,7 +149,28 @@ WRONG_TYPE_MANIFESTS = {
         "complex_structure row 2"),
     "mapping_torus_v_string": (_with_torus_vector("V", "1000"), "mapping_torus.V"),
     "mapping_torus_x_string": (_with_torus_vector("X", "0010"), "mapping_torus.X"),
+    # names are JSON strings, not coerced to one
+    "frame_numbers": ({"frame": [1, 2, 3, 4]}, "frame entry 0"),
+    "coordinate_number": ({"frame": _FRAME, "coordinates": ["x", 2]},
+                          "coordinates entry 1"),
+    "mapping_torus_coordinate_number": (_with_torus_vector("coordinate", 0),
+                                        "mapping_torus.coordinate"),
+    "structure_key_without_comma": (
+        {"frame": _FRAME, "structure": {"ab": ["0", "0", "0", "0"]}},
+        "structure key 'ab'"),
+    "structure_key_two_commas": (
+        {"frame": _FRAME, "structure": {"a,b,c": ["0", "0", "0", "0"]}},
+        "structure key 'a,b,c'"),
 }
+# names outside the frame, which the schema cannot see
+OUTSIDE_FRAME_MANIFESTS = {
+    "structure_key_outside_frame": (
+        {"frame": _FRAME, "structure": {"a,z": ["0", "0", "0", "0"]}},
+        "'z' in structure key 'a,z' is not in the frame"),
+    "derivation_row_outside_frame": (
+        {"frame": _FRAME, "derivation": {"z": {}}}, "derivation row 'z' is not in the frame"),
+}
+MALFORMED_MANIFESTS = {**WRONG_TYPE_MANIFESTS, **OUTSIDE_FRAME_MANIFESTS}
 
 
 DIAGNOSTICS = [
@@ -180,9 +201,9 @@ def test_malformed_manifest_diagnostics(tmp_path, verb, manifest, expected):
 
 
 @pytest.mark.parametrize("verb", ("verify", "geiges"))
-@pytest.mark.parametrize("manifest", WRONG_TYPE_MANIFESTS)
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS)
 def test_wrong_section_type_diagnostics(tmp_path, capsys, verb, manifest):
-    doc, section = WRONG_TYPE_MANIFESTS[manifest]
+    doc, section = MALFORMED_MANIFESTS[manifest]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     args = [str(path)] if verb == "verify" else ["--input", str(path), "--nmax", "1"]
@@ -190,6 +211,8 @@ def test_wrong_section_type_diagnostics(tmp_path, capsys, verb, manifest):
         main([verb, *args])
     assert str(exc.value.code).startswith("error: malformed manifest")
     assert section in exc.value.code
+    if manifest in OUTSIDE_FRAME_MANIFESTS:
+        assert str(_FRAME) in exc.value.code
     assert capsys.readouterr().out == ""
 
 
@@ -339,6 +362,31 @@ def test_each_top_pairing_bracketed_once_per_target(monkeypatch):
     monkeypatch.setattr(engelcheck, "bracket", counting)
     assert run_verify("hopf_s3r").overall == "PASS"
     assert calls == dict.fromkeys(pairs, 1)
+
+
+def test_characteristic_foliation_takes_no_bracket(monkeypatch):
+    from engelcalc import engelcheck
+
+    inside = []
+    calls = {"characteristic_foliation": 0, "bracket": 0}
+    stage, bracket_of = engelcheck.characteristic_foliation, engelcheck.bracket
+
+    def counting_stage(*args, **kwargs):
+        calls["characteristic_foliation"] += 1
+        inside.append(True)
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_bracket(*args):
+        calls["bracket"] += bool(inside)
+        return bracket_of(*args)
+
+    monkeypatch.setattr(engelcheck, "characteristic_foliation", counting_stage)
+    monkeypatch.setattr(engelcheck, "bracket", counting_bracket)
+    assert run_verify("hopf_s3r").overall == "PASS"
+    assert calls == {"characteristic_foliation": 1, "bracket": 0}
 
 
 def test_splitting_uses_the_run_tolerance(tmp_path):

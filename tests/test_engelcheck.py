@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -30,6 +31,7 @@ from engelcalc.framecalc import (
     KForm,
     VecField,
     bracket,
+    certify_vanishing,
     det_of_fields,
     exterior_derivative,
     minors_of_fields,
@@ -37,9 +39,10 @@ from engelcalc.framecalc import (
 )
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.laws import _law_space, _random_scalar
+from engelcalc.manifest import load_manifest
 from engelcalc.trigring import Frequency, parse
 
-from oracles import numeric_matrix, random_points
+from oracles import direct_w_residuals, numeric_matrix, random_points
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
 
@@ -168,6 +171,88 @@ def test_characteristic_requires_certified_flag():
     flag = verify_engel(VecField.basis(0), VecField.basis(1), space)
     with pytest.raises(PreconditionError):
         characteristic_foliation(flag, space)
+
+
+def _no_bracket(*args):
+    raise AssertionError("characteristic_foliation took a bracket")
+
+
+def _forbid_bracket_and_record(monkeypatch):
+    # the residuals come from alpha and the pairings by the Leibniz rule; the
+    # direct expansion alpha([W, X]) stays as the reference
+    seen = []
+
+    def recording(scalars, *args, **kwargs):
+        seen.append(list(scalars))
+        return certify_vanishing(scalars, *args, **kwargs)
+
+    monkeypatch.setattr(engelcheck, "bracket", _no_bracket)
+    monkeypatch.setattr(engelcheck, "certify_vanishing", recording)
+    return seen
+
+
+def _assert_w_residuals_match_direct_expansion(monkeypatch, flag, space):
+    seen = _forbid_bracket_and_record(monkeypatch)
+    w = characteristic_foliation(flag, space, grid=3)
+    assert seen == [direct_w_residuals(flag, w, space)]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_w_residuals_match_direct_expansion(monkeypatch, name):
+    spec = family(name)
+    flag = verify_engel(spec.d1, spec.d2, spec.space)
+    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, spec.space)
+
+
+def test_w_residuals_match_direct_expansion_on_rescaled_torus(monkeypatch):
+    # D = <f*D1, D2> on the coordinate torus with f = 2 + cos(2 pi (y1 - x2)),
+    # the shape of the benchmark's sampled manifests: u1 depends on f and
+    # u2 vanishes, so W runs along D2
+    f = "(2 + cos(2*pi*y1 - 2*pi*x2))"
+    theta = "2*pi*x1"
+    coords = ["x1", "y1", "x2", "y2"]
+    man = load_manifest({
+        "frame": ["dx1", "dy1", "dx2", "dy2"],
+        "coordinates": coords,
+        "derivation": {f"d{c}": {c: "1"} for c in coords},
+        "distribution": [[f, "0", f"{f}*sin({theta})", f"-{f}*cos({theta})"],
+                         ["0", "1", f"cos({theta})", f"sin({theta})"]],
+    })
+    flag = verify_engel(man.d1, man.d2, man.space, grid=5)
+    assert flag.passed
+    u1, u2 = flag.pairings
+    assert u1.constant_value() is None and u2.is_zero()
+    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, man.space)
+
+
+# seeds whose flag passes with two nonconstant pairings of at most 36 terms
+@pytest.mark.parametrize("seed", (2, 3, 7, 9))
+def test_w_residuals_match_direct_expansion_on_random_fields(monkeypatch, seed):
+    d1, d2, space = _graph_fields(seed)
+    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    assert flag.passed
+    assert all(u.constant_value() is None for u in flag.pairings)
+    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, space)
+
+
+@pytest.mark.parametrize("name", ("hopf_s3r", "graph"))
+def test_characteristic_rejects_alpha_that_misses_e(monkeypatch, name):
+    # the residuals read alpha on D1, D2 and E3 rather than assume it is zero
+    if name == "graph":
+        d1, d2, space = _graph_fields(3)
+    else:
+        spec = family(name)
+        d1, d2, space = spec.d1, spec.d2, spec.space
+    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    off_e = dataclasses.replace(flag, alpha=flag.alpha + KForm.coframe(0))
+    seen = _forbid_bracket_and_record(monkeypatch)
+    with pytest.raises(VerificationError, match=r"\[W, E\] does not stay in E"):
+        characteristic_foliation(off_e, space, grid=3)
+    # along D1 and D2 the Leibniz form holds for any alpha; only the E3
+    # residual reads the pairings, which belong to the true alpha
+    u1, u2 = flag.pairings
+    w = d1.scale(-u2) + d2.scale(u1)
+    assert seen[0][:2] == direct_w_residuals(off_e, w, space)[:2]
 
 
 # -- J-invariance / framings ---------------------------------------------------------

@@ -60,15 +60,34 @@ def test_section_types_agree_with_manifest_schema():
     props = MANIFEST_SCHEMA["properties"]
     expected = {key: spec["type"] for key, spec in props.items()}
     expected["derivation/*"] = props["derivation"]["additionalProperties"]["type"]
+    expected["frame/*"] = props["frame"]["items"]["type"]
+    expected["coordinates/*"] = props["coordinates"]["items"]["type"]
+    expected["mapping_torus/coordinate"] = \
+        props["mapping_torus"]["properties"]["coordinate"]["type"]
     assert SECTION_TYPES == expected
+
+
+def _with_wrong_type(key):
+    """A manifest that is valid but for the JSON type at ``key``."""
+    section, _, member = key.partition("/")
+    wrong = 7 if SECTION_TYPES[key] == "string" else "7"
+    doc = {"frame": ["a", "b", "c", "d"]}
+    if not member:
+        doc[section] = wrong
+    elif member != "*":
+        vector = ["0", "0", "0", "0"]
+        doc[section] = {"coordinate": "x", "V": vector, "X": vector, member: wrong}
+    elif SECTION_TYPES[section] == "array":
+        doc[section] = [wrong] * 4
+    else:
+        doc[section] = {"a": wrong}
+    return doc
 
 
 @pytest.mark.parametrize("key", SECTION_TYPES)
 def test_schema_and_loader_reject_each_wrong_section_type(key):
-    section, _, each = key.partition("/")
-    wrong = 7 if SECTION_TYPES[key] == "string" else "7"
-    doc = {"frame": ["a", "b", "c", "d"],
-           section: {"a": wrong} if each else wrong}
+    section = key.partition("/")[0]
+    doc = _with_wrong_type(key)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, MANIFEST_SCHEMA)
     with pytest.raises(ValueError, match=f"{section}.* must be a JSON"):
