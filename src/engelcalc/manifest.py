@@ -16,11 +16,12 @@ from .framecalc import ComplexStructure, FramedSpace, VecField
 from .trigring import Frequency, parse, rat
 
 __all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts",
-           "SECTION_TYPES"]
+           "SECTION_TYPES", "REQUIRED_MEMBERS"]
 
-# The JSON type of each manifest section, as in docs/manifest.schema.json;
-# "frame/*" stands for each entry of the frame, "derivation/*" for each row
-# of the derivation section, and "mapping_torus/coordinate" for that member.
+# The JSON type of each manifest member, as in docs/manifest.schema.json.  A
+# key is a path of member names from the top of the document: "*" stands for
+# every entry of an array or every row of an object, so "distribution/*/*"
+# is each scalar of each distribution row.  Parents come before children.
 SECTION_TYPES = {
     "name": "string",
     "frame": "array",
@@ -28,15 +29,33 @@ SECTION_TYPES = {
     "coordinates": "array",
     "coordinates/*": "string",
     "structure": "object",
+    "structure/*": "array",
+    "structure/*/*": "string",
     "derivation": "object",
     "derivation/*": "object",
+    "derivation/*/*": "string",
     "periods": "object",
+    "periods/*": "object",
+    "periods/*/rat": "string",
+    "periods/*/pi": "string",
     "complex_structure": "array",
+    "complex_structure/*": "array",
+    "complex_structure/*/*": "string",
     "distribution": "array",
+    "distribution/*": "array",
+    "distribution/*/*": "string",
     "parameters": "object",
+    "parameters/*": "string",
     "mapping_torus": "object",
     "mapping_torus/coordinate": "string",
+    "mapping_torus/V": "array",
+    "mapping_torus/V/*": "string",
+    "mapping_torus/X": "array",
+    "mapping_torus/X/*": "string",
 }
+# the members the schema requires, as paths of the same form
+REQUIRED_MEMBERS = ("frame", "periods/*/rat", "periods/*/pi",
+                    "mapping_torus/coordinate", "mapping_torus/V", "mapping_torus/X")
 _PY_TYPES = {"string": str, "array": list, "object": Mapping}
 
 
@@ -55,15 +74,8 @@ def _vec_to_json(v: VecField) -> list[str]:
     return [str(c) for c in v.coeffs]
 
 
-def _row_from_json(row, where: str) -> list:
-    """The parsed scalars of a JSON array; a string is not read as one."""
-    if not isinstance(row, list):
-        raise ValueError(f"{where} must be a JSON array")
-    return [parse(str(c)) for c in row]
-
-
-def _vec_from_json(row, where: str) -> VecField:
-    return VecField.of(*_row_from_json(row, where))
+def _vec_from_json(row: list[str]) -> VecField:
+    return VecField.of(*map(parse, row))
 
 
 def space_to_json(space: FramedSpace) -> dict:
@@ -104,12 +116,12 @@ def space_from_json(obj: Mapping, name: str = "") -> FramedSpace:
         i, j = (frame_index(f, f"{f!r} in structure key {key!r}") for f in names)
         if i > j:
             raise ValueError(f"structure key {key!r} must list frame names in order")
-        structure[(i, j)] = [parse(str(c)) for c in comps]
+        structure[(i, j)] = [parse(c) for c in comps]
     derivation = {}
     for fname, row in obj.get("derivation", {}).items():
         i = frame_index(fname, f"derivation row {fname!r}")
         for coord, s in row.items():
-            derivation[(i, coord)] = parse(str(s))
+            derivation[(i, coord)] = parse(s)
     periods = {c: Frequency.from_json(p) for c, p in obj.get("periods", {}).items()}
     return FramedSpace(
         frame=frame,
@@ -150,58 +162,79 @@ def dump_manifest(doc: Mapping) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _check_section_types(doc: Mapping) -> None:
-    """Raise ValueError naming the first section or entry of the wrong JSON type."""
+def _members(doc: Mapping, path: str) -> list[tuple[str, object]]:
+    """``(where, value)`` of each member of ``doc`` at ``path``.
+
+    ``where`` names the member for a diagnostic: a top-level section by its
+    name, a named member as ``section.member``, and an entry of an array or
+    object as a ``row`` when it is itself an array or object and as an
+    ``entry`` when it is a string.  Members under a value of the wrong JSON
+    type are not visited.
+    """
+    section, *parts = path.split("/")
+    found = [(section, doc[section])] if section in doc else []
+    prefix = section
+    for part in parts:
+        prefix = f"{prefix}/{part}"
+        label = "entry" if SECTION_TYPES.get(prefix) == "string" else "row"
+        deeper: list[tuple[str, object]] = []
+        for where, value in found:
+            if part == "*" and isinstance(value, Mapping):
+                deeper += [(f"{where} {label} {k!r}", v) for k, v in value.items()]
+            elif part == "*" and isinstance(value, list):
+                deeper += [(f"{where} {label} {k}", v) for k, v in enumerate(value)]
+            elif isinstance(value, Mapping) and part in value:
+                deeper.append((f"{where}.{part}", value[part]))
+        found = deeper
+    return found
+
+
+def _check_members(doc: Mapping) -> None:
+    """Raise ValueError naming the first member of the wrong JSON type, or
+    else the first required member that is missing."""
     for key, kind in SECTION_TYPES.items():
-        section, _, member = key.partition("/")
-        if section not in doc:
-            continue
-        value = doc[section]
-        if not member:
-            values = [(f"section {section!r}", value)]
-        elif member != "*":
-            values = [(f"{section}.{member}", value[member])] if member in value else []
-        elif isinstance(value, Mapping):
-            values = [(f"{section} row {row!r}", v) for row, v in value.items()]
-        else:
-            values = [(f"{section} entry {k}", v) for k, v in enumerate(value)]
-        for where, v in values:
-            if not isinstance(v, _PY_TYPES[kind]):
+        for where, value in _members(doc, key):
+            if not isinstance(value, _PY_TYPES[kind]):
+                if "/" not in key:
+                    where = f"section {where!r}"
                 raise ValueError(f"{where} must be a JSON {kind}")
+    for key in REQUIRED_MEMBERS:
+        parent, _, member = key.rpartition("/")
+        owners = _members(doc, parent) if parent else [("the manifest", doc)]
+        for where, owner in owners:
+            if member not in owner:
+                raise ValueError(f"{where} has no member {member!r}")
 
 
 def load_manifest(doc: Mapping | str) -> Manifest:
     """Parse a manifest document (dict or JSON text) into exact objects.
 
-    The JSON type of each section is checked against ``SECTION_TYPES``
-    before anything is parsed, and each vector row is checked to be an array
-    as it is read.
+    The JSON type of each member is checked against ``SECTION_TYPES``, and
+    the presence of each of ``REQUIRED_MEMBERS``, before anything is parsed.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, Mapping):
         raise ValueError("a manifest must be a JSON object")
-    _check_section_types(doc)
-    name = str(doc.get("name", ""))
+    _check_members(doc)
+    name = doc.get("name", "")
     space = space_from_json(doc, name=name)
     J = None
     if "complex_structure" in doc:
-        J = ComplexStructure([_row_from_json(row, f"complex_structure row {k}")
-                              for k, row in enumerate(doc["complex_structure"])])
+        J = ComplexStructure([list(map(parse, row)) for row in doc["complex_structure"]])
     d1 = d2 = None
     if "distribution" in doc:
         rows = doc["distribution"]
         if len(rows) != 2:
             raise ValueError("distribution must list exactly two generators")
-        d1, d2 = (_vec_from_json(row, f"distribution row {k}")
-                  for k, row in enumerate(rows))
-    parameters = {k: rat(str(v)) for k, v in doc.get("parameters", {}).items()}
+        d1, d2 = map(_vec_from_json, rows)
+    parameters = {k: rat(v) for k, v in doc.get("parameters", {}).items()}
     mapping_torus = None
     if "mapping_torus" in doc:
         mt = doc["mapping_torus"]
         mapping_torus = {
             "coordinate": mt["coordinate"],
-            "V": _vec_from_json(mt["V"], "mapping_torus.V"),
-            "X": _vec_from_json(mt["X"], "mapping_torus.X"),
+            "V": _vec_from_json(mt["V"]),
+            "X": _vec_from_json(mt["X"]),
         }
     return Manifest(name, space, J, d1, d2, parameters, mapping_torus)

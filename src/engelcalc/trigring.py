@@ -10,6 +10,12 @@ ring Q[pi, 1/pi].  (Plain rationals are not closed under differentiation:
 d/dt sin(pi*t) = pi*cos(pi*t) pushes pi into the coefficient, and products of
 such coefficients push in higher powers.)
 
+Both are stored as reduced ints, and sums, products and derivatives run on
+them alone: a ``Frequency`` is the four ints ``(rat_num, rat_den, pi_num,
+pi_den)``, and a ``PiScalar`` coefficient a sorted tuple of ``(exp, num,
+den)`` triples.  A coefficient's hash is that of its ``(exp, Fraction)``
+pairs, which ``PiScalar.items()`` still gives.
+
 Values are kept in a canonical normal form at all times:
 
 * products of waves are expanded by product-to-sum before storage,
@@ -51,7 +57,6 @@ RationalLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 def rat(x: RationalLike) -> Fraction:
@@ -136,7 +141,10 @@ class Frequency(tuple):
         return Frequency(self.rat * q, self.pi * q)
 
     def as_coeff(self) -> "PiScalar":
-        return PiScalar.from_pairs([(0, self.rat), (1, self.pi)])
+        rn, rd, pn, pd = self
+        if not pn:
+            return PiScalar._raw(((0, rn, rd),) if rn else ())
+        return PiScalar._raw(((0, rn, rd), (1, pn, pd)) if rn else ((1, pn, pd),))
 
     def value(self) -> float:
         # float(Fraction(n, d)) is n / d, so this rounds as the Fractions did
@@ -166,62 +174,70 @@ def _freq_is_negative(f: Frequency) -> bool:
 
 
 class PiScalar:
-    """Exact element of Q[pi, 1/pi], stored as sorted (exponent, coeff) pairs."""
+    """Exact element of Q[pi, 1/pi]: a sum of ``num/den * pi**exp``.
+
+    Stored as a tuple of ``(exp, num, den)`` int triples sorted by exponent,
+    each ``num/den`` in lowest terms with ``den > 0`` and ``num != 0``, so
+    equal values have equal triples and ``__eq__`` is tuple equality.  Sums
+    and products run on these ints (``_qadd``, ``_qmul``); only the rare
+    ``div_exact`` long-divides Fractions, and no Fraction is stored.
+    ``items()`` gives the ``(exp, Fraction)`` pairs, and the hash is
+    ``hash(tuple(items()))``, so every dict and set layout is that of the
+    Fraction pairs.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
-        acc: dict[int, Fraction] = {}
-        for e, c in terms:
-            c = acc.get(e, _ZERO) + c
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
-        self._terms: tuple[tuple[int, Fraction], ...] = tuple(sorted(acc.items()))
+    def __init__(self, terms: Iterable[tuple[int, RationalLike]] = ()):
+        pairs = [(e, rat(c)) for e, c in terms]
+        self._terms: tuple[tuple[int, int, int], ...] = _collect(
+            (e, q.numerator, q.denominator) for e, q in pairs)
 
     @staticmethod
-    def _raw(terms: tuple[tuple[int, Fraction], ...]) -> "PiScalar":
+    def _raw(terms: tuple[tuple[int, int, int], ...]) -> "PiScalar":
         out = object.__new__(PiScalar)
         out._terms = terms
         return out
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, RationalLike]]) -> "PiScalar":
-        return PiScalar((e, rat(c)) for e, c in pairs)
+        return PiScalar(pairs)
 
     @staticmethod
     def of(x: "PiScalarLike") -> "PiScalar":
         if isinstance(x, PiScalar):
             return x
         q = rat(x)
-        return PiScalar._raw(((0, q),) if q else ())
+        return PiScalar._raw(((0, q.numerator, q.denominator),) if q else ())
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._terms
+        return tuple((e, Fraction(n, d)) for e, n, d in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "PiScalarLike") -> "PiScalar":
-        other = PiScalar.of(other)
+        if not isinstance(other, PiScalar):
+            other = PiScalar.of(other)
         a, b = self._terms, other._terms
         if not a:
             return other
         if not b:
             return self
         # merge two short sorted runs
-        out: list[tuple[int, Fraction]] = []
+        out: list[tuple[int, int, int]] = []
         i = j = 0
         while i < len(a) and j < len(b):
-            if a[i][0] < b[j][0]:
+            ea, na, da = a[i]
+            eb, nb, db = b[j]
+            if ea < eb:
                 out.append(a[i]); i += 1
-            elif a[i][0] > b[j][0]:
+            elif ea > eb:
                 out.append(b[j]); j += 1
             else:
-                c = a[i][1] + b[j][1]
-                if c:
-                    out.append((a[i][0], c))
+                n, d = _qadd(na, da, nb, db)
+                if n:
+                    out.append((ea, n, d))
                 i += 1; j += 1
         out.extend(a[i:]); out.extend(b[j:])
         return PiScalar._raw(tuple(out))
@@ -229,7 +245,7 @@ class PiScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar._raw(tuple((e, -c) for e, c in self._terms))
+        return PiScalar._raw(tuple((e, -n, d) for e, n, d in self._terms))
 
     def __sub__(self, other: "PiScalarLike") -> "PiScalar":
         return self + (-PiScalar.of(other))
@@ -238,13 +254,16 @@ class PiScalar:
         return PiScalar.of(other) - self
 
     def __mul__(self, other: "PiScalarLike") -> "PiScalar":
-        other = PiScalar.of(other)
+        if not isinstance(other, PiScalar):
+            other = PiScalar.of(other)
         a, b = self._terms, other._terms
         if not a or not b:
-            return PiScalar._raw(())
+            return _PI_ZERO
         if len(a) == 1 and len(b) == 1:
-            return PiScalar._raw(((a[0][0] + b[0][0], a[0][1] * b[0][1]),))
-        return PiScalar((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
+            (e1, n1, d1), (e2, n2, d2) = a[0], b[0]
+            return PiScalar._raw(((e1 + e2, *_qmul(n1, d1, n2, d2)),))
+        return PiScalar._raw(_collect((e1 + e2, *_qmul(n1, d1, n2, d2))
+                                      for e1, n1, d1 in a for e2, n2, d2 in b))
 
     __rmul__ = __mul__
 
@@ -258,8 +277,8 @@ class PiScalar:
         # shift both to ordinary polynomials and long-divide
         shift_n = self._terms[0][0]
         shift_d = d._terms[0][0]
-        num = {e - shift_n: c for e, c in self._terms}
-        den = {e - shift_d: c for e, c in d._terms}
+        num = {e - shift_n: c for e, c in self.items()}
+        den = {e - shift_d: c for e, c in d.items()}
         dd = max(den)
         lead = den[dd]
         quot: dict[int, Fraction] = {}
@@ -278,7 +297,8 @@ class PiScalar:
         return PiScalar((e + shift_n - shift_d, c) for e, c in quot.items())
 
     def evaluate(self) -> float:
-        return sum(float(c) * math.pi**e for e, c in self._terms)
+        # n / d is float(Fraction(n, d)), so this rounds as the Fractions did
+        return sum(n / d * math.pi**e for e, n, d in self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -288,23 +308,21 @@ class PiScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(self.items())
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for e, c in self._terms:
+        for e, n, d in self._terms:
             if e == 0:
-                parts.append(str(c))
+                parts.append(_qstr(n, d))
             else:
                 p = "pi" if e == 1 else f"pi^{e}"
-                if c == 1:
-                    parts.append(p)
-                elif c == -1:
-                    parts.append(f"-{p}")
+                if d == 1 and n in (1, -1):
+                    parts.append(p if n == 1 else f"-{p}")
                 else:
-                    parts.append(f"{c}*{p}")
+                    parts.append(f"{_qstr(n, d)}*{p}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -314,7 +332,32 @@ class PiScalar:
         return f"PiScalar({self})"
 
     def to_json(self) -> dict:
-        return {str(e): str(c) for e, c in self._terms}
+        return {str(e): _qstr(n, d) for e, n, d in self._terms}
+
+
+def _qmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b) * (c/d) in lowest terms, for reduced inputs with b, d > 0."""
+    g1 = math.gcd(a, d)
+    g2 = math.gcd(c, b)
+    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+
+
+def _qstr(n: int, d: int) -> str:
+    # str(Fraction(n, d)) for reduced n/d with d > 0
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _collect(triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Sum reduced ``(exp, num, den)`` triples into the stored form."""
+    acc: dict[int, tuple[int, int]] = {}
+    for e, n, d in triples:
+        prev = acc.get(e)
+        acc[e] = (n, d) if prev is None else _qadd(*prev, n, d)
+    return tuple(sorted((e, n, d) for e, (n, d) in acc.items() if n))
+
+
+_PI_ZERO = PiScalar._raw(())
+_PI_HALF = PiScalar._raw(((0, 1, 2),))
 
 
 PiScalarLike = Union[PiScalar, int, str, Fraction]
@@ -391,19 +434,20 @@ def _angle_add(w1: Wave, w2: Wave, subtract: bool = False) -> tuple[dict, Freque
     return fr, ph
 
 
-def _wave_product(w1: Wave, w2: Wave) -> list[tuple[str, dict, Frequency, Fraction]]:
-    """Product-to-sum expansion of a product of two waves."""
+def _wave_product(w1: Wave, w2: Wave) -> list[tuple[str, dict, Frequency, int]]:
+    """Product-to-sum expansion of a product of two waves: each output wave
+    with the sign of its coefficient, which is 1/2 times that sign."""
     sf, sp = _angle_add(w1, w2)
     df, dp = _angle_add(w1, w2, subtract=True)
     k1, k2 = w1[0], w2[0]
     if k1 == "c" and k2 == "c":
-        return [("c", df, dp, _HALF), ("c", sf, sp, _HALF)]
+        return [("c", df, dp, 1), ("c", sf, sp, 1)]
     if k1 == "s" and k2 == "s":
-        return [("c", df, dp, _HALF), ("c", sf, sp, -_HALF)]
+        return [("c", df, dp, 1), ("c", sf, sp, -1)]
     if k1 == "s":  # sin * cos
-        return [("s", sf, sp, _HALF), ("s", df, dp, _HALF)]
+        return [("s", sf, sp, 1), ("s", df, dp, 1)]
     # cos * sin
-    return [("s", sf, sp, _HALF), ("s", df, dp, -_HALF)]
+    return [("s", sf, sp, 1), ("s", df, dp, -1)]
 
 
 class TrigScalar:
@@ -518,8 +562,9 @@ class TrigScalar:
                 elif w2 == _CONST_WAVE:
                     out._merge(w1, c)
                 else:
-                    for kind, fr, ph, half in _wave_product(w1, w2):
-                        out._add_term(kind, fr, ph, c * half)
+                    half = c * _PI_HALF
+                    for kind, fr, ph, sign in _wave_product(w1, w2):
+                        out._add_term(kind, fr, ph, half if sign > 0 else -half)
         return out
 
     __rmul__ = __mul__

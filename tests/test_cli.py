@@ -161,6 +161,35 @@ WRONG_TYPE_MANIFESTS = {
     "structure_key_two_commas": (
         {"frame": _FRAME, "structure": {"a,b,c": ["0", "0", "0", "0"]}},
         "structure key 'a,b,c'"),
+    # scalars are JSON strings, not coerced to one
+    "distribution_numbers": ({**_flat_torus_manifest(),
+                              "distribution": [[1, 0, 0, 0], ["0", "1", "0", "0"]]},
+                             "distribution row 0 entry 0"),
+    "complex_structure_number": (
+        {**_flat_torus_manifest(),
+         "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                               ["0", "0", "0", -1], ["0", "0", "1", "0"]]},
+        "complex_structure row 2 entry 3"),
+    "mapping_torus_x_numbers": (_with_torus_vector("X", [0, 0, 1, 0]),
+                                "mapping_torus.X entry 0"),
+    "structure_number": ({"frame": _FRAME, "structure": {"a,b": ["0", 0, "0", "0"]}},
+                         "structure row 'a,b' entry 1"),
+}
+
+
+def _torus_without(key):
+    doc = _flat_torus_manifest()
+    doc["mapping_torus"] = {k: v for k, v in doc["mapping_torus"].items() if k != key}
+    return doc
+
+
+# required members left out
+MISSING_MEMBER_MANIFESTS = {
+    "frame_missing": ({"name": "x"}, "the manifest has no member 'frame'"),
+    "mapping_torus_without_coordinate": (_torus_without("coordinate"),
+                                         "mapping_torus has no member 'coordinate'"),
+    "mapping_torus_without_v": (_torus_without("V"), "mapping_torus has no member 'V'"),
+    "mapping_torus_without_x": (_torus_without("X"), "mapping_torus has no member 'X'"),
 }
 # names outside the frame, which the schema cannot see
 OUTSIDE_FRAME_MANIFESTS = {
@@ -170,7 +199,8 @@ OUTSIDE_FRAME_MANIFESTS = {
     "derivation_row_outside_frame": (
         {"frame": _FRAME, "derivation": {"z": {}}}, "derivation row 'z' is not in the frame"),
 }
-MALFORMED_MANIFESTS = {**WRONG_TYPE_MANIFESTS, **OUTSIDE_FRAME_MANIFESTS}
+MALFORMED_MANIFESTS = {**WRONG_TYPE_MANIFESTS, **MISSING_MEMBER_MANIFESTS,
+                       **OUTSIDE_FRAME_MANIFESTS}
 
 
 DIAGNOSTICS = [
@@ -221,6 +251,13 @@ def test_manifest_schema_rejects_each_wrong_type(manifest):
     doc, _ = WRONG_TYPE_MANIFESTS[manifest]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(json.loads(json.dumps(doc)), MANIFEST_SCHEMA)
+
+
+@pytest.mark.parametrize("manifest", MISSING_MEMBER_MANIFESTS)
+def test_manifest_schema_rejects_each_missing_member(manifest):
+    doc, _ = MISSING_MEMBER_MANIFESTS[manifest]
+    with pytest.raises(jsonschema.ValidationError, match="is a required property"):
+        jsonschema.validate(doc, MANIFEST_SCHEMA)
 
 
 TWISTED = str(ROOT / "demos" / "manifests" / "twisted_torus.json")

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, run_verify
 from engelcalc.geiges import flat_torus_input
 from engelcalc.manifest import (
+    REQUIRED_MEMBERS,
     SECTION_TYPES,
     dump_manifest,
     load_manifest,
@@ -56,31 +58,78 @@ def test_schema_rejects_malformed_report():
         jsonschema.validate(doc, REPORT_SCHEMA)
 
 
+def _schema_members(spec, path=()):
+    """The JSON type at each member path of a schema, and the required paths,
+    in the path form of ``SECTION_TYPES`` ("*" for each entry or row)."""
+    ref = spec.get("$ref")
+    if ref:
+        spec = MANIFEST_SCHEMA["$defs"][ref.rpartition("/")[2]]
+    types = {"/".join(path): spec["type"]} if path else {}
+    required = ["/".join((*path, m)) for m in spec.get("required", ())]
+    children = list(spec.get("properties", {}).items())
+    for key in ("items", "additionalProperties"):
+        if isinstance(spec.get(key), dict):
+            children.append(("*", spec[key]))
+    for name, sub in children:
+        sub_types, sub_required = _schema_members(sub, (*path, name))
+        types.update(sub_types)
+        required += sub_required
+    return types, required
+
+
 def test_section_types_agree_with_manifest_schema():
-    props = MANIFEST_SCHEMA["properties"]
-    expected = {key: spec["type"] for key, spec in props.items()}
-    expected["derivation/*"] = props["derivation"]["additionalProperties"]["type"]
-    expected["frame/*"] = props["frame"]["items"]["type"]
-    expected["coordinates/*"] = props["coordinates"]["items"]["type"]
-    expected["mapping_torus/coordinate"] = \
-        props["mapping_torus"]["properties"]["coordinate"]["type"]
-    assert SECTION_TYPES == expected
+    types, required = _schema_members(MANIFEST_SCHEMA)
+    assert SECTION_TYPES == types
+    assert sorted(REQUIRED_MEMBERS) == sorted(required)
+    # a parent is checked before its members
+    keys = list(SECTION_TYPES)
+    for k, key in enumerate(keys):
+        parent = key.rpartition("/")[0]
+        assert not parent or parent in keys[:k]
+
+
+# one valid value of each section, every member present
+_VALID = {
+    "name": "valid",
+    "frame": ["a", "b", "c", "d"],
+    "coordinates": ["x"],
+    "structure": {"a,b": ["0", "0", "0", "0"]},
+    "derivation": {"a": {"x": "1"}},
+    "periods": {"x": {"rat": "0", "pi": "2"}},
+    "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                          ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+    "distribution": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    "parameters": {"k": "1/2"},
+    "mapping_torus": {"coordinate": "x", "V": ["1", "0", "0", "0"],
+                      "X": ["0", "0", "1", "0"]},
+}
+
+
+def _owner(doc, path):
+    """The object or array holding the member at ``path``, and its key there;
+    "*" picks the first entry or row."""
+    *parents, last = path.split("/")
+    for part in parents:
+        doc = doc[_pick(doc, part)]
+    return doc, _pick(doc, last)
+
+
+def _pick(doc, part):
+    if part != "*":
+        return part
+    return 0 if isinstance(doc, list) else next(iter(doc))
+
+
+def test_valid_manifest_loads():
+    jsonschema.validate(_VALID, MANIFEST_SCHEMA)
+    assert load_manifest(_VALID).name == "valid"
 
 
 def _with_wrong_type(key):
     """A manifest that is valid but for the JSON type at ``key``."""
-    section, _, member = key.partition("/")
-    wrong = 7 if SECTION_TYPES[key] == "string" else "7"
-    doc = {"frame": ["a", "b", "c", "d"]}
-    if not member:
-        doc[section] = wrong
-    elif member != "*":
-        vector = ["0", "0", "0", "0"]
-        doc[section] = {"coordinate": "x", "V": vector, "X": vector, member: wrong}
-    elif SECTION_TYPES[section] == "array":
-        doc[section] = [wrong] * 4
-    else:
-        doc[section] = {"a": wrong}
+    doc = copy.deepcopy(_VALID)
+    owner, member = _owner(doc, key)
+    owner[member] = 7 if SECTION_TYPES[key] == "string" else "7"
     return doc
 
 
@@ -91,4 +140,15 @@ def test_schema_and_loader_reject_each_wrong_section_type(key):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, MANIFEST_SCHEMA)
     with pytest.raises(ValueError, match=f"{section}.* must be a JSON"):
+        load_manifest(doc)
+
+
+@pytest.mark.parametrize("key", REQUIRED_MEMBERS)
+def test_schema_and_loader_reject_each_missing_member(key):
+    doc = copy.deepcopy(_VALID)
+    owner, member = _owner(doc, key)
+    del owner[member]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, MANIFEST_SCHEMA)
+    with pytest.raises(ValueError, match=f"has no member '{member}'"):
         load_manifest(doc)

@@ -336,3 +336,114 @@ def test_float_form_follows_the_terms(a, b, coord):
                a.shift(coord, Fraction(1, 3)), parse(str(a))]
     for s in [a, *derived]:
         assert _float_terms(s) == _float_form(s)
+
+
+# -- PiScalar on int triples ----------------------------------------------------
+
+_PI_PAIRS = st.lists(st.tuples(st.integers(-3, 3), _RATIONALS | st.just(Fraction(0))),
+                     max_size=5)
+
+
+def _ref(pairs) -> dict[int, Fraction]:
+    """The value of (exponent, coefficient) pairs as a dict of nonzero Fractions."""
+    acc: dict[int, Fraction] = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, Fraction(0)) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _ref((e1 + e2, c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def _ref_str(ref: dict) -> str:
+    # the Fraction-pair rendering PiScalar.__str__ has always printed
+    parts = []
+    for e, c in sorted(ref.items()):
+        if e == 0:
+            parts.append(str(c))
+        else:
+            p = "pi" if e == 1 else f"pi^{e}"
+            parts.append(p if c == 1 else f"-{p}" if c == -1 else f"{c}*{p}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+                              for p in parts[1:])
+
+
+def _check_piscalar(p: PiScalar, ref: dict) -> None:
+    assert p.items() == tuple(sorted(ref.items()))
+    assert [e for e, _, _ in p._terms] == sorted(ref)
+    for e, n, d in p._terms:
+        assert type(n) is int and type(d) is int
+        assert n != 0 and d > 0 and math.gcd(n, d) == 1
+    assert p.is_zero() == (not ref)
+    assert p == PiScalar.from_pairs(ref.items())
+    assert hash(p) == hash(tuple(p.items())) == hash(tuple(sorted(ref.items())))
+    want = sum(float(c) * math.pi**e for e, c in sorted(ref.items()))
+    assert repr(p.evaluate()) == repr(want)  # bit for bit, and 0 for zero
+    assert str(p) == _ref_str(ref)
+    assert p.to_json() == {str(e): str(c) for e, c in sorted(ref.items())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PI_PAIRS, _PI_PAIRS, _RATIONALS, st.integers(-50, 50))
+def test_piscalar_ints_match_fraction_arithmetic(pa, pb, q, n):
+    import copy
+    import pickle
+
+    a, b = PiScalar.from_pairs(pa), PiScalar.from_pairs(pb)
+    ra, rb = _ref(pa), _ref(pb)
+    _check_piscalar(a, ra)
+    _check_piscalar(a + b, _ref([*ra.items(), *rb.items()]))
+    _check_piscalar(a - b, _ref([*ra.items(), *((e, -c) for e, c in rb.items())]))
+    _check_piscalar(-a, {e: -c for e, c in ra.items()})
+    _check_piscalar(a * b, _ref_mul(ra, rb))
+    _check_piscalar(a + q, _ref([*ra.items(), (0, q)]))
+    _check_piscalar(n * a, _ref_mul(ra, {0: Fraction(n)} if n else {}))
+    # exact division, and None exactly when no quotient exists
+    if not b.is_zero():
+        _check_piscalar((a * b).div_exact(b), ra)
+        quot = a.div_exact(b)
+        if quot is not None:
+            _check_piscalar(quot * b, ra)
+        if len(ra) == 1 and len(rb) > 1:
+            # a monomial is never a multiple of a polynomial in pi with two
+            # or more terms
+            assert quot is None
+    # comparisons with plain rationals go through the constant term
+    assert (PiScalar.of(q) == q) and (PiScalar.of(n) == n)
+    assert (a == q) == (ra == ({0: q} if q else {}))
+    assert (a == n) == (ra == ({0: Fraction(n)} if n else {}))
+    assert hash(PiScalar.of(q)) == hash(tuple(_ref([(0, q)]).items()))
+    for c in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert type(c) is PiScalar and c == a and hash(c) == hash(a)
+        _check_piscalar(c, ra)
+
+
+def test_scalar_arithmetic_runs_without_fraction_arithmetic(monkeypatch):
+    # PiScalar and Frequency values are ints: ring operations and derivatives
+    # on parsed scalars never fall back to Fraction arithmetic
+    texts = ["pi^-1*cos(t + pi/3) - (2/3)*sin(2*pi*x - 1/5) + 7/4",
+             "(3/5 + pi^2)*sin((5/6)*pi*t + x) - pi^-2*cos(t)*cos((2/3)*pi)",
+             "(1/7)*pi*cos((3/2)*t - (1/4)*pi) + sin(x + (7/3)*pi)"]
+    scalars = [parse(text) for text in texts]
+    ops = [
+        lambda a, b: a * b,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: -a,
+        lambda a, b: a.differentiate("t"),
+        lambda a, b: (a * b).differentiate("x"),
+    ]
+    pairs = [(a, b) for a in scalars for b in scalars]
+    want = [op(a, b) for op in ops for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a scalar operation")
+
+    for name in ("__add__", "__mul__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [op(a, b) for op in ops for a, b in pairs]
+    monkeypatch.undo()
+    assert got == want
