@@ -93,10 +93,6 @@ def _coordinate_space(name: str) -> FramedSpace:
 _STANDARD_J = (0, 1, 2, 3)
 
 
-def _get(params: Mapping[str, Fraction], key: str, default: str) -> Fraction:
-    return params.get(key, rat(default))
-
-
 def torus_lattice_gate(alphas: Sequence) -> Fraction:
     """Product of the denominators of the lattice slopes.
 
@@ -117,11 +113,7 @@ def torus_lattice_gate(alphas: Sequence) -> Fraction:
 
 
 def _torus_trig(params: Mapping[str, Fraction]) -> FamilySpec:
-    alphas = (
-        _get(params, "alpha1", "1"),
-        _get(params, "alpha2", "1"),
-        _get(params, "alpha3", "1"),
-    )
+    alphas = (params["alpha1"], params["alpha2"], params["alpha3"])
     big_q = torus_lattice_gate(alphas)
     space = _coordinate_space("torus_trig")
     theta = {"x1": Frequency.of(0, 2 * big_q)}  # 2*pi*Q*x1
@@ -191,7 +183,7 @@ def _hyperelliptic_solv(params: Mapping[str, Fraction]) -> FamilySpec:
 
 
 def _hyperelliptic_product(params: Mapping[str, Fraction]) -> FamilySpec:
-    k = _get(params, "k", "2")
+    k = params["k"]
     if k.denominator != 1 or int(k) not in (2, 3, 4, 6):
         raise ValueError("hyperelliptic_product requires k in {2, 3, 4, 6}")
     k = int(k)
@@ -273,8 +265,8 @@ def _kodaira_secondary(params: Mapping[str, Fraction]) -> FamilySpec:
 
 
 def _inoue_s0(params: Mapping[str, Fraction]) -> FamilySpec:
-    a = _get(params, "a", "1")
-    b = _get(params, "b", "1")
+    a = params["a"]
+    b = params["b"]
     if a == 0 or b == 0:
         raise ValueError("inoue_s0 requires nonzero parameters a, b")
     space = _solv_space(
@@ -302,7 +294,7 @@ def _inoue_s0(params: Mapping[str, Fraction]) -> FamilySpec:
 
 
 def _inoue_spm(params: Mapping[str, Fraction]) -> FamilySpec:
-    q = _get(params, "q", "0")
+    q = params["q"]
     space = _solv_space(
         "inoue_spm",
         {(1, 2): (-1, 0, 0, 0), (1, 3): (0, -1, 0, 0), (2, 3): (0, 0, 1, 0)},
@@ -399,11 +391,39 @@ _BUILDERS = {
 }
 
 
+# the rational parameters each family reads, with their defaults; a family
+# not listed reads none
+_DEFAULTS: Mapping[str, Mapping[str, str]] = {
+    "torus_trig": {"alpha1": "1", "alpha2": "1", "alpha3": "1"},
+    "hyperelliptic_product": {"k": "2"},
+    "inoue_s0": {"a": "1", "b": "1"},
+    "inoue_spm": {"q": "0"},
+}
+
+
 def build_family(family: str, params: Mapping[str, object] | None = None) -> FamilySpec:
-    """Build a catalog family, overriding its rational parameters if given."""
+    """Build a catalog family, overriding its rational parameters if given.
+
+    Raises KeyError for an unknown family, and ValueError for a parameter
+    the family does not read, a value that is not an exact rational, or a
+    value the family rejects.
+    """
     if family not in _BUILDERS:
         raise KeyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    exact = {k: rat(v) for k, v in (params or {}).items()}
+    defaults = _DEFAULTS.get(family, {})
+    params = params or {}
+    unknown = [k for k in params if k not in defaults]
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(map(repr, unknown))} "
+                         f"for {family}; it takes {', '.join(defaults) or 'none'}")
+    exact = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        try:
+            exact[key] = rat(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{family} parameter {key}={value} is not an exact "
+                             f"rational") from None
     return _BUILDERS[family](exact)
 
 

@@ -148,9 +148,16 @@ def _mapping_torus_input(tgt: _Target | Manifest) -> geiges.MappingTorusInput:
                                     J=tgt.J, t=mt["coordinate"])
 
 
+def _build_family(family: str, params: Mapping[str, str]) -> catalog.FamilySpec:
+    try:
+        return catalog.build_family(family, params)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"error: {exc.args[0]}")
+
+
 def _resolve_target(target: str, params: Mapping[str, str]) -> _Target:
     if target in catalog.FAMILIES:
-        spec = catalog.build_family(target, params or None)
+        spec = _build_family(target, params)
         return _Target(target, spec.space, spec.J, spec.d1, spec.d2, spec=spec)
     path = Path(target)
     if not path.exists():
@@ -474,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if not args.family:
             raise SystemExit("error: catalog show needs a family id")
-        spec = catalog.build_family(args.family, _parse_params(args.params) or None)
+        spec = _build_family(args.family, _parse_params(args.params))
         doc = manifest_from_parts(spec.family, spec.space, spec.J, spec.d1,
                                   spec.d2, spec.parameters)
         sys.stdout.write(dump_manifest(doc))

@@ -2,8 +2,9 @@
 
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
-code paths they are checking.  The one exception, ``direct_w_residuals``, is
-the exact expansion that a shortcut in the code replaced.
+code paths they are checking.  The exceptions, ``direct_w_residuals``,
+``direct_product`` and ``direct_differentiate``, are the exact expansions
+that shortcuts in the code replaced.
 """
 
 from __future__ import annotations
@@ -11,11 +12,60 @@ from __future__ import annotations
 import numpy as np
 
 from engelcalc.framecalc import FramedSpace, VecField, bracket
+from engelcalc.trigring import _CONST_WAVE, _PI_HALF, TrigScalar, _angle_add
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
     """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
     return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
+
+
+def _wave_product(w1, w2) -> list:
+    """Product-to-sum expansion of two waves: each output wave, not yet
+    canonical, with the sign of its coefficient, which is 1/2 times that sign."""
+    sf, sp = _angle_add(w1, w2)
+    df, dp = _angle_add(w1, w2, subtract=True)
+    k1, k2 = w1[0], w2[0]
+    if k1 == "c" and k2 == "c":
+        return [("c", df, dp, 1), ("c", sf, sp, 1)]
+    if k1 == "s" and k2 == "s":
+        return [("c", df, dp, 1), ("c", sf, sp, -1)]
+    if k1 == "s":  # sin * cos
+        return [("s", sf, sp, 1), ("s", df, dp, 1)]
+    # cos * sin
+    return [("s", sf, sp, 1), ("s", df, dp, -1)]
+
+
+def direct_product(a: TrigScalar, b: TrigScalar) -> TrigScalar:
+    """a * b with every product-to-sum wave canonicalised and merged anew."""
+    out = TrigScalar()
+    for w1, c1 in a.terms().items():
+        for w2, c2 in b.terms().items():
+            c = c1 * c2
+            if w1 == _CONST_WAVE:
+                out._merge(w2, c)
+            elif w2 == _CONST_WAVE:
+                out._merge(w1, c)
+            else:
+                half = c * _PI_HALF
+                for kind, fr, ph, sign in _wave_product(w1, w2):
+                    out._add_term(kind, fr, ph, half if sign > 0 else -half)
+    return out
+
+
+def direct_differentiate(s: TrigScalar, coord: str) -> TrigScalar:
+    """d s / d coord with every output term canonicalised and merged anew."""
+    out = TrigScalar()
+    for (kind, fr, ph), c in s.terms().items():
+        omega = dict(fr).get(coord)
+        if omega is None:
+            continue
+        dc = c * omega.as_coeff()
+        if kind == "c":
+            out._add_term("s", dict(fr), ph, -dc)
+        else:
+            out._add_term("c", dict(fr), ph, dc)
+    return out
 
 
 def numeric_directional(space: FramedSpace, v: VecField, scalar, point: dict,

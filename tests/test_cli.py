@@ -94,6 +94,49 @@ def test_unresolvable_target_errors():
     assert "neither" in res.stderr
 
 
+BAD_CATALOG_INPUT = {
+    "unknown_family": ("nosuch", "", "unknown family 'nosuch'; known: torus_trig"),
+    "non_rational": ("torus_trig", "alpha1=abc",
+                     "torus_trig parameter alpha1=abc is not an exact rational"),
+    "zero_denominator": ("torus_trig", "alpha1=1/0",
+                         "torus_trig parameter alpha1=1/0 is not an exact rational"),
+    "unclassified_order": ("hyperelliptic_product", "k=5",
+                           "hyperelliptic_product requires k in {2, 3, 4, 6}"),
+    "unknown_key": ("torus_trig", "bogus=1",
+                    "unknown parameter 'bogus' for torus_trig; it takes alpha1, "
+                    "alpha2, alpha3"),
+    "key_of_another_family": ("hopf_s3r", "k=3",
+                              "unknown parameter 'k' for hopf_s3r; it takes none"),
+}
+
+
+# verify reads a name that is no family as a manifest path (see
+# test_unresolvable_target_errors)
+BAD_CATALOG_RUNS = [(verb, case) for case in BAD_CATALOG_INPUT
+                    for verb in ("verify", "catalog show")
+                    if (verb, case) != ("verify", "unknown_family")]
+
+
+@pytest.mark.parametrize("verb, case", BAD_CATALOG_RUNS,
+                         ids=[f"{verb.replace(' ', '_')}-{case}"
+                              for verb, case in BAD_CATALOG_RUNS])
+def test_bad_catalog_input_diagnostics(capsys, verb, case):
+    family, params, expected = BAD_CATALOG_INPUT[case]
+    argv = [*verb.split(), family, *(["--params", params] if params else [])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code.startswith(f"error: {expected}")
+    assert "\n" not in exc.value.code
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_catalog_input_ends_without_traceback():
+    res = run_cli("catalog", "show", "nosuch")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: unknown family 'nosuch'")
+    assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
+
+
 def _flat_torus_manifest(**mapping_torus):
     from engelcalc.geiges import flat_torus_input
 

@@ -5,16 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engelcalc.laws import run_law_suite
 from engelcalc.trigring import (
+    PRODUCT_MEMO_SIZE,
     Frequency,
     PiScalar,
     TrigScalar,
+    _canonical,
+    _product_keys,
     differentiate,
     evaluate,
     is_identically_zero,
     normalize,
     parse,
 )
+from oracles import direct_differentiate, direct_product
 
 
 def test_pythagorean_collapse():
@@ -447,3 +452,62 @@ def test_scalar_arithmetic_runs_without_fraction_arithmetic(monkeypatch):
     got = [op(a, b) for op in ops for a, b in pairs]
     monkeypatch.undo()
     assert got == want
+
+
+# -- the wave-pair memo and differentiate against their per-term loops ---------
+
+_WAVE_COORDS = ("t", "x", "y")
+# zero components are dropped, negative leading ones flipped, and the
+# rational and rational-pi mixes keep their phases from cancelling
+_WAVE_FREQS = _FREQ_POOL + [Frequency.of(0, 0), Frequency.of(-1),
+                            Frequency.of(0, "-1/2"), Frequency.of("1/3", "2/5")]
+_COEFFS = st.builds(lambda e, q: PiScalar([(e, q)]), st.integers(-1, 1),
+                    st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                              st.integers(1, 3)))
+
+
+@st.composite
+def wave_sums(draw):
+    """Sums of up to four waves on up to three coordinates, some waves of
+    constant angle, with rational-pi and quarter-turn phases."""
+    out = TrigScalar.constant(Fraction(draw(st.integers(-2, 2))))
+    for _ in range(draw(st.integers(0, 4))):
+        coords = draw(st.lists(st.sampled_from(_WAVE_COORDS), max_size=3,
+                               unique=True))
+        freqs = {c: draw(st.sampled_from(_WAVE_FREQS)) for c in coords}
+        kind = draw(st.sampled_from((TrigScalar.sine, TrigScalar.cosine)))
+        out = out + kind(freqs, draw(st.sampled_from(_PHASES)), draw(_COEFFS))
+    return out
+
+
+@pytest.mark.parametrize("memo", ("cold", "warm"))
+@settings(max_examples=100, deadline=None)
+@given(wave_sums(), wave_sums())
+def test_product_matches_the_per_term_loop(memo, a, b):
+    # the same terms in the same order, whether or not a pair is memoised
+    if memo == "cold":
+        _product_keys.cache_clear()
+    else:
+        a * b
+    want = list(direct_product(a, b).terms().items())
+    assert list((a * b).terms().items()) == want
+
+
+def test_product_memo_is_bounded():
+    _product_keys.cache_clear()
+    run_law_suite(0, cases=50)
+    info = _product_keys.cache_info()
+    assert info.maxsize == PRODUCT_MEMO_SIZE
+    assert info.misses > info.maxsize  # the bound was reached
+    assert info.currsize <= info.maxsize
+
+
+@settings(max_examples=100, deadline=None)
+@given(wave_sums(), st.sampled_from(_WAVE_COORDS))
+def test_differentiate_keeps_canonical_keys(s, coord):
+    d = s.differentiate(coord)
+    for key in d.terms():
+        kind, fr, ph = key
+        assert _canonical(kind, dict(fr), ph) == (key, 1)
+    want = list(direct_differentiate(s, coord).terms().items())
+    assert list(d.terms().items()) == want
