@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,7 +30,6 @@ from .engelcheck import (
     CheckError,
     Derivation,
     PreconditionError,
-    VerificationError,
     complex_framing,
     j_engel_splitting,
     jofreeb_residual,
@@ -120,17 +119,6 @@ def _render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Target:
-    name: str
-    space: object
-    J: object | None
-    d1: VecField | None
-    d2: VecField | None
-    spec: catalog.FamilySpec | None = None
-    mapping_torus: Mapping | None = None
-
-
 def _read_manifest(path: Path) -> Manifest:
     try:
         return load_manifest(path.read_text())
@@ -140,7 +128,7 @@ def _read_manifest(path: Path) -> Manifest:
         raise SystemExit(f"error: malformed manifest {path}: {exc}")
 
 
-def _mapping_torus_input(tgt: _Target | Manifest) -> geiges.MappingTorusInput:
+def _mapping_torus_input(tgt: Manifest) -> geiges.MappingTorusInput:
     mt = tgt.mapping_torus
     if mt is None:
         raise PreconditionError("target carries no mapping-torus data")
@@ -155,55 +143,61 @@ def _build_family(family: str, params: Mapping[str, str]) -> catalog.FamilySpec:
         raise SystemExit(f"error: {exc.args[0]}")
 
 
-def _resolve_target(target: str, params: Mapping[str, str]) -> _Target:
+def _resolve_target(
+    target: str, params: Mapping[str, str],
+) -> tuple[Manifest, catalog.FamilySpec | None]:
+    """The target as a manifest, with its family spec when it is a family."""
     if target in catalog.FAMILIES:
         spec = _build_family(target, params)
-        return _Target(target, spec.space, spec.J, spec.d1, spec.d2, spec=spec)
+        return Manifest(target, spec.space, spec.J, spec.d1, spec.d2,
+                        spec.parameters, None), spec
     path = Path(target)
     if not path.exists():
         raise SystemExit(f"error: target {target!r} is neither a catalog family "
                          f"nor a manifest file")
+    if params:
+        raise SystemExit(f"error: --params applies to catalog families only; "
+                         f"{target!r} is a manifest")
     mf = _read_manifest(path)
-    return _Target(mf.name or path.stem, mf.space, mf.J, mf.d1, mf.d2,
-                   mapping_torus=mf.mapping_torus)
+    return (mf if mf.name else replace(mf, name=path.stem)), None
 
 
 class _Runner:
     """Executes suites in dependency order against one target."""
 
-    def __init__(self, tgt: _Target, grid: int, tol: float):
-        self.tgt = tgt
+    def __init__(self, tgt: Manifest, spec: catalog.FamilySpec | None,
+                 grid: int, tol: float):
+        self.tgt, self.spec = tgt, spec
         self.ctx = Derivation(tgt.d1, tgt.d2, tgt.J, tgt.space, grid, tol)
         self.records: list[CheckRecord] = []
 
+    def _certified(self, name: str, cert: Certificate) -> CheckRecord:
+        """The record of a certificate: PASS unless it failed, with its bound."""
+        return CheckRecord(name, "PASS" if cert.passed else "FAIL", cert, cert.bound)
+
     def _run(self, name: str, fn, *, status_of=None) -> object:
         t0 = time.perf_counter()
-        status, result, notes, cert, residual = "PASS", None, "", None, None
+        result = None
         try:
             result = fn()
-            if isinstance(result, Certificate):
-                cert = result
-                status = "PASS" if result.passed else "FAIL"
-                residual = result.bound
+            record = (self._certified(name, result) if isinstance(result, Certificate)
+                      else CheckRecord(name, "PASS"))
             if status_of is not None:
-                status, notes = status_of(result)
+                record.status, record.notes = status_of(result)
         except PreconditionError as exc:
-            status, notes = "REJECTED", str(exc)
-        except (VerificationError, CheckError) as exc:
-            status, notes = "FAIL", str(exc)
-        except ValueError as exc:
-            # data the certifiers cannot handle, e.g. sampling without a
-            # declarable period; report instead of crashing the batch
-            status, notes = "FAIL", str(exc)
-        self.records.append(CheckRecord(
-            name, status, cert, residual, notes,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
+            record = CheckRecord(name, "REJECTED", notes=str(exc))
+        except (CheckError, ValueError) as exc:
+            # ValueError: data the certifiers cannot handle, e.g. sampling
+            # without a declarable period; report instead of crashing the batch
+            record = CheckRecord(name, "FAIL", notes=str(exc))
+        record.wall_ms = (time.perf_counter() - t0) * 1e3
+        self.records.append(record)
         return result
 
     # -- suites ---------------------------------------------------------------
 
     def suite_engel(self):
-        tgt, ctx = self.tgt, self.ctx
+        tgt, spec, ctx = self.tgt, self.spec, self.ctx
         # FramedSpace construction checks the Jacobi identity exactly
         self._run("engel.jacobi",
                   lambda: Certificate("SYMBOLIC", "vanishing",
@@ -214,13 +208,13 @@ class _Runner:
                       lambda: Certificate("SYMBOLIC", "vanishing",
                                           witness="identically zero",
                                           note="J*J + id, checked at construction"))
-            expected = tgt.spec.j_integrable if tgt.spec is not None else True
+            expected = spec.j_integrable if spec is not None else True
 
             def _nij_status(cert):
                 if cert.passed:
                     return "PASS", ""
                 if not expected:
-                    return "DEVIATION", (tgt.spec.notes or
+                    return "DEVIATION", (spec.notes or
                                          "quoted pairing is almost complex only")
                 return "FAIL", "Nijenhuis tensor does not vanish"
 
@@ -234,11 +228,9 @@ class _Runner:
         flag = ctx.flag
         for key in ("rank_d", "rank_e", "rank_tm"):
             cert = flag.certificates.get(key)
-            self.records.append(CheckRecord(
-                f"engel.{key}",
-                "PASS" if cert is not None and cert.passed else "FAIL",
-                cert, cert.bound if cert else None,
-                "" if cert is not None else "not reached"))
+            self.records.append(
+                CheckRecord(f"engel.{key}", "FAIL", notes="not reached")
+                if cert is None else self._certified(f"engel.{key}", cert))
         if flag.passed:
             self._run("engel.characteristic", lambda: ctx.w,
                       status_of=lambda w: (
@@ -246,8 +238,8 @@ class _Runner:
                           f"flag: W = {_vec_str(w)} inside D = "
                           f"<{_vec_str(tgt.d1)}, {_vec_str(tgt.d2)}>; "
                           f"E adds [D1,D2] = {_vec_str(flag.e3)}"))
-        if tgt.spec is not None and tgt.spec.expected_brackets:
-            for rec in catalog.check_quoted_brackets(tgt.spec, ctx.grid, ctx.tol):
+        if spec is not None and spec.expected_brackets:
+            for rec in catalog.check_quoted_brackets(spec, ctx.grid, ctx.tol):
                 note = rec.note
                 if rec.status == "DEVIATION":
                     note += (f"; computed {_vec_str(rec.computed)}, "
@@ -272,10 +264,8 @@ class _Runner:
         if forms is None:
             return
         for key in sorted(forms.certificates):
-            cert = forms.certificates[key]
-            self.records.append(CheckRecord(
-                f"forms.{key}", "PASS" if cert.passed else "FAIL", cert,
-                cert.bound))
+            self.records.append(self._certified(f"forms.{key}",
+                                                forms.certificates[key]))
         self._run("forms.structure_functions", lambda: self.ctx.sf,
                   status_of=lambda sf: ("PASS",
                                         f"c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
@@ -286,14 +276,10 @@ class _Runner:
                            status_of=lambda r: (
                                "PASS" if r.certificate.passed else "FAIL", ""))
         if result is not None:
-            self.records.append(CheckRecord(
-                "jofreeb.residual_certificate",
-                "PASS" if result.certificate.passed else "FAIL",
-                result.certificate, result.certificate.bound))
-            self.records.append(CheckRecord(
-                "jofreeb.dalpha_squared",
-                "PASS" if result.dalpha_identity.passed else "FAIL",
-                result.dalpha_identity, result.dalpha_identity.bound))
+            self.records.append(self._certified("jofreeb.residual_certificate",
+                                                result.certificate))
+            self.records.append(self._certified("jofreeb.dalpha_squared",
+                                                result.dalpha_identity))
 
     def suite_kengel(self):
         ctx = self.ctx
@@ -351,14 +337,14 @@ class _Runner:
                   status_of=_status)
 
     def suite_equivariance(self):
-        if self.tgt.spec is None or self.tgt.spec.family != "hyperelliptic_product":
+        if self.spec is None or self.spec.family != "hyperelliptic_product":
             self.records.append(CheckRecord(
                 "equivariance", "REJECTED",
                 notes="only defined for hyperelliptic_product"))
             return
         self._run("equivariance.rotation",
                   lambda: catalog.hyperelliptic_equivariance_check(
-                      self.tgt.spec, self.ctx.grid))
+                      self.spec, self.ctx.grid))
 
 
 def _vec_str(v: VecField) -> str:
@@ -390,8 +376,8 @@ def run_verify(
     if bad:
         raise SystemExit(f"error: unknown suite(s) {', '.join(bad)}; "
                          f"choose from {', '.join(SUITES)}")
-    tgt = _resolve_target(target, params or {})
-    runner = _Runner(tgt, grid, tol)
+    tgt, spec = _resolve_target(target, params or {})
+    runner = _Runner(tgt, spec, grid, tol)
     for suite in SUITES:  # canonical order regardless of request order
         if suite not in chosen:
             continue
@@ -406,8 +392,7 @@ def run_verify(
             runner.records.append(CheckRecord(suite, "REJECTED", notes=str(exc)))
         except (CheckError, ValueError) as exc:
             runner.records.append(CheckRecord(suite, "FAIL", notes=str(exc)))
-    parameters = {k: str(v) for k, v in (tgt.spec.parameters.items()
-                                         if tgt.spec else (params or {}).items())}
+    parameters = {k: str(v) for k, v in tgt.parameters.items()}
     return Report(tgt.name, parameters, chosen, grid, tol, runner.records)
 
 

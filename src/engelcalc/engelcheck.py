@@ -27,6 +27,7 @@ from .framecalc import (
     KForm,
     VecField,
     bracket,
+    certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
     det_of_fields,
@@ -35,7 +36,7 @@ from .framecalc import (
     minors_of_fields,
     wedge,
 )
-from .trigring import ONE, ZERO, TrigLike, TrigScalar, normalize
+from .trigring import ONE, TrigScalar, normalize
 
 __all__ = [
     "CheckError",
@@ -107,9 +108,6 @@ class Frac:
         const = self.den.constant_value()
         return None if const is None else self.num.div_exact(const)
 
-    def evaluate(self, point: Mapping[str, float]) -> float:
-        return self.num.evaluate(point) / self.den.evaluate(point)
-
     def __str__(self) -> str:
         exact = self.as_trig()
         if exact is not None:
@@ -154,10 +152,6 @@ class FracField:
             return None
         coeffs = tuple(c.div_exact(const) for c in self.raw.coeffs)
         return None if None in coeffs else VecField(coeffs)
-
-    def evaluate(self, point: Mapping[str, float]) -> tuple[float, ...]:
-        d = self.den.evaluate(point)
-        return tuple(c.evaluate(point) / d for c in self.raw.coeffs)
 
 
 def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
@@ -218,26 +212,21 @@ def verify_engel(
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
     alpha = annihilating_form(d1, d2, e3)
-    witness = ZERO
-    for i in (3, 2, 1, 0):  # the order of minors_of_fields
-        c = alpha.component((i,))
-        witness = witness + c * c
-    certs["rank_e"] = certify_nonvanishing(witness, space, grid, tol)
+    # alpha's coefficients, in the order of minors_of_fields
+    certs["rank_e"] = certify_no_common_zero(
+        [alpha.component((i,)) for i in (3, 2, 1, 0)], space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
     u1 = alpha(bracket(d1, e3, space))
     u2 = alpha(bracket(d2, e3, space))
-    cert_tm = None
     for u, label in ((u1, "det with [D1,E3]"), (u2, "det with [D2,E3]")):
         const = u.constant_value()
         if const is not None and not const.is_zero():
-            cert_tm = Certificate("SYMBOLIC", "nonvanishing", witness=str(const),
-                                  note=label)
+            certs["rank_tm"] = certify_nonvanishing(u, space, grid, tol, note=label)
             break
-    if cert_tm is None:
-        cert_tm = certify_nonvanishing(u1 * u1 + u2 * u2, space, grid, tol,
-                                       note="sum of squares of the two top minors")
-    certs["rank_tm"] = cert_tm
+    else:
+        certs["rank_tm"] = certify_no_common_zero(
+            [u1, u2], space, grid, tol, note="sum of squares of the two top minors")
     return EngelFlag(d1, d2, e3, certs, alpha, (u1, u2))
 
 
@@ -439,11 +428,8 @@ def defining_forms(
     certs: dict[str, Certificate] = {}
 
     ada = wedge(alpha, d_alpha)
-    witness = ZERO
-    for c in ada.terms.values():
-        witness = witness + c * c
-    certs["alpha_da_nonzero"] = certify_nonvanishing(
-        witness, space, grid, tol, note="alpha ^ d(alpha) != 0")
+    certs["alpha_da_nonzero"] = certify_no_common_zero(
+        list(ada.terms.values()), space, grid, tol, note="alpha ^ d(alpha) != 0")
 
     abdb = wedge(wedge(alpha, beta), d_beta)
     certs["alpha_beta_dbeta_nonzero"] = certify_nonvanishing(
@@ -624,10 +610,7 @@ class SplittingResult:
     tested_scalings: tuple[str, ...]
 
 
-def j_engel_splitting(
-    ctx: Derivation,
-    scalings: Sequence[TrigLike] | None = None,
-) -> SplittingResult:
+def j_engel_splitting(ctx: Derivation) -> SplittingResult:
     """The four line fields W, JW, JZ, Z and the scaling-invariance certificate.
 
     Z = span(R) must not move when alpha is replaced by lambda*alpha: for each
@@ -640,10 +623,9 @@ def j_engel_splitting(
         raise PreconditionError("splitting needs JD = D")
     w, forms = ctx.w, ctx.forms
     J, space = ctx.J, ctx.space
-    if scalings is None:
-        scalings = ["2", "3/2"]
-        if space.coords:
-            scalings.append(f"2 + cos({space.coords[0]})")
+    scalings = ["2", "3/2"]
+    if space.coords:
+        scalings.append(f"2 + cos({space.coords[0]})")
     base = forms.R.raw
     residuals: list[TrigScalar] = []
     labels = []

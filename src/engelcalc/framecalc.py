@@ -38,6 +38,7 @@ __all__ = [
     "GridPoints",
     "grid_points",
     "certify_nonvanishing",
+    "certify_no_common_zero",
     "certify_vanishing",
 ]
 
@@ -186,9 +187,6 @@ class FramedSpace:
             if d is not None and not v.coeffs[i].is_zero():
                 out = out + v.coeffs[i] * d
         return out
-
-    def index(self, frame_name: str) -> int:
-        return self.frame.index(frame_name)
 
     # -- validation ----------------------------------------------------------
 
@@ -387,6 +385,25 @@ def certify_nonvanishing(
     return Certificate("FAILED", "nonvanishing", grid=shape, bound=best,
                        tolerance=tol, witness_point=points[values.index(best)],
                        note=note)
+
+
+def certify_no_common_zero(
+    scalars: Sequence[TrigScalar],
+    space: FramedSpace,
+    grid: int = DEFAULT_GRID,
+    tol: float = DEFAULT_TOL,
+    note: str = "",
+) -> Certificate:
+    """Certify that the scalars never vanish together.
+
+    The witness is the sum of their squares, added in the given order,
+    which is positive exactly where at least one scalar is nonzero.  This is
+    the one place such a witness is formed.
+    """
+    witness = ZERO
+    for s in scalars:
+        witness = witness + s * s
+    return certify_nonvanishing(witness, space, grid, tol, note=note)
 
 
 def certify_vanishing(
@@ -694,9 +711,5 @@ def global_rank(
     if not 1 <= len(vs) <= 4:
         raise ValueError("global_rank takes between 1 and 4 fields")
     if len(vs) == 4:
-        witness = det_of_fields(vs)
-    else:
-        witness = ZERO
-        for m in minors_of_fields(vs):
-            witness = witness + m * m
-    return certify_nonvanishing(witness, space, grid, tol, note=note)
+        return certify_nonvanishing(det_of_fields(vs), space, grid, tol, note=note)
+    return certify_no_common_zero(minors_of_fields(vs), space, grid, tol, note=note)

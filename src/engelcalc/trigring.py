@@ -932,7 +932,7 @@ def parse(text: str) -> TrigScalar:
 # -- formatting ---------------------------------------------------------------
 
 
-def _format_coeff(c: PiScalar, lead: bool) -> tuple[str, str]:
+def _format_coeff(c: PiScalar) -> tuple[str, str]:
     """(connector, text) pair for a coefficient in a term position."""
     items = c.items()
     if len(items) == 1:
@@ -992,7 +992,7 @@ def format_scalar(s: TrigScalar) -> str:
     out = ""
     for (kind, fr, ph), c in sorted(s.terms().items(), key=sort_key):
         if (kind, fr, ph) == _CONST_WAVE:
-            sign, body = _format_coeff(c, lead=not out)
+            sign, body = _format_coeff(c)
         else:
             wave = f"{'cos' if kind == 'c' else 'sin'}({_format_angle(fr, ph)})"
             if c == PiScalar.of(1):
@@ -1000,7 +1000,7 @@ def format_scalar(s: TrigScalar) -> str:
             elif c == PiScalar.of(-1):
                 sign, body = "-", wave
             else:
-                sign, body = _format_coeff(c, lead=not out)
+                sign, body = _format_coeff(c)
                 body = f"{body}*{wave}"
         if not out:
             out = body if sign == "+" else f"-{body}"

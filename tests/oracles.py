@@ -3,8 +3,9 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
-``direct_product`` and ``direct_differentiate``, are the exact expansions
-that shortcuts in the code replaced.
+``direct_product``, ``direct_differentiate`` and ``direct_sum_of_squares``,
+are the exact expansions that shortcuts or shared helpers in the code
+replaced.
 """
 
 from __future__ import annotations
@@ -12,12 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from engelcalc.framecalc import FramedSpace, VecField, bracket
-from engelcalc.trigring import _CONST_WAVE, _PI_HALF, TrigScalar, _angle_add
+from engelcalc.trigring import _CONST_WAVE, _PI_HALF, ZERO, TrigScalar, _angle_add
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
     """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
     return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
+
+
+def direct_sum_of_squares(scalars) -> TrigScalar:
+    """The sum of the squares of the scalars, added in order from zero."""
+    witness = ZERO
+    for s in scalars:
+        witness = witness + s * s
+    return witness
 
 
 def _wave_product(w1, w2) -> list:

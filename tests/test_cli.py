@@ -137,6 +137,26 @@ def test_bad_catalog_input_ends_without_traceback():
     assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
 
 
+def test_params_on_a_manifest_target_rejected():
+    # a manifest carries its own parameters; nothing would read these
+    res = run_cli("verify", "demos/manifests/twisted_torus.json", "--params", "bogus=1")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: --params applies to catalog families only")
+    assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
+def test_manifest_report_carries_its_own_parameters(tmp_path):
+    spec = build_family("torus_trig")
+    doc = manifest_from_parts("torus_slopes", spec.space, spec.J, spec.d1, spec.d2)
+    doc["parameters"] = {"alpha1": "1", "alpha2": "1", "alpha3": "2/3"}
+    path = tmp_path / "torus_slopes.json"
+    path.write_text(json.dumps(doc))
+    rep = run_verify(str(path), suites=("engel",))
+    assert rep.to_json()["parameters"] == doc["parameters"]
+    assert "parameters: alpha1=1, alpha2=1, alpha3=2/3" in emit_report(rep, "text")
+
+
 def _flat_torus_manifest(**mapping_torus):
     from engelcalc.geiges import flat_torus_input
 
@@ -467,6 +487,52 @@ def test_characteristic_foliation_takes_no_bracket(monkeypatch):
     monkeypatch.setattr(engelcheck, "bracket", counting_bracket)
     assert run_verify("hopf_s3r").overall == "PASS"
     assert calls == {"characteristic_foliation": 1, "bracket": 0}
+
+
+CONSTRUCTION_CHECKS = ("engel.jacobi", "engel.j_squared")
+
+
+def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch):
+    # patch the two certifiers wherever a module binds them, as the bench
+    # tracer does, and record what they return
+    from engelcalc import engelcheck, framecalc, geiges
+
+    made = []
+    for name in ("certify_nonvanishing", "certify_vanishing"):
+        original = getattr(framecalc, name)
+
+        def recording(*args, _original=original, **kwargs):
+            made.append(_original(*args, **kwargs))
+            return made[-1]
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("engelcalc") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording)
+
+    def from_certifier(cert):
+        return any(cert is m for m in made)
+
+    for family in FAMILIES:
+        rep = run_verify(family)
+        for rec in rep.records:
+            if rec.certificate is not None and rec.name not in CONSTRUCTION_CHECKS:
+                assert from_certifier(rec.certificate), (family, rec.name)
+        assert {r.name for r in rep.records} >= {"engel.rank_tm", "forms.T_normaliser"}
+
+    flags = []
+    verify = engelcheck.verify_engel
+
+    def keeping(*args, **kwargs):
+        flags.append(verify(*args, **kwargs))
+        return flags[-1]
+
+    monkeypatch.setattr(engelcheck, "verify_engel", keeping)
+    geiges.minimal_n_search(geiges.twisted_torus_input(), 2)
+    assert flags
+    for flag in flags:
+        for key, cert in flag.certificates.items():
+            assert from_certifier(cert), key
 
 
 def test_splitting_uses_the_run_tolerance(tmp_path):

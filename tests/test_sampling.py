@@ -9,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from engelcalc.framecalc import (
     FramedSpace,
+    VecField,
+    certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
+    global_rank,
     grid_points,
+    minors_of_fields,
 )
 from engelcalc.trigring import Frequency, PiScalar, TrigScalar, parse
 
-from oracles import brute_force_certificate
+from oracles import brute_force_certificate, direct_sum_of_squares
 
 COORDS = ("a", "b", "c", "d")
 
@@ -37,11 +41,11 @@ def space(coords=COORDS, periods=None) -> FramedSpace:
 
 
 @st.composite
-def scalars(draw, coords=COORDS):
-    """Sums of waves over random subsets of coords, with pi-power
-    coefficients and rational-pi phases."""
+def scalars(draw, coords=COORDS, max_waves=4):
+    """Sums of up to max_waves waves over random subsets of coords, with
+    pi-power coefficients and rational-pi phases."""
     out = TrigScalar.constant(Fraction(draw(st.integers(-2, 2))))
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_waves))):
         own = draw(st.lists(st.sampled_from(coords), unique=True, max_size=len(coords)))
         freqs = {c: draw(st.sampled_from(FREQS[c])) for c in own}
         coeff = PiScalar.from_pairs([(draw(st.integers(-2, 2)),
@@ -138,3 +142,33 @@ def test_coordinate_free_wave_samples_one_point():
     assert cert.witness_point == {}
     assert cert.bound < 1e-15
 
+
+def _same_certificate(a, b) -> bool:
+    return (a.kind, a.witness, a.bound, a.witness_point) == \
+        (b.kind, b.witness, b.bound, b.witness_point)
+
+
+# tolerances that let a sampled witness pass, fail, or go either way
+TOLERANCES = st.sampled_from((-1.0, 1e-6, 0.5, math.inf))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(scalars(), min_size=1, max_size=4), st.integers(1, 3), TOLERANCES)
+def test_no_common_zero_is_nonvanishing_of_the_sum_of_squares(ss, per_axis, tol):
+    sp = space()
+    cert = certify_no_common_zero(ss, sp, per_axis, tol)
+    direct = certify_nonvanishing(direct_sum_of_squares(ss), sp, per_axis, tol)
+    assert _same_certificate(cert, direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(scalars(max_waves=1), min_size=4, max_size=4),
+                min_size=1, max_size=3),
+       st.integers(1, 3), TOLERANCES)
+def test_global_rank_is_no_common_zero_of_the_minors(rows, per_axis, tol):
+    sp = space()
+    fields = [VecField.of(*row) for row in rows]
+    cert = global_rank(fields, sp, per_axis, tol)
+    direct = certify_nonvanishing(direct_sum_of_squares(minors_of_fields(fields)),
+                                  sp, per_axis, tol)
+    assert _same_certificate(cert, direct)
