@@ -128,12 +128,13 @@ def _read_manifest(path: Path) -> Manifest:
         raise SystemExit(f"error: malformed manifest {path}: {exc}")
 
 
-def _mapping_torus_input(tgt: Manifest) -> geiges.MappingTorusInput:
+def _mapping_torus_input(tgt: Manifest, grid: int,
+                         tol: float) -> geiges.MappingTorusInput:
     mt = tgt.mapping_torus
     if mt is None:
         raise PreconditionError("target carries no mapping-torus data")
     return geiges.MappingTorusInput(space=tgt.space, V=mt["V"], X=mt["X"],
-                                    J=tgt.J, t=mt["coordinate"])
+                                    J=tgt.J, t=mt["coordinate"], grid=grid, tol=tol)
 
 
 def _build_family(family: str, params: Mapping[str, str]) -> catalog.FamilySpec:
@@ -323,7 +324,7 @@ class _Runner:
                       "scalings tested: " + ", ".join(s.tested_scalings)))
 
     def suite_geiges(self):
-        inp = _mapping_torus_input(self.tgt)
+        inp = _mapping_torus_input(self.tgt, self.ctx.grid, self.ctx.tol)
         n_max = 8
 
         def _status(res):
@@ -490,7 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             mf = _read_manifest(Path(args.input_path))
             try:
-                inp = _mapping_torus_input(mf)
+                inp = _mapping_torus_input(mf, args.grid, DEFAULT_TOL)
             except PreconditionError as exc:
                 raise SystemExit(f"error: {exc}")
             name = mf.name

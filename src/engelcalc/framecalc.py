@@ -18,9 +18,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .trigring import ONE, ZERO, Frequency, TrigLike, TrigScalar, normalize
+from .trigring import ONE, ZERO, Frequency, TrigLike, TrigScalar, _float_terms, normalize
 
 __all__ = [
     "VecField",
@@ -37,6 +37,7 @@ __all__ = [
     "minors_of_fields",
     "GridPoints",
     "grid_points",
+    "single_direction",
     "certify_nonvanishing",
     "certify_no_common_zero",
     "certify_vanishing",
@@ -222,14 +223,21 @@ class FramedSpace:
 
     # -- periods / sampling ---------------------------------------------------
 
-    def coordinate_period(self, coord: str, scalars: Iterable[TrigScalar]) -> float:
-        """One fundamental period of the given scalars in a coordinate.
+    def coordinate_period(
+        self, coord: str, scalars: Iterable[TrigScalar]
+    ) -> tuple[float, Frequency | None]:
+        """One fundamental period P of the given scalars in a coordinate, as a
+        float, and the exact angular unit 2*pi/P.
 
         Declared periods win; otherwise the period is derived from the set of
-        exact frequencies, which must be commensurate.
+        exact frequencies, which must be commensurate, and each of them is an
+        integer multiple of the unit.  The unit is None when a declared
+        period is neither a rational nor a rational multiple of pi: no
+        frequency is then an exact multiple of 2*pi/P.
         """
         if coord in self.periods:
-            return self.periods[coord].value()
+            period = self.periods[coord]
+            return period.value(), _angular_unit(period)
         freqs: set[Frequency] = set()
         for s in scalars:
             freqs |= s.frequencies_of(coord)
@@ -247,8 +255,8 @@ class FramedSpace:
         g = ratios[0]
         for q in ratios[1:]:
             g = _fraction_gcd(g, q)
-        omega = abs(base.value() * float(g))
-        return 2.0 * 3.141592653589793 / omega
+        omega = base.value() * float(g)
+        return 2.0 * 3.141592653589793 / abs(omega), base.scale(g if omega > 0 else -g)
 
     def __repr__(self) -> str:
         return f"FramedSpace({self.name or ','.join(self.frame)})"
@@ -265,6 +273,31 @@ def _commensurate_ratio(f: Frequency, base: Frequency) -> Fraction | None:
     return None
 
 
+def _integer_multiple(f: Frequency, unit: Frequency) -> int | None:
+    """The integer q with f = q * unit, if it exists, on the four ints."""
+    rn, rd, pn, pd = f
+    un, ud, vn, vd = unit
+    if un:
+        num, den = rn * ud, rd * un
+    elif rn:
+        return None
+    else:
+        num, den = pn * vd, pd * vn
+    if num % den:
+        return None
+    q = num // den
+    return q if pn * vd == q * vn * pd else None
+
+
+def _angular_unit(period: Frequency) -> Frequency | None:
+    """2*pi / period as an exact frequency, when it is one."""
+    if period.pi == 0 and period.rat != 0:
+        return Frequency(Fraction(0), 2 / period.rat)
+    if period.rat == 0 and period.pi != 0:
+        return Frequency(2 / period.pi, Fraction(0))
+    return None
+
+
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     a, b = abs(a), abs(b)
     return Fraction(
@@ -276,13 +309,18 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 class GridPoints(Sequence):
     """The points of ``itertools.product(*axes)`` over ``coords``, as dicts.
 
-    Points are built only when indexed or iterated; ``abs_values`` samples a
-    scalar over the whole grid without building them.
+    Points are built only when indexed or iterated.  ``grid_points`` builds
+    axis i as the N points k * P_i / N, k < N, of one period P_i, and
+    ``units[i]`` is the exact angular unit 2*pi/P_i (None where there is
+    none).  ``abs_extreme`` finds the least or greatest |s| over the grid
+    without building the points.
     """
 
-    def __init__(self, coords: Sequence[str], axes: Sequence[Sequence[float]]):
+    def __init__(self, coords: Sequence[str], axes: Sequence[Sequence[float]],
+                 units: Sequence[Frequency | None]):
         self.coords = tuple(coords)
         self.axes = tuple(tuple(a) for a in axes)
+        self.units = tuple(units)
 
     def __len__(self) -> int:
         return math.prod(len(a) for a in self.axes)
@@ -303,9 +341,99 @@ class GridPoints(Sequence):
         for combo in itertools.product(*self.axes):
             yield dict(zip(self.coords, combo))
 
-    def abs_values(self, s: TrigScalar) -> list[float]:
-        """|s| at every grid point, in grid order."""
-        return list(map(abs, s.sample_grid(self.coords, self.axes)))
+    def abs_extreme(self, s: TrigScalar, pick: Callable) -> tuple[float, int]:
+        """``pick`` (min or max) of |s| over the grid, and the index of the
+        first grid point where |s| takes that value.
+
+        On a ``grid_points`` grid of N points per axis, the term of frequency
+        vector n (in axis units) has at the point of axis indices k the exact
+        angle phase + 2*pi*(n.k)/N.  For a scalar of one direction v (see
+        ``single_direction``), n = m*v, so the scalar's value there depends
+        only on the residue j = <v, k> mod N, each term's angle taken as
+        phase + 2*pi*((m*j) mod N)/N: the scalar is tabulated once per
+        residue, and j reaches every residue because v is primitive (a zero
+        v reaches only 0).  The
+        first point of a residue comes from ``_first_index``.  Any other
+        scalar is sampled at every point by ``TrigScalar.sample_grid``.
+        """
+        found = single_direction(s, self.coords, self.units)
+        if found is None:
+            values = list(map(abs, s.sample_grid(self.coords, self.axes)))
+            best = pick(values)
+            return best, values.index(best)
+        v, multiples = found
+        n = len(self.axes[0]) if self.axes else 1
+        residues = range(n) if any(v) else range(1)
+        steps = [math.tau * r / n for r in range(n)]
+        table = [0.0] * len(residues)
+        for (is_cos, coeff, phase, _), m in zip(_float_terms(s), multiples):
+            wave = math.cos if is_cos else math.sin
+            table = [t + coeff * wave(phase + steps[m * j % n])
+                     for t, j in zip(table, residues)]
+        table = list(map(abs, table))
+        best = pick(table)
+        return best, min(_first_index(v, j, n)
+                         for j in residues if table[j] == best)
+
+
+def _first_index(v: Sequence[int], j: int, n: int) -> int:
+    """Index, in grid order, of the first grid point k with <v, k> = j mod n.
+
+    The axis indices are fixed in order, each to the least value that leaves
+    the rest of <v, k> solvable: the indices after position i reach exactly
+    the multiples of gcd(n, v[i+1:]) mod n.
+    """
+    tails = [n]
+    for c in reversed(v):
+        tails.append(gcd(c, tails[-1]))
+    tails.reverse()
+    index = 0
+    for c, g in zip(v, tails[1:]):
+        k = next(k for k in range(n) if (j - c * k) % g == 0)
+        j -= c * k
+        index = index * n + k
+    return index
+
+
+def single_direction(
+    s: TrigScalar,
+    coords: Sequence[str],
+    units: Sequence[Frequency | None],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The one direction a scalar varies in, counted in exact angular units.
+
+    ``units[i]`` is the unit of ``coords[i]``, and ``coords`` must include
+    every coordinate of ``s``.  Counted in these units, each term's frequency
+    vector is an integer vector n_t.  When every n_t is m_t * v for integers
+    m_t and one primitive integer vector v, returns ``(v, m)`` with m in term
+    order: ``s`` is then a trigonometric polynomial in the one angle
+    theta = sum_i v_i * units[i] * x_i, term t a wave of m_t * theta.  v is
+    the first nonzero n_t divided by the gcd of its entries, and zero when
+    no term has a frequency.  Returns None when a frequency is not an
+    integer multiple of its unit, or two frequency vectors are not parallel.
+    """
+    where = {c: i for i, c in enumerate(coords)}
+    vectors = []
+    for _, freqs, _ in s.terms():
+        vec = [0] * len(coords)
+        for coord, f in freqs:
+            unit = units[where[coord]]
+            q = None if unit is None else _integer_multiple(f, unit)
+            if q is None:
+                return None
+            vec[where[coord]] = q
+        vectors.append(vec)
+    lead = next((vec for vec in vectors if any(vec)), [0] * len(coords))
+    g = gcd(*lead)
+    v = tuple(c // g for c in lead) if g else tuple(lead)
+    axis = next((i for i, c in enumerate(v) if c), None)
+    multiples = []
+    for vec in vectors:
+        m = 0 if axis is None else vec[axis] // v[axis]
+        if [m * c for c in v] != vec:
+            return None
+        multiples.append(m)
+    return v, tuple(multiples)
 
 
 def grid_points(
@@ -313,15 +441,18 @@ def grid_points(
     scalars: Sequence[TrigScalar],
     per_axis: int,
 ) -> tuple[GridPoints, dict[str, int]]:
-    """Deterministic grid over one period per coordinate appearing in scalars."""
+    """Deterministic grid over one period per coordinate appearing in scalars,
+    ``per_axis`` points per axis, with each axis's exact angular unit."""
     coords = sorted(set().union(*(s.coordinates() for s in scalars)) if scalars else set())
     axes: list[list[float]] = []
+    units: list[Frequency | None] = []
     shape: dict[str, int] = {}
     for c in coords:
-        period = space.coordinate_period(c, scalars)
+        period, unit = space.coordinate_period(c, scalars)
         axes.append([period * k / per_axis for k in range(per_axis)])
+        units.append(unit)
         shape[c] = per_axis
-    return GridPoints(coords, axes), shape
+    return GridPoints(coords, axes, units), shape
 
 
 # -- certificates -------------------------------------------------------------
@@ -376,15 +507,13 @@ def certify_nonvanishing(
                                note=note)
         return Certificate("SYMBOLIC", "nonvanishing", witness=str(const), note=note)
     points, shape = grid_points(space, [witness], grid)
-    values = points.abs_values(witness)
-    best = min(values)
+    best, first = points.abs_extreme(witness, min)
     if best > tol:
         return Certificate("SAMPLED", "nonvanishing", grid=shape, bound=best,
                            tolerance=tol, note=note)
     # the witness point is the first minimiser in grid order
     return Certificate("FAILED", "nonvanishing", grid=shape, bound=best,
-                       tolerance=tol, witness_point=points[values.index(best)],
-                       note=note)
+                       tolerance=tol, witness_point=points[first], note=note)
 
 
 def certify_no_common_zero(
@@ -419,18 +548,17 @@ def certify_vanishing(
                            note=note)
     live = [s for s in scalars if not s.is_zero()]
     points, shape = grid_points(space, live, grid)
-    peaks = points.abs_values(live[0])
-    for s in live[1:]:
-        peaks = list(map(max, peaks, points.abs_values(s)))
-    worst = max(peaks)
+    peaks = [points.abs_extreme(s, max) for s in live]
+    worst = max(peak for peak, _ in peaks)
     if worst <= tol:
         return Certificate("SAMPLED", "vanishing", grid=shape, bound=worst,
                            tolerance=tol, note=note)
-    # the witness point is the first maximiser in grid order; none when
-    # every value is zero
+    # the witness point is the first maximiser in grid order, over all the
+    # scalars; none when every value is zero
+    first = min(at for peak, at in peaks if peak == worst)
     return Certificate("FAILED", "vanishing", grid=shape, bound=worst,
                        tolerance=tol, note=note,
-                       witness_point=points[peaks.index(worst)] if worst else None)
+                       witness_point=points[first] if worst else None)
 
 
 # -- brackets and the complex structure ---------------------------------------

@@ -46,13 +46,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MappingTorusInput:
-    """Framing data over a circle coordinate; validated at construction."""
+    """Framing data over a circle coordinate; validated at construction, the
+    framing's rank certificate on ``grid`` points per period at ``tol``."""
 
     space: FramedSpace
     V: VecField
     X: VecField
     J: ComplexStructure
     t: str
+    grid: int = DEFAULT_GRID
+    tol: float = DEFAULT_TOL
     a: TrigScalar = None  # L_{JV} t, derived
     framing_certificate: Certificate = None
 
@@ -68,7 +71,8 @@ class MappingTorusInput:
         jv = self.J.apply(self.V)
         object.__setattr__(self, "a",
                            self.space.coordinate_derivative(jv, self.t))
-        cert = global_rank([self.V, jv, self.X, self.J.apply(self.X)], self.space)
+        cert = global_rank([self.V, jv, self.X, self.J.apply(self.X)], self.space,
+                           self.grid, self.tol)
         if not cert.passed:
             raise PreconditionError("V, JV, X, JX do not frame the tangent bundle")
         object.__setattr__(self, "framing_certificate", cert)

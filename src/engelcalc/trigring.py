@@ -703,8 +703,8 @@ def _float_terms(s: TrigScalar) -> FloatTerms:
     ...))`` per term, in term order.
 
     ``coeff``, ``phase`` and ``omega`` are exactly ``PiScalar.evaluate()`` and
-    ``Frequency.value()`` of the exact term; ``sample_grid`` builds it once
-    per call.
+    ``Frequency.value()`` of the exact term; ``sample_grid``, and the residue
+    tables of ``framecalc.GridPoints.abs_extreme``, build it once per call.
     """
     return tuple((kind == "c", c.evaluate(), ph.value(),
                   tuple((coord, f.value()) for coord, f in fr))

@@ -5,10 +5,15 @@ numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
 ``direct_product``, ``direct_differentiate`` and ``direct_sum_of_squares``,
 are the exact expansions that shortcuts or shared helpers in the code
-replaced.
+replaced, and ``residue_values``, which evaluates a grid point by point at
+each term's exact residue angle, as grid certificates of single-direction
+witnesses do by residue class.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -124,25 +129,88 @@ def random_points(space: FramedSpace, rng, count: int) -> list[dict]:
             for _ in range(count)]
 
 
-def brute_force_certificate(scalars, points, claim: str) -> tuple[float, dict | None]:
-    """(bound, witness point) of a sampled certificate by point-by-point evaluation.
+def frequency_vectors(s, points) -> list[dict]:
+    """Each term's frequency vector, in the exact angular units of the grid's
+    axes, as ``{coord: integer}``; None when some frequency is not an integer
+    multiple of its unit."""
+    out = []
+    for (_, fr, _), _ in s.terms().items():
+        vec = {}
+        for coord, f in fr:
+            u = points.units[points.coords.index(coord)]
+            if u is None:
+                return None
+            q = f.rat / u.rat if u.rat else f.pi / u.pi
+            if q.denominator != 1 or f != u.scale(q):
+                return None
+            vec[coord] = q.numerator
+        out.append(vec)
+    return out
 
-    Nonvanishing takes the smallest |s| of the single scalar, vanishing the
-    largest |s| over all scalars; a tie goes to the first point in the order
-    given, and vanishing names no point when every value is zero.
+
+def is_single_direction(s, points) -> bool:
+    """True when the frequency vectors are integral and pairwise parallel."""
+    vectors = frequency_vectors(s, points)
+    if vectors is None:
+        return False
+    coords = points.coords
+    for a, b in itertools.combinations(vectors, 2):
+        for x, y in itertools.combinations(coords, 2):
+            if a.get(x, 0) * b.get(y, 0) != a.get(y, 0) * b.get(x, 0):
+                return False
+    return True
+
+
+def residue_values(s, points) -> list[float]:
+    """s at every point of a ``grid_points`` grid, in grid order, with each
+    term's angle taken at its exact residue.
+
+    At the point of axis indices k the term of frequency vector n (in axis
+    units) has the exact angle phase + 2*pi*(n . k)/N, which is taken as
+    ``phase + math.tau * r / N`` with r = (n . k) mod N; the terms are summed
+    in term order from 0.0.
     """
+    n_axis = len(points.axes[0]) if points.axes else 1
+    terms = [(kind, c.evaluate(), ph.value(), vec)
+             for ((kind, _, ph), c), vec in zip(s.terms().items(),
+                                                frequency_vectors(s, points))]
+    out = []
+    for k in itertools.product(range(n_axis), repeat=len(points.coords)):
+        at = dict(zip(points.coords, k))
+        total = 0.0
+        for kind, coeff, phase, vec in terms:
+            r = sum(m * at[coord] for coord, m in vec.items()) % n_axis
+            wave = math.cos if kind == "c" else math.sin
+            total = total + coeff * wave(phase + math.tau * r / n_axis)
+        out.append(total)
+    return out
+
+
+def brute_force_certificate(scalars, points, claim: str,
+                            values=None) -> tuple[float, dict | None]:
+    """(bound, witness point) of a sampled certificate, point by point.
+
+    ``values`` gives each scalar's values at the points, in order; by default
+    each is evaluated at each point.  Nonvanishing takes the smallest |s| of
+    the single scalar, vanishing the largest |s| over all scalars; a tie goes
+    to the first point in the order given, and vanishing names no point when
+    every value is zero.
+    """
+    points = list(points)
+    if values is None:
+        values = [[s.evaluate(p) for p in points] for s in scalars]
     if claim == "nonvanishing":
-        (s,) = scalars
+        (column,) = values
         best, at = None, None
-        for p in points:
-            v = abs(s.evaluate(p))
+        for p, value in zip(points, column):
+            v = abs(value)
             if best is None or v < best:
                 best, at = v, p
         return best, at
     best, at = 0.0, None
-    for p in points:
-        for s in scalars:
-            v = abs(s.evaluate(p))
+    for i, p in enumerate(points):
+        for column in values:
+            v = abs(column[i])
             if v > best:
                 best, at = v, p
     return best, at

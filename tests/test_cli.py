@@ -663,6 +663,27 @@ def test_geiges_suite_uses_the_run_tolerance():
         assert rec.status == status and note in rec.notes, tol
 
 
+def test_mapping_torus_framing_uses_the_run_grid_and_tolerance(tmp_path, capsys):
+    # X = cos(t) E3 makes det(V, JV, X, JX) = cos(t)^2 = 1/2 + 1/2 cos(2t), of
+    # period pi: its zero is a grid point at grid 2, not at grid 17, where the
+    # least sampled value is about 0.0085
+    from engelcalc.trigring import parse
+
+    path = tmp_path / "cos_framing.json"
+    path.write_text(dump_manifest(_flat_torus_manifest(
+        X=VecField.of(0, 0, parse("cos(t)"), 0))))
+    for grid, tol, framed in ((17, 1e-6, True), (2, 1e-6, False), (17, 0.5, False)):
+        rep = run_verify(str(path), suites=("geiges",), grid=grid, tol=tol)
+        rec = rep.records[0]
+        assert (rec.status != "REJECTED") == framed, (grid, tol)
+        if not framed:
+            assert rec.notes == "V, JV, X, JX do not frame the tangent bundle"
+    with pytest.raises(SystemExit, match="do not frame"):
+        main(["geiges", "--input", str(path), "--grid", "2", "--nmax", "1"])
+    main(["geiges", "--input", str(path), "--nmax", "1"])
+    assert json.loads(capsys.readouterr().out)["n_max"] == 1
+
+
 def test_geiges_suite_rejected_for_plain_families():
     rep = run_verify("hopf_s3r", suites=("geiges",))
     rec = rep.records[0]

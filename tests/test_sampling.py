@@ -1,4 +1,5 @@
-"""Grid sampling through the float form, against plain evaluation."""
+"""Grid sampling through the float form and by residue class, against plain
+evaluation and against point-by-point oracles."""
 
 import itertools
 import math
@@ -16,10 +17,16 @@ from engelcalc.framecalc import (
     global_rank,
     grid_points,
     minors_of_fields,
+    single_direction,
 )
 from engelcalc.trigring import Frequency, PiScalar, TrigScalar, parse
 
-from oracles import brute_force_certificate, direct_sum_of_squares
+from oracles import (
+    brute_force_certificate,
+    direct_sum_of_squares,
+    is_single_direction,
+    residue_values,
+)
 
 COORDS = ("a", "b", "c", "d")
 
@@ -97,21 +104,216 @@ def test_grid_points_sequence():
     assert list(grid_points(space(), [], 5)[0]) == [{}]
 
 
+@st.composite
+def directed_scalars(draw, coords=COORDS):
+    """Sums of up to four waves whose frequency vectors are integer multiples
+    of one vector over a random set of coords: single-direction scalars."""
+    own = draw(st.lists(st.sampled_from(coords), unique=True, min_size=1,
+                        max_size=len(coords)))
+    direction = {c: draw(st.sampled_from(FREQS[c])) for c in own}
+    out = TrigScalar.constant(Fraction(draw(st.integers(-2, 2))))
+    for _ in range(draw(st.integers(1, 4))):
+        m = Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+        coeff = PiScalar.from_pairs([(draw(st.integers(-2, 2)),
+                                      Fraction(draw(st.integers(-3, 3)),
+                                               draw(st.integers(1, 4))))])
+        wave = draw(st.sampled_from((TrigScalar.cosine, TrigScalar.sine)))
+        out = out + wave({c: f.scale(m) for c, f in direction.items()},
+                         draw(st.sampled_from(PHASES)), coeff)
+    return out
+
+
+# unit roundoff of a double
+ROUNDOFF = 2.0 ** -53
+
+
+def rounding_bound(s, points) -> float:
+    """A bound on |residue value - evaluate| of s at any point of the grid.
+
+    Both routes sum the same float coefficients c_t in term order, so they
+    differ only through the angle handed to cos or sin, and through rounding.
+    With u the unit roundoff, d the number of axes and T the number of terms:
+    - evaluate's angle is phase + sum_c omega_c * x_c.  Every frequency here
+      is rational or a rational multiple of pi, so no float period,
+      frequency or axis value cancels: each has relative error below 10u,
+      each product below 14u, and the d + 1 additions add at most d*u*A,
+      A = |phase| + 2*pi + sum_c |omega_c| * max|x_c|.  So its error is at
+      most (17 + d)*u*A.
+    - the residue angle phase + 2*pi*r/N is within 3u*(|phase| + 2*pi) <= 3u*A
+      of an angle congruent to the exact one mod 2*pi.
+    - cos and sin are 1-Lipschitz and each rounds within u, and each route
+      multiplies by c_t once, so term t differs by at most
+      |c_t|*((20 + d)*u*A + 4u).
+    - summing T terms in floats adds at most T*u*l1 on each side, l1 the sum
+      of the |c_t|.
+    So the values differ by at most u*l1*((20 + d)*A_max + 2T + 4), which
+    16*(d + 2)*A_max + 2T + 8 exceeds.  min and max of |s| over the grid
+    move by no more than the largest pointwise difference.
+    """
+    reach = {c: max(map(abs, axis)) for c, axis in zip(points.coords, points.axes)}
+    l1, angle = 0.0, 0.0
+    for (_, fr, ph), c in s.terms().items():
+        l1 += abs(c.evaluate())
+        angle = max(angle, abs(ph.value()) + 2 * math.pi +
+                    sum(abs(f.value()) * reach[coord] for coord, f in fr))
+    d = len(points.coords)
+    return ROUNDOFF * l1 * (16 * (d + 2) * angle + 2 * len(s.terms()) + 8)
+
+
+def certificate_values(scalars, points) -> list[list[float]]:
+    """Each scalar at each grid point as the certificate reads it: at exact
+    residue angles for single-direction scalars, by plain evaluation (which
+    ``sample_grid`` matches bit for bit) for the rest."""
+    return [residue_values(s, points) if is_single_direction(s, points)
+            else [s.evaluate(p) for p in points] for s in scalars]
+
+
+def assert_matches_oracles(cert, scalars, points, claim):
+    # bit for bit against the point-by-point oracle of the route taken
+    bound, at = brute_force_certificate(scalars, points, claim,
+                                        certificate_values(scalars, points))
+    assert (cert.kind, cert.bound, cert.witness_point) == ("FAILED", bound, at)
+    # within rounding against plain evaluation everywhere
+    plain, _ = brute_force_certificate(scalars, points, claim)
+    assert abs(cert.bound - plain) <= max(rounding_bound(s, points) for s in scalars)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.lists(scalars(), min_size=1, max_size=3), st.integers(1, 3))
+@given(st.lists(st.one_of(scalars(), directed_scalars()), min_size=1, max_size=3),
+       st.integers(1, 5))
 def test_certificates_match_brute_force(live, per_axis):
     sp = space()
     live = [s for s in live if not s.is_zero()] or [parse("cos(a)")]
     points, _ = grid_points(sp, live, per_axis)
-    bound, at = brute_force_certificate(live, list(points), "vanishing")
-    cert = certify_vanishing(live, sp, per_axis, tol=-1.0)
-    assert (cert.kind, cert.bound, cert.witness_point) == ("FAILED", bound, at)
+    assert_matches_oracles(certify_vanishing(live, sp, per_axis, tol=-1.0),
+                           live, points, "vanishing")
     witness = live[0]
     if witness.constant_value() is None:
         points, _ = grid_points(sp, [witness], per_axis)
-        bound, at = brute_force_certificate([witness], list(points), "nonvanishing")
-        cert = certify_nonvanishing(witness, sp, per_axis, tol=math.inf)
-        assert (cert.kind, cert.bound, cert.witness_point) == ("FAILED", bound, at)
+        assert_matches_oracles(certify_nonvanishing(witness, sp, per_axis, tol=math.inf),
+                               [witness], points, "nonvanishing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scalars(), directed_scalars()))
+def test_single_direction_matches_parallel_frequency_vectors(s):
+    points, _ = grid_points(space(), [s], 3)
+    found = single_direction(s, points.coords, points.units)
+    assert (found is not None) == is_single_direction(s, points)
+    if found is not None:
+        v, multiples = found
+        assert math.gcd(*v) in (0, 1)
+        assert len(multiples) == len(s.terms())
+
+
+def test_residues_reach_past_components_sharing_a_factor_with_n():
+    # with unit periods, v = (2, 3) and N = 6: 2*kx alone reaches only even
+    # residues and 3*ky only multiples of 3, but together they reach all six.
+    # The zero of 1 - cos(theta - pi/3) is at residue 1, first reached at
+    # (kx, ky) = (2, 1)
+    sp = space(("x", "y"), periods={"x": Frequency.of(1), "y": Frequency.of(1)})
+    witness = parse("1 - cos(4*pi*x + 6*pi*y - pi/3)")
+    points, _ = grid_points(sp, [witness], 6)
+    assert single_direction(witness, points.coords, points.units)[0] == (2, 3)
+    cert = certify_nonvanishing(witness, sp, grid=6)
+    assert cert.kind == "FAILED" and cert.bound < 1e-15
+    assert cert.witness_point == {"x": points.axes[0][2], "y": points.axes[1][1]}
+    assert_matches_oracles(cert, [witness], points, "nonvanishing")
+
+
+def test_mixed_frequencies_count_in_their_own_unit():
+    # 1 + pi and 2 + 2*pi are multiples 1 and 2 of the derived unit 1 + pi
+    sp = space(("x",))
+    witness = parse("1/2 + cos(x + pi*x) + 1/3*sin(2*x + 2*pi*x + 1)")
+    points, _ = grid_points(sp, [witness], 9)
+    assert points.units == (Frequency.of(1, 1),)
+    assert single_direction(witness, points.coords, points.units) == ((1,), (0, 1, 2))
+    cert = certify_nonvanishing(witness, sp, grid=9, tol=math.inf)
+    assert (cert.bound, cert.witness_point) == brute_force_certificate(
+        [witness], points, "nonvanishing", [residue_values(witness, points)])
+
+
+def test_one_point_per_axis_is_plain_evaluation():
+    sp = space(("x", "y"))
+    live = [parse("1/3 + cos(2*pi*x + 2*pi*y + 1/2)"), parse("sin(4*pi*y + pi/3)")]
+    origin = {"x": 0.0, "y": 0.0}
+    cert = certify_nonvanishing(live[0], sp, grid=1, tol=math.inf)
+    assert (cert.bound, cert.witness_point) == (abs(live[0].evaluate(origin)), origin)
+    cert = certify_vanishing(live, sp, grid=1, tol=-1.0)
+    assert cert.bound == max(abs(s.evaluate(origin)) for s in live)
+    assert cert.witness_point == origin
+
+
+def test_vanishing_takes_each_scalar_in_its_own_direction():
+    # three directions over a 3-axis grid; the second and third scalars do
+    # not depend on every axis, the last not on any of x, y
+    sp = space(("x", "y", "z"))
+    live = [parse("sin(2*pi*x + 4*pi*y + 1/3)"), parse("3/4*cos(6*pi*y)"),
+            parse("1/2*cos(2*pi*z) - 1/5*sin(4*pi*z)")]
+    points, _ = grid_points(sp, live, 5)
+    directions = [single_direction(s, points.coords, points.units)[0] for s in live]
+    assert directions == [(1, 2, 0), (0, 1, 0), (0, 0, 1)]
+    cert = certify_vanishing(live, sp, grid=5, tol=-1.0)
+    assert_matches_oracles(cert, live, points, "vanishing")
+    cert = certify_vanishing(live, sp, grid=5, tol=1.0)
+    assert cert.kind == "SAMPLED"
+
+
+def test_single_direction_ties_go_to_the_first_point_in_grid_order():
+    sp = space(("x", "y"))
+    # 1 + cos(2 pi (x + y)) is exactly 0 wherever kx + ky = 2 mod 4
+    cert = certify_nonvanishing(parse("1 + cos(2*pi*x + 2*pi*y)"), sp, grid=4)
+    assert (cert.kind, cert.bound) == ("FAILED", 0.0)
+    assert cert.witness_point == {"x": 0.0, "y": 0.5}
+    # |sin 2 pi (x + y)| is exactly 1 at residues 1 and 3
+    cert = certify_vanishing([parse("sin(2*pi*x + 2*pi*y)")], sp, grid=4)
+    assert (cert.kind, cert.bound) == ("FAILED", 1.0)
+    assert cert.witness_point == {"x": 0.0, "y": 0.25}
+
+
+def test_inexact_declared_period_keeps_the_full_sweep(monkeypatch):
+    # a declared period of 1 has the unit 2*pi, of which the frequency 1 is no
+    # integer multiple: the witness is sampled point by point, as before
+    sp = space(("x", "y"), periods={"x": Frequency.of(1)})
+    witness = parse("2 + cos(x) + cos(2*pi*y)")
+    points, shape = grid_points(sp, [witness], 7)
+    assert points.units[0] is not None
+    assert single_direction(witness, points.coords, points.units) is None
+    calls = []
+    sample_grid = TrigScalar.sample_grid
+
+    def counting(self, *args):
+        calls.append(self)
+        return sample_grid(self, *args)
+
+    monkeypatch.setattr(TrigScalar, "sample_grid", counting)
+    cert = certify_nonvanishing(witness, sp, grid=7, tol=math.inf)
+    assert calls == [witness]
+    monkeypatch.undo()
+    bound, at = brute_force_certificate([witness], points, "nonvanishing")
+    assert cert.to_json() == {"kind": "FAILED", "claim": "nonvanishing",
+                              "grid": shape, "bound": bound,
+                              "tolerance": math.inf, "witness_point": at}
+
+
+def test_single_direction_witnesses_never_sweep_the_grid(monkeypatch):
+    # 17^4 = 83,521 grid points: a single-direction witness is tabulated over
+    # 17 residues, and only a witness of two directions reaches sample_grid
+    def refuse(*args):
+        raise AssertionError("full grid sweep")
+
+    monkeypatch.setattr(TrigScalar, "sample_grid", refuse)
+    sp = space()
+    wave = parse("2 + cos(2*pi*a + pi*b + 4*pi*c + pi/3*d)")
+    witness = wave * wave
+    cert = certify_nonvanishing(witness, sp, grid=17)
+    assert cert.kind == "SAMPLED" and cert.grid == dict.fromkeys(COORDS, 17)
+    assert 1.0 <= cert.bound <= 9.0
+    cert = certify_vanishing([wave - 2, parse("sin(2*pi*a)")], sp, grid=17)
+    assert cert.kind == "FAILED" and cert.grid == dict.fromkeys(COORDS, 17)
+    with pytest.raises(AssertionError, match="full grid sweep"):
+        certify_nonvanishing(parse("cos(2*pi*x) + cos(2*pi*y)"),
+                             space(("x", "y")), grid=17)
 
 
 def test_ties_go_to_the_first_point_in_grid_order():
