@@ -332,9 +332,7 @@ class _Runner:
                 return "FAIL", f"no passing level up to n = {n_max}"
             return "PASS", f"minimal passing level n* = {res.n_star}"
 
-        self._run("geiges.minimal_n",
-                  lambda: geiges.minimal_n_search(inp, n_max, self.ctx.grid,
-                                                  self.ctx.tol),
+        self._run("geiges.minimal_n", lambda: geiges.minimal_n_search(inp, n_max),
                   status_of=_status)
 
     def suite_equivariance(self):
@@ -485,8 +483,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.verb == "geiges":
         if args.builtin:
-            inp = geiges.flat_torus_input() if args.builtin == "flat" \
-                else geiges.twisted_torus_input()
+            make = geiges.flat_torus_input if args.builtin == "flat" \
+                else geiges.twisted_torus_input
+            inp = replace(make(), grid=args.grid)
             name = f"builtin:{args.builtin}"
         else:
             mf = _read_manifest(Path(args.input_path))
@@ -495,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             except PreconditionError as exc:
                 raise SystemExit(f"error: {exc}")
             name = mf.name
-        result = geiges.minimal_n_search(inp, args.nmax, grid=args.grid)
+        result = geiges.minimal_n_search(inp, args.nmax)
         doc = {
             "artifact": {"name": "engelcalc", "version": __version__},
             "input": name,
@@ -504,8 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "trace": list(result.trace),
         }
         if result.n_star is not None:
-            ctx = geiges.level_derivation(inp, result.n_star, "totally_real",
-                                          args.grid)
+            ctx = geiges.level_derivation(inp, result.n_star, "totally_real")
             cert = totally_real_check(ctx.d1, ctx.d2, ctx.J, ctx.space,
                                       ctx.grid, ctx.tol)
             doc["totally_real"] = {

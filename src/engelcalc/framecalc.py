@@ -144,6 +144,11 @@ class FramedSpace:
             if not s.is_zero():
                 self.derivation[i][coord] = s
         self.periods = dict(periods or {})
+        for coord, period in self.periods.items():
+            if coord not in self.coords:
+                raise ValueError(f"period given for undeclared coordinate {coord!r}")
+            if period.is_zero():
+                raise ValueError(f"period of coordinate {coord!r} is zero")
         used = set().union(*(v.coordinates() for v in self.structure.values()))
         if not used <= set(self.coords):
             raise ValueError("structure table uses undeclared coordinates")
@@ -230,8 +235,8 @@ class FramedSpace:
         float, and the exact angular unit 2*pi/P.
 
         Declared periods win; otherwise the period is derived from the set of
-        exact frequencies, which must be commensurate, and each of them is an
-        integer multiple of the unit.  The unit is None when a declared
+        exact frequencies, which must be commensurate (``_ratio``), and each
+        of them is an integer multiple of the unit.  The unit is None when a declared
         period is neither a rational nor a rational multiple of pi: no
         frequency is then an exact multiple of 2*pi/P.
         """
@@ -244,66 +249,45 @@ class FramedSpace:
         if not freqs:
             raise ValueError(f"coordinate {coord!r} does not appear")
         base = next(iter(freqs))
-        ratios: list[Fraction] = []
-        for f in freqs:
-            q = _commensurate_ratio(f, base)
-            if q is None:
-                raise ValueError(
-                    f"incommensurate frequencies in {coord!r}; declare a period"
-                )
-            ratios.append(q)
-        g = ratios[0]
-        for q in ratios[1:]:
-            g = _fraction_gcd(g, q)
-        omega = base.value() * float(g)
-        return 2.0 * 3.141592653589793 / abs(omega), base.scale(g if omega > 0 else -g)
+        ratios = [_ratio(f, base) for f in freqs]
+        if None in ratios:
+            raise ValueError(f"incommensurate frequencies in {coord!r}; declare a period")
+        # the generator of the multiples num/den of base is gcd(nums)/lcm(dens)
+        gn = gcd(*(num for num, _ in ratios))
+        gd = math.lcm(*(den for _, den in ratios))
+        omega = base.value() * (gn / gd)
+        return math.tau / abs(omega), base.scale(Fraction(gn if omega > 0 else -gn, gd))
 
     def __repr__(self) -> str:
         return f"FramedSpace({self.name or ','.join(self.frame)})"
 
 
-def _commensurate_ratio(f: Frequency, base: Frequency) -> Fraction | None:
-    """q with f = q * base, if it exists."""
-    if base.rat != 0:
-        q = f.rat / base.rat
-        return q if f.pi == q * base.pi else None
-    if base.pi != 0:
-        q = f.pi / base.pi
-        return q if f.rat == 0 else None
-    return None
-
-
-def _integer_multiple(f: Frequency, unit: Frequency) -> int | None:
-    """The integer q with f = q * unit, if it exists, on the four ints."""
+def _ratio(f: Frequency, g: Frequency) -> tuple[int, int] | None:
+    """(num, den) with f = num/den * g, in lowest terms with den > 0, on the
+    four ints; None when g is zero or f is not a rational multiple of g."""
     rn, rd, pn, pd = f
-    un, ud, vn, vd = unit
-    if un:
-        num, den = rn * ud, rd * un
-    elif rn:
-        return None
+    gn, gd, hn, hd = g
+    if gn:
+        num, den = rn * gd, rd * gn
+        if pn * hd * den != num * hn * pd:
+            return None
+    elif hn and not rn:
+        num, den = pn * hd, pd * hn
     else:
-        num, den = pn * vd, pd * vn
-    if num % den:
         return None
-    q = num // den
-    return q if pn * vd == q * vn * pd else None
+    k = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // k, den // k
 
 
 def _angular_unit(period: Frequency) -> Frequency | None:
-    """2*pi / period as an exact frequency, when it is one."""
-    if period.pi == 0 and period.rat != 0:
-        return Frequency(Fraction(0), 2 / period.rat)
-    if period.rat == 0 and period.pi != 0:
-        return Frequency(2 / period.pi, Fraction(0))
+    """2*pi / period as an exact frequency, when it is one; the period is
+    nonzero."""
+    rn, rd, pn, pd = period
+    if not pn:
+        return Frequency(Fraction(0), Fraction(2 * rd, rn))
+    if not rn:
+        return Frequency(Fraction(2 * pd, pn), Fraction(0))
     return None
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(a), abs(b)
-    return Fraction(
-        gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
 
 
 class GridPoints(Sequence):
@@ -418,10 +402,10 @@ def single_direction(
         vec = [0] * len(coords)
         for coord, f in freqs:
             unit = units[where[coord]]
-            q = None if unit is None else _integer_multiple(f, unit)
-            if q is None:
+            q = None if unit is None else _ratio(f, unit)
+            if q is None or q[1] != 1:
                 return None
-            vec[where[coord]] = q
+            vec[where[coord]] = q[0]
         vectors.append(vec)
     lead = next((vec for vec in vectors if any(vec)), [0] * len(coords))
     g = gcd(*lead)

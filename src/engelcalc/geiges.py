@@ -46,8 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MappingTorusInput:
-    """Framing data over a circle coordinate; validated at construction, the
-    framing's rank certificate on ``grid`` points per period at ``tol``."""
+    """Framing data over a circle coordinate; validated at construction.
+
+    ``grid`` and ``tol`` set every certificate's sampling: the framing's rank
+    certificate on ``grid`` points per period, and level n on ``grid * n``
+    (see ``level_derivation``), each at ``tol``.
+    """
 
     space: FramedSpace
     V: VecField
@@ -144,13 +148,13 @@ def build_An(inp: MappingTorusInput, n: int,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def level_derivation(inp: MappingTorusInput, n: int, variant: str = "j_engel",
-                     grid: int = DEFAULT_GRID,
-                     tol: float = DEFAULT_TOL) -> Derivation:
-    """The derivation of level n of a variant, sampled at ``grid * n`` points
-    per level-1 period, since the waves oscillate at frequency n^2."""
+def level_derivation(inp: MappingTorusInput, n: int,
+                     variant: str = "j_engel") -> Derivation:
+    """The derivation of level n of a variant at the input's ``tol``, sampled
+    at ``inp.grid * n`` points per level-1 period, since the waves oscillate
+    at frequency n^2."""
     d1, d2 = build_An(inp, n, variant)
-    return Derivation(d1, d2, inp.J, inp.space, grid * n, tol)
+    return Derivation(d1, d2, inp.J, inp.space, inp.grid * n, inp.tol)
 
 
 @dataclass(frozen=True)
@@ -230,9 +234,7 @@ class SearchResult:
     trace: tuple[dict, ...]
 
 
-def minimal_n_search(inp: MappingTorusInput, n_max: int,
-                     grid: int = DEFAULT_GRID,
-                     tol: float = DEFAULT_TOL) -> SearchResult:
+def minimal_n_search(inp: MappingTorusInput, n_max: int) -> SearchResult:
     """Smallest level whose plane field earns an Engel certificate and JD = D.
 
     Levels are swept in order, each on its ``level_derivation``.  The result
@@ -243,7 +245,7 @@ def minimal_n_search(inp: MappingTorusInput, n_max: int,
         raise ValueError("n_max must be at least 1")
     trace: list[dict] = []
     for n in range(1, n_max + 1):
-        ctx = level_derivation(inp, n, grid=grid, tol=tol)
+        ctx = level_derivation(inp, n)
         flag = ctx.flag
         entry = {"n": n, "passed": flag.passed}
         for key, cert in flag.certificates.items():

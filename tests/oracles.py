@@ -5,20 +5,30 @@ numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
 ``direct_product``, ``direct_differentiate`` and ``direct_sum_of_squares``,
 are the exact expansions that shortcuts or shared helpers in the code
-replaced, and ``residue_values``, which evaluates a grid point by point at
+replaced, ``residue_values``, which evaluates a grid point by point at
 each term's exact residue angle, as grid certificates of single-direction
-witnesses do by residue class.
+witnesses do by residue class, and ``fraction_period``, the derivation of a
+coordinate's period and angular unit on Fractions that the one on the four
+ints of a frequency replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from engelcalc.framecalc import FramedSpace, VecField, bracket
-from engelcalc.trigring import _CONST_WAVE, _PI_HALF, ZERO, TrigScalar, _angle_add
+from engelcalc.trigring import (
+    _CONST_WAVE,
+    _PI_HALF,
+    ZERO,
+    Frequency,
+    TrigScalar,
+    _angle_add,
+)
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
@@ -214,3 +224,43 @@ def brute_force_certificate(scalars, points, claim: str,
             if v > best:
                 best, at = v, p
     return best, at
+
+
+def fraction_period(space: FramedSpace, coord: str, scalars) -> tuple:
+    """(float period, exact angular unit) of a coordinate, on Fractions.
+
+    A declared period P gives P's value and 2*pi/P when P is a rational or a
+    rational multiple of pi, else no unit.  Otherwise each frequency is
+    written as a Fraction times the first one, the base, and the period is
+    2*pi over |base * g| for g the gcd of those Fractions; the unit is g *
+    base, turned positive.
+    """
+    if coord in space.periods:
+        period = space.periods[coord]
+        if period.pi == 0 and period.rat != 0:
+            return period.value(), Frequency(Fraction(0), 2 / period.rat)
+        if period.rat == 0 and period.pi != 0:
+            return period.value(), Frequency(2 / period.pi, Fraction(0))
+        return period.value(), None
+    freqs = set()
+    for s in scalars:
+        freqs |= s.frequencies_of(coord)
+    base = next(iter(freqs))
+    g = None
+    for f in freqs:
+        if base.rat != 0:
+            q = f.rat / base.rat
+            commensurate = f.pi == q * base.pi
+        else:
+            q = f.pi / base.pi
+            commensurate = f.rat == 0
+        if not commensurate:
+            raise ValueError(f"incommensurate frequencies in {coord!r}; declare a period")
+        if g is None:
+            g = q
+        else:
+            a, b = abs(g), abs(q)
+            g = Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                         a.denominator * b.denominator)
+    omega = base.value() * float(g)
+    return 2.0 * 3.141592653589793 / abs(omega), base.scale(g if omega > 0 else -g)

@@ -262,8 +262,19 @@ OUTSIDE_FRAME_MANIFESTS = {
     "derivation_row_outside_frame": (
         {"frame": _FRAME, "derivation": {"z": {}}}, "derivation row 'z' is not in the frame"),
 }
+# declared periods that span no lattice or name no coordinate, which the
+# schema cannot see either; a negative period spans the same lattice and stays
+DEGENERATE_PERIOD_MANIFESTS = {
+    "period_zero": ({"frame": _FRAME, "coordinates": ["t"],
+                     "periods": {"t": {"rat": "0", "pi": "0"}}},
+                    "period of coordinate 't' is zero"),
+    "period_of_undeclared_coordinate": (
+        {"frame": _FRAME, "coordinates": ["t"],
+         "periods": {"z": {"rat": "1", "pi": "0"}}},
+        "period given for undeclared coordinate 'z'"),
+}
 MALFORMED_MANIFESTS = {**WRONG_TYPE_MANIFESTS, **MISSING_MEMBER_MANIFESTS,
-                       **OUTSIDE_FRAME_MANIFESTS}
+                       **OUTSIDE_FRAME_MANIFESTS, **DEGENERATE_PERIOD_MANIFESTS}
 
 
 DIAGNOSTICS = [
@@ -321,6 +332,12 @@ def test_manifest_schema_rejects_each_missing_member(manifest):
     doc, _ = MISSING_MEMBER_MANIFESTS[manifest]
     with pytest.raises(jsonschema.ValidationError, match="is a required property"):
         jsonschema.validate(doc, MANIFEST_SCHEMA)
+
+
+@pytest.mark.parametrize("manifest", DEGENERATE_PERIOD_MANIFESTS)
+def test_manifest_schema_admits_each_degenerate_period(manifest):
+    doc, _ = DEGENERATE_PERIOD_MANIFESTS[manifest]
+    jsonschema.validate(doc, MANIFEST_SCHEMA)
 
 
 TWISTED = str(ROOT / "demos" / "manifests" / "twisted_torus.json")

@@ -395,6 +395,23 @@ def test_declared_period_overrides_derived_one():
         brute_force_certificate([witness], list(pts), "nonvanishing")
 
 
+def test_declared_period_must_be_nonzero_and_declared():
+    from engelcalc.trigring import Frequency
+
+    def space(periods):
+        return FramedSpace(frame=("e1", "e2", "e3", "e4"), coords=("x",),
+                           derivation={(0, "x"): 1}, periods=periods)
+
+    with pytest.raises(ValueError, match="period of coordinate 'x' is zero"):
+        space({"x": Frequency.of(0, 0)})
+    with pytest.raises(ValueError, match="undeclared coordinate 'z'"):
+        space({"z": Frequency.of(1)})
+    # a negative period spans the same lattice
+    pts, _ = grid_points(space({"x": Frequency.of(0, -2)}), [parse("sin(x)")], 4)
+    assert [p["x"] for p in pts] == [-2 * math.pi * k / 4 for k in range(4)]
+    assert pts.units == (Frequency.of(-1),)
+
+
 def test_jacobi_holds_numerically_at_random_points():
     space = kodaira_space()
     basis = [VecField.basis(i) for i in range(4)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from engelcalc.engelcheck import (
@@ -81,8 +83,8 @@ def test_decay_fit_slopes_are_exact():
 
 
 def test_level_derivation_scales_the_grid():
-    inp = twisted_torus_input()
-    ctx = level_derivation(inp, 3, "totally_real", grid=5, tol=0.5)
+    inp = replace(twisted_torus_input(), grid=5, tol=0.5)
+    ctx = level_derivation(inp, 3, "totally_real")
     assert (ctx.d1, ctx.d2) == build_An(inp, 3, "totally_real")
     assert (ctx.J, ctx.space, ctx.grid, ctx.tol) == (inp.J, inp.space, 15, 0.5)
 

@@ -3,10 +3,11 @@ evaluation and against point-by-point oracles."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engelcalc.framecalc import (
     FramedSpace,
@@ -24,6 +25,8 @@ from engelcalc.trigring import Frequency, PiScalar, TrigScalar, parse
 from oracles import (
     brute_force_certificate,
     direct_sum_of_squares,
+    fraction_period,
+    frequency_vectors,
     is_single_direction,
     residue_values,
 )
@@ -102,6 +105,64 @@ def test_grid_points_sequence():
     with pytest.raises(IndexError):
         points[len(points)]
     assert list(grid_points(space(), [], 5)[0]) == [{}]
+
+
+def nonzero_fractions():
+    return st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def frequencies(draw):
+    """A nonzero frequency r + s*pi that is rational, a multiple of pi, or
+    mixed, with either sign."""
+    kind = draw(st.sampled_from(("rat", "pi", "mixed")))
+    r = Fraction(0) if kind == "pi" else draw(nonzero_fractions())
+    s = Fraction(0) if kind == "rat" else draw(nonzero_fractions())
+    return Frequency(r, s)
+
+
+@st.composite
+def axis_frequencies(draw):
+    """Rational multiples of one frequency, and at times a few more drawn
+    freely, which are mostly no rational multiple of it."""
+    base = draw(frequencies())
+    multiples = draw(st.lists(nonzero_fractions(), min_size=1, max_size=5))
+    return [base.scale(q) for q in multiples] + \
+        draw(st.lists(frequencies(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_frequencies(), st.one_of(st.none(), frequencies()), st.integers(1, 5))
+# the unit -1 + pi has a negative rational part; the base -4 + pi is
+# negative, so the unit is 4 - pi; 4 + 2*pi is the multiple 4/2 of the unit
+# 2 + pi before reduction
+@example([Frequency.of(-1, 1), Frequency.of(-3, 3)], None, 3)
+@example([Frequency.of(-4, 1), Frequency.of(-8, 2)], None, 3)
+@example([Frequency.of(2, 1), Frequency.of(4, 2)], None, 3)
+def test_grid_axes_match_the_fraction_derivation(freqs, declared, per_axis):
+    # the period bit for bit, the unit and the incommensurate error are the
+    # Fraction derivation's, for derived and declared periods alike, and each
+    # frequency counts in the unit as the Fractions count it
+    sp = space(("x",), periods=None if declared is None else {"x": declared})
+    live = [TrigScalar.cosine({"x": f}) for f in freqs]
+    try:
+        period, unit = fraction_period(sp, "x", live)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            grid_points(sp, live, per_axis)
+        return
+    points, _ = grid_points(sp, live, per_axis)
+    assert [x.hex() for x in points.axes[0]] == \
+        [(period * k / per_axis).hex() for k in range(per_axis)]
+    assert sp.coordinate_period("x", live)[0].hex() == period.hex()
+    assert points.units == (unit,)
+    waves = sum(live, TrigScalar())
+    found = single_direction(waves, points.coords, points.units)
+    vectors = frequency_vectors(waves, points)
+    assert (found is None) == (vectors is None)
+    if found is not None:
+        (v,), multiples = found
+        assert [{"x": v * m} for m in multiples] == vectors
 
 
 @st.composite
