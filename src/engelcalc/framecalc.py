@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .trigring import ONE, ZERO, Frequency, TrigLike, TrigScalar, _float_terms, normalize
@@ -143,7 +144,7 @@ class FramedSpace:
             s = normalize(s)
             if not s.is_zero():
                 self.derivation[i][coord] = s
-        self.periods = dict(periods or {})
+        self.periods = MappingProxyType(dict(periods or {}))
         for coord, period in self.periods.items():
             if coord not in self.coords:
                 raise ValueError(f"period given for undeclared coordinate {coord!r}")

@@ -34,9 +34,13 @@ all operations are pure.
 
 A product of two waves is expanded and canonicalised once per wave pair:
 ``_product_keys`` gives the canonical keys and signs of the two product-to-sum
-waves and keeps the last ``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.
-That memo is the module's one piece of state; it is bounded, thread-safe, and
-no result depends on it.  ``differentiate`` keeps each term's key with cos and
+waves, from one merge pass over their frequencies, and keeps the last
+``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.  That memo is the module's
+one piece of state; it is bounded, thread-safe, and no result depends on it.
+Sums and products merge the coefficients' triples (half the product for a
+wave pair, negated on the fly for a difference) and wrap each surviving
+coefficient in a ``PiScalar`` once; a constant operand only scales the other,
+and ``ONE`` returns it.  ``differentiate`` keeps each term's key with cos and
 sin swapped, which is canonical as it stands.
 """
 
@@ -225,53 +229,21 @@ class PiScalar:
         return not self._terms
 
     def __add__(self, other: "PiScalarLike") -> "PiScalar":
-        if not isinstance(other, PiScalar):
-            other = PiScalar.of(other)
-        a, b = self._terms, other._terms
-        if not a:
-            return other
-        if not b:
-            return self
-        # merge two short sorted runs
-        out: list[tuple[int, int, int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ea, na, da = a[i]
-            eb, nb, db = b[j]
-            if ea < eb:
-                out.append(a[i]); i += 1
-            elif ea > eb:
-                out.append(b[j]); j += 1
-            else:
-                n, d = _qadd(na, da, nb, db)
-                if n:
-                    out.append((ea, n, d))
-                i += 1; j += 1
-        out.extend(a[i:]); out.extend(b[j:])
-        return PiScalar._raw(tuple(out))
+        return PiScalar._raw(_merge_runs(self._terms, PiScalar.of(other)._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar._raw(tuple((e, -n, d) for e, n, d in self._terms))
+        return PiScalar._raw(_neg(self._terms))
 
     def __sub__(self, other: "PiScalarLike") -> "PiScalar":
-        return self + (-PiScalar.of(other))
+        return PiScalar._raw(_merge_runs(self._terms, PiScalar.of(other)._terms, True))
 
     def __rsub__(self, other: "PiScalarLike") -> "PiScalar":
         return PiScalar.of(other) - self
 
     def __mul__(self, other: "PiScalarLike") -> "PiScalar":
-        if not isinstance(other, PiScalar):
-            other = PiScalar.of(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return _PI_ZERO
-        if len(a) == 1 and len(b) == 1:
-            (e1, n1, d1), (e2, n2, d2) = a[0], b[0]
-            return PiScalar._raw(((e1 + e2, *_qmul(n1, d1, n2, d2)),))
-        return PiScalar._raw(_collect((e1 + e2, *_qmul(n1, d1, n2, d2))
-                                      for e1, n1, d1 in a for e2, n2, d2 in b))
+        return PiScalar._raw(_pmul(self._terms, PiScalar.of(other)._terms))
 
     __rmul__ = __mul__
 
@@ -364,8 +336,52 @@ def _collect(triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, i
     return tuple(sorted((e, n, d) for e, (n, d) in acc.items() if n))
 
 
-_PI_ZERO = PiScalar._raw(())
-_PI_HALF = PiScalar._raw(((0, 1, 2),))
+# a coefficient's run, its sorted (exp, num, den) triples: PiScalar and
+# TrigScalar compute on runs and wrap each surviving one in a PiScalar once
+Run = tuple[tuple[int, int, int], ...]
+
+
+def _neg(a: Run) -> Run:
+    return tuple((e, -n, d) for e, n, d in a)
+
+
+def _pmul(a: Run, b: Run) -> Run:
+    """The run of a product."""
+    if len(a) == 1 and len(b) == 1:
+        (e1, n1, d1), (e2, n2, d2) = a[0], b[0]
+        return ((e1 + e2, *_qmul(n1, d1, n2, d2)),)
+    return _collect((e1 + e2, *_qmul(n1, d1, n2, d2))
+                    for e1, n1, d1 in a for e2, n2, d2 in b)
+
+
+def _merge_runs(a: Run, b: Run, negate: bool = False) -> Run:
+    """The run of a + b, or of a - b when ``negate``: one pass over both."""
+    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+        (e, na, da), (_, nb, db) = a[0], b[0]
+        n, d = _qadd(na, da, -nb if negate else nb, db)
+        return ((e, n, d),) if n else ()
+    out: list[tuple[int, int, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ea, na, da = a[i]
+        eb, nb, db = b[j]
+        if ea < eb:
+            out.append(a[i]); i += 1
+        elif ea > eb:
+            out.append((eb, -nb, db) if negate else b[j]); j += 1
+        else:
+            n, d = _qadd(na, da, -nb if negate else nb, db)
+            if n:
+                out.append((ea, n, d))
+            i += 1; j += 1
+    out.extend(a[i:])
+    out.extend(_neg(b[j:]) if negate else b[j:])
+    return tuple(out)
+
+
+_ONE_RUN: Run = ((0, 1, 1),)
+_MINUS_ONE_RUN: Run = ((0, -1, 1),)
+_HALF_RUN: Run = ((0, 1, 2),)
 
 
 PiScalarLike = Union[PiScalar, int, str, Fraction]
@@ -373,7 +389,8 @@ PiScalarLike = Union[PiScalar, int, str, Fraction]
 PI = PiScalar.from_pairs([(1, 1)])
 
 # wave key: (kind, ((coord, Frequency), ...) sorted by coord, phase Frequency)
-Wave = tuple[str, tuple[tuple[str, Frequency], ...], Frequency]
+Freqs = tuple[tuple[str, Frequency], ...]
+Wave = tuple[str, Freqs, Frequency]
 
 # float form of a scalar, see _float_terms
 FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...]
@@ -407,10 +424,15 @@ def _canonical(
 
     Returns None when the wave is identically zero (sin of the zero angle).
     """
-    fr = {c: f for c, f in freqs.items() if not f.is_zero()}
+    fr = tuple(sorted((c, f) for c, f in freqs.items() if not f.is_zero()))
+    return _orient(kind, fr, phase)
+
+
+def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
+    # _canonical for frequencies sorted by coordinate, zeros dropped
     sign = 1
     if fr:
-        flip = _freq_is_negative(fr[min(fr)])
+        flip = _freq_is_negative(fr[0][1])
     else:
         # orient the phase so that (rat, pi mod 2) is the smaller of the
         # phase's and its negative's: the rat parts are r and -r, and on a
@@ -418,7 +440,7 @@ def _canonical(
         rn, _, pn, pd = phase
         flip = rn > 0 if rn else -pn % (2 * pd) < pn % (2 * pd)
     if flip:
-        fr = {c: f.neg() for c, f in fr.items()}
+        fr = tuple((c, f.neg()) for c, f in fr)
         phase = phase.neg()
         if kind == "s":
             sign = -sign
@@ -430,16 +452,31 @@ def _canonical(
         phase = FREQ_ZERO
     if kind == "s" and not fr and phase.is_zero():
         return None
-    return (kind, tuple(sorted(fr.items())), phase), sign
+    return (kind, fr, phase), sign
 
 
-def _angle_add(w1: Wave, w2: Wave, subtract: bool = False) -> tuple[dict, Frequency]:
-    fr = dict(w1[1])
-    for c, f in w2[1]:
-        g = f.neg() if subtract else f
-        fr[c] = fr.get(c, FREQ_ZERO).add(g)
-    ph = w1[2].add(w2[2].neg() if subtract else w2[2])
-    return fr, ph
+def _sum_and_difference(f1: Freqs, f2: Freqs) -> tuple[Freqs, Freqs]:
+    """The frequencies of the angles w1 + w2 and w1 - w2, from those of two
+    canonical waves: one merge pass by coordinate, zeros dropped."""
+    plus: list[tuple[str, Frequency]] = []
+    minus: list[tuple[str, Frequency]] = []
+    i = j = 0
+    while i < len(f1) and j < len(f2):
+        (c1, a), (c2, b) = f1[i], f2[j]
+        if c1 < c2:
+            plus.append(f1[i]); minus.append(f1[i]); i += 1
+        elif c1 > c2:
+            plus.append(f2[j]); minus.append((c2, b.neg())); j += 1
+        else:
+            s, d = a.add(b), a.add(b.neg())
+            if not s.is_zero():
+                plus.append((c1, s))
+            if not d.is_zero():
+                minus.append((c1, d))
+            i += 1; j += 1
+    plus.extend(f1[i:]); minus.extend(f1[i:])
+    plus.extend(f2[j:]); minus.extend((c, b.neg()) for c, b in f2[j:])
+    return tuple(plus), tuple(minus)
 
 
 # bound of the wave-pair memo below: 1024 entries raised peak RSS by 2-5%
@@ -453,11 +490,11 @@ def _product_keys(w1: Wave, w2: Wave) -> tuple[tuple[Wave, int], ...]:
 
     Each output wave comes as its canonical key with the sign of its
     coefficient, which is 1/2 times that sign: the product-to-sum sign times
-    the sign picked up by ``_canonical``.  Sin of the zero angle is dropped.
+    the sign picked up by ``_orient``.  Sin of the zero angle is dropped.
     """
-    sf, sp = _angle_add(w1, w2)
-    df, dp = _angle_add(w1, w2, subtract=True)
-    k1, k2 = w1[0], w2[0]
+    (k1, f1, p1), (k2, f2, p2) = w1, w2
+    sf, df = _sum_and_difference(f1, f2)
+    sp, dp = p1.add(p2), p1.add(p2.neg())
     if k1 == "c" and k2 == "c":
         waves = (("c", df, dp, 1), ("c", sf, sp, 1))
     elif k1 == "s" and k2 == "s":
@@ -468,7 +505,7 @@ def _product_keys(w1: Wave, w2: Wave) -> tuple[tuple[Wave, int], ...]:
         waves = (("s", sf, sp, 1), ("s", df, dp, -1))
     out = []
     for kind, fr, ph, sign in waves:
-        canon = _canonical(kind, fr, ph)
+        canon = _orient(kind, fr, ph)
         if canon is not None:
             key, s = canon
             out.append((key, sign * s))
@@ -496,9 +533,11 @@ class TrigScalar:
     def _wave(kind: str, freqs: Mapping[str, Frequency], phase: Frequency,
               coeff: PiScalarLike = 1) -> "TrigScalar":
         coeff = PiScalar.of(coeff)
-        out = TrigScalar()
-        out._add_term(kind, freqs, phase, coeff)
-        return out
+        canon = None if coeff.is_zero() else _canonical(kind, freqs, phase)
+        if canon is None:
+            return TrigScalar()
+        key, sign = canon
+        return TrigScalar({key: coeff if sign > 0 else -coeff})
 
     @staticmethod
     def cosine(freqs: Mapping[str, Frequency], phase: Frequency = FREQ_ZERO,
@@ -509,25 +548,6 @@ class TrigScalar:
     def sine(freqs: Mapping[str, Frequency], phase: Frequency = FREQ_ZERO,
              coeff: PiScalarLike = 1) -> "TrigScalar":
         return TrigScalar._wave("s", freqs, phase, coeff)
-
-    def _add_term(self, kind: str, freqs: Mapping[str, Frequency],
-                  phase: Frequency, coeff: PiScalar) -> None:
-        if coeff.is_zero():
-            return
-        canon = _canonical(kind, freqs, phase)
-        if canon is None:
-            return
-        key, sign = canon
-        self._merge(key, coeff if sign > 0 else -coeff)
-
-    def _merge(self, key: Wave, coeff: PiScalar) -> None:
-        # key must already be canonical
-        prev = self._terms.get(key)
-        c = coeff if prev is None else prev + coeff
-        if c.is_zero():
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = c
 
     # -- queries ------------------------------------------------------------
 
@@ -559,11 +579,7 @@ class TrigScalar:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "TrigLike") -> "TrigScalar":
-        other = normalize(other)
-        out = TrigScalar(self._terms)
-        for key, c in other._terms.items():
-            out._merge(key, c)
-        return out
+        return self._plus(other, False)
 
     __radd__ = __add__
 
@@ -571,28 +587,67 @@ class TrigScalar:
         return TrigScalar({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "TrigLike") -> "TrigScalar":
-        return self + (-normalize(other))
+        return self._plus(other, True)
 
     def __rsub__(self, other: "TrigLike") -> "TrigScalar":
         return normalize(other) - self
 
-    def __mul__(self, other: "TrigLike") -> "TrigScalar":
-        other = normalize(other)
-        out = TrigScalar()
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                c = c1 * c2
-                if w1 == _CONST_WAVE:
-                    out._merge(w2, c)
-                elif w2 == _CONST_WAVE:
-                    out._merge(w1, c)
-                else:
-                    half = c * _PI_HALF
-                    for key, sign in _product_keys(w1, w2):
-                        out._merge(key, half if sign > 0 else -half)
+    def _plus(self, other: "TrigLike", negate: bool) -> "TrigScalar":
+        # other's runs merged into a copy of the terms, negated for a difference
+        out = TrigScalar(self._terms)
+        terms = out._terms
+        for key, c in normalize(other)._terms.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = -c if negate else c
+                continue
+            run = _merge_runs(prev._terms, c._terms, negate)
+            if run:
+                terms[key] = PiScalar._raw(run)
+            else:
+                del terms[key]
         return out
 
+    def __mul__(self, other: "TrigLike") -> "TrigScalar":
+        other = normalize(other)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ZERO
+        if len(a) == 1 and _CONST_WAVE in a:
+            return other._scaled(a[_CONST_WAVE])
+        if len(b) == 1 and _CONST_WAVE in b:
+            return self._scaled(b[_CONST_WAVE])
+        # pair products merged as runs, key by key in pair order, as a sum would
+        acc: dict[Wave, Run] = {}
+        for w1, c1 in a.items():
+            # a wave pair's coefficient is half the product: halve c1 once
+            h1 = None if w1 == _CONST_WAVE else _pmul(c1._terms, _HALF_RUN)
+            for w2, c2 in b.items():
+                if h1 is not None and w2 != _CONST_WAVE:
+                    keys, run = _product_keys(w1, w2), _pmul(h1, c2._terms)
+                else:  # a constant times a wave keeps the wave's key
+                    keys, run = ((w1 if h1 else w2, 1),), _pmul(c1._terms, c2._terms)
+                for key, sign in keys:
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = run if sign > 0 else _neg(run)
+                        continue
+                    total = _merge_runs(prev, run, sign < 0)
+                    if total:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+        return TrigScalar({key: PiScalar._raw(run) for key, run in acc.items()})
+
     __rmul__ = __mul__
+
+    def _scaled(self, c: PiScalar) -> "TrigScalar":
+        # c is nonzero, so no product vanishes and the keys stay as they are
+        r = c._terms
+        if r == _ONE_RUN:
+            return self
+        return TrigScalar({w: PiScalar._raw(_pmul(r, x._terms))
+                           for w, x in self._terms.items()})
 
     def div_exact(self, divisor: PiScalarLike) -> "TrigScalar | None":
         """Exact quotient by a nonzero constant, or None when it is inexact."""
@@ -632,7 +687,7 @@ class TrigScalar:
         for (kind, fr, ph), c in self._terms.items():
             omega = dict(fr).get(coord)
             nph = ph if omega is None else ph.add(omega.scale(d))
-            out._add_term(kind, dict(fr), nph, c)
+            out = out._plus(TrigScalar._wave(kind, dict(fr), nph, c), False)
         return out
 
     # -- floating-point evaluation --------------------------------------------
@@ -934,49 +989,46 @@ def parse(text: str) -> TrigScalar:
 
 def _format_coeff(c: PiScalar) -> tuple[str, str]:
     """(connector, text) pair for a coefficient in a term position."""
-    items = c.items()
-    if len(items) == 1:
-        e, q = items[0]
-        sign = "-" if q < 0 else "+"
-        q = abs(q)
+    if len(c._terms) == 1:
+        ((e, n, d),) = c._terms
+        sign = "-" if n < 0 else "+"
+        q = _qstr(abs(n), d)
         if e == 0:
-            body = str(q)
+            body = q
         else:
             p = "pi" if e == 1 else f"pi^{e}"
-            body = p if q == 1 else f"{q}*{p}"
+            body = p if q == "1" else f"{q}*{p}"
         return sign, body
     return "+", f"({c})"
 
 
-def _format_angle(fr: tuple[tuple[str, Frequency], ...], ph: Frequency) -> str:
-    parts: list[str] = []
+def _format_angle(fr: Freqs, ph: Frequency) -> str:
+    parts: list[tuple[str, str]] = []
 
-    def add_part(q: Fraction, pideg: int, coord: str | None) -> None:
-        if q == 0:
+    def add_part(n: int, d: int, pideg: int, coord: str | None) -> None:
+        # the part (n/d) * pi**pideg * coord, for reduced n/d with d > 0
+        if not n:
             return
-        sign = "-" if q < 0 else "+"
-        q = abs(q)
+        q = _qstr(abs(n), d)
         bits = []
-        if q != 1 or (pideg == 0 and coord is None):
-            bits.append(str(q) if q.denominator == 1 else f"({q})")
+        if q != "1" or (pideg == 0 and coord is None):
+            bits.append(q if d == 1 else f"({q})")
         if pideg:
             bits.append("pi")
         if coord:
             bits.append(coord)
-        parts.append((sign, "*".join(bits)))
+        parts.append(("-" if n < 0 else "+", "*".join(bits)))
 
-    for coord, f in fr:
-        add_part(f.rat, 0, coord)
-        add_part(f.pi, 1, coord)
-    add_part(ph.rat, 0, None)
-    add_part(ph.pi, 1, None)
-    out = ""
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out
+    for coord, (rn, rd, pn, pd) in (*fr, (None, ph)):
+        add_part(rn, rd, 0, coord)
+        add_part(pn, pd, 1, coord)
+    return _join(parts)
+
+
+def _join(parts: list[tuple[str, str]]) -> str:
+    # "a - b + c" from the (connector, text) parts; a leading "-" stays
+    text = "".join(f" {sign} {body}" for sign, body in parts)
+    return "-" + text[3:] if text[1:2] == "-" else text[3:]
 
 
 def format_scalar(s: TrigScalar) -> str:
@@ -989,21 +1041,18 @@ def format_scalar(s: TrigScalar) -> str:
         freqs = tuple((c, f.rat, f.pi) for c, f in fr)
         return (len(fr), freqs, (ph.rat, ph.pi), kind)
 
-    out = ""
-    for (kind, fr, ph), c in sorted(s.terms().items(), key=sort_key):
+    parts = []
+    for (kind, fr, ph), c in sorted(s._terms.items(), key=sort_key):
         if (kind, fr, ph) == _CONST_WAVE:
             sign, body = _format_coeff(c)
         else:
             wave = f"{'cos' if kind == 'c' else 'sin'}({_format_angle(fr, ph)})"
-            if c == PiScalar.of(1):
+            if c._terms == _ONE_RUN:
                 sign, body = "+", wave
-            elif c == PiScalar.of(-1):
+            elif c._terms == _MINUS_ONE_RUN:
                 sign, body = "-", wave
             else:
                 sign, body = _format_coeff(c)
                 body = f"{body}*{wave}"
-        if not out:
-            out = body if sign == "+" else f"-{body}"
-        else:
-            out += f" {sign} {body}"
-    return out
+        parts.append((sign, body))
+    return _join(parts)

@@ -3,13 +3,15 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
-``direct_product``, ``direct_differentiate`` and ``direct_sum_of_squares``,
-are the exact expansions that shortcuts or shared helpers in the code
-replaced, ``residue_values``, which evaluates a grid point by point at
-each term's exact residue angle, as grid certificates of single-direction
-witnesses do by residue class, and ``fraction_period``, the derivation of a
-coordinate's period and angular unit on Fractions that the one on the four
-ints of a frequency replaced.
+``direct_product``, ``direct_sum``, ``direct_difference``,
+``direct_differentiate`` and ``direct_sum_of_squares``, are the exact
+expansions that shortcuts or shared helpers in the code replaced (the ring
+loops merge whole ``PiScalar`` coefficients one term at a time, where
+``TrigScalar`` merges coefficient runs), ``residue_values``, which
+evaluates a grid point by point at each term's exact residue angle, as grid
+certificates of single-direction witnesses do by residue class, and
+``fraction_period``, the derivation of a coordinate's period and angular
+unit on Fractions that the one on the four ints of a frequency replaced.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ import numpy as np
 from engelcalc.framecalc import FramedSpace, VecField, bracket
 from engelcalc.trigring import (
     _CONST_WAVE,
-    _PI_HALF,
+    FREQ_ZERO,
     ZERO,
     Frequency,
+    PiScalar,
     TrigScalar,
-    _angle_add,
+    _canonical,
 )
+
+_PI_HALF = PiScalar.from_pairs([(0, Fraction(1, 2))])
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
@@ -42,6 +47,36 @@ def direct_sum_of_squares(scalars) -> TrigScalar:
     for s in scalars:
         witness = witness + s * s
     return witness
+
+
+def _merge(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff for a canonical key, dropping a zero sum."""
+    prev = terms.get(key)
+    c = coeff if prev is None else prev + coeff
+    if c.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
+def _add_term(terms: dict, kind, freqs, phase, coeff) -> None:
+    """Canonicalise one wave and merge its coefficient into ``terms``."""
+    if coeff.is_zero():
+        return
+    canon = _canonical(kind, freqs, phase)
+    if canon is None:
+        return
+    key, sign = canon
+    _merge(terms, key, coeff if sign > 0 else -coeff)
+
+
+def _angle_add(w1, w2, subtract: bool = False) -> tuple[dict, Frequency]:
+    fr = dict(w1[1])
+    for c, f in w2[1]:
+        g = f.neg() if subtract else f
+        fr[c] = fr.get(c, FREQ_ZERO).add(g)
+    ph = w1[2].add(w2[2].neg() if subtract else w2[2])
+    return fr, ph
 
 
 def _wave_product(w1, w2) -> list:
@@ -62,34 +97,47 @@ def _wave_product(w1, w2) -> list:
 
 def direct_product(a: TrigScalar, b: TrigScalar) -> TrigScalar:
     """a * b with every product-to-sum wave canonicalised and merged anew."""
-    out = TrigScalar()
+    out: dict = {}
     for w1, c1 in a.terms().items():
         for w2, c2 in b.terms().items():
             c = c1 * c2
             if w1 == _CONST_WAVE:
-                out._merge(w2, c)
+                _merge(out, w2, c)
             elif w2 == _CONST_WAVE:
-                out._merge(w1, c)
+                _merge(out, w1, c)
             else:
                 half = c * _PI_HALF
                 for kind, fr, ph, sign in _wave_product(w1, w2):
-                    out._add_term(kind, fr, ph, half if sign > 0 else -half)
-    return out
+                    _add_term(out, kind, fr, ph, half if sign > 0 else -half)
+    return TrigScalar(out)
+
+
+def direct_sum(a: TrigScalar, b: TrigScalar) -> TrigScalar:
+    """a + b: b's coefficients merged one by one into a copy of a's terms."""
+    out = dict(a.terms())
+    for key, c in b.terms().items():
+        _merge(out, key, c)
+    return TrigScalar(out)
+
+
+def direct_difference(a: TrigScalar, b: TrigScalar) -> TrigScalar:
+    """a - b as a + (-b), with -b negated in full first."""
+    return direct_sum(a, TrigScalar({key: -c for key, c in b.terms().items()}))
 
 
 def direct_differentiate(s: TrigScalar, coord: str) -> TrigScalar:
     """d s / d coord with every output term canonicalised and merged anew."""
-    out = TrigScalar()
+    out: dict = {}
     for (kind, fr, ph), c in s.terms().items():
         omega = dict(fr).get(coord)
         if omega is None:
             continue
         dc = c * omega.as_coeff()
         if kind == "c":
-            out._add_term("s", dict(fr), ph, -dc)
+            _add_term(out, "s", dict(fr), ph, -dc)
         else:
-            out._add_term("c", dict(fr), ph, dc)
-    return out
+            _add_term(out, "c", dict(fr), ph, dc)
+    return TrigScalar(out)
 
 
 def numeric_directional(space: FramedSpace, v: VecField, scalar, point: dict,

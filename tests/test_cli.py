@@ -88,6 +88,22 @@ def test_abelian_fixture_fails_engel_with_witness():
     assert rec.certificate.witness == "identically zero"
 
 
+# The goldens never leave the SYMBOLIC path, so these rescaled torus manifests
+# (the bench's ``sampled`` kind) pin the float bits of SAMPLED and FAILED
+# bounds, which depend on term order: a 1-coordinate clear case, a
+# 4-coordinate zero off the grid (residue route), and a witness of two
+# directions, which ``sample_grid`` evaluates point by point.
+SAMPLED_FIXTURES = ("sampled_clear_1coord", "sampled_zero_off_grid_4coord",
+                    "sampled_two_direction_3coord")
+
+
+@pytest.mark.parametrize("stem", SAMPLED_FIXTURES)
+def test_sampled_reports_are_byte_stable(stem):
+    rep = run_verify(str(FIXTURES / f"{stem}.json"), ("engel", "geiges"), grid=11)
+    want = (FIXTURES / f"{stem}.report.json").read_text()
+    assert emit_report(rep, "json") == want
+
+
 def test_unresolvable_target_errors():
     res = run_cli("verify", "not_a_family_or_file")
     assert res.returncode != 0

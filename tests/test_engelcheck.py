@@ -106,9 +106,15 @@ def test_characteristic_inoue_spm_hand_value():
 
 def _graph_fields(seed):
     """Seeded random D = <E1 + a E3 + b E4, E2 + c E3 + d E4> on the law-suite space."""
-    space = _law_space()
-    # the law-suite frequencies mix 1 and pi; sample over [0, 2 pi) in each
-    space.periods.update(t=Frequency.of(0, 2), x=Frequency.of(0, 2))
+    # the law-suite space, with periods declared: its frequencies mix 1 and
+    # pi, so sample over [0, 2 pi) in each
+    law = _law_space()
+    space = FramedSpace(
+        law.frame, law.coords,
+        structure={ij: v.coeffs for ij, v in law.structure.items()},
+        derivation={(i, c): s for i, d in enumerate(law.derivation) for c, s in d.items()},
+        periods={"t": Frequency.of(0, 2), "x": Frequency.of(0, 2)},
+        name=law.name)
     rng = random.Random(seed)
     a, b, c, d = (_random_scalar(rng, space.coords) for _ in range(4))
     return VecField.of(1, 0, a, b), VecField.of(0, 1, c, d), space

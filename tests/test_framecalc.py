@@ -412,6 +412,23 @@ def test_declared_period_must_be_nonzero_and_declared():
     assert pts.units == (Frequency.of(-1),)
 
 
+def test_periods_are_read_only():
+    # a period written after construction would skip the checks above
+    from engelcalc.trigring import Frequency
+
+    periods = {"x": Frequency.of(0, 2)}
+    s = FramedSpace(frame=("e1", "e2", "e3", "e4"), coords=("x",),
+                    derivation={(0, "x"): 1}, periods=periods)
+    with pytest.raises(TypeError):
+        s.periods["x"] = Frequency.of(0, 0)
+    with pytest.raises(TypeError):
+        s.periods["z"] = Frequency.of(1)
+    with pytest.raises(AttributeError):
+        s.periods.update(x=Frequency.of(0, 0))
+    periods["x"] = Frequency.of(0, 0)  # the caller's dict is not the space's
+    assert dict(s.periods) == {"x": Frequency.of(0, 2)}
+
+
 def test_jacobi_holds_numerically_at_random_points():
     space = kodaira_space()
     basis = [VecField.basis(i) for i in range(4)]

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from engelcalc.laws import run_law_suite
 from engelcalc.trigring import (
+    ONE,
     PRODUCT_MEMO_SIZE,
+    ZERO,
     Frequency,
     PiScalar,
     TrigScalar,
@@ -19,7 +21,7 @@ from engelcalc.trigring import (
     normalize,
     parse,
 )
-from oracles import direct_differentiate, direct_product
+from oracles import direct_difference, direct_differentiate, direct_product, direct_sum
 
 
 def test_pythagorean_collapse():
@@ -461,16 +463,27 @@ _WAVE_COORDS = ("t", "x", "y")
 # rational and rational-pi mixes keep their phases from cancelling
 _WAVE_FREQS = _FREQ_POOL + [Frequency.of(0, 0), Frequency.of(-1),
                             Frequency.of(0, "-1/2"), Frequency.of("1/3", "2/5")]
-_COEFFS = st.builds(lambda e, q: PiScalar([(e, q)]), st.integers(-1, 1),
-                    st.builds(Fraction, st.integers(-4, 4).filter(bool),
-                              st.integers(1, 3)))
+_RATIONALS_SMALL = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+# single powers of pi, and sums of two or three distinct powers down to 1/pi
+_COEFFS = st.one_of(
+    st.builds(lambda e, q: PiScalar([(e, q)]), st.integers(-1, 1), _RATIONALS_SMALL),
+    st.builds(lambda es, qs: PiScalar(zip(es, qs)),
+              st.lists(st.integers(-1, 2), min_size=2, max_size=3, unique=True),
+              st.lists(_RATIONALS_SMALL, min_size=3, max_size=3)))
+# pure constants, which products scale by (ONE returns the other operand)
+_CONSTANTS = [ZERO, ONE, TrigScalar.constant(-1),
+              TrigScalar.constant(PiScalar([(0, 1), (1, 1)]))]
 
 
 @st.composite
 def wave_sums(draw):
     """Sums of up to four waves on up to three coordinates, some waves of
-    constant angle, with rational-pi and quarter-turn phases."""
-    out = TrigScalar.constant(Fraction(draw(st.integers(-2, 2))))
+    constant angle, with rational-pi and quarter-turn phases and
+    coefficients of one to three powers of pi; one in five is one of
+    ``_CONSTANTS``."""
+    if draw(st.integers(0, 4)) == 4:
+        return draw(st.sampled_from(_CONSTANTS))
+    out = TrigScalar.constant(draw(st.one_of(st.integers(-2, 2).map(Fraction), _COEFFS)))
     for _ in range(draw(st.integers(0, 4))):
         coords = draw(st.lists(st.sampled_from(_WAVE_COORDS), max_size=3,
                                unique=True))
@@ -511,3 +524,36 @@ def test_differentiate_keeps_canonical_keys(s, coord):
         assert _canonical(kind, dict(fr), ph) == (key, 1)
     want = list(direct_differentiate(s, coord).terms().items())
     assert list(d.terms().items()) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(wave_sums(), wave_sums())
+def test_sum_and_difference_match_the_per_term_loop(a, b):
+    # the same terms in the same order as merging b's coefficients one by one,
+    # negated in full first for a difference; every key cancels in a - a
+    assert list((a + b).terms().items()) == list(direct_sum(a, b).terms().items())
+    assert list((a - b).terms().items()) == list(direct_difference(a, b).terms().items())
+    assert (a - a).is_zero() and (a + -a).is_zero()
+
+
+def test_products_that_cancel_drop_their_keys():
+    # (cos x + sin x)(cos x - sin x) = cos 2x: the two constant halves cancel
+    a, b = parse("cos(x) + sin(x)"), parse("cos(x) - sin(x)")
+    for got in (a * b, direct_product(a, b)):
+        assert list(got.terms().items()) == list(parse("cos(2*x)").terms().items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(wave_sums(), wave_sums())
+def test_operations_leave_their_operands_alone(a, b):
+    # x * ONE is x itself and a zero product is ZERO, so a result can be an
+    # operand or a module constant: no operation, on operands or results,
+    # may change one in place
+    watched = (a, b, ZERO, ONE)
+    before = [list(x.terms().items()) for x in watched]
+    results = [a * b, b * a, a * ONE, ONE * a, a * ZERO, ZERO * a, a * -1,
+               a + b, a - b, b - a, a + ZERO, ZERO - a, -a]
+    for r in results:
+        r * b, b * r, r + b, r - b, b - r, r - r, r * r, -r
+        r.differentiate("x"), r.shift("t", Fraction(1, 3))
+    assert [list(x.terms().items()) for x in watched] == before
