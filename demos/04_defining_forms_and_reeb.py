@@ -26,8 +26,8 @@ ctx = context("hopf_s3r")
 forms, sf = ctx.forms, ctx.sf
 print(f"  alpha components: {[str(forms.alpha.component((i,))) for i in range(4)]}")
 print(f"  beta  components: {[str(forms.beta.component((i,))) for i in range(4)]}")
-print(f"  T = {[str(c) for c in forms.T_field.coeffs]}")
-print(f"  R = {[str(c) for c in forms.R_field.coeffs]}")
+print(f"  T = {[str(c) for c in forms.T.as_field().coeffs]}")
+print(f"  R = {[str(c) for c in forms.R.as_field().coeffs]}")
 print(f"  structure functions: c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
       f"d_WR = {sf.d_WR}, d_XR = {sf.d_XR}")
 

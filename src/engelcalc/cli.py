@@ -226,12 +226,17 @@ class _Runner:
                 "engel.rank", "REJECTED",
                 notes="manifest declares no distribution"))
             return
+        t0 = time.perf_counter()
         flag = ctx.flag
+        # the flag's time goes on its first record, as the forms' goes on
+        # forms.construction
+        wall_ms = (time.perf_counter() - t0) * 1e3
         for key in ("rank_d", "rank_e", "rank_tm"):
             cert = flag.certificates.get(key)
-            self.records.append(
-                CheckRecord(f"engel.{key}", "FAIL", notes="not reached")
-                if cert is None else self._certified(f"engel.{key}", cert))
+            record = (CheckRecord(f"engel.{key}", "FAIL", notes="not reached")
+                      if cert is None else self._certified(f"engel.{key}", cert))
+            record.wall_ms, wall_ms = wall_ms, 0.0
+            self.records.append(record)
         if flag.passed:
             self._run("engel.characteristic", lambda: ctx.w,
                       status_of=lambda w: (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .framecalc import (
     DEFAULT_GRID,
@@ -30,7 +30,6 @@ from .framecalc import (
     certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
-    det_of_fields,
     exterior_derivative,
     global_rank,
     minors_of_fields,
@@ -90,12 +89,6 @@ class Frac:
             return Frac(self.num + other.num, self.den)
         return Frac(self.num * other.den + other.num * self.den,
                     self.den * other.den)
-
-    def __sub__(self, other: "Frac") -> "Frac":
-        return self + (-other)
-
-    def __neg__(self) -> "Frac":
-        return Frac(-self.num, self.den)
 
     def __mul__(self, other: "Frac") -> "Frac":
         return Frac(self.num * other.num, self.den * other.den)
@@ -339,24 +332,22 @@ def totally_real_check(
 
 @dataclass(frozen=True)
 class DefiningForms:
-    """alpha, beta = alpha o J, their differentials, and the Reeb pair T, R."""
+    """alpha, beta = alpha o J, their differentials, and the Reeb pair T, R.
+
+    ``abdb`` is the top coefficient of alpha ^ beta ^ d(beta), ``beta_dbeta``
+    the 3-form beta ^ d(beta) whose kernel is R.
+    """
 
     alpha: KForm
     beta: KForm
     d_alpha: KForm
     d_beta: KForm
+    abdb: TrigScalar
+    beta_dbeta: KForm
     T: FracField
     R: FracField
     certificates: Mapping[str, Certificate]
     normalization: str = ""
-
-    @property
-    def T_field(self) -> VecField | None:
-        return self.T.as_field()
-
-    @property
-    def R_field(self) -> VecField | None:
-        return self.R.as_field()
 
 
 def _div_form(form: KForm, s: TrigScalar) -> KForm | None:
@@ -431,10 +422,9 @@ def defining_forms(
     certs["alpha_da_nonzero"] = certify_no_common_zero(
         list(ada.terms.values()), space, grid, tol, note="alpha ^ d(alpha) != 0")
 
-    abdb = wedge(wedge(alpha, beta), d_beta)
+    abdb = wedge(wedge(alpha, beta), d_beta).component((0, 1, 2, 3))
     certs["alpha_beta_dbeta_nonzero"] = certify_nonvanishing(
-        abdb.component((0, 1, 2, 3)), space, grid, tol,
-        note="alpha ^ beta ^ d(beta) != 0")
+        abdb, space, grid, tol, note="alpha ^ beta ^ d(beta) != 0")
 
     adab = wedge(ada, beta)
     certs["alpha_da_beta_zero"] = certify_vanishing(
@@ -448,9 +438,10 @@ def defining_forms(
 
     T = _reeb_from_threeform(wedge(alpha, d_beta), beta, alpha, space, grid, tol,
                              "T", certs)
-    R = _reeb_from_threeform(wedge(beta, d_beta), alpha, beta, space, grid, tol,
-                             "R", certs)
-    return DefiningForms(alpha, beta, d_alpha, d_beta, T, R, certs, normalization)
+    beta_dbeta = wedge(beta, d_beta)
+    R = _reeb_from_threeform(beta_dbeta, alpha, beta, space, grid, tol, "R", certs)
+    return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
+                         certs, normalization)
 
 
 @dataclass(frozen=True)
@@ -588,10 +579,8 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
         note="J(T), J(R) rotation residuals (numerators)")
 
     lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
-    abdb = wedge(wedge(forms.alpha, forms.beta),
-                 forms.d_beta).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
-    identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
+    identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * forms.abdb
     dalpha_cert = certify_vanishing([identity], space, grid,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
     return JofReebResult(res_t, res_r, cert, dalpha_cert)
@@ -602,27 +591,24 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
 
 @dataclass(frozen=True)
 class SplittingResult:
-    w: VecField
-    jw: VecField
-    z: FracField
-    jz: FracField
     invariance: Certificate
     tested_scalings: tuple[str, ...]
 
 
 def j_engel_splitting(ctx: Derivation) -> SplittingResult:
-    """The four line fields W, JW, JZ, Z and the scaling-invariance certificate.
+    """Certify that the line field Z = span(R) of the splitting
+    W + JW + Z + JZ of TM does not depend on the choice of alpha.
 
-    Z = span(R) must not move when alpha is replaced by lambda*alpha: for each
-    tested nowhere-zero lambda the raw Reeb directions of the rescaled forms
-    must stay proportional to the original one at every point.
+    Z must not move when alpha is replaced by lambda*alpha: for each tested
+    nowhere-zero lambda the raw Reeb direction of the rescaled forms, the
+    kernel of beta_lambda ^ d(beta_lambda) with beta_lambda = lambda*beta,
+    must stay proportional to R at every point.
     """
     if not ctx.flag.passed:
         raise PreconditionError("splitting needs a certified Engel structure")
     if not ctx.j_invariance.passed:
         raise PreconditionError("splitting needs JD = D")
-    w, forms = ctx.w, ctx.forms
-    J, space = ctx.J, ctx.space
+    forms, space = ctx.forms, ctx.space
     scalings = ["2", "3/2"]
     if space.coords:
         scalings.append(f"2 + cos({space.coords[0]})")
@@ -632,8 +618,7 @@ def j_engel_splitting(ctx: Derivation) -> SplittingResult:
     for lam in scalings:
         lam_s = normalize(lam)
         labels.append(str(lam_s))
-        alpha_l = forms.alpha.scale(lam_s)
-        beta_l = _compose_with_J(alpha_l, J)
+        beta_l = forms.beta.scale(lam_s)
         kernel = wedge(beta_l, exterior_derivative(beta_l, space)).kernel_field()
         if kernel.is_zero():
             raise VerificationError(f"rescaled Reeb direction vanished for "
@@ -641,8 +626,7 @@ def j_engel_splitting(ctx: Derivation) -> SplittingResult:
         residuals.extend(minors_of_fields([base, kernel]))
     cert = certify_vanishing(residuals, space, ctx.grid,
                              note="span(R_lambda) = span(R)")
-    return SplittingResult(w, ctx.x, forms.R, forms.R.apply_J(J), cert,
-                           tuple(labels))
+    return SplittingResult(cert, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -678,7 +662,7 @@ def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
     engel_field = certify_vanishing(minors, space, grid, note="L_Z D stays in D")
     if not engel_field.passed:
         raise VerificationError("Z does not preserve D; it is not an Engel field")
-    contraction = wedge(forms.beta, forms.d_beta).interior(z)
+    contraction = forms.beta_dbeta.interior(z)
     conclusion = certify_vanishing(list(contraction.terms.values()), space, grid,
                                    note="i_Z(beta ^ d(beta)) = 0")
     reeb_match = certify_vanishing(minors_of_fields([forms.R.raw, z]), space, grid,
@@ -703,25 +687,6 @@ class KEngelReport:
     note: str = ""
 
 
-def _expand_in_basis(
-    target: FracField,
-    basis: Sequence[FracField],
-) -> list[Frac] | None:
-    """Coefficients of target in a 4-element basis, by Cramer's rule."""
-    raws = [b.raw for b in basis]
-    det = det_of_fields(raws)
-    if det.is_zero():
-        return None
-    out = []
-    for i in range(4):
-        cols = list(raws)
-        cols[i] = target.raw
-        # clear the denominators: target.raw/target.den = sum coef_i raw_i/den_i
-        num = det_of_fields(cols) * basis[i].den
-        out.append(Frac(num, det * target.den))
-    return out
-
-
 def k_engel_check(ctx: Derivation) -> KEngelReport:
     """Diagnose whether R commutes with W, X and T.
 
@@ -730,11 +695,22 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     failure the report carries the expansion of each commutator in the
     adapted frame (W, X, T, R) plus the solvability of the rescaling
     equation, which for translation-invariant data amounts to a_WR = 0.
+
+    The expansion reads one coframe: theta_i(u), the raw frame's determinant
+    with column i replaced by u, is (-1)^(3-i) times the annihilating form
+    of the other three columns, and Cramer's rule gives the coefficient
+    theta_i(C) / theta_3(R) of a commutator C on frame field i.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     t, r = forms.T, forms.R
     names = ("W", "X", "T", "R")
     basis = [FracField(w), FracField(x), t, r]
+    raws = [b.raw for b in basis]
+    coframe = []
+    for i in range(4):
+        theta = annihilating_form(*raws[:i], *raws[i + 1:])
+        coframe.append(theta if i % 2 else -theta)
+    det = coframe[3](raws[3])
     comms = {
         "WR": frac_bracket(FracField(w), r, space),
         "XR": frac_bracket(FracField(x), r, space),
@@ -749,8 +725,9 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
                                        note=f"[{key[0]},{key[1]}] = 0")
         if not certs[key].passed:
             all_zero = False
-        coefs = _expand_in_basis(br, basis)
-        if coefs is not None:
+        if not det.is_zero():
+            coefs = [Frac(theta(br.raw) * b.den, det * br.den)
+                     for theta, b in zip(coframe, basis)]
             for name, c in zip(names, coefs):
                 if not c.is_zero():
                     obstructions[f"{key}.{name}"] = str(c)

@@ -202,9 +202,9 @@ class FramedSpace:
         basis = [VecField.basis(i) for i in range(4)]
         for i, j, k in itertools.combinations(range(4), 3):
             jac = (
-                bracket(basis[i], bracket(basis[j], basis[k], self), self)
-                + bracket(basis[j], bracket(basis[k], basis[i], self), self)
-                + bracket(basis[k], bracket(basis[i], basis[j], self), self)
+                bracket(basis[i], self.structure_bracket(j, k), self)
+                + bracket(basis[j], self.structure_bracket(k, i), self)
+                + bracket(basis[k], self.structure_bracket(i, j), self)
             )
             if not jac.is_zero():
                 raise ValueError(

@@ -14,7 +14,7 @@ smallest level with a passing certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,7 +50,8 @@ class MappingTorusInput:
 
     ``grid`` and ``tol`` set every certificate's sampling: the framing's rank
     certificate on ``grid`` points per period, and level n on ``grid * n``
-    (see ``level_derivation``), each at ``tol``.
+    (see ``level_derivation``), each at ``tol``.  ``a`` and
+    ``framing_certificate`` are derived here and cannot be passed in.
     """
 
     space: FramedSpace
@@ -60,8 +61,8 @@ class MappingTorusInput:
     t: str
     grid: int = DEFAULT_GRID
     tol: float = DEFAULT_TOL
-    a: TrigScalar = None  # L_{JV} t, derived
-    framing_certificate: Certificate = None
+    a: TrigScalar = field(init=False)  # L_{JV} t
+    framing_certificate: Certificate = field(init=False)
 
     def __post_init__(self):
         if self.J is None:

@@ -4,8 +4,10 @@ These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
 ``direct_product``, ``direct_sum``, ``direct_difference``,
-``direct_differentiate`` and ``direct_sum_of_squares``, are the exact
-expansions that shortcuts or shared helpers in the code replaced (the ring
+``direct_differentiate``, ``direct_sum_of_squares`` and
+``cramer_coefficients``, are the exact expansions that shortcuts or shared
+helpers in the code replaced (the K-check reads one coframe where Cramer's
+rule took five 4x4 determinants per commutator; the ring
 loops merge whole ``PiScalar`` coefficients one term at a time, where
 ``TrigScalar`` merges coefficient runs), ``residue_values``, which
 evaluates a grid point by point at each term's exact residue angle, as grid
@@ -22,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from engelcalc.framecalc import FramedSpace, VecField, bracket
+from engelcalc.engelcheck import Frac
+from engelcalc.framecalc import FramedSpace, VecField, bracket, det_of_fields
 from engelcalc.trigring import (
     _CONST_WAVE,
     FREQ_ZERO,
@@ -39,6 +42,23 @@ _PI_HALF = PiScalar.from_pairs([(0, Fraction(1, 2))])
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
     """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
     return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
+
+
+def cramer_coefficients(target, basis) -> list[Frac] | None:
+    """Coefficients of a ``FracField`` target in a basis of four of them, by
+    Cramer's rule with one 4x4 determinant per column; None when the raw
+    basis is degenerate."""
+    raws = [b.raw for b in basis]
+    det = det_of_fields(raws)
+    if det.is_zero():
+        return None
+    out = []
+    for i in range(4):
+        cols = list(raws)
+        cols[i] = target.raw
+        # clear the denominators: target.raw/target.den = sum coef_i raw_i/den_i
+        out.append(Frac(det_of_fields(cols) * basis[i].den, det * target.den))
+    return out
 
 
 def direct_sum_of_squares(scalars) -> TrigScalar:

@@ -522,6 +522,25 @@ def test_characteristic_foliation_takes_no_bracket(monkeypatch):
     assert calls == {"characteristic_foliation": 1, "bracket": 0}
 
 
+def test_flag_time_goes_on_its_first_record(monkeypatch):
+    # the flag is derived outside the timed stages; its time is shown on
+    # engel.rank_d and the other two rank records carry none
+    import time
+
+    from engelcalc import engelcheck
+
+    verify = engelcheck.verify_engel
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(engelcheck, "verify_engel", slow)
+    records = {r.name: r for r in run_verify("hopf_s3r", ("engel",)).records}
+    assert records["engel.rank_d"].wall_ms >= 50
+    assert records["engel.rank_e"].wall_ms == records["engel.rank_tm"].wall_ms == 0.0
+
+
 CONSTRUCTION_CHECKS = ("engel.jacobi", "engel.j_squared")
 
 

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from engelcalc import engelcheck
+from engelcalc import engelcheck, framecalc
 from engelcalc.engelcheck import (
     DefiningForms,
     Derivation,
+    Frac,
+    FracField,
     PreconditionError,
     VerificationError,
     annihilating_form,
@@ -40,9 +42,9 @@ from engelcalc.framecalc import (
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.laws import _law_space, _random_scalar
 from engelcalc.manifest import load_manifest
-from engelcalc.trigring import Frequency, parse
+from engelcalc.trigring import ONE, Frequency, normalize, parse
 
-from oracles import direct_w_residuals, numeric_matrix, random_points
+from oracles import cramer_coefficients, direct_w_residuals, numeric_matrix, random_points
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
 
@@ -126,7 +128,8 @@ def _assert_flag_matches_determinants(monkeypatch, d1, d2, space):
     def no_determinant(fields):
         raise AssertionError("the flag took a 4x4 determinant")
 
-    monkeypatch.setattr(engelcheck, "det_of_fields", no_determinant)
+    monkeypatch.setattr(framecalc, "det_of_fields", no_determinant)
+    monkeypatch.setattr(engelcheck, "det_of_fields", no_determinant, raising=False)
     flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
     e3 = flag.e3
     for i in range(4):
@@ -407,9 +410,10 @@ def test_structure_functions_reject_abelian():
     beta = KForm.one_form([0, 0, 0, 1])
     from engelcalc.engelcheck import FracField
 
-    forms = DefiningForms(alpha, beta, exterior_derivative(alpha, space),
-                          exterior_derivative(beta, space),
-                          FracField(VecField.basis(3)),
+    d_beta = exterior_derivative(beta, space)
+    forms = DefiningForms(alpha, beta, exterior_derivative(alpha, space), d_beta,
+                          wedge(wedge(alpha, beta), d_beta).component((0, 1, 2, 3)),
+                          wedge(beta, d_beta), FracField(VecField.basis(3)),
                           FracField(VecField.basis(0)), {})
     with pytest.raises(VerificationError):
         structure_functions(forms, VecField.basis(1), VecField.basis(2), space)
@@ -556,6 +560,112 @@ def test_k_engel_pass_implies_transverse_consistency():
         assert rep.passed
         tr = transverse_engel_check(ctx.forms.R.raw, ctx)
         assert tr.conclusion.passed and tr.reeb_match.passed
+
+
+def _k_check_coefficients(monkeypatch, ctx, targets=None):
+    """The adapted frame (W, X, T, R) of ``k_engel_check`` and the four
+    coefficients it forms for each commutator, in WR, XR, TR order.
+
+    With ``targets`` the commutators are replaced by these fields, so that
+    the expansion of any field in the frame can be read off.
+    """
+    forms = ctx.forms
+    basis = [FracField(ctx.w), FracField(ctx.x), forms.T, forms.R]
+    formed = []
+
+    def recording(num, den=ONE):
+        formed.append(Frac(num, den))
+        return formed[-1]
+
+    monkeypatch.setattr(engelcheck, "Frac", recording)
+    if targets is not None:
+        queue = list(targets)
+        monkeypatch.setattr(engelcheck, "frac_bracket", lambda *args: queue.pop(0))
+    k_engel_check(ctx)
+    monkeypatch.undo()
+    return basis, [formed[i:i + 4] for i in range(0, len(formed), 4)]
+
+
+def _assert_matches_cramer(got, target, basis):
+    want = cramer_coefficients(target, basis)
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert a.num * b.den == b.num * a.den
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_k_check_coframe_matches_cramer(monkeypatch, name):
+    ctx = _context(name)
+    basis, coefs = _k_check_coefficients(monkeypatch, ctx)
+    w, x, r = FracField(ctx.w), FracField(ctx.x), ctx.forms.R
+    comms = [frac_bracket(w, r, ctx.space), frac_bracket(x, r, ctx.space),
+             frac_bracket(ctx.forms.T, r, ctx.space)]
+    assert len(coefs) == len(comms)
+    for got, comm in zip(coefs, comms):
+        _assert_matches_cramer(got, comm, basis)
+
+
+@pytest.mark.parametrize("name", ["hopf_s3r", "inoue_s0", "kodaira_primary",
+                                  "torus_trig"])
+def test_k_check_coframe_expands_every_frame_field(monkeypatch, name):
+    # the catalog's commutators have no T component, so expand fields with a
+    # nonzero coefficient on each frame field, some of them not constant
+    ctx = _context(name)
+    basis = [FracField(ctx.w), FracField(ctx.x), ctx.forms.T, ctx.forms.R]
+    # a coefficient of the frame itself keeps the sampled periods commensurate
+    varying = [c for b in basis for c in b.raw.coeffs if c.constant_value() is None]
+    wave = normalize(2) + (varying[0] if varying else normalize(3))
+    rows = [[normalize(c) for c in row]
+            for row in ((1, 2, 3, 4), (wave, -1, 1, 2), (-3, wave, 2, -wave))]
+    targets = []
+    for row in rows:
+        target = FracField(VecField.zero())
+        for c, b in zip(row, basis):
+            target = target + b.scale(Frac(c))
+        targets.append(target)
+    basis, coefs = _k_check_coefficients(monkeypatch, ctx, targets)
+    for got, target, row in zip(coefs, targets, rows):
+        _assert_matches_cramer(got, target, basis)
+        for a, c in zip(got, row):
+            assert a.num == c * a.den
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls of ``name`` made through any of the modules."""
+    calls = []
+    original = getattr(framecalc, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["inoue_s0", "kodaira_primary", "torus_trig"])
+def test_k_check_takes_no_determinant_of_fields(monkeypatch, name):
+    ctx = _context(name)
+    ctx.forms, ctx.w  # derive the stages before counting
+    calls = _count_calls(monkeypatch, "det_of_fields", framecalc, engelcheck)
+    k_engel_check(ctx)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
+def test_forms_carry_their_top_terms(monkeypatch, name):
+    ctx = _context(name)
+    forms = ctx.forms
+    ctx.sf, ctx.nijenhuis  # derive the stages before counting
+    assert forms.abdb == wedge(wedge(forms.alpha, forms.beta),
+                               forms.d_beta).component((0, 1, 2, 3))
+    assert forms.beta_dbeta == wedge(forms.beta, forms.d_beta)
+    calls = _count_calls(monkeypatch, "wedge", framecalc, engelcheck)
+    transverse_engel_check(forms.R.raw, ctx)
+    assert calls == []
+    jofreeb_residual(ctx)
+    assert calls == [(forms.d_alpha, forms.d_alpha)]
 
 
 def test_beta_annihilates_distribution_on_all_families():

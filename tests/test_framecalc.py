@@ -353,6 +353,27 @@ def test_jacobi_violation_rejected():
                                (1, 2): (1, 0, 0, 0), (0, 3): (0, 0, 1, 0)})
 
 
+def test_jacobi_check_reads_the_structure_table(monkeypatch):
+    # the inner brackets [E_j, E_k] are table entries: only the twelve outer
+    # brackets (four triples of three terms) are taken
+    from engelcalc import framecalc
+
+    calls = []
+    bracket_of = framecalc.bracket
+
+    def counting(*args):
+        calls.append(args)
+        return bracket_of(*args)
+
+    monkeypatch.setattr(framecalc, "bracket", counting)
+    space = kodaira_space()
+    assert len(calls) == 12
+    assert all(v in [VecField.basis(i) for i in range(4)] for v, _, _ in calls)
+    assert [w for _, w, _ in calls[:3]] == [space.structure_bracket(1, 2),
+                                            space.structure_bracket(2, 0),
+                                            space.structure_bracket(0, 1)]
+
+
 def test_inconsistent_derivation_rejected():
     with pytest.raises(ValueError, match="derivation"):
         FramedSpace(frame=("a", "b", "c", "d"), coords=("t",),

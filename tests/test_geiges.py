@@ -148,6 +148,28 @@ def test_input_rejects_degenerate_framing():
                           J=ComplexStructure.pairing(0, 1, 2, 3), t="t")
 
 
+def test_input_derives_a_and_the_framing_certificate_itself():
+    inp = twisted_torus_input()
+    for derived in ({"a": parse("5")},
+                    {"framing_certificate": inp.framing_certificate}):
+        with pytest.raises(TypeError):
+            MappingTorusInput(space=inp.space, V=inp.V, X=inp.X, J=inp.J, t="t",
+                              **derived)
+
+
+def test_replace_rederives_a_and_the_framing_certificate():
+    inp = replace(twisted_torus_input(), grid=5)
+    assert inp.grid == 5 and inp.a.is_zero()
+    assert inp.framing_certificate.kind == "SYMBOLIC"
+    # with J pairing E1 with E3, JV = E3 - sin(t) E1 moves t and the framing
+    # determinant 1 + sin(t)^2 is sampled on the new grid
+    other = replace(inp, J=ComplexStructure.pairing(0, 2, 1, 3),
+                    X=VecField.basis(1))
+    assert other.a == parse("-sin(t)")
+    assert other.framing_certificate.kind == "SAMPLED"
+    assert other.framing_certificate.grid == {"t": 5}
+
+
 def test_twisted_bracket_hand_expansion():
     # [A_n, JA_n] = -n sin(n^2 t) X + (cos t + n cos(n^2 t)) JX on the
     # twisted input; frozen from the Leibniz expansion
