@@ -165,9 +165,10 @@ class EngelFlag:
 
     ``alpha`` annihilates E, set once rank(D) = 2 is certified: its
     coefficients are the signed maximal minors of (D1, D2, E3), which also
-    witness rank(E) = 3.  ``pairings`` are u_i = alpha([D_i, E3]), set once
-    rank(E) = 3 is certified: they certify rank([D, E]) = 4, give
-    W = -u2 D1 + u1 D2 and normalise alpha.
+    witness rank(E) = 3.  ``pairings`` are u_i = alpha([D_i, E3]) as
+    functions, computed as -d(alpha)(D_i, E3), set once rank(E) = 3 is
+    certified: they certify rank([D, E]) = 4, give W = -u2 D1 + u1 D2 and
+    normalise alpha.
     """
 
     d1: VecField
@@ -193,25 +194,37 @@ def verify_engel(
 ) -> EngelFlag:
     """Certify rank(D) = 2, rank(D + [D1,D2]) = 3, and rank([D,E]) = 4.
 
-    rank(E) is witnessed by the sum of squares of the coefficients of alpha,
-    the maximal minors of (D1, D2, E3).  The top rank is witnessed by the
-    pairings u_i = alpha([D_i, E3]) = det(D1, D2, E3, [D_i, E3]): at each
-    point at least one of them must be nonzero, so the sampled witness is
-    their sum of squares.
+    rank(D) is witnessed by the six 2x2 minors of (D1, D2).  rank(E) is
+    witnessed by the coefficients of alpha, the maximal minors of
+    (D1, D2, E3), each expanded along E3's column against those 2x2 minors.
+    The top rank is witnessed by the pairings u_i = alpha([D_i, E3]) =
+    det(D1, D2, E3, [D_i, E3]): alpha kills D_i and E3, so Cartan's formula
+    d(alpha)(X, Y) = X alpha(Y) - Y alpha(X) - alpha([X, Y]) gives
+    u_i = -d(alpha)(D_i, E3), and no bracket with E3 is taken.  At each
+    point at least one u_i must be nonzero, so the sampled witness is their
+    sum of squares.
     """
     certs: dict[str, Certificate] = {}
-    certs["rank_d"] = global_rank([d1, d2], space, grid, tol)
+    # rows (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), as minors_of_fields
+    m01, m02, m03, m12, m13, m23 = d_minors = minors_of_fields([d1, d2])
+    certs["rank_d"] = certify_no_common_zero(d_minors, space, grid, tol)
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    alpha = annihilating_form(d1, d2, e3)
-    # alpha's coefficients, in the order of minors_of_fields
-    certs["rank_e"] = certify_no_common_zero(
-        [alpha.component((i,)) for i in (3, 2, 1, 0)], space, grid, tol)
+    c0, c1, c2, c3 = e3.coeffs
+    # the 3x3 minors of (D1, D2, E3) on rows (0,1,2), (0,1,3), (0,2,3) and
+    # (1,2,3), expanded along E3's column
+    minors = [c2 * m01 - c1 * m02 + c0 * m12,
+              c3 * m01 - c1 * m03 + c0 * m13,
+              c3 * m02 - c2 * m03 + c0 * m23,
+              c3 * m12 - c2 * m13 + c1 * m23]
+    alpha = _annihilating_form_of(minors)
+    # alpha's coefficients up to sign, in the order of minors_of_fields
+    certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
-    u1 = alpha(bracket(d1, e3, space))
-    u2 = alpha(bracket(d2, e3, space))
+    d_alpha = exterior_derivative(alpha, space)
+    u1, u2 = -d_alpha(d1, e3), -d_alpha(d2, e3)
     for u, label in ((u1, "det with [D1,E3]"), (u2, "det with [D2,E3]")):
         const = u.constant_value()
         if const is not None and not const.is_zero():
@@ -229,7 +242,12 @@ def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
     Expanding the determinant along u, its coefficients are the signed
     maximal minors (-m3, m2, -m1, m0) of (D1, D2, E3).
     """
-    m0, m1, m2, m3 = minors_of_fields([d1, d2, e3])
+    return _annihilating_form_of(minors_of_fields([d1, d2, e3]))
+
+
+def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
+    # the maximal minors of (D1, D2, E3), in minors_of_fields order
+    m0, m1, m2, m3 = minors
     return KForm.one_form([-m3, m2, -m1, m0])
 
 
@@ -253,7 +271,8 @@ def characteristic_foliation(
     where alpha([D_i, D_i]) = 0, alpha([D1, D2]) = alpha(E3) and
     alpha([D_i, E3]) = u_i.  So no bracket is taken, and X(l_i) only where
     alpha(D_i) is not identically zero.  The precondition is that
-    ``pairings`` are alpha([D_i, E3]) exactly, as ``verify_engel`` sets them.
+    ``pairings`` equal alpha([D_i, E3]) as functions; ``verify_engel`` sets
+    them to -d(alpha)(D_i, E3), which is that by Cartan's formula.
     """
     if not flag.passed:
         raise PreconditionError("characteristic foliation needs a certified flag")

@@ -477,24 +477,52 @@ def test_each_stage_runs_once_per_target(monkeypatch):
     assert calls == dict.fromkeys(STAGES, 1)
 
 
-def test_each_top_pairing_bracketed_once_per_target(monkeypatch):
-    from engelcalc import engelcheck
+def test_top_pairings_take_no_bracket_with_e3(monkeypatch):
+    # u_i = -d(alpha)(D_i, E3) by Cartan's formula: no stage brackets D_i
+    # with E3, and the flag takes one bracket (E3 itself) and at most one d
+    from engelcalc import cli, engelcheck, framecalc
 
     spec = build_family("hopf_s3r")
     e3 = bracket(spec.d1, spec.d2, spec.space)
     pairs = {"D1,E3": (spec.d1, e3), "D2,E3": (spec.d2, e3)}
     calls = dict.fromkeys(pairs, 0)
-    bracket_of = engelcheck.bracket
+    flags, inside = [], []
+    bracket_of = framecalc.bracket
+    d_of = framecalc.exterior_derivative
+    flag_of = engelcheck.verify_engel
 
-    def counting(a, b, space):
+    def counting_bracket(a, b, space):
         for name, pair in pairs.items():
-            if (a, b) == pair:
+            if (a, b) in (pair, pair[::-1]):
                 calls[name] += 1
+        if inside:
+            flags[-1]["bracket"].append((a, b))
         return bracket_of(a, b, space)
 
-    monkeypatch.setattr(engelcheck, "bracket", counting)
+    def counting_d(form, space):
+        if inside:
+            flags[-1]["d"] += 1
+        return d_of(form, space)
+
+    def counting_flag(*args, **kwargs):
+        flags.append({"bracket": [], "d": 0})
+        inside.append(True)
+        try:
+            return flag_of(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (engelcheck, framecalc):
+        monkeypatch.setattr(module, "bracket", counting_bracket)
+        monkeypatch.setattr(module, "exterior_derivative", counting_d)
+    for module in (engelcheck, cli):
+        if hasattr(module, "verify_engel"):
+            monkeypatch.setattr(module, "verify_engel", counting_flag)
     assert run_verify("hopf_s3r").overall == "PASS"
-    assert calls == dict.fromkeys(pairs, 1)
+    assert calls == dict.fromkeys(pairs, 0)
+    assert len(flags) == 1
+    assert flags[0]["bracket"] == [(spec.d1, spec.d2)]
+    assert flags[0]["d"] <= 1
 
 
 def test_characteristic_foliation_takes_no_bracket(monkeypatch):

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from engelcalc.framecalc import (
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.laws import _law_space, _random_scalar
 from engelcalc.manifest import load_manifest
-from engelcalc.trigring import ONE, Frequency, normalize, parse
+from engelcalc.trigring import ONE, Frequency, TrigScalar, normalize, parse
 
 from oracles import cramer_coefficients, direct_w_residuals, numeric_matrix, random_points
 
@@ -106,7 +108,7 @@ def test_characteristic_inoue_spm_hand_value():
     assert all(m.is_zero() for m in minors_of_fields([w, VecField.of(1, 0, 0, 1)]))
 
 
-def _graph_fields(seed):
+def _graph_fields(seed, scalar=_random_scalar):
     """Seeded random D = <E1 + a E3 + b E4, E2 + c E3 + d E4> on the law-suite space."""
     # the law-suite space, with periods declared: its frequencies mix 1 and
     # pi, so sample over [0, 2 pi) in each
@@ -118,8 +120,20 @@ def _graph_fields(seed):
         periods={"t": Frequency.of(0, 2), "x": Frequency.of(0, 2)},
         name=law.name)
     rng = random.Random(seed)
-    a, b, c, d = (_random_scalar(rng, space.coords) for _ in range(4))
+    a, b, c, d = (scalar(rng, space.coords) for _ in range(4))
     return VecField.of(1, 0, a, b), VecField.of(0, 1, c, d), space
+
+
+def _sixth_turn_scalar(rng, coords):
+    """A random scalar whose waves carry phases k pi/6 that are not quarter turns."""
+    out = TrigScalar.constant(Fraction(rng.randint(-3, 3)))
+    for _ in range(rng.randint(1, 2)):
+        wave = rng.choice((TrigScalar.sine, TrigScalar.cosine))
+        freq = Frequency.of(rng.randint(1, 3))
+        phase = Frequency.of(0, Fraction(rng.choice((1, 2, 4, 5)), 6))
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        out = out + wave({rng.choice(coords): freq}, phase, coeff=coeff)
+    return out
 
 
 def _assert_flag_matches_determinants(monkeypatch, d1, d2, space):
@@ -149,6 +163,22 @@ def test_flag_alpha_and_pairings_are_the_determinants(monkeypatch, name):
 @pytest.mark.parametrize("seed", range(6))
 def test_flag_alpha_and_pairings_on_random_fields(monkeypatch, seed):
     _assert_flag_matches_determinants(monkeypatch, *_graph_fields(seed))
+
+
+def test_flag_pairings_on_rational_pi_phases_agree_in_value():
+    # phases pi/3 and pi/6 are not reduced against each other (ROADMAP item
+    # 3), so -d(alpha)(D_i, E3) and alpha([D_i, E3]) may differ in
+    # representation; as functions they are equal
+    rng = random.Random(7)
+    for seed in range(10):
+        d1, d2, space = _graph_fields(seed, _sixth_turn_scalar)
+        flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+        alpha = annihilating_form(d1, d2, flag.e3)
+        for u, d in zip(flag.pairings, (d1, d2)):
+            ref = alpha(bracket(d, flag.e3, space))
+            for p in random_points(space, rng, 10):
+                assert math.isclose(u.evaluate(p), ref.evaluate(p),
+                                    rel_tol=1e-9, abs_tol=1e-9), (seed, p)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

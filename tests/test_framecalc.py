@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from engelcalc.framecalc import (
     ComplexStructure,
@@ -19,8 +21,9 @@ from engelcalc.framecalc import (
     wedge,
 )
 from engelcalc.catalog import FAMILIES, build_family
+from engelcalc.laws import _law_space
 from engelcalc.manifest import space_from_json, space_to_json
-from engelcalc.trigring import parse
+from engelcalc.trigring import Frequency, TrigScalar, parse
 
 from oracles import (
     brute_force_certificate,
@@ -199,6 +202,51 @@ def test_exterior_derivative_degree_limit():
     three = KForm.of(3, {(0, 1, 2): 1})
     with pytest.raises(ValueError):
         exterior_derivative(three, space)
+
+
+# the law-suite space, and a catalog space whose derivation table is not the
+# coordinate frame (X4 = d/dt) next to a nonzero structure constant
+CARTAN_SPACES = {"law_suite": _law_space(),
+                 "kodaira_primary": build_family("kodaira_primary").space}
+_CARTAN_FREQS = (Frequency.of(1), Frequency.of(2), Frequency.of(0, 1),
+                 Frequency.of(0, "1/2"))
+
+
+@st.composite
+def quarter_turn_scalars(draw, coords):
+    """Random waves over ``coords`` whose phases are multiples of pi/2."""
+    out = TrigScalar.constant(Fraction(draw(st.integers(-3, 3))))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from((TrigScalar.sine, TrigScalar.cosine)))
+        phase = Frequency.of(0, Fraction(draw(st.integers(0, 3)), 2))
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        out = out + kind({draw(st.sampled_from(coords)): draw(st.sampled_from(_CARTAN_FREQS))},
+                         phase, coeff=coeff)
+    return out
+
+
+@st.composite
+def cartan_cases(draw):
+    name = draw(st.sampled_from(sorted(CARTAN_SPACES)))
+    coords = CARTAN_SPACES[name].coords
+    rows = [[draw(quarter_turn_scalars(coords)) for _ in range(4)] for _ in range(3)]
+    return name, KForm.one_form(rows[0]), VecField.of(*rows[1]), VecField.of(*rows[2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(cartan_cases())
+def test_cartan_formula_is_exact(case):
+    # d(alpha)(X, Y) = X alpha(Y) - Y alpha(X) - alpha([X, Y]) as ring
+    # elements; the flag reads its top pairings off this identity.  Equal
+    # scalars print their terms in the same order; the order in which a
+    # route inserts them is not part of the identity
+    name, alpha, x, y = case
+    space = CARTAN_SPACES[name]
+    lhs = exterior_derivative(alpha, space)(x, y)
+    rhs = (space.apply(x, alpha(y)) - space.apply(y, alpha(x))
+           - alpha(bracket(x, y, space)))
+    assert lhs == rhs
+    assert str(lhs) == str(rhs)
 
 
 def test_wedge_basis_evaluation():
