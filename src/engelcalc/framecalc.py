@@ -551,6 +551,8 @@ def certify_vanishing(
 
 def bracket(v: VecField, w: VecField, space: FramedSpace) -> VecField:
     """Lie bracket via the Leibniz rule plus the structure table."""
+    if v.is_zero() or w.is_zero():
+        return _ZERO_FIELD
     out = [ZERO, ZERO, ZERO, ZERO]
     for k in range(4):
         out[k] = space.apply(v, w.coeffs[k]) - space.apply(w, v.coeffs[k])

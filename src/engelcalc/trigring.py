@@ -32,11 +32,15 @@ reduced against each other: ``parse("cos(pi/3) - 1/2")`` is zero but does not
 normalise to zero (open item 3 of ROADMAP.md).  All values are immutable and
 all operations are pure.
 
-A product of two waves is expanded and canonicalised once per wave pair:
-``_product_keys`` gives the canonical keys and signs of the two product-to-sum
-waves, from one merge pass over their frequencies, and keeps the last
-``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.  That memo is the module's
-one piece of state; it is bounded, thread-safe, and no result depends on it.
+A product of two waves is expanded and canonicalised once per unordered wave
+pair: ``_product_keys`` gives the canonical keys and signs of the two
+product-to-sum waves, from one merge pass over their frequencies, and keeps
+the last ``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.  Swapping the waves
+only negates the difference angle, which canonical orientation undoes, so
+products look each pair up in one fixed order.  Integer parts are added
+without a gcd, and a zero phase skips the phase reduction.  That memo is the
+module's one piece of state; it is bounded, thread-safe, and no result
+depends on it.
 Sums and products merge the coefficients' triples (half the product for a
 wave pair, negated on the fly for a difference) and wrap each surviving
 coefficient in a ``PiScalar`` once; a constant operand only scales the other,
@@ -84,6 +88,8 @@ def rat(x: RationalLike) -> Fraction:
 
 def _qadd(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """a/b + c/d in lowest terms, for reduced inputs with b, d > 0."""
+    if b == d == 1:
+        return a + c, 1
     n = a * d + c * b
     b *= d
     g = math.gcd(n, b)
@@ -317,6 +323,8 @@ class PiScalar:
 
 def _qmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """(a/b) * (c/d) in lowest terms, for reduced inputs with b, d > 0."""
+    if b == d == 1:
+        return a * c, 1
     g1 = math.gcd(a, d)
     g2 = math.gcd(c, b)
     return (a // g1) * (c // g2), (b // g2) * (d // g1)
@@ -430,6 +438,11 @@ def _canonical(
 
 def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
     # _canonical for frequencies sorted by coordinate, zeros dropped
+    if not phase[0] and not phase[2]:
+        # the zero phase is reduced already and its quarter turn is the identity
+        if fr and _freq_is_negative(fr[0][1]):
+            return (kind, _neg_freqs(fr), FREQ_ZERO), -1 if kind == "s" else 1
+        return None if kind == "s" and not fr else ((kind, fr, FREQ_ZERO), 1)
     sign = 1
     if fr:
         flip = _freq_is_negative(fr[0][1])
@@ -440,7 +453,7 @@ def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
         rn, _, pn, pd = phase
         flip = rn > 0 if rn else -pn % (2 * pd) < pn % (2 * pd)
     if flip:
-        fr = tuple((c, f.neg()) for c, f in fr)
+        fr = _neg_freqs(fr)
         phase = phase.neg()
         if kind == "s":
             sign = -sign
@@ -455,9 +468,15 @@ def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
     return (kind, fr, phase), sign
 
 
+def _neg_freqs(fr: Freqs) -> Freqs:
+    # fr holds no zero frequency
+    return tuple((c, _freq((-rn, rd, -pn, pd))) for c, (rn, rd, pn, pd) in fr)
+
+
 def _sum_and_difference(f1: Freqs, f2: Freqs) -> tuple[Freqs, Freqs]:
     """The frequencies of the angles w1 + w2 and w1 - w2, from those of two
-    canonical waves: one merge pass by coordinate, zeros dropped."""
+    canonical waves: one merge pass by coordinate, zeros dropped, and a
+    shared coordinate's parts added on the ints when every denominator is 1."""
     plus: list[tuple[str, Frequency]] = []
     minus: list[tuple[str, Frequency]] = []
     i = j = 0
@@ -466,16 +485,21 @@ def _sum_and_difference(f1: Freqs, f2: Freqs) -> tuple[Freqs, Freqs]:
         if c1 < c2:
             plus.append(f1[i]); minus.append(f1[i]); i += 1
         elif c1 > c2:
-            plus.append(f2[j]); minus.append((c2, b.neg())); j += 1
+            plus.append(f2[j]); minus.append((c2, _freq((-b[0], b[1], -b[2], b[3])))); j += 1
         else:
-            s, d = a.add(b), a.add(b.neg())
-            if not s.is_zero():
+            rn, rd, pn, pd = a
+            sn, sd, qn, qd = b
+            if rd * pd * sd * qd == 1:
+                s, d = _freq((rn + sn, 1, pn + qn, 1)), _freq((rn - sn, 1, pn - qn, 1))
+            else:
+                s, d = a.add(b), a.add(b.neg())
+            if s[0] or s[2]:
                 plus.append((c1, s))
-            if not d.is_zero():
+            if d[0] or d[2]:
                 minus.append((c1, d))
             i += 1; j += 1
     plus.extend(f1[i:]); minus.extend(f1[i:])
-    plus.extend(f2[j:]); minus.extend((c, b.neg()) for c, b in f2[j:])
+    plus.extend(f2[j:]); minus.extend(_neg_freqs(f2[j:]))
     return tuple(plus), tuple(minus)
 
 
@@ -624,7 +648,9 @@ class TrigScalar:
             h1 = None if w1 == _CONST_WAVE else _pmul(c1._terms, _HALF_RUN)
             for w2, c2 in b.items():
                 if h1 is not None and w2 != _CONST_WAVE:
-                    keys, run = _product_keys(w1, w2), _pmul(h1, c2._terms)
+                    # the expansion is symmetric: one memo entry per unordered pair
+                    keys = _product_keys(w1, w2) if w1 <= w2 else _product_keys(w2, w1)
+                    run = _pmul(h1, c2._terms)
                 else:  # a constant times a wave keeps the wave's key
                     keys, run = ((w1 if h1 else w2, 1),), _pmul(c1._terms, c2._terms)
                 for key, sign in keys:
@@ -1036,10 +1062,14 @@ def format_scalar(s: TrigScalar) -> str:
     if s.is_zero():
         return "0"
 
+    def q(n: int, d: int) -> int | Fraction:
+        # Fraction(n, 1) == n, so ints where they suffice sort the same
+        return n if d == 1 else Fraction(n, d)
+
     def sort_key(item: tuple[Wave, PiScalar]):
-        (kind, fr, ph), _ = item
-        freqs = tuple((c, f.rat, f.pi) for c, f in fr)
-        return (len(fr), freqs, (ph.rat, ph.pi), kind)
+        (kind, fr, (rn, rd, pn, pd)), _ = item
+        freqs = tuple((c, q(n, d), q(m, e)) for c, (n, d, m, e) in fr)
+        return (len(fr), freqs, (q(rn, rd), q(pn, pd)), kind)
 
     parts = []
     for (kind, fr, ph), c in sorted(s._terms.items(), key=sort_key):

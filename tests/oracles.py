@@ -3,13 +3,16 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
-``direct_product``, ``direct_sum``, ``direct_difference``,
-``direct_differentiate``, ``direct_sum_of_squares`` and
-``cramer_coefficients``, are the exact expansions that shortcuts or shared
+``direct_product``, ``reference_product_keys``, ``direct_sum``,
+``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``
+and ``cramer_coefficients``, are the exact expansions that shortcuts or shared
 helpers in the code replaced (the K-check reads one coframe where Cramer's
 rule took five 4x4 determinants per commutator; the ring
 loops merge whole ``PiScalar`` coefficients one term at a time, where
-``TrigScalar`` merges coefficient runs), ``residue_values``, which
+``TrigScalar`` merges coefficient runs; the wave-pair expansion builds every
+angle through ``Frequency.add`` and ``neg`` and orients every wave by the
+general phase path, where ``_product_keys`` adds integer parts on the ints
+and orients a zero phase on the lead frequency alone), ``residue_values``, which
 evaluates a grid point by point at each term's exact residue angle, as grid
 certificates of single-direction witnesses do by residue class, and
 ``fraction_period``, the derivation of a coordinate's period and angular
@@ -33,6 +36,7 @@ from engelcalc.trigring import (
     Frequency,
     PiScalar,
     TrigScalar,
+    _QUARTER,
     _canonical,
 )
 
@@ -113,6 +117,46 @@ def _wave_product(w1, w2) -> list:
         return [("s", sf, sp, 1), ("s", df, dp, 1)]
     # cos * sin
     return [("s", sf, sp, 1), ("s", df, dp, -1)]
+
+
+def _reference_orient(kind, fr, phase):
+    """Canonical key and sign of a wave whose frequencies are sorted by
+    coordinate, zeros dropped, for any phase: the lead frequency (or, with
+    none, the phase) fixes the orientation, the phase is reduced mod 2*pi on
+    Fractions, and a quarter turn is absorbed into the cos/sin basis.  None
+    for sin of the zero angle."""
+    sign = 1
+    if fr:
+        flip = (fr[0][1].pi, fr[0][1].rat) < (0, 0)
+    else:
+        flip = phase.rat > 0 if phase.rat else (-phase.pi) % 2 < phase.pi % 2
+    if flip:
+        fr = tuple((c, f.neg()) for c, f in fr)
+        phase = phase.neg()
+        if kind == "s":
+            sign = -sign
+    phase = Frequency(phase.rat, phase.pi % 2)
+    if phase.rat == 0 and phase.pi.denominator <= 2:
+        kind, s2 = _QUARTER[(kind, phase.pi.numerator, phase.pi.denominator)]
+        sign *= s2
+        phase = FREQ_ZERO
+    if kind == "s" and not fr and phase.is_zero():
+        return None
+    return (kind, fr, phase), sign
+
+
+def reference_product_keys(w1, w2) -> tuple:
+    """``trigring._product_keys(w1, w2)`` for two canonical waves, with every
+    product-to-sum angle built through ``Frequency.add`` and ``neg`` and
+    oriented by ``_reference_orient``."""
+    out = []
+    for kind, fr, ph, sign in _wave_product(w1, w2):
+        freqs = tuple(sorted((c, f) for c, f in fr.items() if not f.is_zero()))
+        canon = _reference_orient(kind, freqs, ph)
+        if canon is not None:
+            key, s = canon
+            out.append((key, sign * s))
+    return tuple(out)
 
 
 def direct_product(a: TrigScalar, b: TrigScalar) -> TrigScalar:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from engelcalc.laws import run_law_suite
 from engelcalc.trigring import (
@@ -21,7 +21,13 @@ from engelcalc.trigring import (
     normalize,
     parse,
 )
-from oracles import direct_difference, direct_differentiate, direct_product, direct_sum
+from oracles import (
+    direct_difference,
+    direct_differentiate,
+    direct_product,
+    direct_sum,
+    reference_product_keys,
+)
 
 
 def test_pythagorean_collapse():
@@ -504,6 +510,47 @@ def test_product_matches_the_per_term_loop(memo, a, b):
         a * b
     want = list(direct_product(a, b).terms().items())
     assert list((a * b).terms().items()) == want
+
+
+@st.composite
+def canonical_waves(draw):
+    """Canonical wave keys on up to three coordinates, with integer, rational
+    and rational-pi frequencies and quarter-turn and rational-pi phases."""
+    coords = draw(st.lists(st.sampled_from(_WAVE_COORDS), max_size=3, unique=True))
+    freqs = {c: draw(st.sampled_from(_WAVE_FREQS)) for c in coords}
+    canon = _canonical(draw(st.sampled_from(("c", "s"))), freqs,
+                       draw(st.sampled_from(_PHASES)))
+    assume(canon is not None)
+    return canon[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_waves(), canonical_waves())
+def test_product_keys_are_symmetric(w1, w2):
+    # the same keys, signs and key order in both orders, so one memo entry
+    # serves both; __wrapped__ expands the pair without the memo
+    assert _product_keys.__wrapped__(w1, w2) == _product_keys.__wrapped__(w2, w1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_waves(), canonical_waves())
+def test_product_keys_match_the_general_path(w1, w2):
+    # the integer and zero-phase shortcuts give exactly the keys of the
+    # general frequency arithmetic and phase orientation
+    assert _product_keys.__wrapped__(w1, w2) == reference_product_keys(w1, w2)
+
+
+def test_swapped_product_adds_no_memo_misses():
+    a = parse("cos(x + y) + 2*sin(2*x) - 1")
+    b = parse("sin(x - y) + cos(3*y + pi/3) + sin(x/2)")
+    _product_keys.cache_clear()
+    ab = a * b
+    misses = _product_keys.cache_info().misses
+    assert misses == 6  # one per pair of waves
+    ba = b * a
+    assert _product_keys.cache_info().misses == misses
+    assert list(ba.terms().items()) == list(direct_product(b, a).terms().items())
+    assert ab == ba
 
 
 def test_product_memo_is_bounded():
