@@ -163,10 +163,12 @@ class FramedSpace:
             return -self.structure_bracket(j, i)
         return self.structure.get((i, j), _ZERO_FIELD)
 
-    def frame_derivative(self, i: int, s: TrigScalar) -> TrigScalar:
-        """E_i(s) through the derivation table."""
+    def frame_derivative(self, i: int, s: TrigScalar,
+                         coords: set[str] | None = None) -> TrigScalar:
+        """E_i(s) through the derivation table; ``coords``, when given, is
+        ``s.coordinates()``."""
         out = ZERO
-        for coord in s.coordinates():
+        for coord in s.coordinates() if coords is None else coords:
             d = self.derivation[i].get(coord)
             if d is not None:
                 out = out + d * s.differentiate(coord)
@@ -175,11 +177,14 @@ class FramedSpace:
     def apply(self, v: VecField, s: TrigLike) -> TrigScalar:
         """Directional derivative v(s)."""
         s = normalize(s)
+        coords = s.coordinates()
+        if not coords:
+            return ZERO
         out = ZERO
         for i in range(4):
             if v.coeffs[i].is_zero():
                 continue
-            ds = self.frame_derivative(i, s)
+            ds = self.frame_derivative(i, s, coords)
             if not ds.is_zero():
                 out = out + v.coeffs[i] * ds
         return out

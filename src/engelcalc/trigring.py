@@ -37,15 +37,23 @@ pair: ``_product_keys`` gives the canonical keys and signs of the two
 product-to-sum waves, from one merge pass over their frequencies, and keeps
 the last ``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.  Swapping the waves
 only negates the difference angle, which canonical orientation undoes, so
-products look each pair up in one fixed order.  Integer parts are added
-without a gcd, and a zero phase skips the phase reduction.  That memo is the
-module's one piece of state; it is bounded, thread-safe, and no result
-depends on it.
+products look each pair up in one fixed order, the smaller hash first.
+Integer parts are added without a gcd, and a zero phase skips the phase
+reduction.
+
+Every canonical wave key is a ``WaveKey``: an int whose value is the hash of
+its ``(kind, freqs, phase)`` triple, so term dicts and the memo read the
+hash instead of hashing the nested tuple again, and match keys by identity.
+``_orient`` makes each key through the wave table, which keeps one key per
+triple and starts afresh when it holds ``WAVE_TABLE_SIZE`` waves.  The memo
+and the wave table are the module's only state; both are bounded and
+thread-safe, and no result depends on either: keys of one wave from
+different tables are distinct objects that still compare and hash equal.
 Sums and products merge the coefficients' triples (half the product for a
 wave pair, negated on the fly for a difference) and wrap each surviving
 coefficient in a ``PiScalar`` once; a constant operand only scales the other,
 and ``ONE`` returns it.  ``differentiate`` keeps each term's key with cos and
-sin swapped, which is canonical as it stands.
+sin swapped, which is canonical as it stands; each key caches that partner.
 """
 
 from __future__ import annotations
@@ -396,14 +404,112 @@ PiScalarLike = Union[PiScalar, int, str, Fraction]
 
 PI = PiScalar.from_pairs([(1, 1)])
 
-# wave key: (kind, ((coord, Frequency), ...) sorted by coord, phase Frequency)
+# wave triple: (kind, ((coord, Frequency), ...) sorted by coord, phase Frequency)
 Freqs = tuple[tuple[str, Frequency], ...]
 Wave = tuple[str, Freqs, Frequency]
 
 # float form of a scalar, see _float_terms
 FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...]
 
-_CONST_WAVE: Wave = ("c", (), FREQ_ZERO)
+
+class WaveKey(int):
+    """The interned key of a canonical wave: its triple, hashed once.
+
+    The int value is ``hash(triple)`` and ``hash(key)`` is that value, so a
+    key hashes like its triple and every dict and set layout is the
+    triple's, without hashing the nested tuple again at each lookup.  Keys
+    come only from ``_wave_key``, one per triple while the wave table holds
+    it, so equal keys are almost always the same object and dicts match them
+    by identity; ``==`` compares the triples otherwise, and a key equals its
+    plain triple.  ``<`` and ``<=`` order keys by hash.  Indexing, unpacking
+    and ``len`` are the triple's.  The instance dict holds ``triple`` and
+    ``partner``, the key of the wave with cos and sin swapped once
+    ``differentiate`` has needed it.
+    """
+
+    def __new__(cls, triple: Wave) -> "WaveKey":
+        key = int.__new__(cls, hash(triple))
+        key.triple = triple
+        key.partner = None
+        return key
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return self.triple == (other.triple if isinstance(other, WaveKey) else other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    # the value itself as a plain int: int's own hash would reduce it
+    # mod 2**61 - 1, and hash(key) would differ from hash(triple)
+    __hash__ = int.conjugate
+
+    def __iter__(self):
+        return iter(self.triple)
+
+    def __getitem__(self, i):
+        return self.triple[i]
+
+    def __len__(self) -> int:
+        return len(self.triple)
+
+    def __repr__(self) -> str:
+        return repr(self.triple)
+
+    def __reduce__(self):
+        return _wave_key, (self.triple,)
+
+
+_CONST_WAVE = WaveKey(("c", (), FREQ_ZERO))
+
+# bound of the wave table below: a full laws run makes 1,665 distinct waves,
+# three sampled rounds 1,008 and thirty catalog rounds 311 (seeds 0, 201, 1)
+WAVE_TABLE_SIZE = 4096
+
+
+def _clear_wave_table() -> None:
+    """Start an empty wave table, which still maps the constant wave to
+    ``_CONST_WAVE``.  Rebinding keeps that mapping in every table a thread
+    can see."""
+    global _waves
+    _waves = {_CONST_WAVE.triple: _CONST_WAVE}
+
+
+_waves: dict[Wave, WaveKey]
+_clear_wave_table()
+
+
+def _wave_key(triple: Wave) -> WaveKey:
+    """The interned key of a canonical wave triple.
+
+    A full table starts afresh.  A key made after that is a distinct object
+    from an older key of the same wave; the two still compare and hash
+    equal, so no result depends on the table.  For the same reason no lock
+    is needed: a thread that races a fresh start may leave its key out of
+    the new table, and then lookups of that wave compare triples instead of
+    matching by identity.
+    """
+    table = _waves
+    key = table.get(triple)
+    if key is None:
+        if len(table) >= WAVE_TABLE_SIZE:
+            _clear_wave_table()
+            table = _waves
+        key = table.setdefault(triple, WaveKey(triple))
+    return key
+
+
+def _partner(w: WaveKey) -> WaveKey:
+    """The key of ``w`` with cos and sin swapped, for a wave with
+    frequencies: they alone fix its orientation, and its phase absorbs no
+    quarter turn, so the swapped triple is canonical as it stands."""
+    p = w.partner
+    if p is None:
+        kind, fr, ph = w.triple
+        p = _wave_key(("s" if kind == "c" else "c", fr, ph))
+        w.partner, p.partner = p, w
+    return p
 
 # quarter-turn phase absorption: phase pi-part (num, den) in {0, 1/2, 1, 3/2}
 # after mod 2
@@ -427,7 +533,7 @@ def _reduce_phase(p: Frequency) -> Frequency:
 
 def _canonical(
     kind: str, freqs: Mapping[str, Frequency], phase: Frequency
-) -> tuple[Wave, int] | None:
+) -> tuple[WaveKey, int] | None:
     """Canonical wave key plus the sign picked up by the normalisation.
 
     Returns None when the wave is identically zero (sin of the zero angle).
@@ -436,13 +542,13 @@ def _canonical(
     return _orient(kind, fr, phase)
 
 
-def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
+def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[WaveKey, int] | None:
     # _canonical for frequencies sorted by coordinate, zeros dropped
     if not phase[0] and not phase[2]:
         # the zero phase is reduced already and its quarter turn is the identity
         if fr and _freq_is_negative(fr[0][1]):
-            return (kind, _neg_freqs(fr), FREQ_ZERO), -1 if kind == "s" else 1
-        return None if kind == "s" and not fr else ((kind, fr, FREQ_ZERO), 1)
+            return _wave_key((kind, _neg_freqs(fr), FREQ_ZERO)), -1 if kind == "s" else 1
+        return None if kind == "s" and not fr else (_wave_key((kind, fr, FREQ_ZERO)), 1)
     sign = 1
     if fr:
         flip = _freq_is_negative(fr[0][1])
@@ -465,7 +571,7 @@ def _orient(kind: str, fr: Freqs, phase: Frequency) -> tuple[Wave, int] | None:
         phase = FREQ_ZERO
     if kind == "s" and not fr and phase.is_zero():
         return None
-    return (kind, fr, phase), sign
+    return _wave_key((kind, fr, phase)), sign
 
 
 def _neg_freqs(fr: Freqs) -> Freqs:
@@ -509,14 +615,14 @@ PRODUCT_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=PRODUCT_MEMO_SIZE)
-def _product_keys(w1: Wave, w2: Wave) -> tuple[tuple[Wave, int], ...]:
+def _product_keys(w1: WaveKey, w2: WaveKey) -> tuple[tuple[WaveKey, int], ...]:
     """Product-to-sum expansion of a product of two canonical waves.
 
     Each output wave comes as its canonical key with the sign of its
     coefficient, which is 1/2 times that sign: the product-to-sum sign times
     the sign picked up by ``_orient``.  Sin of the zero angle is dropped.
     """
-    (k1, f1, p1), (k2, f2, p2) = w1, w2
+    (k1, f1, p1), (k2, f2, p2) = w1.triple, w2.triple
     sf, df = _sum_and_difference(f1, f2)
     sp, dp = p1.add(p2), p1.add(p2.neg())
     if k1 == "c" and k2 == "c":
@@ -541,10 +647,10 @@ class TrigScalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Wave, PiScalar] | None = None):
-        # terms must already be canonical; public construction goes through
-        # the classmethods and arithmetic below
-        self._terms: dict[Wave, PiScalar] = dict(terms) if terms else {}
+    def __init__(self, terms: Mapping[WaveKey, PiScalar] | None = None):
+        # terms must already be canonical, under interned keys; public
+        # construction goes through the classmethods and arithmetic below
+        self._terms: dict[WaveKey, PiScalar] = dict(terms) if terms else {}
 
     # -- construction -------------------------------------------------------
 
@@ -575,7 +681,7 @@ class TrigScalar:
 
     # -- queries ------------------------------------------------------------
 
-    def terms(self) -> Mapping[Wave, PiScalar]:
+    def terms(self) -> Mapping[WaveKey, PiScalar]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -590,12 +696,12 @@ class TrigScalar:
         return None
 
     def coordinates(self) -> set[str]:
-        return {c for kind, fr, ph in self._terms for c, _ in fr}
+        return {c for w in self._terms for c, _ in w.triple[1]}
 
     def frequencies_of(self, coord: str) -> set[Frequency]:
         out = set()
-        for _, fr, _ in self._terms:
-            for c, f in fr:
+        for w in self._terms:
+            for c, f in w.triple[1]:
                 if c == coord:
                     out.add(f)
         return out
@@ -642,12 +748,12 @@ class TrigScalar:
         if len(b) == 1 and _CONST_WAVE in b:
             return self._scaled(b[_CONST_WAVE])
         # pair products merged as runs, key by key in pair order, as a sum would
-        acc: dict[Wave, Run] = {}
+        acc: dict[WaveKey, Run] = {}
         for w1, c1 in a.items():
             # a wave pair's coefficient is half the product: halve c1 once
-            h1 = None if w1 == _CONST_WAVE else _pmul(c1._terms, _HALF_RUN)
+            h1 = None if w1 is _CONST_WAVE else _pmul(c1._terms, _HALF_RUN)
             for w2, c2 in b.items():
-                if h1 is not None and w2 != _CONST_WAVE:
+                if h1 is not None and w2 is not _CONST_WAVE:
                     # the expansion is symmetric: one memo entry per unordered pair
                     keys = _product_keys(w1, w2) if w1 <= w2 else _product_keys(w2, w1)
                     run = _pmul(h1, c2._terms)
@@ -678,7 +784,7 @@ class TrigScalar:
     def div_exact(self, divisor: PiScalarLike) -> "TrigScalar | None":
         """Exact quotient by a nonzero constant, or None when it is inexact."""
         d = PiScalar.of(divisor)
-        out: dict[Wave, PiScalar] = {}
+        out: dict[WaveKey, PiScalar] = {}
         for w, c in self._terms.items():
             q = c.div_exact(d)
             if q is None:
@@ -689,20 +795,17 @@ class TrigScalar:
     # -- calculus -----------------------------------------------------------
 
     def differentiate(self, coord: str) -> "TrigScalar":
-        # a term that has coord has frequencies, which alone fix its
-        # orientation, and its phase is reduced and absorbs no quarter turn:
-        # with cos and sin swapped its key is still canonical, distinct terms
-        # keep distinct keys, and every coefficient stays nonzero
+        # a term that has coord has frequencies, so its key with cos and sin
+        # swapped is its _partner: distinct terms keep distinct keys, and
+        # every coefficient stays nonzero
         out = TrigScalar()
         terms = out._terms
-        for (kind, fr, ph), c in self._terms.items():
+        for w, c in self._terms.items():
+            kind, fr, _ = w.triple
             for cd, omega in fr:
                 if cd == coord:
                     dc = c * omega.as_coeff()
-                    if kind == "c":
-                        terms[("s", fr, ph)] = -dc
-                    else:
-                        terms[("c", fr, ph)] = dc
+                    terms[_partner(w)] = -dc if kind == "c" else dc
                     break
         return out
 
@@ -710,7 +813,8 @@ class TrigScalar:
         """Exact substitution coord -> coord + delta for rational delta."""
         d = rat(delta)
         out = TrigScalar()
-        for (kind, fr, ph), c in self._terms.items():
+        for w, c in self._terms.items():
+            kind, fr, ph = w.triple
             omega = dict(fr).get(coord)
             nph = ph if omega is None else ph.add(omega.scale(d))
             out = out._plus(TrigScalar._wave(kind, dict(fr), nph, c), False)
@@ -787,9 +891,12 @@ def _float_terms(s: TrigScalar) -> FloatTerms:
     ``Frequency.value()`` of the exact term; ``sample_grid``, and the residue
     tables of ``framecalc.GridPoints.abs_extreme``, build it once per call.
     """
-    return tuple((kind == "c", c.evaluate(), ph.value(),
-                  tuple((coord, f.value()) for coord, f in fr))
-                 for (kind, fr, ph), c in s._terms.items())
+    out = []
+    for w, c in s._terms.items():
+        kind, fr, ph = w.triple
+        out.append((kind == "c", c.evaluate(), ph.value(),
+                    tuple((coord, f.value()) for coord, f in fr)))
+    return tuple(out)
 
 
 def _gather_index(own: tuple[int, ...], sizes: Sequence[int]) -> list[int] | None:
@@ -1066,14 +1173,15 @@ def format_scalar(s: TrigScalar) -> str:
         # Fraction(n, 1) == n, so ints where they suffice sort the same
         return n if d == 1 else Fraction(n, d)
 
-    def sort_key(item: tuple[Wave, PiScalar]):
-        (kind, fr, (rn, rd, pn, pd)), _ = item
+    def sort_key(item: tuple[WaveKey, PiScalar]):
+        kind, fr, (rn, rd, pn, pd) = item[0].triple
         freqs = tuple((c, q(n, d), q(m, e)) for c, (n, d, m, e) in fr)
         return (len(fr), freqs, (q(rn, rd), q(pn, pd)), kind)
 
     parts = []
-    for (kind, fr, ph), c in sorted(s._terms.items(), key=sort_key):
-        if (kind, fr, ph) == _CONST_WAVE:
+    for w, c in sorted(s._terms.items(), key=sort_key):
+        kind, fr, ph = w.triple
+        if w is _CONST_WAVE:
             sign, body = _format_coeff(c)
         else:
             wave = f"{'cos' if kind == 'c' else 'sin'}({_format_angle(fr, ph)})"

@@ -5,15 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from engelcalc import trigring
 from engelcalc.laws import run_law_suite
 from engelcalc.trigring import (
     ONE,
     PRODUCT_MEMO_SIZE,
+    WAVE_TABLE_SIZE,
     ZERO,
     Frequency,
     PiScalar,
     TrigScalar,
+    WaveKey,
+    _CONST_WAVE,
     _canonical,
+    _clear_wave_table,
     _product_keys,
     differentiate,
     evaluate,
@@ -560,6 +565,115 @@ def test_product_memo_is_bounded():
     assert info.maxsize == PRODUCT_MEMO_SIZE
     assert info.misses > info.maxsize  # the bound was reached
     assert info.currsize <= info.maxsize
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_waves())
+def test_wave_key_is_its_interned_triple(w):
+    import copy
+    import pickle
+
+    kind, fr, ph = w
+    triple = (kind, fr, ph)
+    assert (w[0], w[1], w[2]) == triple and len(w) == 3
+    assert w == triple and triple == w and not w != triple
+    assert hash(w) == hash(triple) == int(w)
+    assert {triple: 1}[w] == 1 and {w: 1}[triple] == 1
+    # equal triples, however built, give the same object
+    rebuilt = (kind, tuple((c, Frequency(f.rat, f.pi)) for c, f in fr),
+               Frequency(ph.rat, ph.pi))
+    assert _canonical(kind, dict(rebuilt[1]), rebuilt[2]) == (w, 1)
+    assert _canonical(kind, dict(rebuilt[1]), rebuilt[2])[0] is w
+    assert pickle.loads(pickle.dumps(w)) is w and copy.deepcopy(w) is w
+    # a key outside the table is another object, equal by its triple
+    other = WaveKey(rebuilt)
+    assert other is not w and other == w and hash(other) == hash(w)
+    assert not other != w and {w: 1}[other] == 1
+
+
+def _ring_results(a, b):
+    # every result's terms in order, each key given as its triple
+    results = [a * b, b * a, a + b, a - b, b - a, a.differentiate("x"),
+               b.differentiate("t"), a * a - b * b]
+    return [[(tuple(w), c) for w, c in r.terms().items()] for r in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wave_sums(), wave_sums())
+def test_no_result_depends_on_the_wave_table(a, b):
+    import pickle
+
+    # b's keys come from a fresh table, so the waves it shares with a have
+    # two distinct keys; the results must be the cold ones, in term order
+    _clear_wave_table()
+    b2 = pickle.loads(pickle.dumps(b))
+    mixed = _ring_results(a, b2)
+    assert (b - b2).is_zero() and b == b2 and hash(b) == hash(b2)
+    _clear_wave_table()
+    _product_keys.cache_clear()
+    a, b = pickle.loads(pickle.dumps((a, b)))
+    assert mixed == _ring_results(a, b)
+
+
+def test_wave_table_is_bounded(monkeypatch):
+    _clear_wave_table()
+    _product_keys.cache_clear()
+    want = run_law_suite(0, cases=50)
+    made = len(trigring._waves)
+    assert made <= WAVE_TABLE_SIZE
+    monkeypatch.setattr(trigring, "WAVE_TABLE_SIZE", 64)
+    _clear_wave_table()
+    _product_keys.cache_clear()
+    assert run_law_suite(0, cases=50) == want
+    assert made > 64  # the bound was reached
+    assert len(trigring._waves) <= 64
+    assert trigring._waves[_CONST_WAVE.triple] is _CONST_WAVE
+
+
+def test_wave_table_is_thread_safe(monkeypatch):
+    import sys
+    import threading
+
+    # threads that parse, multiply, differentiate and format while a tiny
+    # table keeps starting afresh must all get the serial results and text
+    texts = ["cos(x + y) + 2*sin(2*x) - 1", "sin(x - y) + cos(3*y + pi/3) + 1/2",
+             "cos(x)*cos(x) - sin(y/2)", "3 + sin(x + 2*y - pi/4)"]
+
+    def work():
+        _product_keys.cache_clear()
+        ss = [parse(t) for t in texts]
+        out = []
+        for a in ss:
+            for b in ss:
+                for r in (a * b, a - b, (a * b).differentiate("x")):
+                    out.append((str(r), [(tuple(w), c) for w, c in r.terms().items()]))
+        return out
+
+    want = work()
+    monkeypatch.setattr(trigring, "WAVE_TABLE_SIZE", 8)
+    _clear_wave_table()
+    got, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(10):
+                got.append(work())
+        except Exception as exc:  # the assertions below report it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(got) == 40 and all(g == want for g in got)
 
 
 @settings(max_examples=100, deadline=None)
