@@ -89,11 +89,12 @@ def run_law_suite(seed: int = 0, cases: int = 1000, tol: float = 1e-12) -> dict:
         lin = bracket(u + v, w, space) - bracket(u, w, space) - bracket(v, w, space)
         check("bracket_bilinear", lin.coeffs, point)
 
-        anti = bracket(u, v, space) + bracket(v, u, space)
+        uv = bracket(u, v, space)
+        anti = uv + bracket(v, u, space)
         check("bracket_antisymmetric", anti.coeffs, point)
 
         lhs = bracket(u, v.scale(s), space)
-        rhs = v.scale(space.apply(u, s)) + bracket(u, v, space).scale(s)
+        rhs = v.scale(space.apply(u, s)) + uv.scale(s)
         check("bracket_leibniz", (lhs - rhs).coeffs, point)
 
         a = _random_scalar(rng, coords)

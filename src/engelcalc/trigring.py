@@ -32,14 +32,18 @@ reduced against each other: ``parse("cos(pi/3) - 1/2")`` is zero but does not
 normalise to zero (open item 3 of ROADMAP.md).  All values are immutable and
 all operations are pure.
 
-A product of two waves is expanded and canonicalised once per unordered wave
-pair: ``_product_keys`` gives the canonical keys and signs of the two
-product-to-sum waves, from one merge pass over their frequencies, and keeps
-the last ``PRODUCT_MEMO_SIZE`` pairs in an ``lru_cache``.  Swapping the waves
-only negates the difference angle, which canonical orientation undoes, so
-products look each pair up in one fixed order, the smaller hash first.
-Integer parts are added without a gcd, and a zero phase skips the phase
-reduction.
+A product of two waves is expanded and canonicalised once per unordered pair
+of their angles: ``_angle_products`` forms the sum and difference angles of
+two angles, named by their cos keys, from one merge pass over their
+frequencies, and gives the canonical keys and signs of cos*cos, cos*sin,
+sin*cos and sin*sin at once.  It keeps the last ``PRODUCT_MEMO_SIZE`` (256)
+angle pairs in an ``lru_cache``: three ``sampled`` rounds (seed 201) meet
+1,015 distinct pairs and expand 1,416 times, where a memo of as many wave
+pairs expanded 4,563 times.  Swapping the angles only negates their
+difference, which canonical orientation undoes (and the swapped
+product-to-sum sign cancels for a sine), so products look each pair up in
+one fixed order, the smaller hash first.  Integer parts are added without a
+gcd, and a zero phase skips the phase reduction.
 
 Every canonical wave key is a ``WaveKey``: an int whose value is the hash of
 its ``(kind, freqs, phase)`` triple, so term dicts and the memo read the
@@ -53,7 +57,10 @@ Sums and products merge the coefficients' triples (half the product for a
 wave pair, negated on the fly for a difference) and wrap each surviving
 coefficient in a ``PiScalar`` once; a constant operand only scales the other,
 and ``ONE`` returns it.  ``differentiate`` keeps each term's key with cos and
-sin swapped, which is canonical as it stands; each key caches that partner.
+sin swapped, which is canonical as it stands; each key caches that partner,
+which also names a sine's angle.  A zero operand of a sum or difference gives
+the other operand (negated for ``0 - x``), and ``parse`` reads an integer
+literal without the tokenizer.
 """
 
 from __future__ import annotations
@@ -424,7 +431,7 @@ class WaveKey(int):
     plain triple.  ``<`` and ``<=`` order keys by hash.  Indexing, unpacking
     and ``len`` are the triple's.  The instance dict holds ``triple`` and
     ``partner``, the key of the wave with cos and sin swapped once
-    ``differentiate`` has needed it.
+    ``differentiate`` or a product has needed it.
     """
 
     def __new__(cls, triple: Wave) -> "WaveKey":
@@ -501,9 +508,10 @@ def _wave_key(triple: Wave) -> WaveKey:
 
 
 def _partner(w: WaveKey) -> WaveKey:
-    """The key of ``w`` with cos and sin swapped, for a wave with
-    frequencies: they alone fix its orientation, and its phase absorbs no
-    quarter turn, so the swapped triple is canonical as it stands."""
+    """The key of ``w`` with cos and sin swapped, for any wave but the
+    constant one.  Its frequencies, or with none its phase, fix the
+    orientation for both kinds alike, and its phase absorbs no quarter turn,
+    so the swapped triple is canonical as it stands."""
     p = w.partner
     if p is None:
         kind, fr, ph = w.triple
@@ -609,37 +617,60 @@ def _sum_and_difference(f1: Freqs, f2: Freqs) -> tuple[Freqs, Freqs]:
     return tuple(plus), tuple(minus)
 
 
-# bound of the wave-pair memo below: 1024 entries raised peak RSS by 2-5%
-# for 2-4% more throughput, won in only 4 or 5 of 6 runs (BENCH_10.json)
+# bound of the angle-pair memo below.  Three sampled rounds (seed 201) meet
+# 1,015 distinct unordered angle pairs and expand 1,416 times at this bound;
+# eight laws rounds (seed 0) expand 4,137 times, and 2,025 at 1024 entries,
+# which saved about 25 ms of their 1 s but raised peak RSS by 3-4% on laws
 PRODUCT_MEMO_SIZE = 256
+
+# the canonical keys of a wave product, each with the sign of its coefficient
+Expansion = tuple[tuple[WaveKey, int], ...]
+
+
+def _angle(w: WaveKey) -> tuple[WaveKey | None, int, int]:
+    """The angle of a canonical wave, named by its cos key, with that key's
+    hash and the wave's kind bit (0 for cos, 1 for sin); ``(None, 0, 0)``
+    for the constant wave, which has no angle to expand."""
+    if w is _CONST_WAVE:
+        return None, 0, 0
+    if w.triple[0] == "c":
+        return w, int(w), 0
+    p = _partner(w)
+    return p, int(p), 1
 
 
 @functools.lru_cache(maxsize=PRODUCT_MEMO_SIZE)
-def _product_keys(w1: WaveKey, w2: WaveKey) -> tuple[tuple[WaveKey, int], ...]:
-    """Product-to-sum expansion of a product of two canonical waves.
+def _angle_products(a: WaveKey, b: WaveKey) -> tuple[Expansion, Expansion,
+                                                     Expansion, Expansion]:
+    """Product-to-sum expansions of the four wave products of two angles.
 
-    Each output wave comes as its canonical key with the sign of its
-    coefficient, which is 1/2 times that sign: the product-to-sum sign times
-    the sign picked up by ``_orient``.  Sin of the zero angle is dropped.
+    ``a`` and ``b`` are the cos keys of the angles.  Entry ``2*i + j`` expands
+    ``trig_i(a) * trig_j(b)``, with kind bit 0 for cos and 1 for sin.  Each
+    output wave comes as its canonical key with the sign of its coefficient,
+    which is 1/2 times that sign: the product-to-sum sign times the sign
+    picked up by ``_orient``.
     """
-    (k1, f1, p1), (k2, f2, p2) = w1.triple, w2.triple
+    (_, f1, p1), (_, f2, p2) = a.triple, b.triple
     sf, df = _sum_and_difference(f1, f2)
     sp, dp = p1.add(p2), p1.add(p2.neg())
-    if k1 == "c" and k2 == "c":
-        waves = (("c", df, dp, 1), ("c", sf, sp, 1))
-    elif k1 == "s" and k2 == "s":
-        waves = (("c", df, dp, 1), ("c", sf, sp, -1))
-    elif k1 == "s":  # sin * cos
-        waves = (("s", sf, sp, 1), ("s", df, dp, 1))
-    else:  # cos * sin
-        waves = (("s", sf, sp, 1), ("s", df, dp, -1))
-    out = []
-    for kind, fr, ph, sign in waves:
-        canon = _orient(kind, fr, ph)
-        if canon is not None:
-            key, s = canon
-            out.append((key, sign * s))
-    return tuple(out)
+    cos_d, cos_s = _orient("c", df, dp), _orient("c", sf, sp)
+    sin_s, sin_d = _orient("s", sf, sp), _orient("s", df, dp)
+    return (_expansion(cos_d, cos_s, 1),     # cos a cos b
+            _expansion(sin_s, sin_d, -1),    # cos a sin b
+            _expansion(sin_s, sin_d, 1),     # sin a cos b
+            _expansion(cos_d, cos_s, -1))    # sin a sin b
+
+
+def _expansion(first: tuple[WaveKey, int] | None, second: tuple[WaveKey, int] | None,
+               sign: int) -> Expansion:
+    """The waves ``first + sign * second`` of a product, each ``(key, sign)``
+    from ``_orient``; a wave that vanishes (None) is left out.  Sin of the
+    zero angle vanishes, and so does cos of an angle without frequencies whose
+    phase is an odd multiple of pi/2."""
+    out = () if first is None else (first,)
+    if second is not None:
+        out += (second if sign > 0 else (second[0], -second[1]),)
+    return out
 
 
 class TrigScalar:
@@ -723,10 +754,17 @@ class TrigScalar:
         return normalize(other) - self
 
     def _plus(self, other: "TrigLike", negate: bool) -> "TrigScalar":
-        # other's runs merged into a copy of the terms, negated for a difference
-        out = TrigScalar(self._terms)
+        # other's runs merged into a copy of the terms, negated for a
+        # difference; a zero operand gives the other (values are immutable)
+        other = normalize(other)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return -other if negate else other
+        out = TrigScalar(a)
         terms = out._terms
-        for key, c in normalize(other)._terms.items():
+        for key, c in b.items():
             prev = terms.get(key)
             if prev is None:
                 terms[key] = -c if negate else c
@@ -749,16 +787,21 @@ class TrigScalar:
             return self._scaled(b[_CONST_WAVE])
         # pair products merged as runs, key by key in pair order, as a sum would
         acc: dict[WaveKey, Run] = {}
+        right = [(w, c._terms, _angle(w)) for w, c in b.items()]
         for w1, c1 in a.items():
+            x1, h1, k1 = _angle(w1)
             # a wave pair's coefficient is half the product: halve c1 once
-            h1 = None if w1 is _CONST_WAVE else _pmul(c1._terms, _HALF_RUN)
-            for w2, c2 in b.items():
-                if h1 is not None and w2 is not _CONST_WAVE:
-                    # the expansion is symmetric: one memo entry per unordered pair
-                    keys = _product_keys(w1, w2) if w1 <= w2 else _product_keys(w2, w1)
-                    run = _pmul(h1, c2._terms)
+            half = None if x1 is None else _pmul(c1._terms, _HALF_RUN)
+            for w2, r2, (x2, h2, k2) in right:
+                if x1 is not None and x2 is not None:
+                    # swapping the angles only negates their difference, which
+                    # canonical orientation undoes: one memo entry per
+                    # unordered angle pair, the smaller hash first
+                    keys = (_angle_products(x1, x2)[2 * k1 + k2] if h1 <= h2
+                            else _angle_products(x2, x1)[2 * k2 + k1])
+                    run = _pmul(half, r2)
                 else:  # a constant times a wave keeps the wave's key
-                    keys, run = ((w1 if h1 else w2, 1),), _pmul(c1._terms, c2._terms)
+                    keys, run = ((w2 if x1 is None else w1, 1),), _pmul(c1._terms, r2)
                 for key, sign in keys:
                     prev = acc.get(key)
                     if prev is None:
@@ -984,6 +1027,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def parse(self) -> TrigScalar:
+        out = self.expr()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input in scalar expression: {self.toks[self.pos:]}")
+        return out
+
     # scalar grammar: expr := term (('+'|'-') term)*
     def expr(self) -> TrigScalar:
         out = self.term()
@@ -1108,13 +1157,18 @@ class _Parser:
         return sign * self.rational()
 
 
+# an optionally negative decimal integer, as manifests give most constants
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse(text: str) -> TrigScalar:
-    """Parse a sum-of-products expression into canonical normal form."""
-    p = _Parser(text)
-    out = p.expr()
-    if p.peek() is not None:
-        raise ValueError(f"trailing input in scalar expression: {p.toks[p.pos:]}")
-    return out
+    """Parse a sum-of-products expression into canonical normal form.
+
+    Text that is exactly an integer literal, such as ``"0"`` or ``"-1"``, is
+    read without the tokenizer."""
+    if _INTEGER.fullmatch(text):
+        return TrigScalar.constant(int(text))
+    return _Parser(text).parse()
 
 
 # -- formatting ---------------------------------------------------------------

@@ -11,7 +11,7 @@ rule took five 4x4 determinants per commutator; the ring
 loops merge whole ``PiScalar`` coefficients one term at a time, where
 ``TrigScalar`` merges coefficient runs; the wave-pair expansion builds every
 angle through ``Frequency.add`` and ``neg`` and orients every wave by the
-general phase path, where ``_product_keys`` adds integer parts on the ints
+general phase path, where ``_angle_products`` adds integer parts on the ints
 and orients a zero phase on the lead frequency alone), ``residue_values``, which
 evaluates a grid point by point at each term's exact residue angle, as grid
 certificates of single-direction witnesses do by residue class, and
@@ -146,7 +146,8 @@ def _reference_orient(kind, fr, phase):
 
 
 def reference_product_keys(w1, w2) -> tuple:
-    """``trigring._product_keys(w1, w2)`` for two canonical waves, with every
+    """The expansion of ``w1 * w2`` that ``trigring._angle_products`` gives
+    for two canonical waves other than the constant one, with every
     product-to-sum angle built through ``Frequency.add`` and ``neg`` and
     oriented by ``_reference_orient``."""
     out = []

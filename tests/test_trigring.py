@@ -17,9 +17,11 @@ from engelcalc.trigring import (
     TrigScalar,
     WaveKey,
     _CONST_WAVE,
+    _Parser,
+    _angle,
+    _angle_products,
     _canonical,
-    _clear_wave_table,
-    _product_keys,
+    _partner,
     differentiate,
     evaluate,
     is_identically_zero,
@@ -33,6 +35,9 @@ from oracles import (
     direct_sum,
     reference_product_keys,
 )
+
+# the index of trig_i(a) * trig_j(b) in an entry of the angle-pair memo
+_KINDS = (("c", "c", 0), ("c", "s", 1), ("s", "c", 2), ("s", "s", 3))
 
 
 def test_pythagorean_collapse():
@@ -507,14 +512,19 @@ def wave_sums(draw):
 @pytest.mark.parametrize("memo", ("cold", "warm"))
 @settings(max_examples=100, deadline=None)
 @given(wave_sums(), wave_sums())
-def test_product_matches_the_per_term_loop(memo, a, b):
-    # the same terms in the same order, whether or not a pair is memoised
+def test_product_matches_the_per_term_loop(cold_ring, memo, a, b):
+    # the same terms in the same order, whether or not an angle pair is memoised
     if memo == "cold":
-        _product_keys.cache_clear()
+        cold_ring()
     else:
         a * b
     want = list(direct_product(a, b).terms().items())
     assert list((a * b).terms().items()) == want
+
+
+# odd multiples of pi/4, whose sums and differences are quarter turns: cos of
+# a phase-only angle then vanishes too
+_WAVE_PHASES = _PHASES + [Frequency.of(0, "1/4"), Frequency.of(0, "-3/4")]
 
 
 @st.composite
@@ -524,47 +534,117 @@ def canonical_waves(draw):
     coords = draw(st.lists(st.sampled_from(_WAVE_COORDS), max_size=3, unique=True))
     freqs = {c: draw(st.sampled_from(_WAVE_FREQS)) for c in coords}
     canon = _canonical(draw(st.sampled_from(("c", "s"))), freqs,
-                       draw(st.sampled_from(_PHASES)))
+                       draw(st.sampled_from(_WAVE_PHASES)))
     assume(canon is not None)
     return canon[0]
 
 
-@settings(max_examples=400, deadline=None)
-@given(canonical_waves(), canonical_waves())
-def test_product_keys_are_symmetric(w1, w2):
-    # the same keys, signs and key order in both orders, so one memo entry
-    # serves both; __wrapped__ expands the pair without the memo
-    assert _product_keys.__wrapped__(w1, w2) == _product_keys.__wrapped__(w2, w1)
+@st.composite
+def angles(draw):
+    """The cos and sin keys of one angle: that of a canonical wave other
+    than the constant one, phase-only angles included."""
+    w = draw(canonical_waves())
+    assume(w is not _CONST_WAVE)
+    x = _angle(w)[0]
+    return {"c": x, "s": _partner(x)}
 
 
 @settings(max_examples=400, deadline=None)
-@given(canonical_waves(), canonical_waves())
-def test_product_keys_match_the_general_path(w1, w2):
-    # the integer and zero-phase shortcuts give exactly the keys of the
-    # general frequency arithmetic and phase orientation
-    assert _product_keys.__wrapped__(w1, w2) == reference_product_keys(w1, w2)
+@given(angles(), angles())
+def test_product_keys_are_symmetric(a, b):
+    # swapping the two angles gives the same keys, signs and key order for
+    # each of the four kind products, so one memo entry serves both orders;
+    # __wrapped__ expands the pair without the memo
+    ab, ba = _angle_products.__wrapped__(a["c"], b["c"]), \
+        _angle_products.__wrapped__(b["c"], a["c"])
+    for k1, k2, i in _KINDS:
+        assert ab[i] == ba[2 * "cs".index(k2) + "cs".index(k1)]
 
 
-def test_swapped_product_adds_no_memo_misses():
+@settings(max_examples=400, deadline=None)
+@given(angles(), angles())
+def test_product_keys_match_the_general_path(a, b):
+    # the angle-pair expansion, its integer and zero-phase shortcuts and the
+    # reading of a kind product from it give exactly the keys of the general
+    # frequency arithmetic and phase orientation, for all four kind products
+    entry = _angle_products.__wrapped__(a["c"], b["c"])
+    for k1, k2, i in _KINDS:
+        w1, w2 = a[k1], b[k2]
+        assert _angle(w1) == (a["c"], int(a["c"]), i // 2)
+        assert entry[i] == reference_product_keys(w1, w2)
+
+
+def test_four_kind_products_of_an_angle_pair_cost_one_expansion(cold_ring):
+    a, b = parse("cos(x + y - pi/3)"), parse("cos(2*x - (1/2)*y)")
+    sa, sb = a.differentiate("x"), b.differentiate("x")  # the sin partners
+    cold_ring()
+    products = [a * b, a * sb, sa * b, sa * sb, sb * sa, b * a]
+    assert _angle_products.cache_info().misses == 1
+    for (p, q), got in zip([(a, b), (a, sb), (sa, b), (sa, sb), (sb, sa), (b, a)],
+                           products):
+        assert list(got.terms().items()) == list(direct_product(p, q).terms().items())
+
+
+def test_swapped_product_adds_no_memo_misses(cold_ring):
     a = parse("cos(x + y) + 2*sin(2*x) - 1")
     b = parse("sin(x - y) + cos(3*y + pi/3) + sin(x/2)")
-    _product_keys.cache_clear()
+    cold_ring()
     ab = a * b
-    misses = _product_keys.cache_info().misses
-    assert misses == 6  # one per pair of waves
+    misses = _angle_products.cache_info().misses
+    assert misses == 6  # one per pair of angles
     ba = b * a
-    assert _product_keys.cache_info().misses == misses
+    assert _angle_products.cache_info().misses == misses
     assert list(ba.terms().items()) == list(direct_product(b, a).terms().items())
     assert ab == ba
 
 
-def test_product_memo_is_bounded():
-    _product_keys.cache_clear()
+def test_product_memo_is_bounded(cold_ring):
+    cold_ring()
     run_law_suite(0, cases=50)
-    info = _product_keys.cache_info()
+    info = _angle_products.cache_info()
     assert info.maxsize == PRODUCT_MEMO_SIZE
     assert info.misses > info.maxsize  # the bound was reached
     assert info.currsize <= info.maxsize
+
+
+def test_a_zero_operand_gives_the_other_itself():
+    s = parse("cos(x + y) - 2*sin(x/3 + pi/5) + 3/2")
+    assert s + ZERO is s and ZERO + s is s and s - ZERO is s
+    assert list((ZERO - s).terms().items()) == list((-s).terms().items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COEFFS, _COEFFS)
+def test_constants_combine_as_the_per_term_loops(p, q):
+    a, b = TrigScalar.constant(p), TrigScalar.constant(q)
+    for got, want in ((a * b, direct_product(a, b)), (a + b, direct_sum(a, b)),
+                      (a - b, direct_difference(a, b))):
+        assert list(got.terms().items()) == list(want.terms().items())
+
+
+def _parsed(read):
+    # the terms of a parse, in order, or the error it raises
+    try:
+        return list(read().terms().items())
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30).map(str),
+                 st.from_regex(r"[ ]?[+-]{0,2}[0-9]{0,4}(/[0-9]{1,2})?[ \n]?",
+                               fullmatch=True)))
+def test_integer_literals_parse_as_the_parser_reads_them(text):
+    assert _parsed(lambda: parse(text)) == _parsed(lambda: _Parser(text).parse())
+
+
+def test_integer_literals_skip_the_tokenizer(monkeypatch):
+    def refuse(text):
+        raise AssertionError("tokenized an integer literal")
+
+    monkeypatch.setattr(trigring, "_tokenize", refuse)
+    assert parse("0").is_zero() and parse("1") == 1 and parse("-17") == -17
+    assert parse("007") == 7
 
 
 @settings(max_examples=300, deadline=None)
@@ -600,37 +680,34 @@ def _ring_results(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(wave_sums(), wave_sums())
-def test_no_result_depends_on_the_wave_table(a, b):
+def test_no_result_depends_on_the_wave_table(cold_ring, a, b):
     import pickle
 
     # b's keys come from a fresh table, so the waves it shares with a have
     # two distinct keys; the results must be the cold ones, in term order
-    _clear_wave_table()
+    cold_ring()
     b2 = pickle.loads(pickle.dumps(b))
     mixed = _ring_results(a, b2)
     assert (b - b2).is_zero() and b == b2 and hash(b) == hash(b2)
-    _clear_wave_table()
-    _product_keys.cache_clear()
+    cold_ring()
     a, b = pickle.loads(pickle.dumps((a, b)))
     assert mixed == _ring_results(a, b)
 
 
-def test_wave_table_is_bounded(monkeypatch):
-    _clear_wave_table()
-    _product_keys.cache_clear()
+def test_wave_table_is_bounded(cold_ring, monkeypatch):
+    cold_ring()
     want = run_law_suite(0, cases=50)
     made = len(trigring._waves)
     assert made <= WAVE_TABLE_SIZE
     monkeypatch.setattr(trigring, "WAVE_TABLE_SIZE", 64)
-    _clear_wave_table()
-    _product_keys.cache_clear()
+    cold_ring()
     assert run_law_suite(0, cases=50) == want
     assert made > 64  # the bound was reached
     assert len(trigring._waves) <= 64
     assert trigring._waves[_CONST_WAVE.triple] is _CONST_WAVE
 
 
-def test_wave_table_is_thread_safe(monkeypatch):
+def test_wave_table_is_thread_safe(cold_ring, monkeypatch):
     import sys
     import threading
 
@@ -640,7 +717,7 @@ def test_wave_table_is_thread_safe(monkeypatch):
              "cos(x)*cos(x) - sin(y/2)", "3 + sin(x + 2*y - pi/4)"]
 
     def work():
-        _product_keys.cache_clear()
+        cold_ring()
         ss = [parse(t) for t in texts]
         out = []
         for a in ss:
@@ -651,7 +728,7 @@ def test_wave_table_is_thread_safe(monkeypatch):
 
     want = work()
     monkeypatch.setattr(trigring, "WAVE_TABLE_SIZE", 8)
-    _clear_wave_table()
+    cold_ring()
     got, errors = [], []
 
     def worker():
