@@ -12,9 +12,11 @@ such coefficients push in higher powers.)
 
 Both are stored as reduced ints, and sums, products and derivatives run on
 them alone: a ``Frequency`` is the four ints ``(rat_num, rat_den, pi_num,
-pi_den)``, and a ``PiScalar`` coefficient a sorted tuple of ``(exp, num,
-den)`` triples.  A coefficient's hash is that of its ``(exp, Fraction)``
-pairs, which ``PiScalar.items()`` still gives.
+pi_den)``, and a coefficient its run, a sorted tuple of ``(exp, num, den)``
+triples.  A ``TrigScalar``'s term map holds the runs themselves; a
+``PiScalar`` wraps one where a coefficient leaves or enters the map, and
+its hash is that of its ``(exp, Fraction)`` pairs, which
+``PiScalar.items()`` still gives.
 
 Values are kept in a canonical normal form at all times:
 
@@ -46,17 +48,21 @@ one fixed order, the smaller hash first.  Integer parts are added without a
 gcd, and a zero phase skips the phase reduction.
 
 Every canonical wave key is a ``WaveKey``: an int whose value is the hash of
-its ``(kind, freqs, phase)`` triple, so term dicts and the memo read the
-hash instead of hashing the nested tuple again, and match keys by identity.
+its ``(kind, freqs, phase)`` triple, hashed by ``int``'s own C slot, so term
+dicts and the memo never hash the nested tuple again, and match keys by
+identity.
 ``_orient`` makes each key through the wave table, which keeps one key per
 triple and starts afresh when it holds ``WAVE_TABLE_SIZE`` waves.  The memo
 and the wave table are the module's only state; both are bounded and
 thread-safe, and no result depends on either: keys of one wave from
 different tables are distinct objects that still compare and hash equal.
-Sums and products merge the coefficients' triples (half the product for a
-wave pair, negated on the fly for a difference) and wrap each surviving
-coefficient in a ``PiScalar`` once; a constant operand only scales the other,
-and ``ONE`` returns it.  ``differentiate`` keeps each term's key with cos and
+Sums and products merge the coefficients' runs (half the product for a
+wave pair, negated on the fly for a difference), and a product's
+accumulator is its result's term map; a constant operand only scales the
+other, and ``ONE`` returns it.  Nearly every coefficient is a single power
+of pi, so two single-triple runs take one ``_qmul`` or ``_qadd`` in
+products, sums, scalings and derivatives, and only other runs go through
+``_pmul`` and ``_merge_runs``.  ``differentiate`` keeps each term's key with cos and
 sin swapped, which is canonical as it stands; each key caches that partner,
 which also names a sine's angle.  A zero operand of a sum or difference gives
 the other operand (negated for ``0 - x``), and ``parse`` reads an integer
@@ -216,7 +222,9 @@ class PiScalar:
     ``div_exact`` long-divides Fractions, and no Fraction is stored.
     ``items()`` gives the ``(exp, Fraction)`` pairs, and the hash is
     ``hash(tuple(items()))``, so every dict and set layout is that of the
-    Fraction pairs.
+    Fraction pairs.  The triples are the coefficient's run: a
+    ``TrigScalar`` stores runs and makes a ``PiScalar`` only where a
+    coefficient leaves or enters its term map.
     """
 
     __slots__ = ("_terms",)
@@ -298,8 +306,7 @@ class PiScalar:
         return PiScalar((e + shift_n - shift_d, c) for e, c in quot.items())
 
     def evaluate(self) -> float:
-        # n / d is float(Fraction(n, d)), so this rounds as the Fractions did
-        return sum(n / d * math.pi**e for e, n, d in self._terms)
+        return _run_value(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -359,9 +366,14 @@ def _collect(triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, i
     return tuple(sorted((e, n, d) for e, (n, d) in acc.items() if n))
 
 
-# a coefficient's run, its sorted (exp, num, den) triples: PiScalar and
-# TrigScalar compute on runs and wrap each surviving one in a PiScalar once
+# a coefficient's run, its sorted (exp, num, den) triples: a PiScalar holds
+# one, and a TrigScalar's term map holds one per wave
 Run = tuple[tuple[int, int, int], ...]
+
+
+def _run_value(run: Run) -> float:
+    # n / d is float(Fraction(n, d)), so this rounds as the Fractions did
+    return sum(n / d * math.pi**e for e, n, d in run)
 
 
 def _neg(a: Run) -> Run:
@@ -370,19 +382,12 @@ def _neg(a: Run) -> Run:
 
 def _pmul(a: Run, b: Run) -> Run:
     """The run of a product."""
-    if len(a) == 1 and len(b) == 1:
-        (e1, n1, d1), (e2, n2, d2) = a[0], b[0]
-        return ((e1 + e2, *_qmul(n1, d1, n2, d2)),)
     return _collect((e1 + e2, *_qmul(n1, d1, n2, d2))
                     for e1, n1, d1 in a for e2, n2, d2 in b)
 
 
 def _merge_runs(a: Run, b: Run, negate: bool = False) -> Run:
     """The run of a + b, or of a - b when ``negate``: one pass over both."""
-    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-        (e, na, da), (_, nb, db) = a[0], b[0]
-        n, d = _qadd(na, da, -nb if negate else nb, db)
-        return ((e, n, d),) if n else ()
     out: list[tuple[int, int, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -422,16 +427,17 @@ FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...
 class WaveKey(int):
     """The interned key of a canonical wave: its triple, hashed once.
 
-    The int value is ``hash(triple)`` and ``hash(key)`` is that value, so a
-    key hashes like its triple and every dict and set layout is the
-    triple's, without hashing the nested tuple again at each lookup.  Keys
-    come only from ``_wave_key``, one per triple while the wave table holds
-    it, so equal keys are almost always the same object and dicts match them
-    by identity; ``==`` compares the triples otherwise, and a key equals its
-    plain triple.  ``<`` and ``<=`` order keys by hash.  Indexing, unpacking
-    and ``len`` are the triple's.  The instance dict holds ``triple`` and
-    ``partner``, the key of the wave with cos and sin swapped once
-    ``differentiate`` or a product has needed it.
+    The int value is ``hash(triple)``, and ``hash(key)`` is int's own hash
+    of that value, a C slot, so dicts and sets never hash the nested tuple
+    again.  Keys come only from ``_wave_key``, one per triple while the wave
+    table holds it, so equal keys are almost always the same object and
+    dicts match them by identity; ``==`` compares the triples otherwise.  A
+    key equals its plain triple but does not hash like it, so a dict keyed
+    by keys cannot be searched by triples (the wave table is keyed by
+    triples).  ``<`` and ``<=`` order keys by their int value.  Indexing,
+    unpacking and ``len`` are the triple's.  The instance dict holds
+    ``triple`` and ``partner``, the key of the wave with cos and sin swapped
+    once ``differentiate`` or a product has needed it.
     """
 
     def __new__(cls, triple: Wave) -> "WaveKey":
@@ -448,9 +454,8 @@ class WaveKey(int):
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-    # the value itself as a plain int: int's own hash would reduce it
-    # mod 2**61 - 1, and hash(key) would differ from hash(triple)
-    __hash__ = int.conjugate
+    # defining __eq__ would otherwise set __hash__ to None
+    __hash__ = int.__hash__
 
     def __iter__(self):
         return iter(self.triple)
@@ -674,31 +679,47 @@ def _expansion(first: tuple[WaveKey, int] | None, second: tuple[WaveKey, int] | 
 
 
 class TrigScalar:
-    """Canonical trigonometric polynomial over named coordinates."""
+    """Canonical trigonometric polynomial over named coordinates.
+
+    The term map holds each wave's coefficient as its run, the sorted
+    ``(exp, num, den)`` triples of a ``PiScalar``, and arithmetic works on
+    the runs alone; ``PiScalar`` objects are made only where coefficients
+    leave or enter the map (``terms()``, ``constant_value()``, the
+    constructor, ``div_exact``, formatting).
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[WaveKey, PiScalar] | None = None):
-        # terms must already be canonical, under interned keys; public
-        # construction goes through the classmethods and arithmetic below
-        self._terms: dict[WaveKey, PiScalar] = dict(terms) if terms else {}
+        """A scalar from canonical terms: interned keys with nonzero
+        ``PiScalar`` coefficients, as ``terms()`` gives them.  Operations
+        build their results from runs through ``_raw`` instead."""
+        self._terms: dict[WaveKey, Run] = (
+            {w: c._terms for w, c in terms.items()} if terms else {})
+
+    @staticmethod
+    def _raw(terms: dict[WaveKey, Run]) -> "TrigScalar":
+        # takes ownership of a canonical term map of nonzero runs
+        out = object.__new__(TrigScalar)
+        out._terms = terms
+        return out
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def constant(c: PiScalarLike) -> "TrigScalar":
         c = PiScalar.of(c)
-        return TrigScalar({} if c.is_zero() else {_CONST_WAVE: c})
+        return TrigScalar._raw({} if c.is_zero() else {_CONST_WAVE: c._terms})
 
     @staticmethod
     def _wave(kind: str, freqs: Mapping[str, Frequency], phase: Frequency,
               coeff: PiScalarLike = 1) -> "TrigScalar":
-        coeff = PiScalar.of(coeff)
-        canon = None if coeff.is_zero() else _canonical(kind, freqs, phase)
+        run = PiScalar.of(coeff)._terms
+        canon = _canonical(kind, freqs, phase) if run else None
         if canon is None:
             return TrigScalar()
         key, sign = canon
-        return TrigScalar({key: coeff if sign > 0 else -coeff})
+        return TrigScalar._raw({key: run if sign > 0 else _neg(run)})
 
     @staticmethod
     def cosine(freqs: Mapping[str, Frequency], phase: Frequency = FREQ_ZERO,
@@ -713,7 +734,7 @@ class TrigScalar:
     # -- queries ------------------------------------------------------------
 
     def terms(self) -> Mapping[WaveKey, PiScalar]:
-        return dict(self._terms)
+        return {w: PiScalar._raw(r) for w, r in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -723,7 +744,7 @@ class TrigScalar:
         if not self._terms:
             return PiScalar()
         if len(self._terms) == 1 and _CONST_WAVE in self._terms:
-            return self._terms[_CONST_WAVE]
+            return PiScalar._raw(self._terms[_CONST_WAVE])
         return None
 
     def coordinates(self) -> set[str]:
@@ -745,7 +766,7 @@ class TrigScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "TrigScalar":
-        return TrigScalar({w: -c for w, c in self._terms.items()})
+        return TrigScalar._raw({w: _neg(r) for w, r in self._terms.items()})
 
     def __sub__(self, other: "TrigLike") -> "TrigScalar":
         return self._plus(other, True)
@@ -762,19 +783,24 @@ class TrigScalar:
             return self
         if not a:
             return -other if negate else other
-        out = TrigScalar(a)
-        terms = out._terms
-        for key, c in b.items():
+        terms = dict(a)
+        for key, r in b.items():
             prev = terms.get(key)
             if prev is None:
-                terms[key] = -c if negate else c
+                terms[key] = _neg(r) if negate else r
                 continue
-            run = _merge_runs(prev._terms, c._terms, negate)
+            if len(prev) == 1 and len(r) == 1 and prev[0][0] == r[0][0]:
+                # two single powers of pi: one rational sum
+                (e, na, da), (_, nb, db) = prev[0], r[0]
+                n, d = _qadd(na, da, -nb if negate else nb, db)
+                run = ((e, n, d),) if n else ()
+            else:
+                run = _merge_runs(prev, r, negate)
             if run:
-                terms[key] = PiScalar._raw(run)
+                terms[key] = run
             else:
                 del terms[key]
-        return out
+        return TrigScalar._raw(terms)
 
     def __mul__(self, other: "TrigLike") -> "TrigScalar":
         other = normalize(other)
@@ -785,13 +811,20 @@ class TrigScalar:
             return other._scaled(a[_CONST_WAVE])
         if len(b) == 1 and _CONST_WAVE in b:
             return self._scaled(b[_CONST_WAVE])
-        # pair products merged as runs, key by key in pair order, as a sum would
+        # pair products merged as runs, key by key in pair order, as a sum
+        # would; single powers of pi on both sides take one rational product
+        # and one rational sum, any other run goes through _pmul/_merge_runs
         acc: dict[WaveKey, Run] = {}
-        right = [(w, c._terms, _angle(w)) for w, c in b.items()]
-        for w1, c1 in a.items():
+        right = [(w, r, _angle(w)) for w, r in b.items()]
+        for w1, r1 in a.items():
             x1, h1, k1 = _angle(w1)
-            # a wave pair's coefficient is half the product: halve c1 once
-            half = None if x1 is None else _pmul(c1._terms, _HALF_RUN)
+            # a wave pair's coefficient is half the product: halve r1 once
+            if x1 is None:
+                half = None
+            elif len(r1) == 1:
+                half = ((r1[0][0], *_qmul(r1[0][1], r1[0][2], 1, 2)),)
+            else:
+                half = _pmul(r1, _HALF_RUN)
             for w2, r2, (x2, h2, k2) in right:
                 if x1 is not None and x2 is not None:
                     # swapping the angles only negates their difference, which
@@ -799,9 +832,30 @@ class TrigScalar:
                     # unordered angle pair, the smaller hash first
                     keys = (_angle_products(x1, x2)[2 * k1 + k2] if h1 <= h2
                             else _angle_products(x2, x1)[2 * k2 + k1])
-                    run = _pmul(half, r2)
+                    c = half
                 else:  # a constant times a wave keeps the wave's key
-                    keys, run = ((w2 if x1 is None else w1, 1),), _pmul(c1._terms, r2)
+                    keys, c = ((w2 if x1 is None else w1, 1),), r1
+                if len(c) == 1 and len(r2) == 1:
+                    (e1, n1, d1), (e2, n2, d2) = c[0], r2[0]
+                    e = e1 + e2
+                    n, d = _qmul(n1, d1, n2, d2)
+                    for key, sign in keys:
+                        m = n if sign > 0 else -n
+                        prev = acc.get(key)
+                        if prev is None:
+                            acc[key] = ((e, m, d),)
+                            continue
+                        if len(prev) == 1 and prev[0][0] == e:
+                            tn, td = _qadd(prev[0][1], prev[0][2], m, d)
+                            total = ((e, tn, td),) if tn else ()
+                        else:
+                            total = _merge_runs(prev, ((e, m, d),))
+                        if total:
+                            acc[key] = total
+                        else:
+                            del acc[key]
+                    continue
+                run = _pmul(c, r2)
                 for key, sign in keys:
                     prev = acc.get(key)
                     if prev is None:
@@ -812,28 +866,33 @@ class TrigScalar:
                         acc[key] = total
                     else:
                         del acc[key]
-        return TrigScalar({key: PiScalar._raw(run) for key, run in acc.items()})
+        return TrigScalar._raw(acc)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: PiScalar) -> "TrigScalar":
-        # c is nonzero, so no product vanishes and the keys stay as they are
-        r = c._terms
+    def _scaled(self, r: Run) -> "TrigScalar":
+        # r is nonzero, so no product vanishes and the keys stay as they are
         if r == _ONE_RUN:
             return self
-        return TrigScalar({w: PiScalar._raw(_pmul(r, x._terms))
-                           for w, x in self._terms.items()})
+        if len(r) == 1:
+            # a single power of pi: one rational product per single-power term
+            ((e, n, d),) = r
+            return TrigScalar._raw({
+                w: ((e + x[0][0], *_qmul(n, d, x[0][1], x[0][2])),) if len(x) == 1
+                else _pmul(r, x)
+                for w, x in self._terms.items()})
+        return TrigScalar._raw({w: _pmul(r, x) for w, x in self._terms.items()})
 
     def div_exact(self, divisor: PiScalarLike) -> "TrigScalar | None":
         """Exact quotient by a nonzero constant, or None when it is inexact."""
         d = PiScalar.of(divisor)
-        out: dict[WaveKey, PiScalar] = {}
-        for w, c in self._terms.items():
-            q = c.div_exact(d)
+        out: dict[WaveKey, Run] = {}
+        for w, r in self._terms.items():
+            q = PiScalar._raw(r).div_exact(d)
             if q is None:
                 return None
-            out[w] = q
-        return TrigScalar(out)
+            out[w] = q._terms
+        return TrigScalar._raw(out)
 
     # -- calculus -----------------------------------------------------------
 
@@ -841,26 +900,37 @@ class TrigScalar:
         # a term that has coord has frequencies, so its key with cos and sin
         # swapped is its _partner: distinct terms keep distinct keys, and
         # every coefficient stays nonzero
-        out = TrigScalar()
-        terms = out._terms
-        for w, c in self._terms.items():
+        terms: dict[WaveKey, Run] = {}
+        for w, r in self._terms.items():
             kind, fr, _ = w.triple
             for cd, omega in fr:
                 if cd == coord:
-                    dc = c * omega.as_coeff()
-                    terms[_partner(w)] = -dc if kind == "c" else dc
+                    rn, rd, pn, pd = omega
+                    if len(r) == 1 and not (rn and pn):
+                        # a single power of pi times a rational or rational-pi
+                        # frequency: one rational product
+                        ((e, n, d),) = r
+                        if pn:
+                            n, d = _qmul(n, d, pn, pd)
+                            e += 1
+                        else:
+                            n, d = _qmul(n, d, rn, rd)
+                        terms[_partner(w)] = ((e, -n if kind == "c" else n, d),)
+                    else:
+                        dr = _pmul(r, omega.as_coeff()._terms)
+                        terms[_partner(w)] = _neg(dr) if kind == "c" else dr
                     break
-        return out
+        return TrigScalar._raw(terms)
 
     def shift(self, coord: str, delta: RationalLike) -> "TrigScalar":
         """Exact substitution coord -> coord + delta for rational delta."""
         d = rat(delta)
         out = TrigScalar()
-        for w, c in self._terms.items():
+        for w, r in self._terms.items():
             kind, fr, ph = w.triple
             omega = dict(fr).get(coord)
             nph = ph if omega is None else ph.add(omega.scale(d))
-            out = out._plus(TrigScalar._wave(kind, dict(fr), nph, c), False)
+            out = out._plus(TrigScalar._wave(kind, dict(fr), nph, PiScalar._raw(r)), False)
         return out
 
     # -- floating-point evaluation --------------------------------------------
@@ -935,9 +1005,9 @@ def _float_terms(s: TrigScalar) -> FloatTerms:
     tables of ``framecalc.GridPoints.abs_extreme``, build it once per call.
     """
     out = []
-    for w, c in s._terms.items():
+    for w, r in s._terms.items():
         kind, fr, ph = w.triple
-        out.append((kind == "c", c.evaluate(), ph.value(),
+        out.append((kind == "c", _run_value(r), ph.value(),
                     tuple((coord, f.value()) for coord, f in fr)))
     return tuple(out)
 
@@ -1174,10 +1244,10 @@ def parse(text: str) -> TrigScalar:
 # -- formatting ---------------------------------------------------------------
 
 
-def _format_coeff(c: PiScalar) -> tuple[str, str]:
-    """(connector, text) pair for a coefficient in a term position."""
-    if len(c._terms) == 1:
-        ((e, n, d),) = c._terms
+def _format_coeff(r: Run) -> tuple[str, str]:
+    """(connector, text) pair for a coefficient's run in a term position."""
+    if len(r) == 1:
+        ((e, n, d),) = r
         sign = "-" if n < 0 else "+"
         q = _qstr(abs(n), d)
         if e == 0:
@@ -1186,7 +1256,7 @@ def _format_coeff(c: PiScalar) -> tuple[str, str]:
             p = "pi" if e == 1 else f"pi^{e}"
             body = p if q == "1" else f"{q}*{p}"
         return sign, body
-    return "+", f"({c})"
+    return "+", f"({PiScalar._raw(r)})"
 
 
 def _format_angle(fr: Freqs, ph: Frequency) -> str:
@@ -1227,24 +1297,24 @@ def format_scalar(s: TrigScalar) -> str:
         # Fraction(n, 1) == n, so ints where they suffice sort the same
         return n if d == 1 else Fraction(n, d)
 
-    def sort_key(item: tuple[WaveKey, PiScalar]):
+    def sort_key(item: tuple[WaveKey, Run]):
         kind, fr, (rn, rd, pn, pd) = item[0].triple
         freqs = tuple((c, q(n, d), q(m, e)) for c, (n, d, m, e) in fr)
         return (len(fr), freqs, (q(rn, rd), q(pn, pd)), kind)
 
     parts = []
-    for w, c in sorted(s._terms.items(), key=sort_key):
+    for w, r in sorted(s._terms.items(), key=sort_key):
         kind, fr, ph = w.triple
         if w is _CONST_WAVE:
-            sign, body = _format_coeff(c)
+            sign, body = _format_coeff(r)
         else:
             wave = f"{'cos' if kind == 'c' else 'sin'}({_format_angle(fr, ph)})"
-            if c._terms == _ONE_RUN:
+            if r == _ONE_RUN:
                 sign, body = "+", wave
-            elif c._terms == _MINUS_ONE_RUN:
+            elif r == _MINUS_ONE_RUN:
                 sign, body = "-", wave
             else:
-                sign, body = _format_coeff(c)
+                sign, body = _format_coeff(r)
                 body = f"{body}*{wave}"
         parts.append((sign, body))
     return _join(parts)

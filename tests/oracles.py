@@ -8,8 +8,12 @@ code paths they are checking.  The exceptions, ``direct_w_residuals``,
 and ``cramer_coefficients``, are the exact expansions that shortcuts or shared
 helpers in the code replaced (the K-check reads one coframe where Cramer's
 rule took five 4x4 determinants per commutator; the ring
-loops merge whole ``PiScalar`` coefficients one term at a time, where
-``TrigScalar`` merges coefficient runs; the wave-pair expansion builds every
+loops, and the sum of squares built from them, merge whole ``PiScalar``
+coefficients one term at a time by ``PiScalar`` arithmetic, where
+``TrigScalar`` merges coefficient runs and takes two single powers of pi
+through one rational product or sum, and they build each result through
+the ``TrigScalar(terms)`` constructor, the one boundary that takes
+``PiScalar`` values; the wave-pair expansion builds every
 angle through ``Frequency.add`` and ``neg`` and orients every wave by the
 general phase path, where ``_angle_products`` adds integer parts on the ints
 and orients a zero phase on the lead frequency alone), ``residue_values``, which
@@ -66,10 +70,11 @@ def cramer_coefficients(target, basis) -> list[Frac] | None:
 
 
 def direct_sum_of_squares(scalars) -> TrigScalar:
-    """The sum of the squares of the scalars, added in order from zero."""
+    """The sum of the squares of the scalars, added in order from zero, by
+    the per-term loops ``direct_product`` and ``direct_sum``."""
     witness = ZERO
     for s in scalars:
-        witness = witness + s * s
+        witness = direct_sum(witness, direct_product(s, s))
     return witness
 
 
