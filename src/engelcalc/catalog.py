@@ -75,6 +75,12 @@ class FamilySpec:
     j_integrable: bool = True
     notes: str = ""
 
+    def __post_init__(self):
+        self.space.require_coordinates(self.d1.coeffs, f"{self.family} D1")
+        self.space.require_coordinates(self.d2.coeffs, f"{self.family} D2")
+        for i, row in enumerate(self.J.matrix):
+            self.space.require_coordinates(row, f"{self.family} J row {i}")
+
 
 def _solv_space(name: str, table: Mapping[tuple[int, int], Sequence]) -> FramedSpace:
     return FramedSpace(frame=("X1", "X2", "X3", "X4"), structure=table, name=name)

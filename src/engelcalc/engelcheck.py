@@ -31,6 +31,7 @@ from .framecalc import (
     certify_nonvanishing,
     certify_vanishing,
     exterior_derivative,
+    extend_minors,
     global_rank,
     minors_of_fields,
     wedge,
@@ -196,7 +197,8 @@ def verify_engel(
 
     rank(D) is witnessed by the six 2x2 minors of (D1, D2).  rank(E) is
     witnessed by the coefficients of alpha, the maximal minors of
-    (D1, D2, E3), each expanded along E3's column against those 2x2 minors.
+    (D1, D2, E3), which ``extend_minors`` expands along E3's column against
+    those 2x2 minors.
     The top rank is witnessed by the pairings u_i = alpha([D_i, E3]) =
     det(D1, D2, E3, [D_i, E3]): alpha kills D_i and E3, so Cartan's formula
     d(alpha)(X, Y) = X alpha(Y) - Y alpha(X) - alpha([X, Y]) gives
@@ -205,19 +207,12 @@ def verify_engel(
     sum of squares.
     """
     certs: dict[str, Certificate] = {}
-    # rows (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), as minors_of_fields
-    m01, m02, m03, m12, m13, m23 = d_minors = minors_of_fields([d1, d2])
-    certs["rank_d"] = certify_no_common_zero(d_minors, space, grid, tol)
+    d_minors = extend_minors([d1, d2])
+    certs["rank_d"] = certify_no_common_zero(list(d_minors.values()), space, grid, tol)
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    c0, c1, c2, c3 = e3.coeffs
-    # the 3x3 minors of (D1, D2, E3) on rows (0,1,2), (0,1,3), (0,2,3) and
-    # (1,2,3), expanded along E3's column
-    minors = [c2 * m01 - c1 * m02 + c0 * m12,
-              c3 * m01 - c1 * m03 + c0 * m13,
-              c3 * m02 - c2 * m03 + c0 * m23,
-              c3 * m12 - c2 * m13 + c1 * m23]
+    minors = list(extend_minors([e3], minors=d_minors).values())
     alpha = _annihilating_form_of(minors)
     # alpha's coefficients up to sign, in the order of minors_of_fields
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
@@ -309,10 +304,12 @@ def j_invariance_check(
     space: FramedSpace,
     grid: int = DEFAULT_GRID,
 ) -> Certificate:
-    """JD = D, certified by vanishing of the maximal minors of (D1, D2, JDi)."""
+    """JD = D, certified by vanishing of the maximal minors of (D1, D2, JDi),
+    each extended from the 2x2 minors of (D1, D2), taken once for both."""
+    d_minors = extend_minors([d1, d2])
     scalars: list[TrigScalar] = []
     for v in (J.apply(d1), J.apply(d2)):
-        scalars.extend(minors_of_fields([d1, d2, v]))
+        scalars.extend(extend_minors([v], minors=d_minors).values())
     return certify_vanishing(scalars, space, grid, note="minors of (D1, D2, J D_i)")
 
 
@@ -327,10 +324,9 @@ def complex_framing(ctx: Derivation) -> Certificate:
         raise PreconditionError("complex framing needs a certified Engel structure")
     if not ctx.j_invariance.passed:
         raise PreconditionError("complex framing needs JD = D")
-    w, jw = ctx.w, ctx.x
-    y = bracket(w, jw, ctx.space)
-    return global_rank([w, jw, y, ctx.J.apply(y)], ctx.space, ctx.grid, ctx.tol,
-                       note="framing W, JW, [W,JW], J[W,JW]")
+    y = ctx.wx
+    return global_rank([ctx.w, ctx.x, y, ctx.J.apply(y)], ctx.space, ctx.grid,
+                       ctx.tol, note="framing W, JW, [W,JW], J[W,JW]")
 
 
 def totally_real_check(
@@ -474,24 +470,20 @@ class StructureFunctions:
     certificate: Certificate
 
 
-def structure_functions(
-    forms: DefiningForms,
-    w: VecField,
-    x: VecField,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> StructureFunctions:
-    """c_WX = beta([W,X]), d_XT = alpha([X,T]), d_WR, d_XR; c_WX must not vanish."""
-    c_wx = forms.beta(bracket(w, x, space))
-    cert = certify_nonvanishing(c_wx, space, grid, tol, note="c_WX = beta([W,X])")
+def structure_functions(ctx: Derivation) -> StructureFunctions:
+    """c_WX = beta([W,X]), d_XT = alpha([X,T]), d_WR = alpha([W,R]) and
+    d_XR = alpha([X,R]), with X = JW, from the context's forms and bracket
+    stages; c_WX must not vanish."""
+    forms, space = ctx.forms, ctx.space
+    c_wx = forms.beta(ctx.wx)
+    cert = certify_nonvanishing(c_wx, space, ctx.grid, ctx.tol,
+                                note="c_WX = beta([W,X])")
     if not cert.passed:
         raise VerificationError("c_WX vanishes; D is not bracket-generating "
                                 "against these forms")
-    d_xt = frac_bracket(FracField(x), forms.T, space).pair(forms.alpha)
-    d_wr = frac_bracket(FracField(w), forms.R, space).pair(forms.alpha)
-    d_xr = frac_bracket(FracField(x), forms.R, space).pair(forms.alpha)
-    return StructureFunctions(c_wx, d_xt, d_wr, d_xr, cert)
+    d_xt = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
+    return StructureFunctions(c_wx, d_xt, ctx.wr.pair(forms.alpha),
+                              ctx.xr.pair(forms.alpha), cert)
 
 
 def nijenhuis_certificate(
@@ -520,7 +512,10 @@ class Derivation:
     then kept, so the checks below read it from here instead of deriving it
     again; a stage that raises keeps nothing and raises again when next
     read.  The plane-field stages need ``d1`` and ``d2``, the complex ones
-    ``J``.
+    ``J``.  The brackets that more than one check reads are stages too:
+    ``wx`` = [W, JW] (the complex framing and c_WX), and ``wr`` = [W, R]
+    and ``xr`` = [JW, R] (the structure functions and the K-check), so each
+    is taken once per target.
 
     Tolerance policy, for these stages and for the checks that take the
     context: rank and nonvanishing certificates use ``tol``; identity
@@ -556,9 +551,23 @@ class Derivation:
         return defining_forms(self.flag, self.J, self.space, self.grid, self.tol)
 
     @cached_property
+    def wx(self) -> VecField:
+        """[W, JW]."""
+        return bracket(self.w, self.x, self.space)
+
+    @cached_property
+    def wr(self) -> FracField:
+        """[W, R]."""
+        return frac_bracket(FracField(self.w), self.forms.R, self.space)
+
+    @cached_property
+    def xr(self) -> FracField:
+        """[JW, R]."""
+        return frac_bracket(FracField(self.x), self.forms.R, self.space)
+
+    @cached_property
     def sf(self) -> StructureFunctions:
-        return structure_functions(self.forms, self.w, self.x, self.space,
-                                   self.grid, self.tol)
+        return structure_functions(self)
 
     @cached_property
     def nijenhuis(self) -> Certificate:
@@ -730,11 +739,7 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
         theta = annihilating_form(*raws[:i], *raws[i + 1:])
         coframe.append(theta if i % 2 else -theta)
     det = coframe[3](raws[3])
-    comms = {
-        "WR": frac_bracket(FracField(w), r, space),
-        "XR": frac_bracket(FracField(x), r, space),
-        "TR": frac_bracket(t, r, space),
-    }
+    comms = {"WR": ctx.wr, "XR": ctx.xr, "TR": frac_bracket(t, r, space)}
     certs: dict[str, Certificate] = {}
     obstructions: dict[str, str] = {}
     all_zero = True

@@ -21,7 +21,16 @@ from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .trigring import ONE, ZERO, Frequency, TrigLike, TrigScalar, _float_terms, normalize
+from .trigring import (
+    ONE,
+    ZERO,
+    Frequency,
+    TrigLike,
+    TrigScalar,
+    _float_terms,
+    _ordered_terms,
+    normalize,
+)
 
 __all__ = [
     "VecField",
@@ -35,6 +44,7 @@ __all__ = [
     "wedge",
     "global_rank",
     "det_of_fields",
+    "extend_minors",
     "minors_of_fields",
     "GridPoints",
     "grid_points",
@@ -135,6 +145,7 @@ class FramedSpace:
             if not 0 <= i < j < 4:
                 raise ValueError(f"structure key must have i < j, got {(i, j)}")
             v = VecField.of(*comp)
+            self.require_coordinates(v.coeffs, f"structure [{frame[i]},{frame[j]}]")
             if not v.is_zero():
                 self.structure[(i, j)] = v
         self.derivation: tuple[dict[str, TrigScalar], ...] = tuple({} for _ in range(4))
@@ -142,6 +153,7 @@ class FramedSpace:
             if coord not in self.coords:
                 raise ValueError(f"derivation refers to undeclared coordinate {coord!r}")
             s = normalize(s)
+            self.require_coordinates([s], f"derivation {frame[i]}({coord})")
             if not s.is_zero():
                 self.derivation[i][coord] = s
         self.periods = MappingProxyType(dict(periods or {}))
@@ -150,10 +162,19 @@ class FramedSpace:
                 raise ValueError(f"period given for undeclared coordinate {coord!r}")
             if period.is_zero():
                 raise ValueError(f"period of coordinate {coord!r} is zero")
-        used = set().union(*(v.coordinates() for v in self.structure.values()))
-        if not used <= set(self.coords):
-            raise ValueError("structure table uses undeclared coordinates")
         self.validate()
+
+    def require_coordinates(self, scalars: Sequence[TrigScalar], where: str) -> None:
+        """Raise ValueError if a scalar names a symbol that is not a declared
+        coordinate.  Every scalar that enters a space's tables, plane fields
+        or complex structure passes here; the message names the symbol, and
+        the scalar as entry k of ``where``, or ``where`` itself for a single
+        scalar."""
+        for k, s in enumerate(scalars):
+            foreign = s.coordinates().difference(self.coords)
+            if foreign:
+                at = where if len(scalars) == 1 else f"{where} entry {k}"
+                raise ValueError(f"{at} uses undeclared coordinate {min(foreign)!r}")
 
     # -- basic calculus ------------------------------------------------------
 
@@ -241,10 +262,12 @@ class FramedSpace:
         float, and the exact angular unit 2*pi/P.
 
         Declared periods win; otherwise the period is derived from the set of
-        exact frequencies, which must be commensurate (``_ratio``), and each
-        of them is an integer multiple of the unit.  The unit is None when a declared
-        period is neither a rational nor a rational multiple of pi: no
-        frequency is then an exact multiple of 2*pi/P.
+        exact frequencies, which must be commensurate (``_ratio``): the unit
+        is the positive generator of their multiples, so each of them is an
+        integer multiple of it, and P is 2*pi over the unit's float value, so
+        it does not depend on the order of the frequencies.  The unit is None
+        when a declared period is neither a rational nor a rational multiple of pi:
+        no frequency is then an exact multiple of 2*pi/P.
         """
         if coord in self.periods:
             period = self.periods[coord]
@@ -259,10 +282,11 @@ class FramedSpace:
         if None in ratios:
             raise ValueError(f"incommensurate frequencies in {coord!r}; declare a period")
         # the generator of the multiples num/den of base is gcd(nums)/lcm(dens)
-        gn = gcd(*(num for num, _ in ratios))
-        gd = math.lcm(*(den for _, den in ratios))
-        omega = base.value() * (gn / gd)
-        return math.tau / abs(omega), base.scale(Fraction(gn if omega > 0 else -gn, gd))
+        unit = base.scale(Fraction(gcd(*(n for n, _ in ratios)),
+                                   math.lcm(*(d for _, d in ratios))))
+        if unit.value() < 0:
+            unit = unit.neg()
+        return math.tau / unit.value(), unit
 
     def __repr__(self) -> str:
         return f"FramedSpace({self.name or ','.join(self.frame)})"
@@ -395,16 +419,18 @@ def single_direction(
     ``units[i]`` is the unit of ``coords[i]``, and ``coords`` must include
     every coordinate of ``s``.  Counted in these units, each term's frequency
     vector is an integer vector n_t.  When every n_t is m_t * v for integers
-    m_t and one primitive integer vector v, returns ``(v, m)`` with m in term
-    order: ``s`` is then a trigonometric polynomial in the one angle
+    m_t and one primitive integer vector v, returns ``(v, m)`` with m in the
+    canonical term order, in which ``_float_terms`` lists the terms: ``s`` is
+    then a trigonometric polynomial in the one angle
     theta = sum_i v_i * units[i] * x_i, term t a wave of m_t * theta.  v is
-    the first nonzero n_t divided by the gcd of its entries, and zero when
-    no term has a frequency.  Returns None when a frequency is not an
-    integer multiple of its unit, or two frequency vectors are not parallel.
+    the first nonzero n_t in that order divided by the gcd of its entries,
+    and zero when no term has a frequency.  Returns None when a frequency is
+    not an integer multiple of its unit, or two frequency vectors are not
+    parallel.
     """
     where = {c: i for i, c in enumerate(coords)}
     vectors = []
-    for _, freqs, _ in s.terms():
+    for (_, freqs, _), _ in _ordered_terms(s):
         vec = [0] * len(coords)
         for coord, f in freqs:
             unit = units[where[coord]]
@@ -702,10 +728,11 @@ class KForm:
             raise ValueError(f"degree-{self.degree} form takes {self.degree} arguments")
         if self.degree == 0:
             return self.terms.get((), ZERO)
+        minors = extend_minors(fields, self.terms)
         out = ZERO
         for idx, c in self.terms.items():
-            out = out + c * _det([[fields[col].coeffs[row] for col in range(self.degree)]
-                                  for row in idx])
+            if not minors[idx].is_zero():
+                out = out + c * minors[idx]
         return out
 
     def interior(self, v: VecField) -> "KForm":
@@ -783,36 +810,64 @@ def exterior_derivative(form: KForm, space: FramedSpace) -> KForm:
 # -- determinants and rank certificates ----------------------------------------
 
 
-def _det(mat: list[list[TrigScalar]]) -> TrigScalar:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = ZERO
-    for col in range(n):
-        c = mat[0][col]
-        if c.is_zero():
-            continue
-        minor = [[row[cc] for cc in range(n) if cc != col] for row in mat[1:]]
-        sub = c * _det(minor)
-        out = out + (sub if col % 2 == 0 else -sub)
-    return out
+# a row set: sorted frame indices, one per row of a square submatrix
+Rows = tuple[int, ...]
+
+
+def extend_minors(
+    fields: Sequence[VecField],
+    rows: Iterable[Rows] | None = None,
+    minors: Mapping[Rows, TrigScalar] | None = None,
+) -> dict[Rows, TrigScalar]:
+    """Maximal minors of a matrix extended by the columns ``fields``, on the
+    sorted row sets ``rows`` (all of them by default), in that order.
+
+    ``minors`` are those of the matrix being extended; by default it has no
+    columns, and its one minor, on no rows, is 1.  The columns are appended
+    in turn, and each minor is expanded along its new column c against the
+    minors before it: on rows r_0 < ... < r_k,
+
+        det = sum_a (-1)^(k - a) * c[r_a] * minor(rows without r_a).
+
+    Each width computes only the row sets that the next, wider one needs,
+    and a zero or ``ONE`` factor forms no product.  Every minor and
+    determinant of fields is taken here.
+    """
+    if minors is None:
+        minors = {(): ONE}
+    width = len(next(iter(minors), ())) + len(fields)
+    top = list(itertools.combinations(range(4), width) if rows is None else rows)
+    # the row sets of each width, from the widest down
+    needed = [top]
+    for _ in fields[1:]:
+        needed.append(sorted({r[:a] + r[a + 1:] for r in needed[-1]
+                              for a in range(len(r))}))
+    for column in fields:
+        wider: dict[Rows, TrigScalar] = {}
+        for r in needed.pop():
+            acc = ZERO
+            for a, i in enumerate(r):
+                c, m = column.coeffs[i], minors[r[:a] + r[a + 1:]]
+                if c.is_zero() or m.is_zero():
+                    continue
+                term = c if m is ONE else m if c is ONE else c * m
+                acc = acc + term if (len(r) - 1 - a) % 2 == 0 else acc - term
+            wider[r] = acc
+        minors = wider
+    return minors
 
 
 def det_of_fields(fields: Sequence[VecField]) -> TrigScalar:
     """Determinant of the 4x4 coefficient matrix (fields as columns)."""
     if len(fields) != 4:
         raise ValueError("need exactly 4 fields for a determinant")
-    return _det([[fields[col].coeffs[row] for col in range(4)] for row in range(4)])
+    return extend_minors(fields, [(0, 1, 2, 3)])[(0, 1, 2, 3)]
 
 
 def minors_of_fields(fields: Sequence[VecField]) -> list[TrigScalar]:
-    """All maximal minors of the 4 x k coefficient matrix, k = len(fields)."""
-    k = len(fields)
-    out = []
-    for rows in itertools.combinations(range(4), k):
-        out.append(_det([[fields[col].coeffs[row] for col in range(k)]
-                         for row in rows]))
-    return out
+    """All maximal minors of the 4 x k coefficient matrix, k = len(fields),
+    in the order of ``itertools.combinations`` of the rows."""
+    return list(extend_minors(fields).values())
 
 
 def global_rank(

@@ -74,8 +74,10 @@ def _vec_to_json(v: VecField) -> list[str]:
     return [str(c) for c in v.coeffs]
 
 
-def _vec_from_json(row: list[str]) -> VecField:
-    return VecField.of(*map(parse, row))
+def _vec_from_json(row: list[str], space: FramedSpace, where: str) -> VecField:
+    v = VecField.of(*map(parse, row))
+    space.require_coordinates(v.coeffs, where)
+    return v
 
 
 def space_to_json(space: FramedSpace) -> dict:
@@ -211,6 +213,8 @@ def load_manifest(doc: Mapping | str) -> Manifest:
 
     The JSON type of each member is checked against ``SECTION_TYPES``, and
     the presence of each of ``REQUIRED_MEMBERS``, before anything is parsed.
+    A scalar that names a symbol outside ``coordinates`` is malformed, in
+    any member (``FramedSpace.require_coordinates``).
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -221,20 +225,24 @@ def load_manifest(doc: Mapping | str) -> Manifest:
     space = space_from_json(doc, name=name)
     J = None
     if "complex_structure" in doc:
-        J = ComplexStructure([list(map(parse, row)) for row in doc["complex_structure"]])
+        matrix = [list(map(parse, row)) for row in doc["complex_structure"]]
+        for i, row in enumerate(matrix):
+            space.require_coordinates(row, f"complex_structure row {i}")
+        J = ComplexStructure(matrix)
     d1 = d2 = None
     if "distribution" in doc:
         rows = doc["distribution"]
         if len(rows) != 2:
             raise ValueError("distribution must list exactly two generators")
-        d1, d2 = map(_vec_from_json, rows)
+        d1, d2 = (_vec_from_json(row, space, f"distribution row {i}")
+                  for i, row in enumerate(rows))
     parameters = {k: rat(v) for k, v in doc.get("parameters", {}).items()}
     mapping_torus = None
     if "mapping_torus" in doc:
         mt = doc["mapping_torus"]
         mapping_torus = {
             "coordinate": mt["coordinate"],
-            "V": _vec_from_json(mt["V"]),
-            "X": _vec_from_json(mt["X"]),
+            "V": _vec_from_json(mt["V"], space, "mapping_torus.V"),
+            "X": _vec_from_json(mt["X"], space, "mapping_torus.X"),
         }
     return Manifest(name, space, J, d1, d2, parameters, mapping_torus)

@@ -34,6 +34,15 @@ reduced against each other: ``parse("cos(pi/3) - 1/2")`` is zero but does not
 normalise to zero (open item 3 of ROADMAP.md).  All values are immutable and
 all operations are pure.
 
+A term map keeps its terms in the order the operation that built it
+inserted them, so equal values reached by different routes can list their
+terms differently.  Whatever reads the terms in sequence reads them in one
+canonical term order instead (``_order_of``: by the number of
+frequencies, the frequencies, the phase, then the kind): the text form, the
+float form that ``sample_grid`` and ``evaluate`` sum, and the residue tables
+of grid certificates.  So the float value of a scalar at a point, and with
+it every sampled bound, depends on its exact value alone.
+
 A product of two waves is expanded and canonicalised once per unordered pair
 of their angles: ``_angle_products`` forms the sum and difference angles of
 two angles, named by their cos keys, from one merge pass over their
@@ -424,6 +433,25 @@ Wave = tuple[str, Freqs, Frequency]
 FloatTerms = tuple[tuple[bool, float, float, tuple[tuple[str, float], ...]], ...]
 
 
+def _q(n: int, d: int) -> int | Fraction:
+    # Fraction(n, 1) == n, so ints where they suffice sort the same
+    return n if d == 1 else Fraction(n, d)
+
+
+def _order_of(triple: Wave) -> tuple:
+    """The sort key of a wave in the canonical term order: by the number of
+    frequencies, then the frequencies by coordinate and value, then the
+    phase, then the kind.  Distinct waves have distinct keys, so the order
+    of a scalar's terms depends on its value alone.  The key is flat: waves
+    with as many frequencies align field by field."""
+    kind, fr, (rn, rd, pn, pd) = triple
+    key: list = [len(fr)]
+    for c, (n, d, m, e) in fr:
+        key += (c, _q(n, d), _q(m, e))
+    key += (_q(rn, rd), _q(pn, pd), kind)
+    return tuple(key)
+
+
 class WaveKey(int):
     """The interned key of a canonical wave: its triple, hashed once.
 
@@ -436,14 +464,17 @@ class WaveKey(int):
     by keys cannot be searched by triples (the wave table is keyed by
     triples).  ``<`` and ``<=`` order keys by their int value.  Indexing,
     unpacking and ``len`` are the triple's.  The instance dict holds
-    ``triple`` and ``partner``, the key of the wave with cos and sin swapped
-    once ``differentiate`` or a product has needed it.
+    ``triple``; ``partner``, the key of the wave with cos and sin swapped
+    once ``differentiate`` or a product has needed it; and ``order``, its
+    sort key in the canonical term order once ``_ordered_terms`` has
+    needed it.
     """
 
     def __new__(cls, triple: Wave) -> "WaveKey":
         key = int.__new__(cls, hash(triple))
         key.triple = triple
         key.partner = None
+        key.order = None
         return key
 
     def __eq__(self, other: object) -> bool:
@@ -474,6 +505,20 @@ class WaveKey(int):
 
 
 _CONST_WAVE = WaveKey(("c", (), FREQ_ZERO))
+
+_ORDER = operator.attrgetter("order")
+
+
+def _ordered_terms(s: "TrigScalar") -> list[tuple[WaveKey, Run]]:
+    """The terms of ``s`` in the canonical term order, which its text form,
+    its float form and grid certificates all follow.  A key's sort key is
+    made on first use and kept on the key."""
+    terms = s._terms
+    for w in terms:
+        if w.order is None:
+            w.order = _order_of(w.triple)
+    return [(w, terms[w]) for w in sorted(terms, key=_ORDER)]
+
 
 # bound of the wave table below: a full laws run makes 1,665 distinct waves,
 # three sampled rounds 1,008 and thirty catalog rounds 311 (seeds 0, 201, 1)
@@ -945,10 +990,11 @@ class TrigScalar:
 
         ``axes[i]`` lists the values of ``coords[i]``.  A term's angles are
         built axis by axis in its own coordinate order, each prefix shared by
-        the points that extend it, and its contributions are summed in term
-        order, so a value does not depend on the rest of the grid.  A term's
-        wave is computed once per point of its own axes and broadcast over the
-        axes it does not depend on.
+        the points that extend it, and its contributions are summed in the
+        canonical term order, so a value depends only on the exact scalar and
+        its point, not on the route that built the scalar or on the rest of
+        the grid.  A term's wave is computed once per point of its own axes
+        and broadcast over the axes it does not depend on.
         """
         where = {c: i for i, c in enumerate(coords)}
         sizes = [len(a) for a in axes]
@@ -998,14 +1044,15 @@ TrigLike = Union[TrigScalar, PiScalar, int, str, Fraction]
 
 def _float_terms(s: TrigScalar) -> FloatTerms:
     """The float form of ``s``: one ``(is_cos, coeff, phase, ((coord, omega),
-    ...))`` per term, in term order.
+    ...))`` per term, in the canonical term order (``_order_of``), so equal
+    scalars have equal float forms however their terms were inserted.
 
     ``coeff``, ``phase`` and ``omega`` are exactly ``PiScalar.evaluate()`` and
     ``Frequency.value()`` of the exact term; ``sample_grid``, and the residue
     tables of ``framecalc.GridPoints.abs_extreme``, build it once per call.
     """
     out = []
-    for w, r in s._terms.items():
+    for w, r in _ordered_terms(s):
         kind, fr, ph = w.triple
         out.append((kind == "c", _run_value(r), ph.value(),
                     tuple((coord, f.value()) for coord, f in fr)))
@@ -1292,18 +1339,8 @@ def format_scalar(s: TrigScalar) -> str:
     """Canonical, re-parseable text form."""
     if s.is_zero():
         return "0"
-
-    def q(n: int, d: int) -> int | Fraction:
-        # Fraction(n, 1) == n, so ints where they suffice sort the same
-        return n if d == 1 else Fraction(n, d)
-
-    def sort_key(item: tuple[WaveKey, Run]):
-        kind, fr, (rn, rd, pn, pd) = item[0].triple
-        freqs = tuple((c, q(n, d), q(m, e)) for c, (n, d, m, e) in fr)
-        return (len(fr), freqs, (q(rn, rd), q(pn, pd)), kind)
-
     parts = []
-    for w, r in sorted(s._terms.items(), key=sort_key):
+    for w, r in _ordered_terms(s):
         kind, fr, ph = w.triple
         if w is _CONST_WAVE:
             sign, body = _format_coeff(r)

@@ -21,6 +21,8 @@ evaluates a grid point by point at each term's exact residue angle, as grid
 certificates of single-direction witnesses do by residue class, and
 ``fraction_period``, the derivation of a coordinate's period and angular
 unit on Fractions that the one on the four ints of a frequency replaced.
+``canonical_items`` restates the canonical term order, which the float form
+and grid certificates follow, on Fractions.
 """
 
 from __future__ import annotations
@@ -257,12 +259,23 @@ def random_points(space: FramedSpace, rng, count: int) -> list[dict]:
             for _ in range(count)]
 
 
+def canonical_items(s) -> list:
+    """The terms of s, as ``(wave key, PiScalar)`` pairs, in the canonical
+    term order, restated on Fractions: by the number of frequencies, then
+    each frequency's (coord, rat, pi) in coordinate order, then the phase's
+    (rat, pi), then the kind."""
+    def key(item):
+        kind, fr, ph = item[0]
+        return (len(fr), tuple((c, f.rat, f.pi) for c, f in fr), (ph.rat, ph.pi), kind)
+    return sorted(s.terms().items(), key=key)
+
+
 def frequency_vectors(s, points) -> list[dict]:
     """Each term's frequency vector, in the exact angular units of the grid's
-    axes, as ``{coord: integer}``; None when some frequency is not an integer
-    multiple of its unit."""
+    axes, as ``{coord: integer}``, in the canonical term order; None when
+    some frequency is not an integer multiple of its unit."""
     out = []
-    for (_, fr, _), _ in s.terms().items():
+    for (_, fr, _), _ in canonical_items(s):
         vec = {}
         for coord, f in fr:
             u = points.units[points.coords.index(coord)]
@@ -296,11 +309,11 @@ def residue_values(s, points) -> list[float]:
     At the point of axis indices k the term of frequency vector n (in axis
     units) has the exact angle phase + 2*pi*(n . k)/N, which is taken as
     ``phase + math.tau * r / N`` with r = (n . k) mod N; the terms are summed
-    in term order from 0.0.
+    in the canonical term order from 0.0.
     """
     n_axis = len(points.axes[0]) if points.axes else 1
     terms = [(kind, c.evaluate(), ph.value(), vec)
-             for ((kind, _, ph), c), vec in zip(s.terms().items(),
+             for ((kind, _, ph), c), vec in zip(canonical_items(s),
                                                 frequency_vectors(s, points))]
     out = []
     for k in itertools.product(range(n_axis), repeat=len(points.coords)):
@@ -349,9 +362,11 @@ def fraction_period(space: FramedSpace, coord: str, scalars) -> tuple:
 
     A declared period P gives P's value and 2*pi/P when P is a rational or a
     rational multiple of pi, else no unit.  Otherwise each frequency is
-    written as a Fraction times the first one, the base, and the period is
-    2*pi over |base * g| for g the gcd of those Fractions; the unit is g *
-    base, turned positive.
+    written as a Fraction times the first one, the base; the unit is g *
+    base for g the gcd of those Fractions, turned positive, and the period
+    is 2*pi over the unit's value, its rational part plus its pi part times
+    pi in floats.  So the period depends on the set of frequencies only,
+    not on which of them is the base.
     """
     if coord in space.periods:
         period = space.periods[coord]
@@ -380,5 +395,8 @@ def fraction_period(space: FramedSpace, coord: str, scalars) -> tuple:
             a, b = abs(g), abs(q)
             g = Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
                          a.denominator * b.denominator)
-    omega = base.value() * float(g)
-    return 2.0 * 3.141592653589793 / abs(omega), base.scale(g if omega > 0 else -g)
+    unit = base.scale(g)
+    value = float(unit.rat) + float(unit.pi) * math.pi
+    if value < 0:
+        unit, value = unit.neg(), -value
+    return 2.0 * 3.141592653589793 / value, unit

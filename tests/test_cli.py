@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from engelcalc import cli
 from engelcalc.catalog import FAMILIES, build_family
@@ -90,9 +93,10 @@ def test_abelian_fixture_fails_engel_with_witness():
 
 # The goldens never leave the SYMBOLIC path, so these rescaled torus manifests
 # (the bench's ``sampled`` kind) pin the float bits of SAMPLED and FAILED
-# bounds, which depend on term order: a 1-coordinate clear case, a
-# 4-coordinate zero off the grid (residue route), and a witness of two
-# directions, which ``sample_grid`` evaluates point by point.
+# bounds, which follow the canonical term order of each witness: a
+# 1-coordinate clear case, a 4-coordinate zero off the grid (residue route),
+# and a witness of two directions in x2 and y2, with the twist in x1, which
+# ``sample_grid`` evaluates point by point.
 SAMPLED_FIXTURES = ("sampled_clear_1coord", "sampled_zero_off_grid_4coord",
                     "sampled_two_direction_3coord")
 
@@ -102,6 +106,71 @@ def test_sampled_reports_are_byte_stable(stem):
     rep = run_verify(str(FIXTURES / f"{stem}.json"), ("engel", "geiges"), grid=11)
     want = (FIXTURES / f"{stem}.report.json").read_text()
     assert emit_report(rep, "json") == want
+
+
+def test_one_scalar_gets_one_bound_whatever_its_route():
+    # alpha(R) = -beta(T) = the top coefficient of alpha ^ beta ^ d(beta) is
+    # one exact scalar, reached by three routes that insert its terms in
+    # different orders; its bound must not depend on the route
+    rep = run_verify(str(FIXTURES / "sampled_clear_1coord.json"), grid=11)
+    bounds = {r.name: r.certificate.bound for r in rep.records
+              if r.certificate is not None}
+    names = ("forms.R_normaliser", "forms.T_normaliser",
+             "forms.alpha_beta_dbeta_nonzero")
+    assert bounds[names[0]] is not None
+    assert len({bounds[name] for name in names}) == 1
+
+
+# every scalar member of a manifest, as a path into the document
+SCALAR_MEMBERS = ([("distribution", i, j) for i in range(2) for j in range(4)]
+                  + [("complex_structure", i, j) for i in range(4) for j in range(4)]
+                  + [("mapping_torus", v, j) for v in ("V", "X") for j in range(4)])
+FOREIGN_SYMBOLS = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda sym: sym not in ("sin", "cos", "pi", "x1", "y1", "x2", "y2"))
+
+
+def _member_label(section, row, entry):
+    if section == "mapping_torus":
+        return f"mapping_torus.{row} entry {entry}"
+    return f"{section} row {row} entry {entry}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCALAR_MEMBERS), FOREIGN_SYMBOLS)
+def test_a_foreign_symbol_in_any_scalar_is_malformed(member, symbol):
+    # one symbol outside the declared coordinates, in any scalar member,
+    # ends the run with one error line naming the symbol and the member
+    doc = json.loads((FIXTURES / "sampled_clear_1coord.json").read_text())
+    section, row, entry = member
+    vector = doc[section][row]
+    vector[entry] = f"({vector[entry]}) + cos(2*pi*{symbol})"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "foreign.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path), "--suite", "engel"])
+    message = str(exc.value.code)
+    assert message.startswith("error: malformed manifest") and "\n" not in message
+    assert f"{_member_label(*member)} uses undeclared coordinate {symbol!r}" in message
+
+
+def test_foreign_symbol_exits_with_one_error_line(tmp_path):
+    doc = json.loads((FIXTURES / "sampled_clear_1coord.json").read_text())
+    doc["distribution"][1] = ["0", "1", "cos(2*pi*zz)", "sin(2*pi*zz)"]
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("verify", str(path), "--suite", "engel")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: malformed manifest {path}: distribution row 1 entry 2 uses "
+        f"undeclared coordinate 'zz'"]
+
+
+def test_catalog_builders_check_their_coordinates():
+    spec = build_family("torus_trig")
+    with pytest.raises(ValueError, match="torus_trig D1 entry 2 uses undeclared "
+                                         "coordinate 'zz'"):
+        dataclasses.replace(spec, d1=VecField.of(1, 0, "cos(zz)", 0))
 
 
 def test_unresolvable_target_errors():
@@ -475,6 +544,32 @@ def test_each_stage_runs_once_per_target(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert run_verify("hopf_s3r").overall == "PASS"
     assert calls == dict.fromkeys(STAGES, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_frame_bracket_is_taken_once_per_target(monkeypatch, family):
+    # [X, T], [W, R], [JW, R] and [T, R] are four frac_brackets, and [W, JW]
+    # one bracket, however many checks read them
+    from engelcalc import engelcheck
+
+    spec = build_family(family)
+    ref = engelcheck.Derivation(spec.d1, spec.d2, spec.J, spec.space)
+    w_jw = (ref.w, ref.x)
+    calls = {"frac_bracket": 0, "[W,JW]": 0}
+    frac_of, bracket_of = engelcheck.frac_bracket, engelcheck.bracket
+
+    def counting_frac(*args):
+        calls["frac_bracket"] += 1
+        return frac_of(*args)
+
+    def counting_bracket(a, b, space):
+        calls["[W,JW]"] += (a, b) == w_jw
+        return bracket_of(a, b, space)
+
+    monkeypatch.setattr(engelcheck, "frac_bracket", counting_frac)
+    monkeypatch.setattr(engelcheck, "bracket", counting_bracket)
+    run_verify(family)
+    assert calls == {"frac_bracket": 4, "[W,JW]": 1}
 
 
 def test_top_pairings_take_no_bracket_with_e3(monkeypatch):

@@ -425,12 +425,13 @@ def test_hopf_c_wx_direct_pairing_oracle():
 
 def test_structure_functions_pipeline_consistency():
     spec = family("hopf_s3r")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
-    w = characteristic_foliation(flag, spec.space)
-    sf = structure_functions(forms, w, spec.J.apply(w), spec.space)
+    ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+    sf = structure_functions(ctx)
     assert sf.certificate.kind == "SYMBOLIC"
     assert sf.d_WR.is_zero() and sf.d_XR.is_zero()
+    # c_WX pairs beta with the framing's bracket stage [W, JW]
+    assert sf.c_WX == ctx.forms.beta(ctx.wx)
+    assert ctx.wx == bracket(ctx.w, ctx.x, spec.space)
 
 
 def test_structure_functions_reject_abelian():
@@ -445,8 +446,12 @@ def test_structure_functions_reject_abelian():
                           wedge(wedge(alpha, beta), d_beta).component((0, 1, 2, 3)),
                           wedge(beta, d_beta), FracField(VecField.basis(3)),
                           FracField(VecField.basis(0)), {})
+    # a Derivation keeps each stage in its instance dict once derived, so
+    # seeding the dict fabricates the chain: W = E2, JW = E3 and the forms
+    ctx = Derivation(None, None, None, space)
+    vars(ctx).update(forms=forms, w=VecField.basis(1), x=VecField.basis(2))
     with pytest.raises(VerificationError):
-        structure_functions(forms, VecField.basis(1), VecField.basis(2), space)
+        structure_functions(ctx)
 
 
 # -- J of the Reeb pair --------------------------------------------------------------

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from engelcalc.framecalc import (
     FramedSpace,
+    KForm,
     VecField,
+    bracket,
     certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
+    exterior_derivative,
     global_rank,
     grid_points,
     minors_of_fields,
@@ -51,9 +54,10 @@ def space(coords=COORDS, periods=None) -> FramedSpace:
 
 
 @st.composite
-def scalars(draw, coords=COORDS, max_waves=4):
+def scalars(draw, coords=COORDS, max_waves=4, phases=PHASES):
     """Sums of up to max_waves waves over random subsets of coords, with
-    pi-power coefficients and rational-pi phases."""
+    pi-power coefficients and phases drawn from ``phases`` (rational-pi by
+    default)."""
     out = TrigScalar.constant(Fraction(draw(st.integers(-2, 2))))
     for _ in range(draw(st.integers(0, max_waves))):
         own = draw(st.lists(st.sampled_from(coords), unique=True, max_size=len(coords)))
@@ -62,7 +66,7 @@ def scalars(draw, coords=COORDS, max_waves=4):
                                       Fraction(draw(st.integers(-3, 3)),
                                                draw(st.integers(1, 4))))])
         wave = draw(st.sampled_from((TrigScalar.cosine, TrigScalar.sine)))
-        out = out + wave(freqs, draw(st.sampled_from(PHASES)), coeff)
+        out = out + wave(freqs, draw(st.sampled_from(phases)), coeff)
     return out
 
 
@@ -142,7 +146,8 @@ def axis_frequencies(draw):
 def test_grid_axes_match_the_fraction_derivation(freqs, declared, per_axis):
     # the period bit for bit, the unit and the incommensurate error are the
     # Fraction derivation's, for derived and declared periods alike, and each
-    # frequency counts in the unit as the Fractions count it
+    # frequency counts in the unit as the Fractions count it, in the
+    # canonical term order
     sp = space(("x",), periods=None if declared is None else {"x": declared})
     live = [TrigScalar.cosine({"x": f}) for f in freqs]
     try:
@@ -265,6 +270,13 @@ def test_single_direction_matches_parallel_frequency_vectors(s):
         v, multiples = found
         assert math.gcd(*v) in (0, 1)
         assert len(multiples) == len(s.terms())
+
+
+def test_derived_period_is_two_pi_over_the_unit():
+    # the unit of 5*pi/3 and pi is pi/3, whichever of them is the base
+    sp = space(("x",))
+    live = [parse("cos(5/3*pi*x)"), parse("cos(pi*x)")]
+    assert sp.coordinate_period("x", live) == (6.0, Frequency.of(0, "1/3"))
 
 
 def test_residues_reach_past_components_sharing_a_factor_with_n():
@@ -435,3 +447,55 @@ def test_global_rank_is_no_common_zero_of_the_minors(rows, per_axis, tol):
     direct = certify_nonvanishing(direct_sum_of_squares(minors_of_fields(fields)),
                                   sp, per_axis, tol)
     assert _same_certificate(cert, direct)
+
+
+# -- one exact value, one float value, whatever the route ---------------------
+
+# phases whose sums stay rational or quarter turns, where the normal form is
+# canonical, so two routes to one value give equal exact scalars
+CANONICAL_PHASES = [Frequency.of(0), Frequency.of("1/2"), Frequency.of(0, "1/2")]
+
+
+def _sample_axes(coords, per_axis):
+    return [[0.37 * k - 0.11 * i for k in range(per_axis)] for i in range(len(coords))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(phases=CANONICAL_PHASES), st.integers(1, 3))
+def test_a_square_samples_alike_by_either_route(s, per_axis):
+    # s * s against a triangle loop of pair products, last term first, which
+    # inserts the terms of the same value in another order
+    parts = [TrigScalar({w: c}) for w, c in reversed(s.terms().items())]
+    triangle = TrigScalar()
+    for i, a in enumerate(parts):
+        triangle = triangle + a * a
+        for b in parts[i + 1:]:
+            triangle = triangle + 2 * (a * b)
+    square = s * s
+    assert triangle == square
+    axes = _sample_axes(COORDS, per_axis)
+    assert triangle.sample_grid(COORDS, axes) == square.sample_grid(COORDS, axes)
+
+
+def cartan_space() -> FramedSpace:
+    # a noncommutative frame over two coordinates: [E1, E2] = -E3, and E3
+    # differentiates neither coordinate
+    return FramedSpace(frame=("e1", "e2", "e3", "e4"), coords=("a", "b"),
+                       structure={(0, 1): (0, 0, -1, 0)},
+                       derivation={(3, "a"): 1, (1, "b"): 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(scalars(coords=("a", "b"), max_waves=2, phases=CANONICAL_PHASES),
+                min_size=12, max_size=12), st.integers(1, 3))
+def test_d_alpha_samples_alike_by_either_route(coeffs, per_axis):
+    # d(alpha)(X, Y) from exterior_derivative against Cartan's formula
+    # X alpha(Y) - Y alpha(X) - alpha([X, Y])
+    sp = cartan_space()
+    alpha = KForm.one_form(coeffs[:4])
+    x, y = VecField.of(*coeffs[4:8]), VecField.of(*coeffs[8:])
+    palais = exterior_derivative(alpha, sp)(x, y)
+    cartan = sp.apply(x, alpha(y)) - sp.apply(y, alpha(x)) - alpha(bracket(x, y, sp))
+    assert palais == cartan
+    axes = _sample_axes(sp.coords, per_axis)
+    assert palais.sample_grid(sp.coords, axes) == cartan.sample_grid(sp.coords, axes)

@@ -29,6 +29,7 @@ from engelcalc.trigring import (
     parse,
 )
 from oracles import (
+    canonical_items,
     direct_difference,
     direct_differentiate,
     direct_product,
@@ -347,18 +348,24 @@ def test_frequency_ints_match_fraction_arithmetic(a, b, c, d, q):
 def _float_form(s):
     return tuple((kind == "c", c.evaluate(), ph.value(),
                   tuple((coord, f.value()) for coord, f in fr))
-                 for (kind, fr, ph), c in s.terms().items())
+                 for (kind, fr, ph), c in canonical_items(s))
 
 
 @settings(max_examples=100, deadline=None)
 @given(scalars(), scalars(), st.sampled_from(_COORDS))
 def test_float_form_follows_the_terms(a, b, coord):
+    # the float form lists the terms in the canonical order, so equal values
+    # reached by different routes, which insert their terms in different
+    # orders, have equal float forms
     from engelcalc.trigring import _float_terms
 
     derived = [a + b, a * b, a - b, a.differentiate(coord),
                a.shift(coord, Fraction(1, 3)), parse(str(a))]
     for s in [a, *derived]:
         assert _float_terms(s) == _float_form(s)
+    assert _float_terms(a * b) == _float_terms(b * a)
+    assert _float_terms(a + b) == _float_terms(b + a)
+    assert _float_terms(a - b) == _float_terms(-(b - a))
 
 
 # -- PiScalar on int triples ----------------------------------------------------
