@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .framecalc import (
     DEFAULT_GRID,
@@ -78,6 +78,16 @@ class VerificationError(CheckError):
 # -- exact fractions over the trig ring ---------------------------------------
 
 
+def _div_exact(scalars: Iterable[TrigScalar], s: TrigScalar) -> list[TrigScalar] | None:
+    """The scalars / s, when s is a nonzero constant that divides each of
+    them exactly, else None: the one exact division, for all types."""
+    const = s.constant_value()
+    if const is None or const.is_zero():
+        return None
+    out = [c.div_exact(const) for c in scalars]
+    return None if None in out else out
+
+
 @dataclass(frozen=True)
 class Frac:
     """Exact quotient of trig scalars; the denominator vanishes nowhere."""
@@ -99,8 +109,8 @@ class Frac:
 
     def as_trig(self) -> TrigScalar | None:
         """Exact TrigScalar value when the denominator divides out."""
-        const = self.den.constant_value()
-        return None if const is None else self.num.div_exact(const)
+        exact = _div_exact([self.num], self.den)
+        return None if exact is None else exact[0]
 
     def __str__(self) -> str:
         exact = self.as_trig()
@@ -141,11 +151,8 @@ class FracField:
         return Frac(form(self.raw), self.den)
 
     def as_field(self) -> VecField | None:
-        const = self.den.constant_value()
-        if const is None:
-            return None
-        coeffs = tuple(c.div_exact(const) for c in self.raw.coeffs)
-        return None if None in coeffs else VecField(coeffs)
+        coeffs = _div_exact(self.raw.coeffs, self.den)
+        return None if coeffs is None else VecField(tuple(coeffs))
 
 
 def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
@@ -166,10 +173,11 @@ class EngelFlag:
 
     ``alpha`` annihilates E, set once rank(D) = 2 is certified: its
     coefficients are the signed maximal minors of (D1, D2, E3), which also
-    witness rank(E) = 3.  ``pairings`` are u_i = alpha([D_i, E3]) as
-    functions, computed as -d(alpha)(D_i, E3), set once rank(E) = 3 is
-    certified: they certify rank([D, E]) = 4, give W = -u2 D1 + u1 D2 and
-    normalise alpha.
+    witness rank(E) = 3.  ``d_alpha`` is d(alpha), which ``defining_forms``
+    reuses, and ``pairings`` are u_i = alpha([D_i, E3]) as functions,
+    computed as -d(alpha)(D_i, E3); both are set once rank(E) = 3 is
+    certified.  The pairings certify rank([D, E]) = 4, give
+    W = -u2 D1 + u1 D2 and normalise alpha.
     """
 
     d1: VecField
@@ -177,6 +185,7 @@ class EngelFlag:
     e3: VecField
     certificates: Mapping[str, Certificate]
     alpha: KForm | None = None
+    d_alpha: KForm | None = None
     pairings: tuple[TrigScalar, TrigScalar] | None = None
 
     @property
@@ -228,7 +237,7 @@ def verify_engel(
     else:
         certs["rank_tm"] = certify_no_common_zero(
             [u1, u2], space, grid, tol, note="sum of squares of the two top minors")
-    return EngelFlag(d1, d2, e3, certs, alpha, (u1, u2))
+    return EngelFlag(d1, d2, e3, certs, alpha, d_alpha, (u1, u2))
 
 
 def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
@@ -366,12 +375,10 @@ class DefiningForms:
 
 
 def _div_form(form: KForm, s: TrigScalar) -> KForm | None:
-    """form / s, when s is a nonzero constant that divides exactly."""
-    const = s.constant_value()
-    if const is None or const.is_zero():
-        return None
-    coeffs = [form.component((i,)).div_exact(const) for i in range(4)]
-    return None if None in coeffs else KForm.one_form(coeffs)
+    """form / s, for a form of any degree, when the division is exact."""
+    coeffs = _div_exact(form.terms.values(), s)
+    return None if coeffs is None else KForm.of(form.degree,
+                                                dict(zip(form.terms, coeffs)))
 
 
 def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
@@ -380,7 +387,7 @@ def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
 
 def _reeb_from_threeform(
     omega: KForm,
-    unit_form: KForm,
+    den: TrigScalar,
     zero_form: KForm,
     space: FramedSpace,
     grid: int,
@@ -388,14 +395,15 @@ def _reeb_from_threeform(
     label: str,
     certs: dict[str, Certificate],
 ) -> FracField:
+    """K / den, K the kernel field of omega, and ``zero_form`` must kill K.
+
+    theta(K) vol = theta ^ omega for any 1-form theta, so the normaliser
+    ``den`` is +-(alpha ^ beta ^ d(beta)), certified nowhere zero already:
+    K is nonzero, and its certificate restates that under the field's name.
+    """
     kernel = omega.kernel_field()
-    if kernel.is_zero():
-        raise VerificationError(f"{label}: defining 3-form vanishes identically")
-    den = unit_form(kernel)
-    cert = certify_nonvanishing(den, space, grid, tol, note=f"{label} normaliser")
-    certs[f"{label}_normaliser"] = cert
-    if not cert.passed:
-        raise VerificationError(f"{label}: normalising pairing vanishes somewhere")
+    certs[f"{label}_normaliser"] = certify_nonvanishing(
+        den, space, grid, tol, note=f"{label} normaliser")
     certs[f"{label}_annihilation"] = certify_vanishing(
         [zero_form(kernel)], space, grid,
         note=f"{label} annihilates the complementary form")
@@ -413,23 +421,26 @@ def defining_forms(
 ) -> DefiningForms:
     """Construct alpha (annihilating E), beta = alpha o J, and the Reeb pair.
 
-    alpha is normalised, when the pairing is an exactly invertible constant,
-    so that alpha([D1, E3]) = 1 (falling back to [D2, E3], then to the raw
-    form).  The three defining-form conditions are certified and a failure
-    raises: it signals either a non-Engel plane field or a beta outside the
-    expected conformal class.
+    alpha is normalised, when the pairing is an exactly invertible constant
+    c, so that alpha([D1, E3]) = 1 (falling back to [D2, E3], then to the
+    raw form), and d(alpha / c) = d(alpha) / c is the flag's d(alpha) over c:
+    only d(beta) is taken here.  The three defining-form conditions are
+    certified and a failure raises: it signals either a non-Engel plane field
+    or a beta outside the expected conformal class.  T and R normalise the
+    kernel fields by beta(K_T) = -abdb and alpha(K_R) = abdb
+    (``_reeb_from_threeform``).
     """
     if not flag.passed:
         raise PreconditionError("defining forms need a certified Engel flag")
-    alpha = flag.alpha
+    alpha, d_alpha = flag.alpha, flag.d_alpha
     normalization = "raw"
     for pairing, label in zip(flag.pairings, ("[D1,[D1,D2]]", "[D2,[D1,D2]]")):
         scaled = _div_form(alpha, pairing)
         if scaled is not None:
-            alpha, normalization = scaled, f"alpha({label}) = 1"
+            alpha, d_alpha = scaled, _div_form(d_alpha, pairing)
+            normalization = f"alpha({label}) = 1"
             break
     beta = _compose_with_J(alpha, J)
-    d_alpha = exterior_derivative(alpha, space)
     d_beta = exterior_derivative(beta, space)
     certs: dict[str, Certificate] = {}
 
@@ -451,10 +462,10 @@ def defining_forms(
         if not certs[key].passed:
             raise VerificationError(f"defining-form condition failed: {key}")
 
-    T = _reeb_from_threeform(wedge(alpha, d_beta), beta, alpha, space, grid, tol,
+    T = _reeb_from_threeform(wedge(alpha, d_beta), -abdb, alpha, space, grid, tol,
                              "T", certs)
     beta_dbeta = wedge(beta, d_beta)
-    R = _reeb_from_threeform(beta_dbeta, alpha, beta, space, grid, tol, "R", certs)
+    R = _reeb_from_threeform(beta_dbeta, abdb, beta, space, grid, tol, "R", certs)
     return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
                          certs, normalization)
 
@@ -725,18 +736,22 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     equation, which for translation-invariant data amounts to a_WR = 0.
 
     The expansion reads one coframe: theta_i(u), the raw frame's determinant
-    with column i replaced by u, is (-1)^(3-i) times the annihilating form
-    of the other three columns, and Cramer's rule gives the coefficient
-    theta_i(C) / theta_3(R) of a commutator C on frame field i.
+    with column i replaced by u, is (-1)^(3-i) det(other three columns, u),
+    and Cramer's rule gives the coefficient theta_i(C) / theta_3(R) of a
+    commutator C on frame field i.  The other three columns extend the 2x2
+    minors of (T, R) for i < 2, (T, R, u) being an even permutation of
+    (u, T, R), and those of (W, X) for i >= 2.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     t, r = forms.T, forms.R
     names = ("W", "X", "T", "R")
     basis = [FracField(w), FracField(x), t, r]
     raws = [b.raw for b in basis]
+    pair_minors = (extend_minors(raws[2:]), extend_minors(raws[:2]))
     coframe = []
-    for i in range(4):
-        theta = annihilating_form(*raws[:i], *raws[i + 1:])
+    for i, column in enumerate((raws[1], raws[0], raws[3], raws[2])):
+        minors = extend_minors([column], minors=pair_minors[i // 2])
+        theta = _annihilating_form_of(list(minors.values()))
         coframe.append(theta if i % 2 else -theta)
     det = coframe[3](raws[3])
     comms = {"WR": ctx.wr, "XR": ctx.xr, "TR": frac_bracket(t, r, space)}

@@ -184,53 +184,41 @@ class FramedSpace:
             return -self.structure_bracket(j, i)
         return self.structure.get((i, j), _ZERO_FIELD)
 
-    def frame_derivative(self, i: int, s: TrigScalar,
-                         coords: set[str] | None = None) -> TrigScalar:
-        """E_i(s) through the derivation table; ``coords``, when given, is
-        ``s.coordinates()``."""
-        out = ZERO
-        for coord in s.coordinates() if coords is None else coords:
-            d = self.derivation[i].get(coord)
-            if d is not None:
-                out = out + d * s.differentiate(coord)
-        return out
-
     def apply(self, v: VecField, s: TrigLike) -> TrigScalar:
-        """Directional derivative v(s)."""
+        """The one directional derivative, v(s) = sum_c v(c) * ds/dc over
+        the coordinates c of s in declared order: each partial derivative is
+        taken once, and a ``ONE`` factor v(c) forms no product."""
         s = normalize(s)
         coords = s.coordinates()
-        if not coords:
-            return ZERO
         out = ZERO
-        for i in range(4):
-            if v.coeffs[i].is_zero():
+        for coord in self.coords:
+            if coord not in coords:
                 continue
-            ds = self.frame_derivative(i, s, coords)
-            if not ds.is_zero():
-                out = out + v.coeffs[i] * ds
+            vc = self.coordinate_derivative(v, coord)
+            if not vc.is_zero():
+                ds = s.differentiate(coord)
+                out = out + (ds if vc is ONE else vc * ds)
         return out
 
     def coordinate_derivative(self, v: VecField, coord: str) -> TrigScalar:
-        """v(coord) straight from the derivation table."""
-        if coord not in self.coords:
-            raise ValueError(f"undeclared coordinate {coord!r}")
+        """v(coord) = sum_i v_i * E_i(coord), straight from the derivation
+        table; a ``ONE`` factor forms no product."""
         out = ZERO
         for i in range(4):
-            d = self.derivation[i].get(coord)
-            if d is not None and not v.coeffs[i].is_zero():
-                out = out + v.coeffs[i] * d
+            d, c = self.derivation[i].get(coord), v.coeffs[i]
+            if d is not None and not c.is_zero():
+                out = out + (d if c is ONE else c if d is ONE else c * d)
         return out
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
         """Jacobi identity and frame/coordinate compatibility, symbolically."""
-        basis = [VecField.basis(i) for i in range(4)]
         for i, j, k in itertools.combinations(range(4), 3):
             jac = (
-                bracket(basis[i], self.structure_bracket(j, k), self)
-                + bracket(basis[j], self.structure_bracket(k, i), self)
-                + bracket(basis[k], self.structure_bracket(i, j), self)
+                bracket(_BASIS[i], self.structure_bracket(j, k), self)
+                + bracket(_BASIS[j], self.structure_bracket(k, i), self)
+                + bracket(_BASIS[k], self.structure_bracket(i, j), self)
             )
             if not jac.is_zero():
                 raise ValueError(
@@ -240,14 +228,10 @@ class FramedSpace:
         for i, j in itertools.combinations(range(4), 2):
             br = self.structure.get((i, j), _ZERO_FIELD)
             for coord in self.coords:
-                lhs = self.frame_derivative(i, self.derivation[j].get(coord, ZERO)) - \
-                    self.frame_derivative(j, self.derivation[i].get(coord, ZERO))
-                rhs = ZERO
-                for k in range(4):
-                    d = self.derivation[k].get(coord)
-                    if d is not None:
-                        rhs = rhs + br.coeffs[k] * d
-                if lhs != rhs:
+                # E_i(E_j(c)) - E_j(E_i(c)) = [E_i, E_j](c)
+                lhs = self.apply(_BASIS[i], self.derivation[j].get(coord, ZERO)) - \
+                    self.apply(_BASIS[j], self.derivation[i].get(coord, ZERO))
+                if lhs != self.coordinate_derivative(br, coord):
                     raise ValueError(
                         f"derivation table inconsistent with brackets on "
                         f"coordinate {coord!r}"
@@ -606,14 +590,9 @@ class ComplexStructure:
         self.matrix: tuple[tuple[TrigScalar, ...], ...] = tuple(
             tuple(normalize(e) for e in row) for row in matrix
         )
-        for i in range(4):
-            for j in range(4):
-                acc = ZERO
-                for k in range(4):
-                    acc = acc + self.matrix[i][k] * self.matrix[k][j]
-                expected = TrigScalar.constant(-1 if i == j else 0)
-                if acc != expected:
-                    raise ValueError("J*J differs from -identity")
+        # J(J E_i) = -E_i on each frame field, through the one action of J
+        if any(self.apply(self.apply(e)) != -e for e in _BASIS):
+            raise ValueError("J*J differs from -identity")
 
     @staticmethod
     def pairing(first: int, second: int, third: int, fourth: int) -> "ComplexStructure":
@@ -625,6 +604,7 @@ class ComplexStructure:
         return ComplexStructure(m)
 
     def apply(self, v: VecField) -> VecField:
+        """J v, the one action of J."""
         out = []
         for i in range(4):
             acc = ZERO
@@ -790,7 +770,7 @@ def exterior_derivative(form: KForm, space: FramedSpace) -> KForm:
         acc = ZERO
         for a in range(d + 1):
             rest = idx[:a] + idx[a + 1:]
-            term = space.frame_derivative(idx[a], form.component(rest))
+            term = space.apply(_BASIS[idx[a]], form.component(rest))
             acc = acc + (term if a % 2 == 0 else -term)
         for a, b in itertools.combinations(range(d + 1), 2):
             br = space.structure.get((idx[a], idx[b]))

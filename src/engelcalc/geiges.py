@@ -171,7 +171,8 @@ class ResidualReport:
 
 
 def _l1_bound(res: VecField) -> float:
-    return max(sum((abs(c.evaluate()) for c in coeff.terms().values()), 0.0)
+    # fsum is correctly rounded, so the bound does not depend on term order
+    return max(math.fsum(abs(c.evaluate()) for c in coeff.terms().values())
                for coeff in res.coeffs)
 
 

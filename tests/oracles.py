@@ -4,10 +4,13 @@ These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``direct_w_residuals``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
-``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``
-and ``cramer_coefficients``, are the exact expansions that shortcuts or shared
-helpers in the code replaced (the K-check reads one coframe where Cramer's
-rule took five 4x4 determinants per commutator; the ring
+``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
+``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
+expansions that shortcuts or shared helpers in the code replaced (the
+K-check reads one coframe where Cramer's rule took five 4x4 determinants per
+commutator; ``FramedSpace.apply`` sums v(c) * ds/dc over the coordinates c,
+where the frame-by-frame formula differentiates s once per frame field; the
+ring
 loops, and the sum of squares built from them, merge whole ``PiScalar``
 coefficients one term at a time by ``PiScalar`` arithmetic, where
 ``TrigScalar`` merges coefficient runs and takes two single powers of pi
@@ -210,6 +213,20 @@ def direct_differentiate(s: TrigScalar, coord: str) -> TrigScalar:
         else:
             _add_term(out, "c", dict(fr), ph, dc)
     return TrigScalar(out)
+
+
+def frame_by_frame_derivative(space: FramedSpace, v: VecField,
+                              s: TrigScalar) -> TrigScalar:
+    """v(s) = sum_i v_i * sum_c E_i(c) * ds/dc, one frame field at a time."""
+    out = ZERO
+    for i, vi in enumerate(v.coeffs):
+        e_i_s = ZERO
+        for coord in s.coordinates():
+            d = space.derivation[i].get(coord)
+            if d is not None:
+                e_i_s = e_i_s + d * s.differentiate(coord)
+        out = out + vi * e_i_s
+    return out
 
 
 def numeric_directional(space: FramedSpace, v: VecField, scalar, point: dict,

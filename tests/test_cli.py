@@ -108,6 +108,36 @@ def test_sampled_reports_are_byte_stable(stem):
     assert emit_report(rep, "json") == want
 
 
+# prints every catalog report and each pinned sampled report named on its
+# command line, as one JSON object
+_ALL_REPORTS = """
+import json, sys
+from engelcalc.catalog import FAMILIES
+from engelcalc.cli import emit_report, run_verify
+out = {fam: emit_report(run_verify(fam), "json") for fam in FAMILIES}
+for stem in sys.argv[1:]:
+    out[stem] = emit_report(run_verify(f"tests/fixtures/{stem}.json",
+                                       ("engel", "geiges"), grid=11), "json")
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
+    # set and dict layouts follow the hash seed; the reports must not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", _ALL_REPORTS, *SAMPLED_FIXTURES],
+        capture_output=True, text=True, cwd=ROOT, check=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+    reports = json.loads(res.stdout)
+    for fam in FAMILIES:
+        assert reports[fam] == (ROOT / "reports" / "golden" / f"{fam}.json").read_text()
+    for stem in SAMPLED_FIXTURES:
+        assert reports[stem] == (FIXTURES / f"{stem}.report.json").read_text()
+
+
 def test_one_scalar_gets_one_bound_whatever_its_route():
     # alpha(R) = -beta(T) = the top coefficient of alpha ^ beta ^ d(beta) is
     # one exact scalar, reached by three routes that insert its terms in

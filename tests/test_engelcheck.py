@@ -688,6 +688,67 @@ def test_k_check_takes_no_determinant_of_fields(monkeypatch, name):
     assert calls == []
 
 
+def test_each_j_engel_quantity_is_derived_once(monkeypatch):
+    # every family under every suite: the forms take d(beta) and no other
+    # d, reading d(alpha) off the flag; the Reeb normalisers are
+    # +-(alpha ^ beta ^ d(beta)), so the only pairing a Reeb field evaluates
+    # is the annihilation one; the K-check extends shared minors and takes
+    # no annihilating form
+    from engelcalc import cli
+
+    done, open_stages = [], []
+
+    def stage(name):
+        original = getattr(engelcheck, name)
+
+        def wrapper(*args, **kwargs):
+            # name, arguments, the probed calls made inside, result
+            record = [name, args, [], None]
+            open_stages.append(record)
+            try:
+                record[3] = original(*args, **kwargs)
+            finally:
+                done.append(open_stages.pop())
+            return record[3]
+        for module in (engelcheck, cli):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    def probe(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if open_stages:
+                open_stages[-1][2].append((name, args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("defining_forms", "_reeb_from_threeform", "k_engel_check"):
+        stage(name)
+    probe(engelcheck, "exterior_derivative")
+    probe(engelcheck, "annihilating_form")
+    probe(KForm, "__call__")
+    for fam in FAMILIES:
+        cli.run_verify(fam)
+
+    def runs(name):
+        return [(args, calls, result) for stage_name, args, calls, result in done
+                if stage_name == name]
+
+    def called(calls, name):
+        return [args for call, args in calls if call == name]
+
+    assert len(runs("defining_forms")) == len(FAMILIES)
+    for _, calls, forms in runs("defining_forms"):
+        assert [form for form, _ in called(calls, "exterior_derivative")] == [forms.beta]
+    assert len(runs("_reeb_from_threeform")) == 2 * len(FAMILIES)
+    for args, calls, _ in runs("_reeb_from_threeform"):
+        # the complementary form, on the kernel field
+        assert [form for form, *_ in called(calls, "__call__")] == [args[2]]
+    assert len(runs("k_engel_check")) == len(FAMILIES)
+    for _, calls, _ in runs("k_engel_check"):
+        assert called(calls, "annihilating_form") == []
+
+
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
 def test_forms_carry_their_top_terms(monkeypatch, name):
     ctx = _context(name)

@@ -27,6 +27,7 @@ from engelcalc.trigring import Frequency, TrigScalar, parse
 
 from oracles import (
     brute_force_certificate,
+    frame_by_frame_derivative,
     numeric_bracket,
     numeric_matrix,
     random_points,
@@ -247,6 +248,32 @@ def test_cartan_formula_is_exact(case):
            - alpha(bracket(x, y, space)))
     assert lhs == rhs
     assert str(lhs) == str(rhs)
+
+
+# the law-suite space, and an abelian space in which two frame fields
+# differentiate one coordinate: E1(x) = E2(x) = 1, E2(y) = 1
+DIRECTIONAL_SPACES = {
+    "law_suite": _law_space(),
+    "shared_coordinate": FramedSpace(coords=("x", "y"), derivation={
+        (0, "x"): 1, (1, "x"): 1, (1, "y"): 1}),
+}
+
+
+@st.composite
+def directional_cases(draw):
+    name = draw(st.sampled_from(sorted(DIRECTIONAL_SPACES)))
+    coords = DIRECTIONAL_SPACES[name].coords
+    v = VecField.of(*(draw(quarter_turn_scalars(coords)) for _ in range(4)))
+    return name, v, draw(quarter_turn_scalars(coords))
+
+
+@settings(max_examples=120, deadline=None)
+@given(directional_cases())
+def test_apply_matches_the_frame_by_frame_formula(case):
+    # v(s) = sum_c v(c) ds/dc equals sum_i v_i E_i(s), as ring elements
+    name, v, s = case
+    space = DIRECTIONAL_SPACES[name]
+    assert space.apply(v, s) == frame_by_frame_derivative(space, v, s)
 
 
 def test_wedge_basis_evaluation():

@@ -11,6 +11,7 @@ from engelcalc.engelcheck import (
 from engelcalc.framecalc import ComplexStructure, FramedSpace, VecField, bracket
 from engelcalc.geiges import (
     MappingTorusInput,
+    _l1_bound,
     build_An,
     flat_torus_input,
     leading_order_residual,
@@ -179,3 +180,12 @@ def test_twisted_bracket_hand_expansion():
     b = bracket(a_n, ja_n, inp.space)
     assert b == VecField.of(0, 0, parse("-3*sin(9*t)"),
                             parse("cos(t) + 3*cos(9*t)"))
+
+
+def test_l1_bound_does_not_depend_on_term_order():
+    # equal residuals whose terms were added in opposite orders get one bound
+    waves = [parse("1/10*cos(x)"), parse("1/5*cos(2*x)"), parse("3/10*cos(3*x)")]
+    a = waves[0] + waves[1] + waves[2]
+    b = waves[2] + waves[1] + waves[0]
+    assert a == b
+    assert _l1_bound(VecField.of(a, 0, 0, 0)) == _l1_bound(VecField.of(b, 0, 0, 0)) == 0.6
