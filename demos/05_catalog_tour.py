@@ -12,16 +12,13 @@ from engelcalc.catalog import (
     FAMILIES, build_family, check_quoted_brackets,
     hyperelliptic_equivariance_check, torus_lattice_gate,
 )
-from engelcalc.engelcheck import (
-    j_invariance_check, nijenhuis_certificate, verify_engel,
-)
+from engelcalc.engelcheck import Derivation
 
 print(f"{'family':24s} {'engel':7s} {'J-inv':6s} {'N_J = 0':8s} brackets")
 for name in FAMILIES:
     spec = build_family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    jinv = j_invariance_check(spec.d1, spec.d2, spec.J, spec.space)
-    nij = nijenhuis_certificate(spec.J, spec.space)
+    ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+    flag, jinv, nij = ctx.flag, ctx.j_invariance, ctx.nijenhuis
     recs = check_quoted_brackets(spec)
     marks = ", ".join(f"{r.name}:{r.status}" for r in recs) or "-"
     print(f"{name:24s} {str(flag.passed):7s} {str(jinv.passed):6s} "

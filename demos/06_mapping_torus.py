@@ -6,10 +6,10 @@ large enough.  The exact brackets agree with their leading-order expressions
 up to corrections of order 1/n, which the decay fit measures.
 """
 
-from engelcalc.engelcheck import j_invariance_check, totally_real_check
+from engelcalc.engelcheck import totally_real_check
 from engelcalc.geiges import (
-    build_An, flat_torus_input, leading_order_residual, minimal_n_search,
-    residual_decay_fit, twisted_torus_input,
+    build_An, flat_torus_input, leading_order_residual, level_derivation,
+    minimal_n_search, residual_decay_fit, twisted_torus_input,
 )
 
 print("== the untwisted product: leading terms are exact ==")
@@ -40,8 +40,7 @@ for name, inp in (("flat", flat), ("twisted", twisted)):
 
 print("\n== the totally-real variant ==")
 for n in (1, 3, 5):
-    d1, d2 = build_An(flat, n, "totally_real")
-    cert = totally_real_check(d1, d2, flat.J, flat.space)
-    inv = j_invariance_check(d1, d2, flat.J, flat.space)
+    ctx = level_derivation(flat, n, "totally_real")
+    cert, inv = totally_real_check(ctx), ctx.j_invariance
     print(f"  n = {n}: rank-4 {cert.kind} (witness {cert.witness}), "
           f"J-invariant: {inv.passed}")

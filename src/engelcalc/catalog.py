@@ -23,8 +23,9 @@ from .framecalc import (
     FramedSpace,
     VecField,
     bracket,
+    certify_nonvanishing,
     certify_vanishing,
-    global_rank,
+    det_of_fields,
 )
 from .trigring import ONE, ZERO, Frequency, TrigScalar, rat
 
@@ -470,8 +471,8 @@ def check_quoted_brackets(spec: FamilySpec, grid: int = DEFAULT_GRID,
             status, note = "FAIL", "computed value differs from the quoted one"
         records.append(BracketRecord(exp.name, computed, exp.quoted, status, note))
     if any(r.status == "DEVIATION" for r in records) and len(computed_fields) >= 2:
-        spanning = global_rank(
-            [spec.d1, spec.d2, computed_fields[0], computed_fields[1]],
+        spanning = certify_nonvanishing(
+            det_of_fields([spec.d1, spec.d2, computed_fields[0], computed_fields[1]]),
             spec.space, grid, tol, note="computed brackets still span")
         records = [
             BracketRecord(r.name, r.computed, r.quoted, r.status, r.note, spanning)

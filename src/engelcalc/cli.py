@@ -509,8 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         if result.n_star is not None:
             ctx = geiges.level_derivation(inp, result.n_star, "totally_real")
-            cert = totally_real_check(ctx.d1, ctx.d2, ctx.J, ctx.space,
-                                      ctx.grid, ctx.tol)
+            cert = totally_real_check(ctx)
             doc["totally_real"] = {
                 "rank_certificate": cert.to_json(),
                 "j_invariant": ctx.j_invariance.passed,

@@ -1,9 +1,11 @@
 """Certification of Engel flags, defining forms, Reeb fields, and symmetries.
 
 The checks work over a :class:`FramedSpace` with a candidate plane field
-D = <D1, D2>.  Rank claims come back as :class:`Certificate` values; identity
-claims (residuals, invariance of spans) are certified symbolically whenever
-the normal form collapses, with deterministic grid sampling as the fallback.
+D = <D1, D2>, and each reads its target from one :class:`Derivation`, which
+keeps every quantity it derives for the checks after it.  Rank claims come
+back as :class:`Certificate` values; identity claims (residuals, invariance
+of spans) are certified symbolically whenever the normal form collapses,
+with deterministic grid sampling as the fallback.
 
 Reeb fields are represented as exact quotients ``raw / normaliser`` where the
 normaliser is a certified nowhere-zero scalar.  Working in this fraction
@@ -30,9 +32,9 @@ from .framecalc import (
     certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
+    det_of_fields,
     exterior_derivative,
     extend_minors,
-    global_rank,
     minors_of_fields,
     wedge,
 )
@@ -53,7 +55,6 @@ __all__ = [
     "j_invariance_check",
     "complex_framing",
     "totally_real_check",
-    "annihilating_form",
     "defining_forms",
     "structure_functions",
     "nijenhuis_certificate",
@@ -195,19 +196,13 @@ class EngelFlag:
                    for k in needed)
 
 
-def verify_engel(
-    d1: VecField,
-    d2: VecField,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> EngelFlag:
+def verify_engel(ctx: Derivation) -> EngelFlag:
     """Certify rank(D) = 2, rank(D + [D1,D2]) = 3, and rank([D,E]) = 4.
 
-    rank(D) is witnessed by the six 2x2 minors of (D1, D2).  rank(E) is
-    witnessed by the coefficients of alpha, the maximal minors of
-    (D1, D2, E3), which ``extend_minors`` expands along E3's column against
-    those 2x2 minors.
+    rank(D) is witnessed by the six 2x2 minors of (D1, D2), the context's
+    ``d_minors``.  rank(E) is witnessed by the coefficients of alpha, the
+    maximal minors of (D1, D2, E3), which ``extend_minors`` expands along
+    E3's column against those 2x2 minors.
     The top rank is witnessed by the pairings u_i = alpha([D_i, E3]) =
     det(D1, D2, E3, [D_i, E3]): alpha kills D_i and E3, so Cartan's formula
     d(alpha)(X, Y) = X alpha(Y) - Y alpha(X) - alpha([X, Y]) gives
@@ -215,13 +210,14 @@ def verify_engel(
     point at least one u_i must be nonzero, so the sampled witness is their
     sum of squares.
     """
+    d1, d2, space, grid, tol = ctx.d1, ctx.d2, ctx.space, ctx.grid, ctx.tol
     certs: dict[str, Certificate] = {}
-    d_minors = extend_minors([d1, d2])
-    certs["rank_d"] = certify_no_common_zero(list(d_minors.values()), space, grid, tol)
+    certs["rank_d"] = certify_no_common_zero(list(ctx.d_minors.values()), space,
+                                             grid, tol)
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    minors = list(extend_minors([e3], minors=d_minors).values())
+    minors = list(extend_minors([e3], minors=ctx.d_minors).values())
     alpha = _annihilating_form_of(minors)
     # alpha's coefficients up to sign, in the order of minors_of_fields
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
@@ -240,27 +236,17 @@ def verify_engel(
     return EngelFlag(d1, d2, e3, certs, alpha, d_alpha, (u1, u2))
 
 
-def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
-    """The 1-form u -> det(D1, D2, E3, u); its kernel is span(D1, D2, E3).
-
-    Expanding the determinant along u, its coefficients are the signed
-    maximal minors (-m3, m2, -m1, m0) of (D1, D2, E3).
-    """
-    return _annihilating_form_of(minors_of_fields([d1, d2, e3]))
-
-
 def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
-    # the maximal minors of (D1, D2, E3), in minors_of_fields order
+    """The 1-form u -> det(F1, F2, F3, u), from the maximal minors of
+    (F1, F2, F3) in ``minors_of_fields`` order: expanding the determinant
+    along u, its coefficients are (-m3, m2, -m1, m0).  Its kernel is
+    span(F1, F2, F3)."""
     m0, m1, m2, m3 = minors
     return KForm.one_form([-m3, m2, -m1, m0])
 
 
-def characteristic_foliation(
-    flag: EngelFlag,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-) -> VecField:
-    """The line field W in D with [W, E] inside E.
+def characteristic_foliation(ctx: Derivation) -> VecField:
+    """The line field W in D with [W, E] inside E, from the context's flag.
 
     Writing W = l1 D1 + l2 D2, the constraint alpha([W, E3]) = 0 is pointwise
     linear with coefficients u_i = alpha([D_i, E3]), the flag's ``pairings``,
@@ -278,6 +264,7 @@ def characteristic_foliation(
     ``pairings`` equal alpha([D_i, E3]) as functions; ``verify_engel`` sets
     them to -d(alpha)(D_i, E3), which is that by Cartan's formula.
     """
+    flag, space = ctx.flag, ctx.space
     if not flag.passed:
         raise PreconditionError("characteristic foliation needs a certified flag")
     alpha = flag.alpha
@@ -296,7 +283,7 @@ def characteristic_foliation(
             if not on_d.is_zero():
                 r = r - space.apply(x, l) * on_d
         residuals.append(r)
-    cert = certify_vanishing(residuals, space, grid,
+    cert = certify_vanishing(residuals, space, ctx.grid,
                              note="alpha([W, E-generators])")
     if not cert.passed:
         raise VerificationError(
@@ -306,24 +293,19 @@ def characteristic_foliation(
     return w
 
 
-def j_invariance_check(
-    d1: VecField,
-    d2: VecField,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-) -> Certificate:
+def j_invariance_check(ctx: Derivation) -> Certificate:
     """JD = D, certified by vanishing of the maximal minors of (D1, D2, JDi),
-    each extended from the 2x2 minors of (D1, D2), taken once for both."""
-    d_minors = extend_minors([d1, d2])
+    each extended from the context's 2x2 minors of (D1, D2)."""
     scalars: list[TrigScalar] = []
-    for v in (J.apply(d1), J.apply(d2)):
-        scalars.extend(extend_minors([v], minors=d_minors).values())
-    return certify_vanishing(scalars, space, grid, note="minors of (D1, D2, J D_i)")
+    for d in (ctx.d1, ctx.d2):
+        scalars.extend(extend_minors([ctx.J.apply(d)], minors=ctx.d_minors).values())
+    return certify_vanishing(scalars, ctx.space, ctx.grid,
+                             note="minors of (D1, D2, J D_i)")
 
 
 def complex_framing(ctx: Derivation) -> Certificate:
-    """Global rank-4 certificate for {W, JW, [W,JW], J[W,JW]}.
+    """Global rank-4 certificate for {W, JW, [W,JW], J[W,JW]}: their
+    determinant vanishes nowhere.
 
     This framing exists exactly when D is J-invariant Engel, and its global
     existence is the computable counterpart of the vanishing of both Chern
@@ -334,21 +316,18 @@ def complex_framing(ctx: Derivation) -> Certificate:
     if not ctx.j_invariance.passed:
         raise PreconditionError("complex framing needs JD = D")
     y = ctx.wx
-    return global_rank([ctx.w, ctx.x, y, ctx.J.apply(y)], ctx.space, ctx.grid,
-                       ctx.tol, note="framing W, JW, [W,JW], J[W,JW]")
+    return certify_nonvanishing(det_of_fields([ctx.w, ctx.x, y, ctx.J.apply(y)]),
+                                ctx.space, ctx.grid, ctx.tol,
+                                note="framing W, JW, [W,JW], J[W,JW]")
 
 
-def totally_real_check(
-    d1: VecField,
-    d2: VecField,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> Certificate:
-    """JD meets D only in zero, certified by rank of {D1, D2, JD1, JD2}."""
-    return global_rank([d1, d2, J.apply(d1), J.apply(d2)], space, grid, tol,
-                       note="rank of (D1, D2, J D1, J D2)")
+def totally_real_check(ctx: Derivation) -> Certificate:
+    """JD meets D only in zero: det(D1, D2, JD1, JD2) vanishes nowhere.  The
+    determinant extends the context's 2x2 minors of (D1, D2)."""
+    jd = [ctx.J.apply(ctx.d1), ctx.J.apply(ctx.d2)]
+    det = extend_minors(jd, [(0, 1, 2, 3)], ctx.d_minors)[(0, 1, 2, 3)]
+    return certify_nonvanishing(det, ctx.space, ctx.grid, ctx.tol,
+                                note="rank of (D1, D2, J D1, J D2)")
 
 
 # -- defining forms and the Reeb distribution -----------------------------------
@@ -389,9 +368,7 @@ def _reeb_from_threeform(
     omega: KForm,
     den: TrigScalar,
     zero_form: KForm,
-    space: FramedSpace,
-    grid: int,
-    tol: float,
+    ctx: Derivation,
     label: str,
     certs: dict[str, Certificate],
 ) -> FracField:
@@ -403,23 +380,18 @@ def _reeb_from_threeform(
     """
     kernel = omega.kernel_field()
     certs[f"{label}_normaliser"] = certify_nonvanishing(
-        den, space, grid, tol, note=f"{label} normaliser")
+        den, ctx.space, ctx.grid, ctx.tol, note=f"{label} normaliser")
     certs[f"{label}_annihilation"] = certify_vanishing(
-        [zero_form(kernel)], space, grid,
+        [zero_form(kernel)], ctx.space, ctx.grid,
         note=f"{label} annihilates the complementary form")
     if not certs[f"{label}_annihilation"].passed:
         raise VerificationError(f"{label}: complementary pairing does not vanish")
     return FracField(kernel, den)
 
 
-def defining_forms(
-    flag: EngelFlag,
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> DefiningForms:
-    """Construct alpha (annihilating E), beta = alpha o J, and the Reeb pair.
+def defining_forms(ctx: Derivation) -> DefiningForms:
+    """Construct alpha (annihilating E), beta = alpha o J, and the Reeb pair
+    from the context's flag.
 
     alpha is normalised, when the pairing is an exactly invertible constant
     c, so that alpha([D1, E3]) = 1 (falling back to [D2, E3], then to the
@@ -430,6 +402,7 @@ def defining_forms(
     kernel fields by beta(K_T) = -abdb and alpha(K_R) = abdb
     (``_reeb_from_threeform``).
     """
+    flag, space, grid, tol = ctx.flag, ctx.space, ctx.grid, ctx.tol
     if not flag.passed:
         raise PreconditionError("defining forms need a certified Engel flag")
     alpha, d_alpha = flag.alpha, flag.d_alpha
@@ -440,7 +413,7 @@ def defining_forms(
             alpha, d_alpha = scaled, _div_form(d_alpha, pairing)
             normalization = f"alpha({label}) = 1"
             break
-    beta = _compose_with_J(alpha, J)
+    beta = _compose_with_J(alpha, ctx.J)
     d_beta = exterior_derivative(beta, space)
     certs: dict[str, Certificate] = {}
 
@@ -462,10 +435,9 @@ def defining_forms(
         if not certs[key].passed:
             raise VerificationError(f"defining-form condition failed: {key}")
 
-    T = _reeb_from_threeform(wedge(alpha, d_beta), -abdb, alpha, space, grid, tol,
-                             "T", certs)
+    T = _reeb_from_threeform(wedge(alpha, d_beta), -abdb, alpha, ctx, "T", certs)
     beta_dbeta = wedge(beta, d_beta)
-    R = _reeb_from_threeform(beta_dbeta, abdb, beta, space, grid, tol, "R", certs)
+    R = _reeb_from_threeform(beta_dbeta, abdb, beta, ctx, "R", certs)
     return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
                          certs, normalization)
 
@@ -497,19 +469,15 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
                               ctx.xr.pair(forms.alpha), cert)
 
 
-def nijenhuis_certificate(
-    J: ComplexStructure,
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-) -> Certificate:
-    """Certify N_J = 0 on all frame pairs (integrability of J)."""
+def nijenhuis_certificate(ctx: Derivation) -> Certificate:
+    """Certify N_J = 0 on all frame pairs (integrability of the context's J)."""
     from .framecalc import nijenhuis
 
     scalars: list[TrigScalar] = []
     for i, j in itertools.combinations(range(4), 2):
-        n = nijenhuis(J, VecField.basis(i), VecField.basis(j), space)
+        n = nijenhuis(ctx.J, VecField.basis(i), VecField.basis(j), ctx.space)
         scalars.extend(n.coeffs)
-    return certify_vanishing(scalars, space, grid, note="Nijenhuis tensor")
+    return certify_vanishing(scalars, ctx.space, ctx.grid, note="Nijenhuis tensor")
 
 
 # -- one derivation per target ---------------------------------------------------
@@ -519,14 +487,18 @@ def nijenhuis_certificate(
 class Derivation:
     """The chain flag -> W -> forms -> structure functions of one target.
 
-    Each stage is computed on first use by its public stage function and
-    then kept, so the checks below read it from here instead of deriving it
-    again; a stage that raises keeps nothing and raises again when next
-    read.  The plane-field stages need ``d1`` and ``d2``, the complex ones
-    ``J``.  The brackets that more than one check reads are stages too:
-    ``wx`` = [W, JW] (the complex framing and c_WX), and ``wr`` = [W, R]
-    and ``xr`` = [JW, R] (the structure functions and the K-check), so each
-    is taken once per target.
+    Every check of this module takes the context as its one argument (the
+    transverse check takes Z first) and reads its target from it.  Each
+    stage is computed on first use by its public stage function, called
+    through the module global, and then kept, so the checks read it from
+    here instead of deriving it again; a stage that raises keeps nothing
+    and raises again when next read.  The plane-field stages need ``d1``
+    and ``d2``, the complex ones ``J``.  ``d_minors``, the 2x2 minors of
+    (D1, D2), is the one place they are expanded: the rank, JD = D,
+    totally-real and transverse checks extend it.  The brackets that more
+    than one check reads are stages too: ``wx`` = [W, JW] (the complex
+    framing and c_WX), and ``wr`` = [W, R] and ``xr`` = [JW, R] (the
+    structure functions and the K-check), so each is taken once per target.
 
     Tolerance policy, for these stages and for the checks that take the
     context: rank and nonvanishing certificates use ``tol``; identity
@@ -542,12 +514,18 @@ class Derivation:
     tol: float = DEFAULT_TOL
 
     @cached_property
+    def d_minors(self) -> dict[tuple[int, ...], TrigScalar]:
+        """The six 2x2 minors of (D1, D2), which the rank, JD = D,
+        totally-real and transverse checks extend."""
+        return extend_minors([self.d1, self.d2])
+
+    @cached_property
     def flag(self) -> EngelFlag:
-        return verify_engel(self.d1, self.d2, self.space, self.grid, self.tol)
+        return verify_engel(self)
 
     @cached_property
     def w(self) -> VecField:
-        return characteristic_foliation(self.flag, self.space, self.grid)
+        return characteristic_foliation(self)
 
     @cached_property
     def x(self) -> VecField:
@@ -555,11 +533,11 @@ class Derivation:
 
     @cached_property
     def j_invariance(self) -> Certificate:
-        return j_invariance_check(self.d1, self.d2, self.J, self.space, self.grid)
+        return j_invariance_check(self)
 
     @cached_property
     def forms(self) -> DefiningForms:
-        return defining_forms(self.flag, self.J, self.space, self.grid, self.tol)
+        return defining_forms(self)
 
     @cached_property
     def wx(self) -> VecField:
@@ -582,7 +560,7 @@ class Derivation:
 
     @cached_property
     def nijenhuis(self) -> Certificate:
-        return nijenhuis_certificate(self.J, self.space, self.grid)
+        return nijenhuis_certificate(self)
 
 
 @dataclass(frozen=True)
@@ -682,11 +660,13 @@ def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
     """For an Engel field Z transverse to E with JZ in E: certify i_Z(beta^dbeta)=0.
 
     Preconditions are rejected (not failed): alpha(Z) must vanish nowhere and
-    beta(Z) must vanish identically.  The conclusion certificate implies
-    Z spans the Reeb direction of the rescaled forms alpha/alpha(Z).
+    beta(Z) must vanish identically.  Z is an Engel field when each [Z, D_i]
+    lies in D: the maximal minors of (D1, D2, [Z, D_i]) vanish, each
+    extended from the context's 2x2 minors of (D1, D2).  The conclusion
+    certificate implies Z spans the Reeb direction of the rescaled forms
+    alpha/alpha(Z).
     """
-    forms, d1, d2 = ctx.forms, ctx.d1, ctx.d2
-    space, grid = ctx.space, ctx.grid
+    forms, space, grid = ctx.forms, ctx.space, ctx.grid
     az = forms.alpha(z)
     trans = certify_nonvanishing(az, space, grid, ctx.tol, note="alpha(Z)")
     if not trans.passed:
@@ -696,8 +676,9 @@ def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
     if not bz.passed:
         raise PreconditionError("JZ is not tangent to E: beta(Z) is not zero")
     minors: list[TrigScalar] = []
-    for gen in (d1, d2):
-        minors.extend(minors_of_fields([d1, d2, bracket(z, gen, space)]))
+    for gen in (ctx.d1, ctx.d2):
+        column = bracket(z, gen, space)
+        minors.extend(extend_minors([column], minors=ctx.d_minors).values())
     engel_field = certify_vanishing(minors, space, grid, note="L_Z D stays in D")
     if not engel_field.passed:
         raise VerificationError("Z does not preserve D; it is not an Engel field")

@@ -42,7 +42,6 @@ __all__ = [
     "nijenhuis",
     "exterior_derivative",
     "wedge",
-    "global_rank",
     "det_of_fields",
     "extend_minors",
     "minors_of_fields",
@@ -787,7 +786,7 @@ def exterior_derivative(form: KForm, space: FramedSpace) -> KForm:
     return KForm.of(d + 1, out)
 
 
-# -- determinants and rank certificates ----------------------------------------
+# -- minors and determinants ---------------------------------------------------
 
 
 # a row set: sorted frame indices, one per row of a square submatrix
@@ -848,23 +847,3 @@ def minors_of_fields(fields: Sequence[VecField]) -> list[TrigScalar]:
     """All maximal minors of the 4 x k coefficient matrix, k = len(fields),
     in the order of ``itertools.combinations`` of the rows."""
     return list(extend_minors(fields).values())
-
-
-def global_rank(
-    vs: Sequence[VecField],
-    space: FramedSpace,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    note: str = "",
-) -> Certificate:
-    """Certify that the fields have full rank len(vs) at every point.
-
-    For four fields the witness is the determinant; for fewer it is the sum
-    of squares of the maximal minors, which is positive exactly where the
-    rank is maximal.
-    """
-    if not 1 <= len(vs) <= 4:
-        raise ValueError("global_rank takes between 1 and 4 fields")
-    if len(vs) == 4:
-        return certify_nonvanishing(det_of_fields(vs), space, grid, tol, note=note)
-    return certify_no_common_zero(minors_of_fields(vs), space, grid, tol, note=note)

@@ -27,7 +27,8 @@ from .framecalc import (
     FramedSpace,
     VecField,
     bracket,
-    global_rank,
+    certify_nonvanishing,
+    det_of_fields,
 )
 from .trigring import ONE, Frequency, TrigScalar
 
@@ -76,8 +77,9 @@ class MappingTorusInput:
         jv = self.J.apply(self.V)
         object.__setattr__(self, "a",
                            self.space.coordinate_derivative(jv, self.t))
-        cert = global_rank([self.V, jv, self.X, self.J.apply(self.X)], self.space,
-                           self.grid, self.tol)
+        cert = certify_nonvanishing(
+            det_of_fields([self.V, jv, self.X, self.J.apply(self.X)]), self.space,
+            self.grid, self.tol)
         if not cert.passed:
             raise PreconditionError("V, JV, X, JX do not frame the tangent bundle")
         object.__setattr__(self, "framing_certificate", cert)

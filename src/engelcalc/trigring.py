@@ -68,7 +68,9 @@ different tables are distinct objects that still compare and hash equal.
 Sums and products merge the coefficients' runs (half the product for a
 wave pair, negated on the fly for a difference), and a product's
 accumulator is its result's term map; a constant operand only scales the
-other, and ``ONE`` returns it.  Nearly every coefficient is a single power
+other, and ``ONE`` returns it.  ``TrigScalar.constant`` gives the shared
+``ONE`` for the exact value 1, so every 1 that enters through it (``parse``,
+``normalize``, frame tables) is that object.  Nearly every coefficient is a single power
 of pi, so two single-triple runs take one ``_qmul`` or ``_qadd`` in
 products, sums, scalings and derivatives, and only other runs go through
 ``_pmul`` and ``_merge_runs``.  ``differentiate`` keeps each term's key with cos and
@@ -330,20 +332,7 @@ class PiScalar:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for e, n, d in self._terms:
-            if e == 0:
-                parts.append(_qstr(n, d))
-            else:
-                p = "pi" if e == 1 else f"pi^{e}"
-                if d == 1 and n in (1, -1):
-                    parts.append(p if n == 1 else f"-{p}")
-                else:
-                    parts.append(f"{_qstr(n, d)}*{p}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join([_format_coeff((t,)) for t in self._terms])
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
@@ -753,7 +742,10 @@ class TrigScalar:
 
     @staticmethod
     def constant(c: PiScalarLike) -> "TrigScalar":
+        """The constant c; the exact value 1 gives the shared ``ONE``."""
         c = PiScalar.of(c)
+        if c._terms == _ONE_RUN:
+            return ONE
         return TrigScalar._raw({} if c.is_zero() else {_CONST_WAVE: c._terms})
 
     @staticmethod
@@ -1039,6 +1031,10 @@ class TrigScalar:
         return f"TrigScalar({format_scalar(self)})"
 
 
+# the one constant 1, which ``TrigScalar.constant`` returns for the exact
+# value 1, so an ``is ONE`` test sees every 1 that enters through it
+ONE = TrigScalar._raw({_CONST_WAVE: _ONE_RUN})
+
 TrigLike = Union[TrigScalar, PiScalar, int, str, Fraction]
 
 
@@ -1108,7 +1104,6 @@ def is_identically_zero(s: TrigLike) -> bool:
 
 
 ZERO = TrigScalar.constant(0)
-ONE = TrigScalar.constant(1)
 
 
 # -- parsing -----------------------------------------------------------------

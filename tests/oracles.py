@@ -2,11 +2,14 @@
 
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
-code paths they are checking.  The exceptions, ``direct_w_residuals``,
+code paths they are checking.  The exceptions, ``annihilating_form``,
+``direct_w_residuals``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
 ``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
-expansions that shortcuts or shared helpers in the code replaced (the
+expansions that shortcuts or shared helpers in the code replaced (the flag
+reads alpha off the minors of (D1, D2) it extends by E3, where
+``annihilating_form`` takes the maximal minors of (D1, D2, E3) afresh; the
 K-check reads one coframe where Cramer's rule took five 4x4 determinants per
 commutator; ``FramedSpace.apply`` sums v(c) * ds/dc over the coordinates c,
 where the frame-by-frame formula differentiates s once per frame field; the
@@ -37,7 +40,14 @@ from fractions import Fraction
 import numpy as np
 
 from engelcalc.engelcheck import Frac
-from engelcalc.framecalc import FramedSpace, VecField, bracket, det_of_fields
+from engelcalc.framecalc import (
+    FramedSpace,
+    KForm,
+    VecField,
+    bracket,
+    det_of_fields,
+    minors_of_fields,
+)
 from engelcalc.trigring import (
     _CONST_WAVE,
     FREQ_ZERO,
@@ -50,6 +60,16 @@ from engelcalc.trigring import (
 )
 
 _PI_HALF = PiScalar.from_pairs([(0, Fraction(1, 2))])
+
+
+def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
+    """The 1-form u -> det(D1, D2, E3, u); its kernel is span(D1, D2, E3).
+
+    Expanding the determinant along u, its coefficients are the signed
+    maximal minors (-m3, m2, -m1, m0) of (D1, D2, E3).
+    """
+    m0, m1, m2, m3 = minors_of_fields([d1, d2, e3])
+    return KForm.one_form([-m3, m2, -m1, m0])
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:

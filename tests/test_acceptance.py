@@ -44,10 +44,11 @@ def test_criterion_1_catalog_soundness():
     for name in FAMILIES:
         spec = build_family(name)
         # Jacobi is validated symbolically at construction; J*J = -id likewise.
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        flag = verify_engel(ctx)
         assert flag.passed, name
-        assert j_invariance_check(spec.d1, spec.d2, spec.J, spec.space).passed, name
-        nij = nijenhuis_certificate(spec.J, spec.space)
+        assert j_invariance_check(ctx).passed, name
+        nij = nijenhuis_certificate(ctx)
         if spec.j_integrable:
             assert nij.kind == "SYMBOLIC", name
         else:
@@ -58,7 +59,8 @@ def test_criterion_1_catalog_soundness():
                              spec.space) == VecField.of(0, -2, 0, 0)
     for q in ("-2", "0", "1", "3/2"):
         spec = build_family("inoue_spm", {"q": q})
-        assert nijenhuis_certificate(spec.J, spec.space).kind == "SYMBOLIC", q
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        assert nijenhuis_certificate(ctx).kind == "SYMBOLIC", q
     elapsed = time.time() - t0
     report(1, elapsed < 60.0,
            f"all 10 families certified (Jacobi, J^2, Nijenhuis-or-documented, "
@@ -161,10 +163,10 @@ def test_criterion_6_mapping_torus_construction():
     d1, d2 = build_An(flat, search.n_star, "totally_real")
     from engelcalc.engelcheck import totally_real_check
 
-    assert totally_real_check(d1, d2, flat.J, flat.space).passed
+    assert totally_real_check(Derivation(d1, d2, flat.J, flat.space)).passed
     for n in range(1, 17):
         dn1, dn2 = build_An(flat, n, "totally_real")
-        assert not j_invariance_check(dn1, dn2, flat.J, flat.space).passed, n
+        assert not j_invariance_check(Derivation(dn1, dn2, flat.J, flat.space)).passed, n
     report(6, True,
            f"minimal level n* = {search.n_star} <= 16; first-residual slope "
            f"{fit['slope_first']:.3f} in [-1.3, -0.7]; totally-real variant "

@@ -13,6 +13,7 @@ from engelcalc.catalog import (
     torus_lattice_gate,
 )
 from engelcalc.engelcheck import (
+    Derivation,
     j_invariance_check,
     nijenhuis_certificate,
     verify_engel,
@@ -86,10 +87,11 @@ def test_inoue_s0_rejects_zero_parameters():
 def test_all_families_pass_core_checks():
     for name in FAMILIES:
         spec = build_family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        flag = verify_engel(ctx)
         assert flag.passed, name
-        assert j_invariance_check(spec.d1, spec.d2, spec.J, spec.space).passed, name
-        nij = nijenhuis_certificate(spec.J, spec.space)
+        assert j_invariance_check(ctx).passed, name
+        nij = nijenhuis_certificate(ctx)
         assert nij.passed == spec.j_integrable, name
 
 
@@ -186,10 +188,12 @@ def test_lattice_gate_rejects_floats():
 def test_integrability_over_parameter_samples():
     for q in ("-2", "0", "1", "3/2"):
         spec = build_family("inoue_spm", {"q": q})
-        assert nijenhuis_certificate(spec.J, spec.space).kind == "SYMBOLIC", q
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        assert nijenhuis_certificate(ctx).kind == "SYMBOLIC", q
     for a, b in itertools.product(("1", "-2", "3/2"), repeat=2):
         spec = build_family("inoue_s0", {"a": a, "b": b})
-        assert nijenhuis_certificate(spec.J, spec.space).kind == "SYMBOLIC", (a, b)
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        assert nijenhuis_certificate(ctx).kind == "SYMBOLIC", (a, b)
 
 
 def test_elliptic_sl2r_nonintegrability_witness():

@@ -14,7 +14,6 @@ from engelcalc.engelcheck import (
     FracField,
     PreconditionError,
     VerificationError,
-    annihilating_form,
     characteristic_foliation,
     complex_framing,
     defining_forms,
@@ -46,7 +45,13 @@ from engelcalc.laws import _law_space, _random_scalar
 from engelcalc.manifest import load_manifest
 from engelcalc.trigring import ONE, Frequency, TrigScalar, normalize, parse
 
-from oracles import cramer_coefficients, direct_w_residuals, numeric_matrix, random_points
+from oracles import (
+    annihilating_form,
+    cramer_coefficients,
+    direct_w_residuals,
+    numeric_matrix,
+    random_points,
+)
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
 
@@ -59,15 +64,14 @@ def family(name, **params):
 
 
 def test_verify_engel_inoue_s0_symbolic():
-    spec = family("inoue_s0")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
+    flag = verify_engel(_context("inoue_s0"))
     assert flag.passed
     assert all(c.kind == "SYMBOLIC" for c in flag.certificates.values())
 
 
 def test_verify_engel_abelian_fails_at_rank_e():
     space = FramedSpace()
-    flag = verify_engel(VecField.basis(0), VecField.basis(1), space)
+    flag = verify_engel(Derivation(VecField.basis(0), VecField.basis(1), None, space))
     assert not flag.passed
     assert flag.certificates["rank_d"].passed
     assert flag.certificates["rank_e"].kind == "FAILED"
@@ -75,7 +79,7 @@ def test_verify_engel_abelian_fails_at_rank_e():
 
 def test_verify_engel_torus_family_with_random_oracle():
     spec = family("torus_trig")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
+    flag = verify_engel(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert flag.passed
     # oracle: the 4x4 determinant with both top generators never degenerates
     b1 = bracket(spec.d1, flag.e3, spec.space)
@@ -94,17 +98,14 @@ def test_verify_engel_torus_family_with_random_oracle():
 def test_characteristic_is_inside_distribution():
     for name in ("hopf_s3r", "inoue_s0", "kodaira_primary"):
         spec = family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
-        w = characteristic_foliation(flag, spec.space)
+        w = characteristic_foliation(Derivation(spec.d1, spec.d2, spec.J, spec.space))
         assert all(m.is_zero()
                    for m in minors_of_fields([spec.d1, spec.d2, w])), name
 
 
 def test_characteristic_inoue_spm_hand_value():
     # with q = 0 the linear system from the constant table gives W along A
-    spec = family("inoue_spm")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    w = characteristic_foliation(flag, spec.space)
+    w = characteristic_foliation(_context("inoue_spm"))
     assert all(m.is_zero() for m in minors_of_fields([w, VecField.of(1, 0, 0, 1)]))
 
 
@@ -144,7 +145,7 @@ def _assert_flag_matches_determinants(monkeypatch, d1, d2, space):
 
     monkeypatch.setattr(framecalc, "det_of_fields", no_determinant)
     monkeypatch.setattr(engelcheck, "det_of_fields", no_determinant, raising=False)
-    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    flag = verify_engel(Derivation(d1, d2, None, space, grid=3, tol=0.0))
     e3 = flag.e3
     for i in range(4):
         assert flag.alpha.component((i,)) == \
@@ -172,7 +173,7 @@ def test_flag_pairings_on_rational_pi_phases_agree_in_value():
     rng = random.Random(7)
     for seed in range(10):
         d1, d2, space = _graph_fields(seed, _sixth_turn_scalar)
-        flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+        flag = verify_engel(Derivation(d1, d2, None, space, grid=3, tol=0.0))
         alpha = annihilating_form(d1, d2, flag.e3)
         for u, d in zip(flag.pairings, (d1, d2)):
             ref = alpha(bracket(d, flag.e3, space))
@@ -186,8 +187,9 @@ def test_characteristic_pointwise_nullspace_oracle(name):
     # W(p) must span the nullspace of [alpha([D1,E3]), alpha([D2,E3])] at p,
     # and the flag must carry exactly alpha and these two pairings
     spec = family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    w = characteristic_foliation(flag, spec.space)
+    ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+    flag = ctx.flag
+    w = characteristic_foliation(ctx)
     alpha = annihilating_form(spec.d1, spec.d2, flag.e3)
     u1 = alpha(bracket(spec.d1, flag.e3, spec.space))
     u2 = alpha(bracket(spec.d2, flag.e3, spec.space))
@@ -207,9 +209,9 @@ def test_characteristic_pointwise_nullspace_oracle(name):
 
 def test_characteristic_requires_certified_flag():
     space = FramedSpace()
-    flag = verify_engel(VecField.basis(0), VecField.basis(1), space)
+    ctx = Derivation(VecField.basis(0), VecField.basis(1), None, space)
     with pytest.raises(PreconditionError):
-        characteristic_foliation(flag, space)
+        characteristic_foliation(ctx)
 
 
 def _no_bracket(*args):
@@ -230,17 +232,19 @@ def _forbid_bracket_and_record(monkeypatch):
     return seen
 
 
-def _assert_w_residuals_match_direct_expansion(monkeypatch, flag, space):
+def _assert_w_residuals_match_direct_expansion(monkeypatch, ctx):
+    # the flag is derived before brackets are forbidden
+    flag, space = ctx.flag, ctx.space
     seen = _forbid_bracket_and_record(monkeypatch)
-    w = characteristic_foliation(flag, space, grid=3)
+    w = characteristic_foliation(ctx)
     assert seen == [direct_w_residuals(flag, w, space)]
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_w_residuals_match_direct_expansion(monkeypatch, name):
     spec = family(name)
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, spec.space)
+    ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space, grid=3)
+    _assert_w_residuals_match_direct_expansion(monkeypatch, ctx)
 
 
 def test_w_residuals_match_direct_expansion_on_rescaled_torus(monkeypatch):
@@ -257,21 +261,23 @@ def test_w_residuals_match_direct_expansion_on_rescaled_torus(monkeypatch):
         "distribution": [[f, "0", f"{f}*sin({theta})", f"-{f}*cos({theta})"],
                          ["0", "1", f"cos({theta})", f"sin({theta})"]],
     })
-    flag = verify_engel(man.d1, man.d2, man.space, grid=5)
+    ctx = Derivation(man.d1, man.d2, None, man.space, grid=5)
+    flag = ctx.flag
     assert flag.passed
     u1, u2 = flag.pairings
     assert u1.constant_value() is None and u2.is_zero()
-    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, man.space)
+    _assert_w_residuals_match_direct_expansion(monkeypatch, ctx)
 
 
 # seeds whose flag passes with two nonconstant pairings of at most 36 terms
 @pytest.mark.parametrize("seed", (2, 3, 7, 9))
 def test_w_residuals_match_direct_expansion_on_random_fields(monkeypatch, seed):
     d1, d2, space = _graph_fields(seed)
-    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    ctx = Derivation(d1, d2, None, space, grid=3, tol=0.0)
+    flag = ctx.flag
     assert flag.passed
     assert all(u.constant_value() is None for u in flag.pairings)
-    _assert_w_residuals_match_direct_expansion(monkeypatch, flag, space)
+    _assert_w_residuals_match_direct_expansion(monkeypatch, ctx)
 
 
 @pytest.mark.parametrize("name", ("hopf_s3r", "graph"))
@@ -282,11 +288,13 @@ def test_characteristic_rejects_alpha_that_misses_e(monkeypatch, name):
     else:
         spec = family(name)
         d1, d2, space = spec.d1, spec.d2, spec.space
-    flag = verify_engel(d1, d2, space, grid=3, tol=0.0)
+    ctx = Derivation(d1, d2, None, space, grid=3, tol=0.0)
+    flag = ctx.flag
     off_e = dataclasses.replace(flag, alpha=flag.alpha + KForm.coframe(0))
+    vars(ctx).update(flag=off_e)
     seen = _forbid_bracket_and_record(monkeypatch)
     with pytest.raises(VerificationError, match=r"\[W, E\] does not stay in E"):
-        characteristic_foliation(off_e, space, grid=3)
+        characteristic_foliation(ctx)
     # along D1 and D2 the Leibniz form holds for any alpha; only the E3
     # residual reads the pairings, which belong to the true alpha
     u1, u2 = flag.pairings
@@ -298,16 +306,16 @@ def test_characteristic_rejects_alpha_that_misses_e(monkeypatch, name):
 
 
 def test_j_invariance_of_complex_plane():
-    spec = family("hopf_s3r")
-    assert j_invariance_check(spec.d1, spec.d2, spec.J, spec.space).passed
+    assert j_invariance_check(_context("hopf_s3r")).passed
 
 
 def test_j_invariance_fails_for_totally_real_plane():
     space = FramedSpace()
     d1, d2 = VecField.basis(0), VecField.basis(2)
-    cert = j_invariance_check(d1, d2, J_STD, space)
+    ctx = Derivation(d1, d2, J_STD, space)
+    cert = j_invariance_check(ctx)
     assert not cert.passed
-    assert totally_real_check(d1, d2, J_STD, space).passed
+    assert totally_real_check(ctx).passed
 
 
 def test_complex_framing_families():
@@ -325,8 +333,7 @@ def test_complex_framing_rejects_non_engel():
 
 
 def test_totally_real_check_on_j_invariant_plane_fails():
-    spec = family("hopf_s3r")
-    assert not totally_real_check(spec.d1, spec.d2, spec.J, spec.space).passed
+    assert not totally_real_check(_context("hopf_s3r")).passed
 
 
 # -- defining forms -------------------------------------------------------------------
@@ -347,8 +354,7 @@ def proportional(form: KForm, row) -> bool:
 
 def test_hopf_forms_match_quoted_class():
     spec = family("hopf_s3r")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
+    forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert proportional(forms.alpha, [0, -1, 0, 1])    # a4 - a2
     assert proportional(forms.beta, [-1, 0, 1, 0])     # a3 - a1
     # the proportionality factor is positive (same orientation as quoted)
@@ -357,8 +363,7 @@ def test_hopf_forms_match_quoted_class():
 
 def test_hyperelliptic_forms_match_quoted_class():
     spec = family("hyperelliptic_solv")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
+    forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert proportional(forms.alpha, [0, 1, 1, 0])     # a2 + a3
     assert proportional(forms.beta, [1, 0, 0, -1])     # a1 - a4
 
@@ -370,8 +375,7 @@ def test_beta_orientation_matches_quoted_pairs():
             ("hopf_s3r", [0, -1, 0, 1], [-1, 0, 1, 0]),
             ("hyperelliptic_solv", [0, 1, 1, 0], [1, 0, 0, -1])):
         spec = family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
-        forms = defining_forms(flag, spec.J, spec.space)
+        forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
         i = next(k for k, c in enumerate(alpha_ref) if c)
         j = next(k for k, c in enumerate(beta_ref) if c)
         factor_a = forms.alpha.component((i,)).constant_value().evaluate() \
@@ -384,8 +388,7 @@ def test_beta_orientation_matches_quoted_pairs():
 def test_reeb_pair_pairings_are_exact():
     for name in ("hopf_s3r", "hyperelliptic_solv", "inoue_s0", "kodaira_primary"):
         spec = family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
-        forms = defining_forms(flag, spec.J, spec.space)
+        forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
         # beta(T) = 1 and alpha(R) = 1 exactly, alpha(T) = beta(R) = 0
         assert forms.T.pair(forms.beta).num == forms.T.pair(forms.beta).den
         assert forms.R.pair(forms.alpha).num == forms.R.pair(forms.alpha).den
@@ -395,8 +398,7 @@ def test_reeb_pair_pairings_are_exact():
 
 def test_hopf_reeb_fields_quoted_directions():
     spec = family("hopf_s3r")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
+    forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert all(m.is_zero()
                for m in minors_of_fields([forms.R.raw, VecField.basis(3)]))
     assert all(m.is_zero()
@@ -405,9 +407,9 @@ def test_hopf_reeb_fields_quoted_directions():
 
 def test_defining_forms_reject_uncertified_flag():
     space = FramedSpace()
-    flag = verify_engel(VecField.basis(0), VecField.basis(1), space)
+    ctx = Derivation(VecField.basis(0), VecField.basis(1), J_STD, space)
     with pytest.raises(PreconditionError):
-        defining_forms(flag, J_STD, space)
+        defining_forms(ctx)
 
 
 # -- structure functions ----------------------------------------------------------------
@@ -505,7 +507,8 @@ def test_jofreeb_gate_rejects_perturbed_pairing():
     # Nijenhuis tensor does not vanish, so the gate must reject it
     spec = build_family("inoue_spm")
     perturbed = ComplexStructure.pairing(0, 3, 1, 2)  # J X1 = X4, J X2 = X3
-    assert nijenhuis_certificate(perturbed, spec.space).kind == "FAILED"
+    ctx = Derivation(None, None, perturbed, spec.space)
+    assert nijenhuis_certificate(ctx).kind == "FAILED"
     with pytest.raises(PreconditionError):
         jofreeb_residual(Derivation(spec.d1, spec.d2, perturbed, spec.space))
 
@@ -520,7 +523,7 @@ def test_dalpha_identity_abelian_trivial():
 
 def test_jofreeb_nonintegrable_gate_via_nijenhuis_cert():
     spec = family("elliptic_sl2r")
-    cert = nijenhuis_certificate(spec.J, spec.space)
+    cert = nijenhuis_certificate(Derivation(None, None, spec.J, spec.space))
     assert cert.kind == "FAILED"
 
 
@@ -540,8 +543,7 @@ def test_splitting_invariance(name):
 
 def test_splitting_scaling_by_two_matches_half_reeb():
     spec = family("hopf_s3r")
-    flag = verify_engel(spec.d1, spec.d2, spec.space)
-    forms = defining_forms(flag, spec.J, spec.space)
+    forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     scaled_alpha = forms.alpha.scale(2)
     # rebuild R for 2*alpha by hand: beta scales by 2, beta^dbeta by 4
     from engelcalc.engelcheck import _compose_with_J
@@ -692,8 +694,7 @@ def test_each_j_engel_quantity_is_derived_once(monkeypatch):
     # every family under every suite: the forms take d(beta) and no other
     # d, reading d(alpha) off the flag; the Reeb normalisers are
     # +-(alpha ^ beta ^ d(beta)), so the only pairing a Reeb field evaluates
-    # is the annihilation one; the K-check extends shared minors and takes
-    # no annihilating form
+    # is the annihilation one; the K-check runs once per target
     from engelcalc import cli
 
     done, open_stages = [], []
@@ -725,7 +726,6 @@ def test_each_j_engel_quantity_is_derived_once(monkeypatch):
     for name in ("defining_forms", "_reeb_from_threeform", "k_engel_check"):
         stage(name)
     probe(engelcheck, "exterior_derivative")
-    probe(engelcheck, "annihilating_form")
     probe(KForm, "__call__")
     for fam in FAMILIES:
         cli.run_verify(fam)
@@ -745,8 +745,50 @@ def test_each_j_engel_quantity_is_derived_once(monkeypatch):
         # the complementary form, on the kernel field
         assert [form for form, *_ in called(calls, "__call__")] == [args[2]]
     assert len(runs("k_engel_check")) == len(FAMILIES)
-    for _, calls, _ in runs("k_engel_check"):
-        assert called(calls, "annihilating_form") == []
+
+
+def test_plane_field_minors_are_expanded_once(monkeypatch):
+    # every family under every suite: the 2x2 minors of (D1, D2) are expanded
+    # once per target, as the Derivation's d_minors, and the transverse check
+    # extends them by its [Z, D_i] columns instead of expanding (D1, D2) again
+    from engelcalc import cli
+
+    calls, inside = [], []
+    extend = framecalc.extend_minors
+
+    def recording(fields, rows=None, minors=None):
+        out = extend(fields, rows, minors)
+        calls.append((list(fields), minors, out, bool(inside)))
+        return out
+
+    transverse = engelcheck.transverse_engel_check
+
+    def in_transverse(*args, **kwargs):
+        inside.append(True)
+        try:
+            return transverse(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (framecalc, engelcheck):
+        monkeypatch.setattr(module, "extend_minors", recording)
+    monkeypatch.setattr(cli, "transverse_engel_check", in_transverse)
+    transverse_runs = 0
+    for fam in FAMILIES:
+        spec = family(fam)
+        calls.clear()
+        cli.run_verify(fam)
+        plane = [out for fields, minors, out, _ in calls
+                 if fields == [spec.d1, spec.d2] and minors is None]
+        assert len(plane) == 1, fam
+        extended = [(fields, minors) for fields, minors, _, in_t in calls
+                    if in_t and minors is not None]
+        if any(in_t for *_, in_t in calls):
+            transverse_runs += 1
+            assert len(extended) == 2, fam
+            assert all(len(fields) == 1 and minors is plane[0]
+                       for fields, minors in extended), fam
+    assert transverse_runs
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
@@ -769,8 +811,7 @@ def test_beta_annihilates_distribution_on_all_families():
 
     for name in FAMILIES:
         spec = family(name)
-        flag = verify_engel(spec.d1, spec.d2, spec.space)
-        forms = defining_forms(flag, spec.J, spec.space)
+        forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
         for v in (spec.d1, spec.d2):
             assert forms.beta(v).is_zero(), name
             assert forms.alpha(v).is_zero(), name
@@ -782,9 +823,10 @@ def test_totally_real_oscillating_variant_passes():
 
     inp = flat_torus_input()
     d1, d2 = build_An(inp, 3, "totally_real")
-    cert = totally_real_check(d1, d2, inp.J, inp.space)
+    ctx = Derivation(d1, d2, inp.J, inp.space)
+    cert = totally_real_check(ctx)
     assert cert.passed
-    assert not j_invariance_check(d1, d2, inp.J, inp.space).passed
+    assert not j_invariance_check(ctx).passed
 
 
 def test_frac_bracket_matches_plain_bracket():

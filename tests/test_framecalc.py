@@ -13,10 +13,12 @@ from engelcalc.framecalc import (
     KForm,
     VecField,
     bracket,
+    certify_no_common_zero,
     certify_nonvanishing,
+    det_of_fields,
     exterior_derivative,
-    global_rank,
     grid_points,
+    minors_of_fields,
     nijenhuis,
     wedge,
 )
@@ -341,7 +343,7 @@ def test_global_rank_sl2r_symbolic_constant():
     JA = J_STD.apply(A)
     B = bracket(A, JA, space)
     C = bracket(A, B, space)
-    cert = global_rank([A, JA, B, C], space)
+    cert = certify_nonvanishing(det_of_fields([A, JA, B, C]), space)
     assert cert.kind == "SYMBOLIC"
     # brute-force oracle: numeric determinant of the constant matrix
     det = np.linalg.det(numeric_matrix([A, JA, B, C], {}))
@@ -353,7 +355,7 @@ def test_global_rank_repeated_column_fails():
     v = VecField.of(1, 0, 0, 0)
     w = VecField.of(0, 1, 0, 0)
     u = VecField.of(0, 0, 1, 0)
-    cert = global_rank([v, v, w, u], space)
+    cert = certify_nonvanishing(det_of_fields([v, v, w, u]), space)
     assert cert.kind == "FAILED" and cert.witness == "identically zero"
 
 
@@ -367,7 +369,7 @@ def test_global_rank_torus_frame_with_sampling_oracle():
     JA = VecField.of(0, 1, theta[1], theta[0])
     B = bracket(A, JA, space)
     C = bracket(A, B, space)
-    cert = global_rank([A, JA, B, C], space)
+    cert = certify_nonvanishing(det_of_fields([A, JA, B, C]), space)
     assert cert.kind == "SYMBOLIC"
     expected = parse(cert.witness).evaluate({})
     rng = random.Random(13)
@@ -379,15 +381,17 @@ def test_global_rank_torus_frame_with_sampling_oracle():
 
 def test_global_rank_submaximal_family():
     space = FramedSpace()
-    cert = global_rank([VecField.basis(0), VecField.basis(2)], space)
+    cert = certify_no_common_zero(minors_of_fields([VecField.basis(0),
+                                                    VecField.basis(2)]), space)
     assert cert.kind == "SYMBOLIC"
-    bad = global_rank([VecField.basis(0), VecField.basis(0)], space)
+    bad = certify_no_common_zero(minors_of_fields([VecField.basis(0),
+                                                   VecField.basis(0)]), space)
     assert bad.kind == "FAILED"
 
 
 def test_global_rank_rejects_empty():
     with pytest.raises(ValueError):
-        global_rank([], FramedSpace())
+        certify_nonvanishing(det_of_fields([]), FramedSpace())
 
 
 # -- frame tables -------------------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from engelcalc.engelcheck import (
+    Derivation,
     PreconditionError,
     j_invariance_check,
     totally_real_check,
@@ -115,22 +116,23 @@ def test_monotone_tail_after_first_pass():
     n0 = res.n_star
     for n in range(n0, n0 + 5):
         a_n, ja_n = build_An(inp, n)
-        assert verify_engel(a_n, ja_n, inp.space, grid=17 * n).passed, n
+        assert verify_engel(Derivation(a_n, ja_n, inp.J, inp.space, 17 * n)).passed, n
 
 
 def test_span_is_j_invariant_for_every_level():
     inp = twisted_torus_input()
     for n in (1, 2, 3, 7):
         a_n, ja_n = build_An(inp, n)
-        assert j_invariance_check(a_n, ja_n, inp.J, inp.space).passed, n
+        assert j_invariance_check(Derivation(a_n, ja_n, inp.J, inp.space)).passed, n
 
 
 def test_totally_real_variant_certificates():
     inp = flat_torus_input()
     for n in (1, 2, 3, 5, 8):
         d1, d2 = build_An(inp, n, "totally_real")
-        assert totally_real_check(d1, d2, inp.J, inp.space).passed, n
-        assert not j_invariance_check(d1, d2, inp.J, inp.space).passed, n
+        ctx = Derivation(d1, d2, inp.J, inp.space)
+        assert totally_real_check(ctx).passed, n
+        assert not j_invariance_check(ctx).passed, n
 
 
 def test_input_rejects_wrong_projection_speed():

@@ -18,7 +18,6 @@ from engelcalc.framecalc import (
     certify_nonvanishing,
     certify_vanishing,
     exterior_derivative,
-    global_rank,
     grid_points,
     minors_of_fields,
     single_direction,
@@ -443,7 +442,7 @@ def test_no_common_zero_is_nonvanishing_of_the_sum_of_squares(ss, per_axis, tol)
 def test_global_rank_is_no_common_zero_of_the_minors(rows, per_axis, tol):
     sp = space()
     fields = [VecField.of(*row) for row in rows]
-    cert = global_rank(fields, sp, per_axis, tol)
+    cert = certify_no_common_zero(minors_of_fields(fields), sp, per_axis, tol)
     direct = certify_nonvanishing(direct_sum_of_squares(minors_of_fields(fields)),
                                   sp, per_axis, tol)
     assert _same_certificate(cert, direct)

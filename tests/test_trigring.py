@@ -818,3 +818,20 @@ def test_operations_leave_their_operands_alone(a, b):
         r * b, b * r, r + b, r - b, b - r, r - r, r * r, -r
         r.differentiate("x"), r.shift("t", Fraction(1, 3))
     assert [list(x.terms().items()) for x in watched] == before
+
+
+def test_the_exact_one_is_the_shared_one():
+    # TrigScalar.constant gives ONE for the exact value 1, so the ``is ONE``
+    # rules of apply, coordinate_derivative and extend_minors see the ones
+    # that enter through parse, derivation tables and catalog coefficients
+    from engelcalc.catalog import build_family
+
+    assert parse("1") is ONE
+    assert TrigScalar.constant(Fraction(2, 2)) is ONE and normalize(1) is ONE
+    assert TrigScalar.constant(PiScalar.from_pairs([(0, 1)])) is ONE
+    for name in ("torus_trig", "torus_bryant", "hyperelliptic_product"):
+        # the families on the coordinate torus, where E_i(c) = 1
+        space = build_family(name).space
+        entries = [s for row in space.derivation for s in row.values()]
+        assert len(entries) == 4, name
+        assert all(s is ONE for s in entries), name
