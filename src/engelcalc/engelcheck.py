@@ -15,7 +15,6 @@ constant, in which case plain division would leave the trig-polynomial ring.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -36,6 +35,7 @@ from .framecalc import (
     exterior_derivative,
     extend_minors,
     minors_of_fields,
+    nijenhuis,
     wedge,
 )
 from .trigring import ONE, TrigScalar, normalize
@@ -294,12 +294,17 @@ def characteristic_foliation(ctx: Derivation) -> VecField:
 
 
 def j_invariance_check(ctx: Derivation) -> Certificate:
-    """JD = D, certified by vanishing of the maximal minors of (D1, D2, JDi),
-    each extended from the context's 2x2 minors of (D1, D2)."""
-    scalars: list[TrigScalar] = []
-    for d in (ctx.d1, ctx.d2):
-        scalars.extend(extend_minors([ctx.J.apply(d)], minors=ctx.d_minors).values())
-    return certify_vanishing(scalars, ctx.space, ctx.grid,
+    """JD = D, certified by vanishing of the maximal minors of (D1, D2, J D1),
+    extended from the context's 2x2 minors of (D1, D2).
+
+    J D1 alone decides it.  Where D1 ^ D2 != 0, J D1 in D gives
+    J D1 = a D1 + b D2 with b != 0, since J has no real eigenvector; then
+    J D2 = -(D1 + a J D1) / b lies in D too.  Where D1 ^ D2 = 0, every
+    minor of (D1, D2, .) vanishes.  So the four minors vanish exactly when
+    the eight of (D1, D2, J D1) and (D1, D2, J D2) do.
+    """
+    minors = extend_minors([ctx.J.apply(ctx.d1)], minors=ctx.d_minors)
+    return certify_vanishing(list(minors.values()), ctx.space, ctx.grid,
                              note="minors of (D1, D2, J D_i)")
 
 
@@ -470,13 +475,19 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
 
 
 def nijenhuis_certificate(ctx: Derivation) -> Certificate:
-    """Certify N_J = 0 on all frame pairs (integrability of the context's J)."""
-    from .framecalc import nijenhuis
+    """Certify N_J = 0 (integrability of the context's J) on E1's frame row.
 
-    scalars: list[TrigScalar] = []
-    for i, j in itertools.combinations(range(4), 2):
-        n = nijenhuis(ctx.J, VecField.basis(i), VecField.basis(j), ctx.space)
-        scalars.extend(n.coeffs)
+    N is a tensor, antisymmetric, and N(Jv, w) = -J N(v, w), so also
+    N(v, Jw) = -J N(v, w).  At any point E1 and JE1 are independent, so
+    some E_b (b >= 2) lies outside their span and (E1, JE1, E_b, JE_b) is
+    a basis.  If N(E1, E_b) = 0 for b = 2, 3, 4, then N(E1, .) = 0, so
+    N(JE1, .) = -J N(E1, .) = 0 and N(E_b, JE_b) = -J N(E_b, E_b) = 0:
+    N vanishes on that basis.  So the 12 components of N(E1, E_b) decide
+    the claim.
+    """
+    e1 = VecField.basis(0)
+    scalars = [c for b in range(1, 4)
+               for c in nijenhuis(ctx.J, e1, VecField.basis(b), ctx.space).coeffs]
     return certify_vanishing(scalars, ctx.space, ctx.grid, note="Nijenhuis tensor")
 
 
@@ -565,19 +576,24 @@ class Derivation:
 
 @dataclass(frozen=True)
 class JofReebResult:
+    """The residual of the closed formula for J(T), its certificate, and
+    that of the d(alpha)^2 identity.  J(R)'s residual is -J(residual_T)."""
+
     residual_T: FracField
-    residual_R: FracField
     certificate: Certificate
     dalpha_identity: Certificate
 
 
 def jofreeb_residual(ctx: Derivation) -> JofReebResult:
-    """Residuals of the closed formulas for J(T) and J(R).
+    """Residual of the closed formula for J(T), which also decides J(R).
 
     With q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX the expected identities
-    are J(T) = R + q1 W + q2 JW and J(R) = -T + q2 W - q1 JW.  They rely on
-    the integrability of J, so a nonzero Nijenhuis tensor rejects the check.
-    Additionally certifies d(alpha)^2 = -2 d_WR alpha ^ beta ^ d(beta).
+    are J(T) = R + q1 W + q2 JW and J(R) = -T + q2 W - q1 JW.  Applying J
+    to res_T = J(T) - R - q1 W - q2 JW gives, by J^2 = -1, exactly
+    -(J(R) + T - q2 W + q1 JW) = -res_R, so res_T's numerators alone are
+    certified.  The identities rely on the integrability of J, so a nonzero
+    Nijenhuis tensor rejects the check.  Additionally certifies
+    d(alpha)^2 = -2 d_WR alpha ^ beta ^ d(beta).
     """
     if not ctx.nijenhuis.passed:
         raise PreconditionError("J is not integrable (nonzero Nijenhuis tensor); "
@@ -589,18 +605,15 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
     q2 = sf.d_XR * c_inv
     res_t = (forms.T.apply_J(J) - forms.R
              - FracField(w).scale(q1) - FracField(x).scale(q2))
-    res_r = (forms.R.apply_J(J) + forms.T
-             - FracField(w).scale(q2) + FracField(x).scale(q1))
-    cert = certify_vanishing(
-        list(res_t.raw.coeffs) + list(res_r.raw.coeffs), space, grid,
-        note="J(T), J(R) rotation residuals (numerators)")
+    cert = certify_vanishing(list(res_t.raw.coeffs), space, grid,
+                             note="J(T), J(R) rotation residuals (numerators)")
 
     lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
     identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * forms.abdb
     dalpha_cert = certify_vanishing([identity], space, grid,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
-    return JofReebResult(res_t, res_r, cert, dalpha_cert)
+    return JofReebResult(res_t, cert, dalpha_cert)
 
 
 # -- splitting, transverse fields, K-structure ----------------------------------

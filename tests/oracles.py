@@ -3,13 +3,17 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
-``direct_w_residuals``,
+``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
+``closed_jr_residual``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
 ``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
 expansions that shortcuts or shared helpers in the code replaced (the flag
 reads alpha off the minors of (D1, D2) it extends by E3, where
 ``annihilating_form`` takes the maximal minors of (D1, D2, E3) afresh; the
+J-claims are certified on the witnesses J leaves free, N_J on E1's frame
+row, JD = D on J D1 and the Reeb rotation on J(T)'s residual, where the
+three oracles take every frame pair, both J D_i and J(R)'s own residual; the
 K-check reads one coframe where Cramer's rule took five 4x4 determinants per
 commutator; ``FramedSpace.apply`` sums v(c) * ds/dc over the coordinates c,
 where the frame-by-frame formula differentiates s once per frame field; the
@@ -39,18 +43,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from engelcalc.engelcheck import Frac
+from engelcalc.engelcheck import Frac, FracField
 from engelcalc.framecalc import (
+    ComplexStructure,
     FramedSpace,
     KForm,
     VecField,
     bracket,
     det_of_fields,
     minors_of_fields,
+    nijenhuis,
 )
 from engelcalc.trigring import (
     _CONST_WAVE,
     FREQ_ZERO,
+    ONE,
     ZERO,
     Frequency,
     PiScalar,
@@ -75,6 +82,30 @@ def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
     """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
     return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
+
+
+def six_pair_nijenhuis(J: ComplexStructure, space: FramedSpace) -> list:
+    """The components of N_J(E_i, E_j) on all six frame pairs i < j."""
+    return [c for i, j in itertools.combinations(range(4), 2)
+            for c in nijenhuis(J, VecField.basis(i), VecField.basis(j), space).coeffs]
+
+
+def eight_jd_minors(d1: VecField, d2: VecField, J: ComplexStructure) -> list:
+    """The maximal minors of (D1, D2, J D1) and of (D1, D2, J D2), each
+    taken afresh."""
+    return [m for d in (d1, d2) for m in minors_of_fields([d1, d2, J.apply(d)])]
+
+
+def closed_jr_residual(ctx) -> FracField:
+    """J(R) + T - q2 W + q1 JW, the residual of the closed formula for J(R),
+    with q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX, from the stages of the
+    Derivation ``ctx``."""
+    forms, sf = ctx.forms, ctx.sf
+    c_inv = Frac(ONE, sf.c_WX)
+    q1 = (sf.d_WR + sf.d_XT) * c_inv
+    q2 = sf.d_XR * c_inv
+    return (forms.R.apply_J(ctx.J) + forms.T
+            - FracField(ctx.w).scale(q2) + FracField(ctx.x).scale(q1))
 
 
 def cramer_coefficients(target, basis) -> list[Frac] | None:

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from engelcalc import engelcheck, framecalc
 from engelcalc.engelcheck import (
@@ -43,14 +45,17 @@ from engelcalc.framecalc import (
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.laws import _law_space, _random_scalar
 from engelcalc.manifest import load_manifest
-from engelcalc.trigring import ONE, Frequency, TrigScalar, normalize, parse
+from engelcalc.trigring import ONE, ZERO, Frequency, TrigScalar, normalize, parse
 
 from oracles import (
     annihilating_form,
+    closed_jr_residual,
     cramer_coefficients,
     direct_w_residuals,
+    eight_jd_minors,
     numeric_matrix,
     random_points,
+    six_pair_nijenhuis,
 )
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
@@ -309,6 +314,111 @@ def test_j_invariance_of_complex_plane():
     assert j_invariance_check(_context("hopf_s3r")).passed
 
 
+# -- the J-claims on the witnesses J leaves free --------------------------------
+
+TORUS_COORDS = ("x1", "x2", "x3", "x4")
+TORUS = FramedSpace(coords=TORUS_COORDS,
+                    derivation={(i, c): 1 for i, c in enumerate(TORUS_COORDS)})
+J_PAIRINGS = (J_STD, ComplexStructure.pairing(0, 2, 1, 3),
+              ComplexStructure.pairing(0, 3, 2, 1))
+
+
+def _matmul(a, b):
+    return [[sum((a[i][m] * b[m][j] for m in range(4)), ZERO) for j in range(4)]
+            for i in range(4)]
+
+
+@st.composite
+def rotated_j(draw, coords=TORUS_COORDS):
+    """R J0 R^T, R the rotation of the frame plane (p, q) by k * c for one
+    of the coordinates c; non-constant where (p, q) is no J0-line."""
+    j0 = draw(st.sampled_from(J_PAIRINGS))
+    p, q = draw(st.sampled_from(list(itertools.combinations(range(4), 2))))
+    k, c = draw(st.integers(1, 3)), draw(st.sampled_from(coords))
+    cos = TrigScalar.cosine({c: Frequency.of(k)})
+    sin = TrigScalar.sine({c: Frequency.of(k)})
+    r = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    r[p][p], r[p][q], r[q][p], r[q][q] = cos, -sin, sin, cos
+    r_t = [list(row) for row in zip(*r)]
+    J = ComplexStructure(_matmul(_matmul(r, j0.matrix), r_t))
+    assume(any(e.constant_value() is None for row in J.matrix for e in row))
+    return J
+
+
+def _assert_row_decides_nijenhuis(J, space):
+    # the certificate on E1's row has the kind of the one on all six pairs,
+    # and N(J E_i, E_j) = -J N(E_i, E_j) holds exactly on every pair
+    cert = nijenhuis_certificate(Derivation(None, None, J, space))
+    assert cert.kind == certify_vanishing(six_pair_nijenhuis(J, space), space).kind
+    for i in range(4):
+        for j in range(4):
+            ei, ej = VecField.basis(i), VecField.basis(j)
+            assert framecalc.nijenhuis(J, J.apply(ei), ej, space) == \
+                -J.apply(framecalc.nijenhuis(J, ei, ej, space))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rotated_j())
+def test_nijenhuis_row_of_e1_decides_on_rotated_j(J):
+    _assert_row_decides_nijenhuis(J, TORUS)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_nijenhuis_row_of_e1_decides_on_every_family(name):
+    # the family's own J, and the pairings sending E1 to E2, E3 and E4 over
+    # its frame, where N(E1, JE1) = 0 holds whatever J is
+    spec = family(name)
+    for J in (spec.J,) + J_PAIRINGS:
+        _assert_row_decides_nijenhuis(J, spec.space)
+
+
+# the plane fields and their J vary along x1 and x2 only, so that a
+# certificate that fails samples a 2-coordinate grid
+PLANE_COORDS = TORUS_COORDS[:2]
+
+
+@st.composite
+def torus_scalars(draw):
+    out = TrigScalar.constant(draw(st.integers(-2, 2)))
+    for _ in range(draw(st.integers(0, 2))):
+        wave = draw(st.sampled_from((TrigScalar.cosine, TrigScalar.sine)))
+        coord = draw(st.sampled_from(PLANE_COORDS))
+        out = out + wave({coord: Frequency.of(draw(st.integers(1, 2)))},
+                         coeff=draw(st.integers(-3, 3)))
+    return out
+
+
+@st.composite
+def plane_fields(draw):
+    """J and (A, B): A random, B one of JA, f JA + g A, sin(x1) JA (rank
+    drops where sin(x1) = 0), or random."""
+    J = draw(st.one_of(st.sampled_from(J_PAIRINGS), rotated_j(PLANE_COORDS)))
+    a = VecField.of(*draw(st.lists(torus_scalars(), min_size=4, max_size=4)))
+    ja = J.apply(a)
+    kind = draw(st.sampled_from(("JA", "fJA+gA", "sin(x1)JA", "random")))
+    if kind == "JA":
+        b = ja
+    elif kind == "fJA+gA":
+        b = ja.scale(draw(torus_scalars())) + a.scale(draw(torus_scalars()))
+    elif kind == "sin(x1)JA":
+        b = ja.scale(TrigScalar.sine({"x1": Frequency.of(1)}))
+    else:
+        b = VecField.of(*draw(st.lists(torus_scalars(), min_size=4, max_size=4)))
+    return J, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_fields())
+def test_j_invariance_on_j_d1_decides_the_eight_minors(case):
+    # the four minors of (D1, D2, J D1) vanish exactly when all eight of
+    # (D1, D2, J D_i) do, and the certificate passes exactly then
+    J, a, b = case
+    cert = j_invariance_check(Derivation(a, b, J, TORUS))
+    eight = eight_jd_minors(a, b, J)
+    assert (cert.kind == "SYMBOLIC") == all(m.is_zero() for m in eight)
+    assert cert.passed == certify_vanishing(eight, TORUS).passed
+
+
 def test_j_invariance_fails_for_totally_real_plane():
     space = FramedSpace()
     d1, d2 = VecField.basis(0), VecField.basis(2)
@@ -464,23 +574,72 @@ def _context(name):
     return Derivation(spec.d1, spec.d2, spec.J, spec.space)
 
 
+def _minus_j_of_t_against_r(res_t, res_r, J):
+    """-J(res_T) - res_R, cross-multiplied over the two denominators."""
+    return (-res_t.apply_J(J)).raw.scale(res_r.den) - res_r.raw.scale(res_t.den)
+
+
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
 def test_jofreeb_residual_symbolically_zero(name):
-    res = jofreeb_residual(_context(name))
+    ctx = _context(name)
+    res = jofreeb_residual(ctx)
+    res_r = closed_jr_residual(ctx)
     assert res.certificate.kind == "SYMBOLIC"
-    assert res.residual_T.is_zero() and res.residual_R.is_zero()
+    assert res.residual_T.is_zero() and res_r.is_zero()
+    assert _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J).is_zero()
     assert res.dalpha_identity.kind == "SYMBOLIC"
 
 
 def test_jofreeb_residual_numeric_sampling_agreement():
-    # the residual numerators must vanish at 100 random points as floats
-    res = jofreeb_residual(_context("hopf_s3r"))
-    rng = random.Random(9)
-    for _ in range(100):
-        p = {}
+    # the residual numerators, and -J(res_T) against the closed J(R)
+    # residual, must vanish at 100 random points as floats
+    ctx = _context("hopf_s3r")
+    res = jofreeb_residual(ctx)
+    res_r = closed_jr_residual(ctx)
+    cross = _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J)
+    for p in random_points(ctx.space, random.Random(9), 100):
         vals = [c.evaluate(p) for c in res.residual_T.raw.coeffs]
-        vals += [c.evaluate(p) for c in res.residual_R.raw.coeffs]
+        vals += [c.evaluate(p) for c in res_r.raw.coeffs]
+        vals += [c.evaluate(p) for c in cross.coeffs]
         assert max(abs(v) for v in vals) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["hopf_s3r", "kodaira_primary"])
+def test_jr_residual_is_minus_j_of_the_jt_residual_off_the_identity(name):
+    # with T moved off the Reeb field both residuals are nonzero, and
+    # J(res_T) = -res_R still holds exactly, by J^2 = -1 alone
+    ctx = _context(name)
+    forms = ctx.forms
+    ctx.sf  # the structure functions read the true T
+    vars(ctx)["forms"] = dataclasses.replace(forms, T=forms.T + FracField(ctx.w))
+    res = jofreeb_residual(ctx)
+    res_r = closed_jr_residual(ctx)
+    assert not res.residual_T.is_zero() and not res_r.is_zero()
+    assert res.certificate.kind == "FAILED"
+    assert _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J).is_zero()
+
+
+def test_each_j_claim_takes_only_its_deciding_witnesses(monkeypatch):
+    # N_J is certified on E1's frame row, three pairs of four brackets each,
+    # and JD = D extends the plane field's minors by J D1 alone
+    brackets = _count_calls(monkeypatch, "bracket", framecalc, engelcheck)
+    columns = []
+    extend = framecalc.extend_minors
+
+    def recording(fields, rows=None, minors=None):
+        columns.append((list(fields), minors))
+        return extend(fields, rows, minors)
+
+    monkeypatch.setattr(engelcheck, "extend_minors", recording)
+    for fam in FAMILIES:
+        ctx = _context(fam)
+        ctx.d_minors  # derive the stage before counting
+        brackets.clear()
+        nijenhuis_certificate(ctx)
+        assert len(brackets) == 12, fam
+        columns.clear()
+        j_invariance_check(ctx)
+        assert columns == [([ctx.J.apply(ctx.d1)], ctx.d_minors)], fam
 
 
 def test_jofreeb_gate_rejects_non_integrable():

@@ -335,7 +335,7 @@ def test_hopf_even_contact_form_nonzero():
 # -- rank certificates ------------------------------------------------------------
 
 
-def test_global_rank_sl2r_symbolic_constant():
+def test_frame_determinant_sl2r_symbolic_constant():
     space = FramedSpace(frame=("X1", "X2", "X3", "X4"),
                         structure={(0, 1): (0, 0, 1, 0), (1, 2): (1, 0, 0, 0),
                                    (0, 2): (0, 1, 0, 0)})
@@ -350,7 +350,7 @@ def test_global_rank_sl2r_symbolic_constant():
     assert det == pytest.approx(parse(cert.witness).evaluate({}), abs=1e-9)
 
 
-def test_global_rank_repeated_column_fails():
+def test_frame_determinant_repeated_column_fails():
     space = FramedSpace()
     v = VecField.of(1, 0, 0, 0)
     w = VecField.of(0, 1, 0, 0)
@@ -359,7 +359,7 @@ def test_global_rank_repeated_column_fails():
     assert cert.kind == "FAILED" and cert.witness == "identically zero"
 
 
-def test_global_rank_torus_frame_with_sampling_oracle():
+def test_frame_determinant_torus_with_sampling_oracle():
     # coefficients with pi-frequency waves; the determinant collapses to a
     # constant symbolically, which a 10^4-point numeric sample must confirm
     space = FramedSpace(frame=("e1", "e2", "e3", "e4"), coords=("x1",),
@@ -379,7 +379,7 @@ def test_global_rank_torus_frame_with_sampling_oracle():
     assert worst == pytest.approx(abs(expected), rel=1e-9)
 
 
-def test_global_rank_submaximal_family():
+def test_two_field_rank_by_no_common_zero_of_minors():
     space = FramedSpace()
     cert = certify_no_common_zero(minors_of_fields([VecField.basis(0),
                                                     VecField.basis(2)]), space)
@@ -389,7 +389,7 @@ def test_global_rank_submaximal_family():
     assert bad.kind == "FAILED"
 
 
-def test_global_rank_rejects_empty():
+def test_determinant_of_no_fields_is_rejected():
     with pytest.raises(ValueError):
         certify_nonvanishing(det_of_fields([]), FramedSpace())
 

@@ -439,7 +439,7 @@ def test_no_common_zero_is_nonvanishing_of_the_sum_of_squares(ss, per_axis, tol)
 @given(st.lists(st.lists(scalars(max_waves=1), min_size=4, max_size=4),
                 min_size=1, max_size=3),
        st.integers(1, 3), TOLERANCES)
-def test_global_rank_is_no_common_zero_of_the_minors(rows, per_axis, tol):
+def test_no_common_zero_of_minors_is_nonvanishing_of_their_sum_of_squares(rows, per_axis, tol):
     sp = space()
     fields = [VecField.of(*row) for row in rows]
     cert = certify_no_common_zero(minors_of_fields(fields), sp, per_axis, tol)
