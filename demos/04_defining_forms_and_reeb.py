@@ -11,7 +11,8 @@ from engelcalc.engelcheck import (
     Derivation, j_engel_splitting, jofreeb_residual, k_engel_check,
     transverse_engel_check,
 )
-from engelcalc.framecalc import VecField
+from engelcalc.framecalc import VecField, exterior_derivative, wedge
+from engelcalc.trigring import normalize
 
 
 def context(name):
@@ -36,10 +37,19 @@ res = jofreeb_residual(ctx)
 print(f"  J(T), J(R) residuals: {res.certificate.kind}")
 print(f"  d(alpha)^2 = -2 d_WR alpha^beta^d(beta): {res.dalpha_identity.kind}")
 
-print("\n== the splitting ignores the choice of alpha ==")
-split = j_engel_splitting(ctx)
-print(f"  scalings tested: {split.tested_scalings}; "
-      f"certificate {split.invariance.kind}")
+print("\n== the splitting W + JW + JZ + Z, Z = span(R) ==")
+for label, field in zip(("W", "JW", "JZ", "Z"), j_engel_splitting(ctx)):
+    print(f"  {label:2s} = {[str(c) for c in field.as_field().coeffs]}")
+# Z ignores the choice of alpha: (lambda beta) ^ d(lambda beta) is
+# lambda^2 beta ^ d(beta), since beta ^ beta = 0; shown on the twisted torus,
+# whose forms depend on x1, with a lambda that does too
+torus = context("torus_trig")
+lam = normalize("2 + cos(2*pi*x1)")
+scaled = torus.forms.beta.scale(lam)
+lhs = wedge(scaled, exterior_derivative(scaled, torus.space))
+print(f"  (lambda beta) ^ d(lambda beta) = lambda^2 beta ^ d(beta) "
+      f"for lambda = {lam} on torus_trig: "
+      f"{lhs == torus.forms.beta_dbeta.scale(lam * lam)}")
 
 print("\n== transverse symmetry and K-compatibility ==")
 rep = k_engel_check(ctx)

@@ -38,7 +38,7 @@ from .framecalc import (
     nijenhuis,
     wedge,
 )
-from .trigring import ONE, TrigScalar, normalize
+from .trigring import ONE, TrigScalar
 
 __all__ = [
     "CheckError",
@@ -369,31 +369,6 @@ def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
     return KForm.one_form([alpha(J.apply(VecField.basis(i))) for i in range(4)])
 
 
-def _reeb_from_threeform(
-    omega: KForm,
-    den: TrigScalar,
-    zero_form: KForm,
-    ctx: Derivation,
-    label: str,
-    certs: dict[str, Certificate],
-) -> FracField:
-    """K / den, K the kernel field of omega, and ``zero_form`` must kill K.
-
-    theta(K) vol = theta ^ omega for any 1-form theta, so the normaliser
-    ``den`` is +-(alpha ^ beta ^ d(beta)), certified nowhere zero already:
-    K is nonzero, and its certificate restates that under the field's name.
-    """
-    kernel = omega.kernel_field()
-    certs[f"{label}_normaliser"] = certify_nonvanishing(
-        den, ctx.space, ctx.grid, ctx.tol, note=f"{label} normaliser")
-    certs[f"{label}_annihilation"] = certify_vanishing(
-        [zero_form(kernel)], ctx.space, ctx.grid,
-        note=f"{label} annihilates the complementary form")
-    if not certs[f"{label}_annihilation"].passed:
-        raise VerificationError(f"{label}: complementary pairing does not vanish")
-    return FracField(kernel, den)
-
-
 def defining_forms(ctx: Derivation) -> DefiningForms:
     """Construct alpha (annihilating E), beta = alpha o J, and the Reeb pair
     from the context's flag.
@@ -403,9 +378,17 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
     raw form), and d(alpha / c) = d(alpha) / c is the flag's d(alpha) over c:
     only d(beta) is taken here.  The three defining-form conditions are
     certified and a failure raises: it signals either a non-Engel plane field
-    or a beta outside the expected conformal class.  T and R normalise the
-    kernel fields by beta(K_T) = -abdb and alpha(K_R) = abdb
-    (``_reeb_from_threeform``).
+    or a beta outside the expected conformal class.
+
+    The Reeb pair is read off alpha ^ beta ^ d(beta), whose top coefficient
+    ``abdb`` is certified nowhere zero here.  Let K be the kernel field of a
+    3-form omega, so that i_K vol = omega.  For every 1-form theta,
+    theta(K) vol = theta ^ omega: contract the zero 5-form theta ^ vol with
+    K.  So the kernel field K_T of alpha ^ d(beta) has beta(K_T) = -abdb and
+    alpha(K_T) = 0 (alpha ^ alpha = 0), and the kernel field K_R of
+    beta ^ d(beta) has alpha(K_R) = abdb and beta(K_R) = 0 (beta ^ beta = 0).
+    T = K_T / -abdb and R = K_R / abdb are then the Reeb pair, with
+    beta(T) = alpha(R) = 1, and nothing about them is left to certify.
     """
     flag, space, grid, tol = ctx.flag, ctx.space, ctx.grid, ctx.tol
     if not flag.passed:
@@ -426,7 +409,8 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
     certs["alpha_da_nonzero"] = certify_no_common_zero(
         list(ada.terms.values()), space, grid, tol, note="alpha ^ d(alpha) != 0")
 
-    abdb = wedge(wedge(alpha, beta), d_beta).component((0, 1, 2, 3))
+    beta_dbeta = wedge(beta, d_beta)
+    abdb = wedge(alpha, beta_dbeta).component((0, 1, 2, 3))
     certs["alpha_beta_dbeta_nonzero"] = certify_nonvanishing(
         abdb, space, grid, tol, note="alpha ^ beta ^ d(beta) != 0")
 
@@ -440,9 +424,8 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
         if not certs[key].passed:
             raise VerificationError(f"defining-form condition failed: {key}")
 
-    T = _reeb_from_threeform(wedge(alpha, d_beta), -abdb, alpha, ctx, "T", certs)
-    beta_dbeta = wedge(beta, d_beta)
-    R = _reeb_from_threeform(beta_dbeta, abdb, beta, ctx, "R", certs)
+    T = FracField(wedge(alpha, d_beta).kernel_field(), -abdb)
+    R = FracField(beta_dbeta.kernel_field(), abdb)
     return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
                          certs, normalization)
 
@@ -475,18 +458,21 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
 
 
 def nijenhuis_certificate(ctx: Derivation) -> Certificate:
-    """Certify N_J = 0 (integrability of the context's J) on E1's frame row.
+    """Certify N_J = 0 (integrability of the context's J) on two pairs,
+    N(E1, E2) and N(E1, E3).
 
     N is a tensor, antisymmetric, and N(Jv, w) = -J N(v, w), so also
-    N(v, Jw) = -J N(v, w).  At any point E1 and JE1 are independent, so
-    some E_b (b >= 2) lies outside their span and (E1, JE1, E_b, JE_b) is
-    a basis.  If N(E1, E_b) = 0 for b = 2, 3, 4, then N(E1, .) = 0, so
-    N(JE1, .) = -J N(E1, .) = 0 and N(E_b, JE_b) = -J N(E_b, E_b) = 0:
-    N vanishes on that basis.  So the 12 components of N(E1, E_b) decide
-    the claim.
+    N(v, Jw) = -J N(v, w).  At any point span(E1, JE1) is a plane, so it
+    cannot hold both E2 and E3: some E_b, b in {2, 3}, lies outside it, and
+    since two distinct J-invariant planes meet only in zero,
+    (E1, JE1, E_b, JE_b) is a basis.  If N(E1, E_b) = 0, then so are
+    N(E1, JE_b) = N(JE1, E_b) = -J N(E1, E_b) and N(JE1, JE_b) =
+    -N(E1, E_b); N(E1, JE1) = -J N(E1, E1) = 0 and N(E_b, JE_b) = 0
+    likewise, so N vanishes on that basis.  So the 8 components of
+    N(E1, E2) and N(E1, E3) decide the claim.
     """
     e1 = VecField.basis(0)
-    scalars = [c for b in range(1, 4)
+    scalars = [c for b in (1, 2)
                for c in nijenhuis(ctx.J, e1, VecField.basis(b), ctx.space).coeffs]
     return certify_vanishing(scalars, ctx.space, ctx.grid, note="Nijenhuis tensor")
 
@@ -619,44 +605,30 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
 # -- splitting, transverse fields, K-structure ----------------------------------
 
 
-@dataclass(frozen=True)
-class SplittingResult:
-    invariance: Certificate
-    tested_scalings: tuple[str, ...]
+def j_engel_splitting(ctx: Derivation) -> tuple[FracField, FracField,
+                                                 FracField, FracField]:
+    """The splitting TM = W + JW + JZ + Z of a J-Engel structure, with
+    Z = span(R), as the fields (W, JW, JR, R) read from the context.
 
+    The four fields frame TM.  D is the intersection of ker(alpha) and
+    ker(beta): D lies in E = ker(alpha), beta(D) = alpha(JD) = alpha(D) = 0,
+    and alpha ^ beta vanishes nowhere, as alpha ^ beta ^ d(beta) is certified
+    nowhere zero.  Now alpha(R) = 1 and beta(R) = 0, so alpha(JR) = beta(R)
+    = 0 and beta(JR) = -alpha(R) = -1.  Applying alpha to
+    a W + b JW + c JR + d R = 0 gives d = 0, then applying beta gives c = 0,
+    and W, JW frame D: W vanishes nowhere by the flag's certificates, and J
+    has no real eigenvector.
 
-def j_engel_splitting(ctx: Derivation) -> SplittingResult:
-    """Certify that the line field Z = span(R) of the splitting
-    W + JW + Z + JZ of TM does not depend on the choice of alpha.
-
-    Z must not move when alpha is replaced by lambda*alpha: for each tested
-    nowhere-zero lambda the raw Reeb direction of the rescaled forms, the
-    kernel of beta_lambda ^ d(beta_lambda) with beta_lambda = lambda*beta,
-    must stay proportional to R at every point.
+    Z does not depend on the choice of alpha: for a nowhere-zero lambda,
+    (lambda beta) ^ d(lambda beta) = lambda^2 beta ^ d(beta) since
+    beta ^ beta = 0, so the rescaled forms have the kernel field lambda^2 K_R.
     """
     if not ctx.flag.passed:
         raise PreconditionError("splitting needs a certified Engel structure")
     if not ctx.j_invariance.passed:
         raise PreconditionError("splitting needs JD = D")
-    forms, space = ctx.forms, ctx.space
-    scalings = ["2", "3/2"]
-    if space.coords:
-        scalings.append(f"2 + cos({space.coords[0]})")
-    base = forms.R.raw
-    residuals: list[TrigScalar] = []
-    labels = []
-    for lam in scalings:
-        lam_s = normalize(lam)
-        labels.append(str(lam_s))
-        beta_l = forms.beta.scale(lam_s)
-        kernel = wedge(beta_l, exterior_derivative(beta_l, space)).kernel_field()
-        if kernel.is_zero():
-            raise VerificationError(f"rescaled Reeb direction vanished for "
-                                    f"lambda = {lam_s}")
-        residuals.extend(minors_of_fields([base, kernel]))
-    cert = certify_vanishing(residuals, space, ctx.grid,
-                             note="span(R_lambda) = span(R)")
-    return SplittingResult(cert, tuple(labels))
+    r = ctx.forms.R
+    return FracField(ctx.w), FracField(ctx.x), r.apply_J(ctx.J), r
 
 
 @dataclass(frozen=True)

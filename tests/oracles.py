@@ -4,17 +4,19 @@ These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
 ``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
-``closed_jr_residual``,
+``closed_jr_residual``, ``rescaled_reeb_direction``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
 ``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
 expansions that shortcuts or shared helpers in the code replaced (the flag
 reads alpha off the minors of (D1, D2) it extends by E3, where
 ``annihilating_form`` takes the maximal minors of (D1, D2, E3) afresh; the
-J-claims are certified on the witnesses J leaves free, N_J on E1's frame
-row, JD = D on J D1 and the Reeb rotation on J(T)'s residual, where the
-three oracles take every frame pair, both J D_i and J(R)'s own residual; the
-K-check reads one coframe where Cramer's rule took five 4x4 determinants per
+J-claims are certified on the witnesses J leaves free, N_J on two pairs of
+E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
+where the three oracles take every frame pair, both J D_i and J(R)'s own
+residual; the splitting reads Z = span(R) off the forms, where
+``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
+afresh; the K-check reads one coframe where Cramer's rule took five 4x4 determinants per
 commutator; ``FramedSpace.apply`` sums v(c) * ds/dc over the coordinates c,
 where the frame-by-frame formula differentiates s once per frame field; the
 ring
@@ -51,8 +53,10 @@ from engelcalc.framecalc import (
     VecField,
     bracket,
     det_of_fields,
+    exterior_derivative,
     minors_of_fields,
     nijenhuis,
+    wedge,
 )
 from engelcalc.trigring import (
     _CONST_WAVE,
@@ -106,6 +110,14 @@ def closed_jr_residual(ctx) -> FracField:
     q2 = sf.d_XR * c_inv
     return (forms.R.apply_J(ctx.J) + forms.T
             - FracField(ctx.w).scale(q2) + FracField(ctx.x).scale(q1))
+
+
+def rescaled_reeb_direction(beta: KForm, lam: TrigScalar,
+                            space: FramedSpace) -> VecField:
+    """The kernel field of (lam beta) ^ d(lam beta), the raw Reeb direction
+    of the forms rescaled by lam, with d taken afresh."""
+    beta_l = beta.scale(lam)
+    return wedge(beta_l, exterior_derivative(beta_l, space)).kernel_field()
 
 
 def cramer_coefficients(target, basis) -> list[Frac] | None:

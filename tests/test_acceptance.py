@@ -22,7 +22,7 @@ from engelcalc.engelcheck import (
     nijenhuis_certificate,
     verify_engel,
 )
-from engelcalc.framecalc import IDENTITY_TOL, VecField, nijenhuis
+from engelcalc.framecalc import IDENTITY_TOL, VecField, minors_of_fields, nijenhuis
 from engelcalc.geiges import (
     build_An,
     flat_torus_input,
@@ -32,6 +32,8 @@ from engelcalc.geiges import (
     twisted_torus_input,
 )
 from engelcalc.laws import run_law_suite
+from engelcalc.trigring import normalize
+from oracles import rescaled_reeb_direction
 
 
 def report(n: int, passed: bool, detail: str) -> None:
@@ -127,21 +129,22 @@ def test_criterion_4_k_engel():
 
 
 def test_criterion_5_splitting_invariance():
-    assert IDENTITY_TOL == 1e-9  # the invariance certificate's tolerance
+    # the splitting reads Z = span(R) off the forms; the Reeb direction of
+    # each rescaled pair, derived afresh, must span the same line exactly
     for name in FAMILIES:
         spec = build_family(name)
-        result = j_engel_splitting(Derivation(spec.d1, spec.d2, spec.J,
-                                              spec.space))
-        assert result.invariance.passed, name
-        ok = result.invariance.kind == "SYMBOLIC" or \
-            result.invariance.bound < 1e-9
-        assert ok, name
-        expected = {"2", "3/2"}
+        ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+        *_, z = j_engel_splitting(ctx)
+        assert z is ctx.forms.R, name
+        scalings = ["2", "3/2"]
         if spec.space.coords:
-            expected.add(f"2 + cos({spec.space.coords[0]})")
-        assert set(result.tested_scalings) == expected, name
-    report(5, True, "span(R_lambda) = span(R) for lambda in {2, 3/2, 2+cos} "
-                    "on every family (symbolic or residual < 1e-9)")
+            scalings.append(f"2 + cos({spec.space.coords[0]})")
+        for lam in scalings:
+            k = rescaled_reeb_direction(ctx.forms.beta, normalize(lam), spec.space)
+            assert not k.is_zero(), (name, lam)
+            assert all(m.is_zero() for m in minors_of_fields([z.raw, k])), (name, lam)
+    report(5, True, "span(R_lambda) = span(R) exactly for lambda in "
+                    "{2, 3/2, 2+cos} on every family")
 
 
 def test_criterion_6_mapping_torus_construction():

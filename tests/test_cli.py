@@ -14,8 +14,12 @@ from hypothesis import given, settings, strategies as st
 from engelcalc import cli
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, main, run_verify
-from engelcalc.framecalc import VecField, bracket
+from engelcalc.engelcheck import Derivation
+from engelcalc.framecalc import VecField, bracket, certify_nonvanishing
 from engelcalc.manifest import dump_manifest, load_manifest, manifest_from_parts
+from engelcalc.trigring import ONE
+
+from oracles import rescaled_reeb_direction
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -139,16 +143,21 @@ def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
 
 
 def test_one_scalar_gets_one_bound_whatever_its_route():
-    # alpha(R) = -beta(T) = the top coefficient of alpha ^ beta ^ d(beta) is
-    # one exact scalar, reached by three routes that insert its terms in
+    # alpha(K_R) = -beta(K_T) = the top coefficient of alpha ^ beta ^ d(beta)
+    # is one exact scalar, reached by three routes that insert its terms in
     # different orders; its bound must not depend on the route
-    rep = run_verify(str(FIXTURES / "sampled_clear_1coord.json"), grid=11)
-    bounds = {r.name: r.certificate.bound for r in rep.records
-              if r.certificate is not None}
-    names = ("forms.R_normaliser", "forms.T_normaliser",
-             "forms.alpha_beta_dbeta_nonzero")
-    assert bounds[names[0]] is not None
-    assert len({bounds[name] for name in names}) == 1
+    path = FIXTURES / "sampled_clear_1coord.json"
+    rep = run_verify(str(path), grid=11)
+    bound = next(r.certificate.bound for r in rep.records
+                 if r.name == "forms.alpha_beta_dbeta_nonzero")
+    assert bound is not None
+    mf = load_manifest(path.read_text())
+    forms = Derivation(mf.d1, mf.d2, mf.J, mf.space, grid=11).forms
+    routes = (forms.alpha(rescaled_reeb_direction(forms.beta, ONE, mf.space)),
+              -forms.beta(forms.T.raw))
+    for witness in routes:
+        assert witness == forms.abdb
+        assert certify_nonvanishing(witness, mf.space, 11).bound == bound
 
 
 # every scalar member of a manifest, as a path into the document
@@ -723,7 +732,8 @@ def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch):
         for rec in rep.records:
             if rec.certificate is not None and rec.name not in CONSTRUCTION_CHECKS:
                 assert from_certifier(rec.certificate), (family, rec.name)
-        assert {r.name for r in rep.records} >= {"engel.rank_tm", "forms.T_normaliser"}
+        assert {r.name for r in rep.records} >= {"engel.rank_tm",
+                                                 "forms.alpha_beta_dbeta_nonzero"}
 
     flags = []
     verify = engelcheck.verify_engel

@@ -36,6 +36,7 @@ from engelcalc.framecalc import (
     KForm,
     VecField,
     bracket,
+    certify_nonvanishing,
     certify_vanishing,
     det_of_fields,
     exterior_derivative,
@@ -55,6 +56,7 @@ from oracles import (
     eight_jd_minors,
     numeric_matrix,
     random_points,
+    rescaled_reeb_direction,
     six_pair_nijenhuis,
 )
 
@@ -346,8 +348,9 @@ def rotated_j(draw, coords=TORUS_COORDS):
 
 
 def _assert_row_decides_nijenhuis(J, space):
-    # the certificate on E1's row has the kind of the one on all six pairs,
-    # and N(J E_i, E_j) = -J N(E_i, E_j) holds exactly on every pair
+    # the certificate on N(E1, E2) and N(E1, E3), two pairs of E1's row, has
+    # the kind of the one on all six pairs, and N(J E_i, E_j) = -J N(E_i, E_j)
+    # holds exactly on every pair
     cert = nijenhuis_certificate(Derivation(None, None, J, space))
     assert cert.kind == certify_vanishing(six_pair_nijenhuis(J, space), space).kind
     for i in range(4):
@@ -620,8 +623,8 @@ def test_jr_residual_is_minus_j_of_the_jt_residual_off_the_identity(name):
 
 
 def test_each_j_claim_takes_only_its_deciding_witnesses(monkeypatch):
-    # N_J is certified on E1's frame row, three pairs of four brackets each,
-    # and JD = D extends the plane field's minors by J D1 alone
+    # N_J is certified on N(E1, E2) and N(E1, E3), two pairs of four
+    # brackets each, and JD = D extends the plane field's minors by J D1 alone
     brackets = _count_calls(monkeypatch, "bracket", framecalc, engelcheck)
     columns = []
     extend = framecalc.extend_minors
@@ -636,7 +639,7 @@ def test_each_j_claim_takes_only_its_deciding_witnesses(monkeypatch):
         ctx.d_minors  # derive the stage before counting
         brackets.clear()
         nijenhuis_certificate(ctx)
-        assert len(brackets) == 12, fam
+        assert len(brackets) == 8, fam
         columns.clear()
         j_invariance_check(ctx)
         assert columns == [([ctx.J.apply(ctx.d1)], ctx.d_minors)], fam
@@ -692,12 +695,21 @@ def test_jofreeb_nonintegrable_gate_via_nijenhuis_cert():
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv", "inoue_s0",
                                   "kodaira_primary", "torus_trig"])
 def test_splitting_invariance(name):
+    # Z = span(R) is exactly the Reeb direction of every rescaled pair,
+    # derived afresh, and the four fields of the splitting frame TM
     spec = family(name)
-    result = j_engel_splitting(Derivation(spec.d1, spec.d2, spec.J, spec.space))
-    assert result.invariance.passed
-    assert result.invariance.kind == "SYMBOLIC"
+    ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
+    split = j_engel_splitting(ctx)
+    z = split[3]
+    scalings = ["2", "3/2"]
     if spec.space.coords:
-        assert any("cos" in s for s in result.tested_scalings)
+        scalings.append(f"2 + cos({spec.space.coords[0]})")
+    for lam in scalings:
+        k = rescaled_reeb_direction(ctx.forms.beta, normalize(lam), spec.space)
+        assert not k.is_zero(), lam
+        assert all(m.is_zero() for m in minors_of_fields([z.raw, k])), lam
+    frame = certify_nonvanishing(det_of_fields([f.raw for f in split]), spec.space)
+    assert frame.passed
 
 
 def test_splitting_scaling_by_two_matches_half_reeb():
@@ -851,9 +863,7 @@ def test_k_check_takes_no_determinant_of_fields(monkeypatch, name):
 
 def test_each_j_engel_quantity_is_derived_once(monkeypatch):
     # every family under every suite: the forms take d(beta) and no other
-    # d, reading d(alpha) off the flag; the Reeb normalisers are
-    # +-(alpha ^ beta ^ d(beta)), so the only pairing a Reeb field evaluates
-    # is the annihilation one; the K-check runs once per target
+    # d, reading d(alpha) off the flag; the K-check runs once per target
     from engelcalc import cli
 
     done, open_stages = [], []
@@ -882,10 +892,9 @@ def test_each_j_engel_quantity_is_derived_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("defining_forms", "_reeb_from_threeform", "k_engel_check"):
+    for name in ("defining_forms", "k_engel_check"):
         stage(name)
     probe(engelcheck, "exterior_derivative")
-    probe(KForm, "__call__")
     for fam in FAMILIES:
         cli.run_verify(fam)
 
@@ -899,11 +908,39 @@ def test_each_j_engel_quantity_is_derived_once(monkeypatch):
     assert len(runs("defining_forms")) == len(FAMILIES)
     for _, calls, forms in runs("defining_forms"):
         assert [form for form, _ in called(calls, "exterior_derivative")] == [forms.beta]
-    assert len(runs("_reeb_from_threeform")) == 2 * len(FAMILIES)
-    for args, calls, _ in runs("_reeb_from_threeform"):
-        # the complementary form, on the kernel field
-        assert [form for form, *_ in called(calls, "__call__")] == [args[2]]
     assert len(runs("k_engel_check")) == len(FAMILIES)
+
+
+def test_the_reeb_pair_and_the_splitting_take_no_form_work(monkeypatch):
+    # the Reeb pair is read off alpha ^ beta ^ d(beta), so the forms evaluate
+    # a form on a field only to compose alpha with J; the splitting reads
+    # every field off the Derivation: no d, wedge, bracket or certificate
+    work = ("exterior_derivative", "wedge", "bracket", "certify_nonvanishing",
+            "certify_no_common_zero", "certify_vanishing")
+    calls = {name: _count_calls(monkeypatch, name, engelcheck) for name in work}
+    pairings = []
+    pair = KForm.__call__
+
+    def recording(form, *fields):
+        pairings.append((form, fields))
+        return pair(form, *fields)
+
+    monkeypatch.setattr(KForm, "__call__", recording)
+    for fam in FAMILIES:
+        ctx = _context(fam)
+        ctx.flag, ctx.w, ctx.j_invariance  # derive the stages before counting
+        pairings.clear()
+        forms = ctx.forms
+        assert [(form is forms.alpha, fields) for form, fields in pairings] == \
+            [(True, (ctx.J.apply(VecField.basis(i)),)) for i in range(4)], fam
+        for made in calls.values():
+            made.clear()
+        pairings.clear()
+        split = j_engel_splitting(ctx)
+        assert split[3] is forms.R, fam
+        assert {name: len(made) for name, made in calls.items()} == \
+            dict.fromkeys(work, 0), fam
+        assert pairings == [], fam
 
 
 def test_plane_field_minors_are_expanded_once(monkeypatch):

@@ -252,6 +252,35 @@ def test_cartan_formula_is_exact(case):
     assert str(lhs) == str(rhs)
 
 
+LAW_COORDS = _law_space().coords
+THREE_FORM_KEYS = list(itertools.combinations(range(4), 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(quarter_turn_scalars(LAW_COORDS), min_size=8, max_size=8))
+def test_a_one_form_on_a_kernel_field_is_its_wedge_with_the_three_form(rows):
+    # kernel_field's contract: i_K vol = omega, so theta(K) vol = theta ^ omega
+    # for every 1-form theta (contract the zero 5-form theta ^ vol with K);
+    # the Reeb pair is normalised by this identity
+    theta = KForm.one_form(rows[:4])
+    omega = KForm.of(3, dict(zip(THREE_FORM_KEYS, rows[4:])))
+    assert theta(omega.kernel_field()) == wedge(theta, omega).component((0, 1, 2, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(quarter_turn_scalars(LAW_COORDS), min_size=5, max_size=5))
+def test_rescaling_beta_rescales_beta_dbeta_by_the_square(rows):
+    # (lam beta) ^ d(lam beta) = lam^2 beta ^ d(beta), as beta ^ beta = 0:
+    # the Reeb direction, and so the splitting, does not depend on alpha
+    space = _law_space()
+    beta, lam = KForm.one_form(rows[:4]), rows[4]
+    scaled = beta.scale(lam)
+    lhs = wedge(scaled, exterior_derivative(scaled, space))
+    rhs = wedge(beta, exterior_derivative(beta, space))
+    for idx in THREE_FORM_KEYS:
+        assert lhs.component(idx) == lam * lam * rhs.component(idx)
+
+
 # the law-suite space, and an abelian space in which two frame fields
 # differentiate one coordinate: E1(x) = E2(x) = 1, E2(y) = 1
 DIRECTIONAL_SPACES = {
