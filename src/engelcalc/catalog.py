@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .engelcheck import VerificationError
@@ -66,6 +68,10 @@ class BracketExpectation:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """One catalog target.  ``build_family`` shares one spec per family and
+    exact parameters, so the spec is read-only: ``parameters`` is a
+    ``MappingProxyType``, and the space, J and fields are immutable values."""
+
     family: str
     parameters: Mapping[str, Fraction]
     space: FramedSpace
@@ -77,6 +83,8 @@ class FamilySpec:
     notes: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "parameters",
+                           MappingProxyType(dict(self.parameters)))
         self.space.require_coordinates(self.d1.coeffs, f"{self.family} D1")
         self.space.require_coordinates(self.d2.coeffs, f"{self.family} D2")
         for i, row in enumerate(self.J.matrix):
@@ -407,13 +415,18 @@ _DEFAULTS: Mapping[str, Mapping[str, str]] = {
     "inoue_spm": {"q": "0"},
 }
 
+# distinct (family, exact parameters) specs that build_family keeps
+SPEC_CACHE_SIZE = 32
+
 
 def build_family(family: str, params: Mapping[str, object] | None = None) -> FamilySpec:
     """Build a catalog family, overriding its rational parameters if given.
 
     Raises KeyError for an unknown family, and ValueError for a parameter
     the family does not read, a value that is not an exact rational, or a
-    value the family rejects.
+    value the family rejects.  Equal exact parameters ("2" and "4/2", or a
+    default given explicitly) give the one shared spec of the last
+    ``SPEC_CACHE_SIZE`` built; a rejected value raises on every call.
     """
     if family not in _BUILDERS:
         raise KeyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
@@ -431,7 +444,13 @@ def build_family(family: str, params: Mapping[str, object] | None = None) -> Fam
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{family} parameter {key}={value} is not an exact "
                              f"rational") from None
-    return _BUILDERS[family](exact)
+    return _cached_spec(family, tuple(exact.items()))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _cached_spec(family: str, exact: tuple[tuple[str, Fraction], ...]) -> FamilySpec:
+    # lru_cache stores returns only, so an error is raised again next time
+    return _BUILDERS[family](dict(exact))
 
 
 @dataclass(frozen=True)

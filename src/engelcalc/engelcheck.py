@@ -16,7 +16,7 @@ constant, in which case plain division would leave the trig-polynomial ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .framecalc import (
@@ -477,6 +477,21 @@ def nijenhuis_certificate(ctx: Derivation) -> Certificate:
     return certify_vanishing(scalars, ctx.space, ctx.grid, note="Nijenhuis tensor")
 
 
+# distinct (J, space, grid) whose Nijenhuis certificate is kept
+NIJENHUIS_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=NIJENHUIS_MEMO_SIZE)
+def _nijenhuis_of(J: ComplexStructure, space: FramedSpace, grid: int) -> Certificate:
+    """The Nijenhuis certificate of J on ``space`` at ``grid``, kept for the
+    last ``NIJENHUIS_MEMO_SIZE`` triples.  N_J reads neither the plane field
+    nor ``tol``.  J and the space hash by identity, so a shared catalog spec
+    hits and an equal J built afresh does not; the memo holds its keys, so
+    no key outlives its objects, and a certifier that raises stores
+    nothing."""
+    return nijenhuis_certificate(Derivation(None, None, J, space, grid))
+
+
 # -- one derivation per target ---------------------------------------------------
 
 
@@ -496,6 +511,8 @@ class Derivation:
     than one check reads are stages too: ``wx`` = [W, JW] (the complex
     framing and c_WX), and ``wr`` = [W, R] and ``xr`` = [JW, R] (the
     structure functions and the K-check), so each is taken once per target.
+    ``nijenhuis`` alone reads a module memo, ``_nijenhuis_of``, as N_J
+    depends on J, the space and the grid only, which many targets share.
 
     Tolerance policy, for these stages and for the checks that take the
     context: rank and nonvanishing certificates use ``tol``; identity
@@ -557,7 +574,7 @@ class Derivation:
 
     @cached_property
     def nijenhuis(self) -> Certificate:
-        return nijenhuis_certificate(self)
+        return _nijenhuis_of(self.J, self.space, self.grid)
 
 
 @dataclass(frozen=True)

@@ -229,8 +229,10 @@ class PiScalar:
     Stored as a tuple of ``(exp, num, den)`` int triples sorted by exponent,
     each ``num/den`` in lowest terms with ``den > 0`` and ``num != 0``, so
     equal values have equal triples and ``__eq__`` is tuple equality.  Sums
-    and products run on these ints (``_qadd``, ``_qmul``); only the rare
-    ``div_exact`` long-divides Fractions, and no Fraction is stored.
+    and products run on these ints (``_qadd``, ``_qmul``), and so does
+    ``div_exact`` by a single power of pi, which is a unit of the ring; only
+    a divisor with several powers of pi is long-divided as Fractions, and no
+    Fraction is stored.
     ``items()`` gives the ``(exp, Fraction)`` pairs, and the hash is
     ``hash(tuple(items()))``, so every dict and set layout is that of the
     Fraction pairs.  The triples are the coefficient's run: a
@@ -294,7 +296,14 @@ class PiScalar:
             raise ZeroDivisionError("division by the zero coefficient")
         if self.is_zero():
             return self
-        # shift both to ordinary polynomials and long-divide
+        if len(d._terms) == 1:
+            # a single power of pi is a unit: subtract its exponent and
+            # multiply by the inverse rational, on the ints
+            ((e, n, m),) = d._terms
+            inv_n, inv_d = (m, n) if n > 0 else (-m, -n)
+            return PiScalar._raw(tuple((ei - e, *_qmul(ni, di, inv_n, inv_d))
+                                       for ei, ni, di in self._terms))
+        # a sum of powers: shift both to ordinary polynomials and long-divide
         shift_n = self._terms[0][0]
         shift_d = d._terms[0][0]
         num = {e - shift_n: c for e, c in self.items()}

@@ -19,3 +19,14 @@ def cold_ring():
     """The function that resets ``trigring`` to a cold ring; session-scoped,
     so that hypothesis tests can call it once per example."""
     return _cold_ring
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the spec cache of ``catalog`` and the Nijenhuis memo of
+    ``engelcheck``, so that a test counting stages or certificates sees its
+    own target built and certified, not one an earlier test left behind."""
+    from engelcalc import catalog, engelcheck
+
+    catalog._cached_spec.cache_clear()
+    engelcheck._nijenhuis_of.cache_clear()

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -49,6 +50,36 @@ def test_family_list_is_complete():
 def test_unknown_family_rejected():
     with pytest.raises(KeyError):
         build_family("nope")
+
+
+def test_equal_exact_parameters_share_one_spec():
+    spec = build_family("hyperelliptic_product")
+    assert build_family("hyperelliptic_product", {"k": "2"}) is spec
+    assert build_family("hyperelliptic_product", {"k": "4/2"}) is spec
+    assert build_family("inoue_s0", {"a": "1", "b": "2/2"}) is build_family("inoue_s0")
+
+
+def test_distinct_exact_parameters_give_distinct_specs():
+    specs = [build_family("hyperelliptic_product", {"k": k}) for k in ("2", "3", "4", "6")]
+    assert len({id(s) for s in specs}) == 4
+    assert [s.parameters["k"] for s in specs] == [2, 3, 4, 6]
+    a, b = build_family("inoue_spm", {"q": "1/2"}), build_family("inoue_spm", {"q": "1/3"})
+    assert a is not b and a.J.matrix != b.J.matrix
+
+
+def test_a_rejected_parameter_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="k in"):
+            build_family("hyperelliptic_product", {"k": "5"})
+    assert build_family("hyperelliptic_product", {"k": "3"}).parameters["k"] == 3
+
+
+def test_shared_spec_parameters_are_read_only():
+    spec = build_family("torus_trig", {"alpha3": "2/3"})
+    assert isinstance(spec.parameters, MappingProxyType)
+    with pytest.raises(TypeError):
+        spec.parameters["Q"] = Fraction(1)
+    assert build_family("torus_trig", {"alpha3": "2/3"}).parameters["Q"] == 3
 
 
 def test_inoue_s0_structure_table_quoted():

@@ -568,11 +568,11 @@ STAGES = ("verify_engel", "characteristic_foliation", "j_invariance_check",
           "defining_forms", "structure_functions", "nijenhuis_certificate")
 
 
-def test_each_stage_runs_once_per_target(monkeypatch):
+def _count_stages(monkeypatch, names):
     from engelcalc import cli, engelcheck
 
-    calls = dict.fromkeys(STAGES, 0)
-    for name in STAGES:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counting(*args, _name=name, _stage=getattr(engelcheck, name),
                      **kwargs):
             calls[_name] += 1
@@ -581,8 +581,25 @@ def test_each_stage_runs_once_per_target(monkeypatch):
         for module in (engelcheck, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_stage_runs_once_per_target(monkeypatch, cold_caches):
+    calls = _count_stages(monkeypatch, STAGES)
     assert run_verify("hopf_s3r").overall == "PASS"
     assert calls == dict.fromkeys(STAGES, 1)
+
+
+def test_a_repeated_target_reuses_its_nijenhuis_certificate(monkeypatch, cold_caches):
+    # N_J depends on J, the space and the grid only: the second run of a
+    # target reads the first one's certificate and takes no Nijenhuis
+    # bracket, while every plane-field stage runs again
+    first = run_verify("hopf_s3r")
+    calls = _count_stages(monkeypatch, ("verify_engel", "nijenhuis_certificate",
+                                        "nijenhuis"))
+    second = run_verify("hopf_s3r")
+    assert calls == {"verify_engel": 1, "nijenhuis_certificate": 0, "nijenhuis": 0}
+    assert second.overall == first.overall == "PASS"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -706,7 +723,7 @@ def test_flag_time_goes_on_its_first_record(monkeypatch):
 CONSTRUCTION_CHECKS = ("engel.jacobi", "engel.j_squared")
 
 
-def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch):
+def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch, cold_caches):
     # patch the two certifiers wherever a module binds them, as the bench
     # tracer does, and record what they return
     from engelcalc import engelcheck, framecalc, geiges
@@ -817,6 +834,14 @@ def test_deviation_appears_only_for_documented_discrepancies():
             if rec.status == "DEVIATION":
                 seen.add((fam, rec.name))
     assert seen == documented
+
+
+def test_a_repeated_report_is_byte_identical(cold_caches):
+    # the first run of each family builds its spec and certifies N_J, the
+    # second reads both from the module caches; the JSON must not differ
+    first = {fam: emit_report(run_verify(fam), "json") for fam in FAMILIES}
+    for fam in FAMILIES:
+        assert emit_report(run_verify(fam), "json") == first[fam], fam
 
 
 def test_golden_reports_match():

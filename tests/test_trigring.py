@@ -451,6 +451,32 @@ def test_piscalar_ints_match_fraction_arithmetic(pa, pb, q, n):
         _check_piscalar(c, ra)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_PI_PAIRS, st.integers(-3, 3), _RATIONALS.filter(bool))
+def test_division_by_one_power_of_pi_is_exact_on_the_ints(pn, e, q):
+    # a single power of pi is a unit: the quotient always exists, q * d == n
+    # holds exactly, and no Fraction arithmetic is taken for it
+    n, d = PiScalar.from_pairs(pn), PiScalar.from_pairs([(e, q)])
+    saved = {name: getattr(Fraction, name)
+             for name in ("__add__", "__mul__", "__sub__", "__truediv__")}
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a single-power division")
+
+    for name in saved:
+        setattr(Fraction, name, refuse)
+    try:
+        quot = n.div_exact(d)
+    finally:
+        for name, op in saved.items():
+            setattr(Fraction, name, op)
+    assert quot is not None and quot * d == n
+    _check_piscalar(quot, {ei - e: c / q for ei, c in _ref(pn).items()})
+    s = TrigScalar.constant(n) * TrigScalar.cosine({"t": Frequency.of(1)}) \
+        + TrigScalar.constant(n)
+    assert s.div_exact(d) * TrigScalar.constant(d) == s
+
+
 def test_scalar_arithmetic_runs_without_fraction_arithmetic(monkeypatch):
     # PiScalar and Frequency values are ints: ring operations and derivatives
     # on parsed scalars never fall back to Fraction arithmetic
