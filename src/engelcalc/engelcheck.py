@@ -152,6 +152,8 @@ class FracField:
         return Frac(form(self.raw), self.den)
 
     def as_field(self) -> VecField | None:
+        if self.den == ONE:
+            return self.raw
         coeffs = _div_exact(self.raw.coeffs, self.den)
         return None if coeffs is None else VecField(tuple(coeffs))
 

@@ -117,10 +117,10 @@ _BASIS = tuple(VecField(tuple(ONE if j == i else ZERO for j in range(4)))
 class FramedSpace:
     """Frame names, structure table, coordinates, and derivation table.
 
-    Both tables are built once, here, and read as they are:
-    ``structure[(i, j)]`` is [E_i, E_j] for i < j, holding the nonzero
-    entries only, in (i, j) order; ``derivation[i][coord]`` is E_i(coord),
-    holding the nonzero entries only.
+    Both tables are built once, here, and read as they are, through
+    read-only views: ``structure[(i, j)]`` is [E_i, E_j] for i < j, holding
+    the nonzero entries only, in (i, j) order; ``derivation[i][coord]`` is
+    E_i(coord), holding the nonzero entries only.
     """
 
     def __init__(
@@ -139,22 +139,24 @@ class FramedSpace:
         self.name = name
         self.frame = tuple(frame)
         self.coords = tuple(coords)
-        self.structure: dict[tuple[int, int], VecField] = {}
+        table: dict[tuple[int, int], VecField] = {}
         for (i, j), comp in sorted((structure or {}).items()):
             if not 0 <= i < j < 4:
                 raise ValueError(f"structure key must have i < j, got {(i, j)}")
             v = VecField.of(*comp)
             self.require_coordinates(v.coeffs, f"structure [{frame[i]},{frame[j]}]")
             if not v.is_zero():
-                self.structure[(i, j)] = v
-        self.derivation: tuple[dict[str, TrigScalar], ...] = tuple({} for _ in range(4))
+                table[(i, j)] = v
+        self.structure = MappingProxyType(table)
+        rows: tuple[dict[str, TrigScalar], ...] = tuple({} for _ in range(4))
         for (i, coord), s in (derivation or {}).items():
             if coord not in self.coords:
                 raise ValueError(f"derivation refers to undeclared coordinate {coord!r}")
             s = normalize(s)
             self.require_coordinates([s], f"derivation {frame[i]}({coord})")
             if not s.is_zero():
-                self.derivation[i][coord] = s
+                rows[i][coord] = s
+        self.derivation = tuple(MappingProxyType(row) for row in rows)
         self.periods = MappingProxyType(dict(periods or {}))
         for coord, period in self.periods.items():
             if coord not in self.coords:

@@ -82,6 +82,18 @@ def test_shared_spec_parameters_are_read_only():
     assert build_family("torus_trig", {"alpha3": "2/3"}).parameters["Q"] == 3
 
 
+def test_shared_space_tables_are_read_only():
+    # every target of a family reads one space, so no caller may write
+    # into its tables
+    space = build_family("hopf_s3r").space
+    with pytest.raises(TypeError):
+        space.derivation[0]["zz"] = 1
+    with pytest.raises(TypeError):
+        space.structure[(0, 3)] = space.structure[(0, 1)]
+    again = build_family("hopf_s3r").space
+    assert "zz" not in again.derivation[0] and (0, 3) not in again.structure
+
+
 def test_inoue_s0_structure_table_quoted():
     spec = build_family("inoue_s0")
     assert spec.space.structure_bracket(0, 3) == VecField.of(-1, 1, 0, 0)

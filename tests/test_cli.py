@@ -720,9 +720,6 @@ def test_flag_time_goes_on_its_first_record(monkeypatch):
     assert records["engel.rank_e"].wall_ms == records["engel.rank_tm"].wall_ms == 0.0
 
 
-CONSTRUCTION_CHECKS = ("engel.jacobi", "engel.j_squared")
-
-
 def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch, cold_caches):
     # patch the two certifiers wherever a module binds them, as the bench
     # tracer does, and record what they return
@@ -747,7 +744,7 @@ def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch, cold_ca
     for family in FAMILIES:
         rep = run_verify(family)
         for rec in rep.records:
-            if rec.certificate is not None and rec.name not in CONSTRUCTION_CHECKS:
+            if rec.certificate is not None:
                 assert from_certifier(rec.certificate), (family, rec.name)
         assert {r.name for r in rep.records} >= {"engel.rank_tm",
                                                  "forms.alpha_beta_dbeta_nonzero"}
@@ -790,11 +787,26 @@ def test_splitting_uses_the_run_tolerance(tmp_path):
     records = {r.name: r for r in rep.records}
     assert records["engel.rank_d"].status == "FAIL"
     for name in ("jengel.complex_framing", "forms.construction",
-                 "jofreeb.residuals", "kengel.commutators"):
+                 "jofreeb.residual_certificate", "kengel.commutators"):
         assert records[name].status == "REJECTED", name
-    split = records["splitting.invariance"]
+    split = records["splitting.fields"]
     assert split.status == "REJECTED"
     assert split.notes == "splitting needs a certified Engel structure"
+
+
+def test_splitting_record_shows_the_four_fields():
+    # on hopf_s3r, forms.construction gives alpha = -a2/2 + a4/2 and
+    # beta = -a1/2 + a3/2, so alpha(R) = 1, beta(R) = 0 and beta(JR) = -1
+    # for R = 2 E4 and JR = -2 E3
+    rep = run_verify("hopf_s3r", suites=("forms", "splitting"))
+    records = {r.name: r for r in rep.records}
+    assert "alpha = (-1/2)*a2 + (1/2)*a4; beta = (-1/2)*a1 + (1/2)*a3" in \
+        records["forms.construction"].notes
+    split = records["splitting.fields"]
+    assert split.status == "PASS" and split.certificate is None
+    assert split.notes.startswith("TM = <W = (0, 4, 0, 4)> + <JW = ")
+    assert "<JR = (0, 0, -2, 0)>" in split.notes
+    assert split.notes.endswith("<R = (0, 0, 0, 2)>")
 
 
 def test_plane_and_j_suites_rejected_without_either(tmp_path):

@@ -21,15 +21,29 @@ REPORT_SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 MANIFEST_SCHEMA = json.loads((ROOT / "docs" / "manifest.schema.json").read_text())
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_golden_reports_validate_against_schema(family):
-    doc = json.loads((ROOT / "reports" / "golden" / f"{family}.json").read_text())
-    jsonschema.validate(doc, REPORT_SCHEMA)
+# the pinned sampled reports carry the SAMPLED certificate fields (grid,
+# bound, tolerance, witness_point) that no golden report reaches
+SAMPLED_REPORTS = ("sampled_clear_1coord", "sampled_zero_off_grid_4coord",
+                   "sampled_two_direction_3coord")
+PINNED_REPORTS = [*(ROOT / "reports" / "golden" / f"{family}.json" for family in FAMILIES),
+                  *(ROOT / "tests" / "fixtures" / f"{stem}.report.json"
+                    for stem in SAMPLED_REPORTS)]
+
+
+@pytest.mark.parametrize("path", PINNED_REPORTS, ids=lambda p: p.stem)
+def test_golden_reports_validate_against_schema(path):
+    jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
 
 
 def test_fresh_report_validates_for_suite_subset():
     doc = json.loads(emit_report(run_verify("hopf_s3r", suites=("engel", "kengel")),
                                  "json"))
+    jsonschema.validate(doc, REPORT_SCHEMA)
+
+
+def test_zero_tolerance_report_validates():
+    doc = json.loads(emit_report(run_verify("hopf_s3r", tol=0.0), "json"))
+    assert doc["tolerance"] == 0.0
     jsonschema.validate(doc, REPORT_SCHEMA)
 
 
