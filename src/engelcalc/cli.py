@@ -306,11 +306,14 @@ class _Runner:
             notes="d(beta)^2 = 0" if rep.dbeta_squared_zero else
                   "d(beta)^2 is not zero"))
         if rep.passed:
-            self._run("kengel.transverse_consistency",
-                      lambda: transverse_engel_check(ctx.forms.R.raw, ctx),
-                      status_of=lambda t: (
-                          "PASS" if t.conclusion.passed and t.reeb_match.passed
-                          else "FAIL", ""))
+            tr = self._run("kengel.transverse_consistency",
+                           lambda: transverse_engel_check(ctx.forms.R.raw, ctx),
+                           cert_of=lambda tr: tr.conclusion)
+            if tr is not None:
+                self.records.append(self._certified("kengel.transverse_engel_field",
+                                                    tr.engel_field))
+                self.records.append(self._certified("kengel.transverse_reeb_match",
+                                                    tr.reeb_match))
 
     def suite_splitting(self):
         self._run("splitting.fields", lambda: j_engel_splitting(self.ctx),
@@ -364,13 +367,19 @@ def run_verify(
     tol: float = DEFAULT_TOL,
     params: Mapping[str, str] | None = None,
 ) -> Report:
-    """Run the selected suites against a catalog family or manifest path."""
+    """Run the selected suites against a catalog family or manifest path.
+
+    A suite named twice runs once and is listed once, where first named; a
+    blank name is an error.
+    """
     if suites is None:
         chosen = SUITES
     else:
-        chosen = tuple(suites)
-        if not chosen:
+        chosen = tuple(dict.fromkeys(suites))
+        if not any(s.strip() for s in chosen):
             raise SystemExit("error: empty suite selection")
+        if not all(s.strip() for s in chosen):
+            raise SystemExit(f"error: blank suite name in {','.join(chosen)!r}")
     bad = [s for s in chosen if s not in SUITES]
     if bad:
         raise SystemExit(f"error: unknown suite(s) {', '.join(bad)}; "
@@ -472,8 +481,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.verb == "verify":
-        suites = tuple(s.strip() for s in args.suite.split(",")) if args.suite \
-            else None
+        suites = None if args.suite is None else \
+            tuple(s.strip() for s in args.suite.split(","))
         report = run_verify(args.target, suites, args.grid, args.tol,
                             _parse_params(args.params))
         sys.stdout.write(emit_report(report, "text"))

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .framecalc import ComplexStructure, FramedSpace, VecField
 from .trigring import Frequency, parse, rat
 
 __all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts",
-           "SECTION_TYPES", "REQUIRED_MEMBERS"]
+           "SECTION_TYPES", "REQUIRED_MEMBERS", "SPACE_SECTIONS"]
 
 # The JSON type of each manifest member, as in docs/manifest.schema.json.  A
 # key is a path of member names from the top of the document: "*" stands for
@@ -100,7 +101,7 @@ def space_to_json(space: FramedSpace) -> dict:
     return out
 
 
-def space_from_json(obj: Mapping, name: str = "") -> FramedSpace:
+def space_from_json(obj: Mapping) -> FramedSpace:
     frame = list(obj["frame"])
     index = {f: i for i, f in enumerate(frame)}
 
@@ -131,7 +132,6 @@ def space_from_json(obj: Mapping, name: str = "") -> FramedSpace:
         structure=structure,
         derivation=derivation,
         periods=periods or None,
-        name=name,
     )
 
 
@@ -208,27 +208,54 @@ def _check_members(doc: Mapping) -> None:
                 raise ValueError(f"{where} has no member {member!r}")
 
 
+# the sections that make a manifest's space and J, and how many distinct
+# texts of them load_manifest keeps a shared space and J for
+SPACE_SECTIONS = ("frame", "coordinates", "structure", "derivation", "periods",
+                  "complex_structure")
+SPACE_CACHE_SIZE = 32
+
+
+def _space_key(doc: Mapping) -> str:
+    """The JSON text of ``doc``'s space sections, each member in document
+    order, so that the space built from the text is the one the document
+    describes (a structure entry written twice keeps its last value)."""
+    return json.dumps({k: doc[k] for k in SPACE_SECTIONS if k in doc}, default=dict)
+
+
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _shared_space(key: str) -> tuple[FramedSpace, ComplexStructure | None]:
+    """The space and J of the space sections in ``key``, shared by every
+    manifest whose sections have that text; a construction error (the
+    Jacobi identity, J*J = -id, a foreign coordinate) is raised again on
+    the next load, since lru_cache stores returns only."""
+    sections = json.loads(key)
+    space = space_from_json(sections)
+    J = None
+    if "complex_structure" in sections:
+        matrix = [list(map(parse, row)) for row in sections["complex_structure"]]
+        for i, row in enumerate(matrix):
+            space.require_coordinates(row, f"complex_structure row {i}")
+        J = ComplexStructure(matrix)
+    return space, J
+
+
 def load_manifest(doc: Mapping | str) -> Manifest:
     """Parse a manifest document (dict or JSON text) into exact objects.
 
     The JSON type of each member is checked against ``SECTION_TYPES``, and
     the presence of each of ``REQUIRED_MEMBERS``, before anything is parsed.
     A scalar that names a symbol outside ``coordinates`` is malformed, in
-    any member (``FramedSpace.require_coordinates``).
+    any member (``FramedSpace.require_coordinates``).  Manifests with equal
+    ``SPACE_SECTIONS`` share one read-only space and J, which carry no
+    manifest's name; the distribution, the mapping-torus fields, the
+    parameters and the name are parsed for each manifest.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, Mapping):
         raise ValueError("a manifest must be a JSON object")
     _check_members(doc)
-    name = doc.get("name", "")
-    space = space_from_json(doc, name=name)
-    J = None
-    if "complex_structure" in doc:
-        matrix = [list(map(parse, row)) for row in doc["complex_structure"]]
-        for i, row in enumerate(matrix):
-            space.require_coordinates(row, f"complex_structure row {i}")
-        J = ComplexStructure(matrix)
+    space, J = _shared_space(_space_key(doc))
     d1 = d2 = None
     if "distribution" in doc:
         rows = doc["distribution"]
@@ -245,4 +272,4 @@ def load_manifest(doc: Mapping | str) -> Manifest:
             "V": _vec_from_json(mt["V"], space, "mapping_torus.V"),
             "X": _vec_from_json(mt["X"], space, "mapping_torus.X"),
         }
-    return Manifest(name, space, J, d1, d2, parameters, mapping_torus)
+    return Manifest(doc.get("name", ""), space, J, d1, d2, parameters, mapping_torus)

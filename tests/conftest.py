@@ -23,10 +23,12 @@ def cold_ring():
 
 @pytest.fixture
 def cold_caches():
-    """Empty the spec cache of ``catalog`` and the Nijenhuis memo of
-    ``engelcheck``, so that a test counting stages or certificates sees its
-    own target built and certified, not one an earlier test left behind."""
-    from engelcalc import catalog, engelcheck
+    """Empty the spec cache of ``catalog``, the space table of ``manifest``
+    and the Nijenhuis memo of ``engelcheck``, so that a test counting stages
+    or certificates sees its own target built and certified, not one an
+    earlier test left behind."""
+    from engelcalc import catalog, engelcheck, manifest
 
     catalog._cached_spec.cache_clear()
+    manifest._shared_space.cache_clear()
     engelcheck._nijenhuis_of.cache_clear()

@@ -529,6 +529,44 @@ def test_empty_suite_rejected():
         run_verify("hopf_s3r", suites=())
 
 
+@pytest.mark.parametrize("text", ["", ",", " , "])
+def test_empty_suite_option_is_an_empty_selection(text):
+    # an empty --suite selects nothing; it does not fall back to every suite
+    with pytest.raises(SystemExit, match="^error: empty suite selection$"):
+        main(["verify", "hopf_s3r", "--suite", text])
+
+
+@pytest.mark.parametrize("text", ["engel,", ",engel", "engel,,jengel"])
+def test_blank_suite_name_is_rejected(text):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hopf_s3r", "--suite", text])
+    assert str(exc.value).startswith("error: blank suite name in ")
+    assert "unknown suite" not in str(exc.value)
+
+
+def test_a_suite_named_twice_runs_once(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "hopf_s3r", "--suite", "kengel,engel,kengel",
+                 "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["suites"] == ["kengel", "engel"]
+    names = [r["name"] for r in doc["checks"]]
+    assert len(names) == len(set(names))
+    assert names.count("kengel.commutators") == 1
+
+
+def test_transverse_records_carry_their_certificates():
+    # one record per certificate of the transverse check, each a PASS on a
+    # K-Engel family
+    records = {r.name: r for r in run_verify("hopf_s3r", suites=("kengel",)).records}
+    notes = {"kengel.transverse_engel_field": "L_Z D stays in D",
+             "kengel.transverse_consistency": "i_Z(beta ^ d(beta)) = 0",
+             "kengel.transverse_reeb_match": "span(Z) = span(R)"}
+    for name, note in notes.items():
+        assert records[name].status == "PASS"
+        assert records[name].certificate.note == note
+
+
 def test_incommensurate_frequencies_reported_not_crashed(tmp_path):
     doc = {
         "name": "incommensurate",
