@@ -203,14 +203,25 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
 
     rank(D) is witnessed by the six 2x2 minors of (D1, D2), the context's
     ``d_minors``.  rank(E) is witnessed by the coefficients of alpha, the
-    maximal minors of (D1, D2, E3), which ``extend_minors`` expands along
-    E3's column against those 2x2 minors.
-    The top rank is witnessed by the pairings u_i = alpha([D_i, E3]) =
-    det(D1, D2, E3, [D_i, E3]): alpha kills D_i and E3, so Cartan's formula
-    d(alpha)(X, Y) = X alpha(Y) - Y alpha(X) - alpha([X, Y]) gives
-    u_i = -d(alpha)(D_i, E3), and no bracket with E3 is taken.  At each
-    point at least one u_i must be nonzero, so the sampled witness is their
-    sum of squares.
+    maximal minors of (D1, D2, E3).  The top rank is witnessed by the
+    pairings u_i = alpha([D_i, E3]) = det(D1, D2, E3, [D_i, E3]): alpha
+    kills D_i and E3, so Cartan's formula d(alpha)(X, Y) = X alpha(Y)
+    - Y alpha(X) - alpha([X, Y]) gives u_i = -d(alpha)(D_i, E3), and no
+    bracket with E3 is taken.  At each point at least one u_i must be
+    nonzero, so the sampled witness is their sum of squares.
+
+    Both witnesses are read off the 2x2 minors of (D_i, E3), each set
+    expanded once.  E3 is the largest column, so the minors of (D1, D2, E3)
+    extend those of one pair (D_i, E3) by the other generator, through
+
+        det(D1, E3, D2) = -det(D1, D2, E3),  det(D2, E3, D1) = +det(D1, D2, E3),
+
+    and u_i = -d(alpha) evaluated on the same pair's minors
+    (``KForm.on_minors``).  The generator extended by is the one with fewer
+    terms, D2 on a tie, as its entries multiply every minor of the pair:
+    the route follows the sizes, not which generator a user rescaled.  The
+    other pair's minors are expanded only once rank(E) = 3 is certified,
+    and only on the row sets of d(alpha)'s terms.
     """
     d1, d2, space, grid, tol = ctx.d1, ctx.d2, ctx.space, ctx.grid, ctx.tol
     certs: dict[str, Certificate] = {}
@@ -219,14 +230,21 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    minors = list(extend_minors([e3], minors=ctx.d_minors).values())
+    by_d2 = _size(d2) <= _size(d1)
+    first, last = (d1, d2) if by_d2 else (d2, d1)
+    pair = extend_minors([first, e3])
+    minors = list(extend_minors([last], minors=pair).values())
+    if by_d2:  # det(D1, E3, D2) = -det(D1, D2, E3)
+        minors = [-m for m in minors]
     alpha = _annihilating_form_of(minors)
     # alpha's coefficients up to sign, in the order of minors_of_fields
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
     d_alpha = exterior_derivative(alpha, space)
-    u1, u2 = -d_alpha(d1, e3), -d_alpha(d2, e3)
+    u_first = -d_alpha.on_minors(pair)
+    u_last = -d_alpha.on_minors(extend_minors([last, e3], d_alpha.terms))
+    u1, u2 = (u_first, u_last) if by_d2 else (u_last, u_first)
     for u, label in ((u1, "det with [D1,E3]"), (u2, "det with [D2,E3]")):
         const = u.constant_value()
         if const is not None and not const.is_zero():
@@ -236,6 +254,11 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
         certs["rank_tm"] = certify_no_common_zero(
             [u1, u2], space, grid, tol, note="sum of squares of the two top minors")
     return EngelFlag(d1, d2, e3, certs, alpha, d_alpha, (u1, u2))
+
+
+def _size(v: VecField) -> int:
+    """The number of terms in v's coefficients."""
+    return sum(len(c.terms()) for c in v.coeffs)
 
 
 def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
@@ -508,11 +531,12 @@ class Derivation:
     here instead of deriving it again; a stage that raises keeps nothing
     and raises again when next read.  The plane-field stages need ``d1``
     and ``d2``, the complex ones ``J``.  ``d_minors``, the 2x2 minors of
-    (D1, D2), is the one place they are expanded: the rank, JD = D,
-    totally-real and transverse checks extend it.  The brackets that more
-    than one check reads are stages too: ``wx`` = [W, JW] (the complex
-    framing and c_WX), and ``wr`` = [W, R] and ``xr`` = [JW, R] (the
-    structure functions and the K-check), so each is taken once per target.
+    (D1, D2), is the one place they are expanded: they witness rank(D) = 2,
+    and the JD = D, totally-real and transverse checks extend them.  The
+    brackets that more than one check reads are stages too: ``wx`` =
+    [W, JW] (the complex framing and c_WX), and ``wr`` = [W, R] and ``xr``
+    = [JW, R] (the structure functions and the K-check), so each is taken
+    once per target.
     ``nijenhuis`` alone reads a module memo, ``_nijenhuis_of``, as N_J
     depends on J, the space and the grid only, which many targets share.
 
@@ -531,8 +555,8 @@ class Derivation:
 
     @cached_property
     def d_minors(self) -> dict[tuple[int, ...], TrigScalar]:
-        """The six 2x2 minors of (D1, D2), which the rank, JD = D,
-        totally-real and transverse checks extend."""
+        """The six 2x2 minors of (D1, D2): the rank(D) witness, which the
+        JD = D, totally-real and transverse checks extend."""
         return extend_minors([self.d1, self.d2])
 
     @cached_property

@@ -17,6 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -707,9 +708,15 @@ class KForm:
     def __call__(self, *fields: VecField) -> TrigScalar:
         if len(fields) != self.degree:
             raise ValueError(f"degree-{self.degree} form takes {self.degree} arguments")
-        if self.degree == 0:
-            return self.terms.get((), ZERO)
-        minors = extend_minors(fields, self.terms)
+        return self.on_minors(extend_minors(fields, self.terms))
+
+    def on_minors(self, minors: Mapping[tuple[int, ...], TrigScalar]) -> TrigScalar:
+        """The form's value on the k-vector whose maximal minors are
+        ``minors``, keyed by sorted row sets: the sum of each term's
+        coefficient times the minor on its rows.  On the minors of fields
+        F_1..F_k this is the form's value on (F_1, ..., F_k), so a caller
+        that already holds those minors pays no second expansion;
+        ``minors`` must hold the row set of every term."""
         out = ZERO
         for idx, c in self.terms.items():
             if not minors[idx].is_zero():
@@ -811,31 +818,53 @@ def extend_minors(
         det = sum_a (-1)^(k - a) * c[r_a] * minor(rows without r_a).
 
     Each width computes only the row sets that the next, wider one needs,
-    and a zero or ``ONE`` factor forms no product.  Every minor and
+    and a zero or ``ONE`` factor forms no product.  The row sets, their
+    terms and signs depend on the shape alone, so they are read from
+    ``_minor_plan``; the walk here forms every product.  Every minor and
     determinant of fields is taken here.
     """
     if minors is None:
         minors = {(): ONE}
     width = len(next(iter(minors), ())) + len(fields)
-    top = list(itertools.combinations(range(4), width) if rows is None else rows)
-    # the row sets of each width, from the widest down
-    needed = [top]
-    for _ in fields[1:]:
-        needed.append(sorted({r[:a] + r[a + 1:] for r in needed[-1]
-                              for a in range(len(r))}))
-    for column in fields:
+    plan = _minor_plan(width, len(fields), None if rows is None else tuple(rows))
+    for column, step in zip(fields, plan):
+        coeffs = column.coeffs
         wider: dict[Rows, TrigScalar] = {}
-        for r in needed.pop():
+        for r, expansion in step:
             acc = ZERO
-            for a, i in enumerate(r):
-                c, m = column.coeffs[i], minors[r[:a] + r[a + 1:]]
+            for i, sub, sign in expansion:
+                c, m = coeffs[i], minors[sub]
                 if c.is_zero() or m.is_zero():
                     continue
                 term = c if m is ONE else m if c is ONE else c * m
-                acc = acc + term if (len(r) - 1 - a) % 2 == 0 else acc - term
+                acc = acc + term if sign > 0 else acc - term
             wider[r] = acc
         minors = wider
     return minors
+
+
+@lru_cache(maxsize=None)
+def _minor_plan(width: int, columns: int, rows: tuple[Rows, ...] | None) -> tuple:
+    """The expansion plan of ``extend_minors`` for one shape: for each
+    column appended, in turn, each row set it computes with the (frame
+    index, row set without it, sign) of each term of its expansion.
+
+    The key is the final width, the number of columns appended and the
+    requested row sets (None for all of them).  A plan holds indices and
+    signs only, never a scalar, so no result depends on it; the shapes
+    bound the table, as width <= 4 and the row sets lie in C(4, width).
+    """
+    top = list(itertools.combinations(range(4), width) if rows is None else rows)
+    # the row sets of each width, from the widest down
+    needed = [top]
+    for _ in range(columns - 1):
+        needed.append(sorted({r[:a] + r[a + 1:] for r in needed[-1]
+                              for a in range(len(r))}))
+    return tuple(
+        tuple((r, tuple((i, r[:a] + r[a + 1:], 1 if (len(r) - 1 - a) % 2 == 0 else -1)
+                        for a, i in enumerate(r)))
+              for r in step)
+        for step in reversed(needed))
 
 
 def det_of_fields(fields: Sequence[VecField]) -> TrigScalar:

@@ -8,10 +8,10 @@ rationals serialize as ``"p/q"`` and exact frequencies as
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .framecalc import ComplexStructure, FramedSpace, VecField
 from .trigring import Frequency, parse, rat
@@ -164,47 +164,60 @@ def dump_manifest(doc: Mapping) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _members(doc: Mapping, path: str) -> list[tuple[str, object]]:
-    """``(where, value)`` of each member of ``doc`` at ``path``.
-
-    ``where`` names the member for a diagnostic: a top-level section by its
-    name, a named member as ``section.member``, and an entry of an array or
-    object as a ``row`` when it is itself an array or object and as an
-    ``entry`` when it is a string.  Members under a value of the wrong JSON
-    type are not visited.
-    """
-    section, *parts = path.split("/")
-    found = [(section, doc[section])] if section in doc else []
-    prefix = section
-    for part in parts:
+def _where(key: str, trail: tuple) -> str:
+    """The name, for a diagnostic, of the member at the path ``key`` that
+    ``trail`` reaches, the member names and indices from its section down:
+    a top-level section by its name, a named member as ``section.member``,
+    and an entry of an array or object as a ``row`` when it is itself an
+    array or object and as an ``entry`` when it is a string."""
+    section, *parts = key.split("/")
+    where, prefix = trail[0], section
+    for part, name in zip(parts, trail[1:]):
         prefix = f"{prefix}/{part}"
-        label = "entry" if SECTION_TYPES.get(prefix) == "string" else "row"
-        deeper: list[tuple[str, object]] = []
-        for where, value in found:
-            if part == "*" and isinstance(value, Mapping):
-                deeper += [(f"{where} {label} {k!r}", v) for k, v in value.items()]
-            elif part == "*" and isinstance(value, list):
-                deeper += [(f"{where} {label} {k}", v) for k, v in enumerate(value)]
-            elif isinstance(value, Mapping) and part in value:
-                deeper.append((f"{where}.{part}", value[part]))
-        found = deeper
-    return found
+        if part == "*":
+            label = "entry" if SECTION_TYPES[prefix] == "string" else "row"
+            where = f"{where} {label} {name!r}"
+        else:
+            where = f"{where}.{part}"
+    return where
 
 
 def _check_members(doc: Mapping) -> None:
     """Raise ValueError naming the first member of the wrong JSON type, or
-    else the first required member that is missing."""
+    else the first required member that is missing.
+
+    One walk: the members at each path of ``SECTION_TYPES`` are found from
+    those at its parent path, which come before it and have been checked,
+    so every member is visited once, and a name is formed only for the
+    member a diagnostic reports.
+    """
+    # (value, trail) of each member at each path checked so far
+    found: dict[str, list[tuple[object, tuple]]] = {}
     for key, kind in SECTION_TYPES.items():
-        for where, value in _members(doc, key):
+        parent, _, part = key.rpartition("/")
+        if not parent:
+            members = [(doc[key], (key,))] if key in doc else []
+        elif part == "*":
+            members = []
+            for value, trail in found[parent]:
+                items = value.items() if isinstance(value, Mapping) else enumerate(value)
+                members += [(v, trail + (k,)) for k, v in items]
+        else:
+            members = [(value[part], trail + (part,)) for value, trail in found[parent]
+                       if part in value]
+        for value, trail in members:
             if not isinstance(value, _PY_TYPES[kind]):
-                if "/" not in key:
+                where = _where(key, trail)
+                if not parent:
                     where = f"section {where!r}"
                 raise ValueError(f"{where} must be a JSON {kind}")
+        found[key] = members
     for key in REQUIRED_MEMBERS:
         parent, _, member = key.rpartition("/")
-        owners = _members(doc, parent) if parent else [("the manifest", doc)]
-        for where, owner in owners:
+        owners = found[parent] if parent else [(doc, None)]
+        for owner, trail in owners:
             if member not in owner:
+                where = _where(parent, trail) if parent else "the manifest"
                 raise ValueError(f"{where} has no member {member!r}")
 
 

@@ -7,17 +7,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 def _cold_ring() -> None:
-    """Clear every memo of ``trigring`` and start an empty wave table."""
-    from engelcalc import trigring
+    """Clear every memo of ``trigring``, start an empty wave table and empty
+    the minor plans of ``framecalc``."""
+    from engelcalc import framecalc, trigring
 
     trigring._angle_products.cache_clear()
     trigring._clear_wave_table()
+    framecalc._minor_plan.cache_clear()
 
 
 @pytest.fixture(scope="session")
 def cold_ring():
-    """The function that resets ``trigring`` to a cold ring; session-scoped,
-    so that hypothesis tests can call it once per example."""
+    """The function that resets ``trigring`` to a cold ring and empties the
+    minor plans; session-scoped, so that hypothesis tests can call it once
+    per example."""
     return _cold_ring
 
 

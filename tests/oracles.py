@@ -3,14 +3,16 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
-``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
-``closed_jr_residual``, ``rescaled_reeb_direction``,
+``cofactor_minor``, ``direct_w_residuals``, ``six_pair_nijenhuis``,
+``eight_jd_minors``, ``closed_jr_residual``, ``rescaled_reeb_direction``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
 ``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
 expansions that shortcuts or shared helpers in the code replaced (the flag
-reads alpha off the minors of (D1, D2) it extends by E3, where
-``annihilating_form`` takes the maximal minors of (D1, D2, E3) afresh; the
+reads alpha off the minors of a pair (D_i, E3) it extends by the other
+generator, where ``annihilating_form`` takes the maximal minors of
+(D1, D2, E3) afresh; ``extend_minors`` walks a plan made once per shape,
+where ``cofactor_minor`` expands each minor along its first column; the
 J-claims are certified on the witnesses J leaves free, N_J on two pairs of
 E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
 where the three oracles take every frame pair, both J D_i and J(R)'s own
@@ -81,6 +83,20 @@ def annihilating_form(d1: VecField, d2: VecField, e3: VecField) -> KForm:
     """
     m0, m1, m2, m3 = minors_of_fields([d1, d2, e3])
     return KForm.one_form([-m3, m2, -m1, m0])
+
+
+def cofactor_minor(columns, rows) -> TrigScalar:
+    """The determinant of the columns' coefficients on the sorted frame
+    indices ``rows``, by cofactor expansion along the first column, each
+    minor taken afresh."""
+    if not columns:
+        return ONE
+    first, rest = columns[0], columns[1:]
+    out = ZERO
+    for a, r in enumerate(rows):
+        term = first.coeffs[r] * cofactor_minor(rest, rows[:a] + rows[a + 1:])
+        out = out + term if a % 2 == 0 else out - term
+    return out
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:

@@ -189,6 +189,96 @@ def test_flag_pairings_on_rational_pi_phases_agree_in_value():
                                     rel_tol=1e-9, abs_tol=1e-9), (seed, p)
 
 
+def _rescaled_torus(scaled):
+    """The coordinate torus with f = 2 + cos(2 pi (y1 - x2)) on generator
+    ``scaled`` (0 for D1, 1 for D2) of D = <E1 + sin E3 - cos E4,
+    E2 + cos E3 + sin E4>, the angle 2 pi x1: the rescaled generator has
+    more terms, so the flag extends by the other one."""
+    theta = "2*pi*x1"
+    coords = ["x1", "y1", "x2", "y2"]
+    man = load_manifest({
+        "frame": ["dx1", "dy1", "dx2", "dy2"],
+        "coordinates": coords,
+        "derivation": {f"d{c}": {c: "1"} for c in coords},
+        "distribution": [["1", "0", f"sin({theta})", f"-cos({theta})"],
+                         ["0", "1", f"cos({theta})", f"sin({theta})"]],
+    })
+    d = [man.d1, man.d2]
+    d[scaled] = d[scaled].scale(parse("2 + cos(2*pi*y1 - 2*pi*x2)"))
+    return d[0], d[1], man.space
+
+
+def _flag_case(case):
+    if case in FAMILIES:
+        spec = family(case)
+        return spec.d1, spec.d2, spec.space
+    if case.startswith("graph"):
+        return _graph_fields(int(case[len("graph"):]))
+    return _rescaled_torus({"f_on_d1": 0, "f_on_d2": 1}[case])
+
+
+FLAG_CASES = [*FAMILIES, *(f"graph{seed}" for seed in range(6)), "f_on_d1", "f_on_d2"]
+
+
+@pytest.mark.parametrize("case", FLAG_CASES)
+def test_flag_route_gives_the_direct_alpha_and_pairings(monkeypatch, case):
+    # alpha from one pair's minors extended by the other generator, and the
+    # pairings from d(alpha) on the pairs' minors, equal the direct forms
+    # exactly; on the rescaled torus the pair expanded first is the
+    # rescaled generator's, so that both column choices run
+    d1, d2, space = _flag_case(case)
+    pairs = []
+    extend = framecalc.extend_minors
+
+    def recording(fields, rows=None, minors=None):
+        if len(fields) == 2:
+            pairs.append(fields[0])
+        return extend(fields, rows, minors)
+
+    ctx = Derivation(d1, d2, None, space, grid=3, tol=0.0)
+    ctx.d_minors  # derive the stage before recording
+    monkeypatch.setattr(engelcheck, "extend_minors", recording)
+    flag = verify_engel(ctx)
+    e3 = flag.e3
+    alpha = annihilating_form(d1, d2, e3)
+    d_alpha = exterior_derivative(alpha, space)
+    assert flag.alpha == alpha
+    assert flag.pairings == (-d_alpha(d1, e3), -d_alpha(d2, e3))
+    if case.startswith("f_on_"):
+        first = d1 if case == "f_on_d1" else d2
+        assert pairs[0] is first and pairs[1] is not first
+        assert flag.passed
+
+
+def test_flag_evaluates_no_form_on_fields_and_expands_each_pair_once(monkeypatch):
+    # the pairings are d(alpha) on the minors of (D_i, E3) that the flag
+    # already holds, so no 2-form is evaluated on fields and neither pair's
+    # minors are expanded twice
+    def no_evaluation(self, *fields):
+        raise AssertionError("verify_engel evaluated a form on fields")
+
+    expanded = []
+    extend = framecalc.extend_minors
+
+    def recording(fields, rows=None, minors=None):
+        expanded.append(list(fields))
+        return extend(fields, rows, minors)
+
+    for module in (framecalc, engelcheck):
+        monkeypatch.setattr(module, "extend_minors", recording)
+    for case in FLAG_CASES:
+        d1, d2, space = _flag_case(case)
+        ctx = Derivation(d1, d2, None, space, grid=3, tol=0.0)
+        ctx.d_minors  # derive the stage before counting
+        expanded.clear()
+        with monkeypatch.context() as m:
+            m.setattr(KForm, "__call__", no_evaluation)
+            flag = verify_engel(ctx)
+        assert flag.pairings is not None, case
+        for d in (d1, d2):
+            assert sum(fields == [d, flag.e3] for fields in expanded) == 1, case
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_characteristic_pointwise_nullspace_oracle(name):
     # W(p) must span the nullspace of [alpha([D1,E3]), alpha([D2,E3])] at p,

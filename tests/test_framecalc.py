@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engelcalc import framecalc
 from engelcalc.framecalc import (
     ComplexStructure,
     FramedSpace,
@@ -17,18 +18,20 @@ from engelcalc.framecalc import (
     certify_nonvanishing,
     det_of_fields,
     exterior_derivative,
+    extend_minors,
     grid_points,
     minors_of_fields,
     nijenhuis,
     wedge,
 )
 from engelcalc.catalog import FAMILIES, build_family
-from engelcalc.laws import _law_space
+from engelcalc.laws import _law_space, _random_field
 from engelcalc.manifest import space_from_json, space_to_json
-from engelcalc.trigring import Frequency, TrigScalar, parse
+from engelcalc.trigring import ZERO, Frequency, TrigScalar, parse
 
 from oracles import (
     brute_force_certificate,
+    cofactor_minor,
     frame_by_frame_derivative,
     numeric_bracket,
     numeric_matrix,
@@ -421,6 +424,64 @@ def test_two_field_rank_by_no_common_zero_of_minors():
 def test_determinant_of_no_fields_is_rejected():
     with pytest.raises(ValueError):
         certify_nonvanishing(det_of_fields([]), FramedSpace())
+
+
+# -- minor plans ---------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4),
+       base=st.integers(0, 3), data=st.data())
+def test_extend_minors_matches_the_cofactor_expansion(cold_ring, seed, width, base, data):
+    # on random law-suite fields, every width and any requested row sets in
+    # any order, with the plans made cold or read warm, and extending the
+    # minors of a first block of columns or starting from none
+    cold_ring()
+    rng = random.Random(seed)
+    fields = [_random_field(rng, _law_space().coords) for _ in range(width)]
+    every = list(itertools.combinations(range(4), width))
+    rows = data.draw(st.none() | st.permutations(every).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k])))
+    start = min(base, width - 1)
+    want = {r: cofactor_minor(fields, r) for r in (every if rows is None else rows)}
+    for _ in range(2):
+        if start:
+            got = extend_minors(fields[start:], rows, extend_minors(fields[:start]))
+        else:
+            got = extend_minors(fields, rows)
+        assert list(got) == list(want)
+        assert got == want
+
+
+def test_a_repeated_column_gives_zero_minors():
+    rng = random.Random(5)
+    u, v = (_random_field(rng, _law_space().coords) for _ in range(2))
+    for fields in ([u, u], [u, v, u], [v, u, v, u]):
+        assert all(m == ZERO for m in extend_minors(fields).values()), len(fields)
+
+
+def test_minor_plans_are_made_once_per_shape_and_hold_no_scalar(cold_ring):
+    cold_ring()
+    rng = random.Random(6)
+    u, v, w = (_random_field(rng, _law_space().coords) for _ in range(3))
+    extend_minors([u, v])
+    extend_minors([w], minors=extend_minors([u, v]))
+    extend_minors([u, v, w], [(0, 1, 3), (1, 2, 3)])
+    info = framecalc._minor_plan.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    leaves = []
+
+    def walk(node):
+        if isinstance(node, tuple):
+            for item in node:
+                walk(item)
+        else:
+            leaves.append(node)
+
+    for width, columns, rows in [(2, 2, None), (3, 1, None),
+                                 (3, 3, ((0, 1, 3), (1, 2, 3)))]:
+        walk(framecalc._minor_plan(width, columns, rows))
+    assert leaves and all(type(x) is int for x in leaves)
 
 
 # -- frame tables -------------------------------------------------------------------

@@ -179,7 +179,7 @@ def _module_tables():
 def test_every_module_table_has_a_cold_fixture(monkeypatch, request, cold_ring):
     tables = _module_tables()
     assert {"engelcalc.catalog._cached_spec", "engelcalc.manifest._shared_space",
-            "engelcalc.engelcheck._nijenhuis_of",
+            "engelcalc.engelcheck._nijenhuis_of", "engelcalc.framecalc._minor_plan",
             "engelcalc.trigring._angle_products"} <= set(tables)
     cleared = set()
     for name, table in tables.items():
