@@ -211,17 +211,15 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
     nonzero, so the sampled witness is their sum of squares.
 
     Both witnesses are read off the 2x2 minors of (D_i, E3), each set
-    expanded once.  E3 is the largest column, so the minors of (D1, D2, E3)
-    extend those of one pair (D_i, E3) by the other generator, through
+    expanded once.  E3 is the largest column, so it is taken into the 2x2
+    minors of (D1, E3), and the maximal minors of (D1, D2, E3) are expanded
+    along D2 instead of E3, through
 
-        det(D1, E3, D2) = -det(D1, D2, E3),  det(D2, E3, D1) = +det(D1, D2, E3),
+        det(D1, E3, D2) = -det(D1, D2, E3).
 
-    and u_i = -d(alpha) evaluated on the same pair's minors
-    (``KForm.on_minors``).  The generator extended by is the one with fewer
-    terms, D2 on a tie, as its entries multiply every minor of the pair:
-    the route follows the sizes, not which generator a user rescaled.  The
-    other pair's minors are expanded only once rank(E) = 3 is certified,
-    and only on the row sets of d(alpha)'s terms.
+    The pairings are u_i = -d(alpha) evaluated on the pair's minors
+    (``KForm.on_minors``).  The minors of (D2, E3) are expanded only once
+    rank(E) = 3 is certified, and only on the row sets of d(alpha)'s terms.
     """
     d1, d2, space, grid, tol = ctx.d1, ctx.d2, ctx.space, ctx.grid, ctx.tol
     certs: dict[str, Certificate] = {}
@@ -230,21 +228,17 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
     e3 = bracket(d1, d2, space)
     if not certs["rank_d"].passed:
         return EngelFlag(d1, d2, e3, certs)
-    by_d2 = _size(d2) <= _size(d1)
-    first, last = (d1, d2) if by_d2 else (d2, d1)
-    pair = extend_minors([first, e3])
-    minors = list(extend_minors([last], minors=pair).values())
-    if by_d2:  # det(D1, E3, D2) = -det(D1, D2, E3)
-        minors = [-m for m in minors]
+    pair = extend_minors([d1, e3])
+    # det(D1, E3, D2) = -det(D1, D2, E3)
+    minors = [-m for m in extend_minors([d2], minors=pair).values()]
     alpha = _annihilating_form_of(minors)
     # alpha's coefficients up to sign, in the order of minors_of_fields
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
     d_alpha = exterior_derivative(alpha, space)
-    u_first = -d_alpha.on_minors(pair)
-    u_last = -d_alpha.on_minors(extend_minors([last, e3], d_alpha.terms))
-    u1, u2 = (u_first, u_last) if by_d2 else (u_last, u_first)
+    u1 = -d_alpha.on_minors(pair)
+    u2 = -d_alpha.on_minors(extend_minors([d2, e3], d_alpha.terms))
     for u, label in ((u1, "det with [D1,E3]"), (u2, "det with [D2,E3]")):
         const = u.constant_value()
         if const is not None and not const.is_zero():
@@ -254,11 +248,6 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
         certs["rank_tm"] = certify_no_common_zero(
             [u1, u2], space, grid, tol, note="sum of squares of the two top minors")
     return EngelFlag(d1, d2, e3, certs, alpha, d_alpha, (u1, u2))
-
-
-def _size(v: VecField) -> int:
-    """The number of terms in v's coefficients."""
-    return sum(len(c.terms()) for c in v.coeffs)
 
 
 def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:

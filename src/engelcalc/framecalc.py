@@ -843,16 +843,21 @@ def extend_minors(
     return minors
 
 
-@lru_cache(maxsize=None)
+# the plans of the last this many shapes; two catalog and two sampled rounds
+# use 31 between them
+PLAN_TABLE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_TABLE_SIZE)
 def _minor_plan(width: int, columns: int, rows: tuple[Rows, ...] | None) -> tuple:
     """The expansion plan of ``extend_minors`` for one shape: for each
     column appended, in turn, each row set it computes with the (frame
     index, row set without it, sign) of each term of its expansion.
 
     The key is the final width, the number of columns appended and the
-    requested row sets (None for all of them).  A plan holds indices and
-    signs only, never a scalar, so no result depends on it; the shapes
-    bound the table, as width <= 4 and the row sets lie in C(4, width).
+    requested row sets as given, in their order (None for all of them).  A
+    plan holds indices and signs only, never a scalar, so no result depends
+    on it; the table keeps the last ``PLAN_TABLE_SIZE`` shapes.
     """
     top = list(itertools.combinations(range(4), width) if rows is None else rows)
     # the row sets of each width, from the widest down

@@ -193,7 +193,7 @@ def _rescaled_torus(scaled):
     """The coordinate torus with f = 2 + cos(2 pi (y1 - x2)) on generator
     ``scaled`` (0 for D1, 1 for D2) of D = <E1 + sin E3 - cos E4,
     E2 + cos E3 + sin E4>, the angle 2 pi x1: the rescaled generator has
-    more terms, so the flag extends by the other one."""
+    more terms."""
     theta = "2*pi*x1"
     coords = ["x1", "y1", "x2", "y2"]
     man = load_manifest({
@@ -222,10 +222,10 @@ FLAG_CASES = [*FAMILIES, *(f"graph{seed}" for seed in range(6)), "f_on_d1", "f_o
 
 @pytest.mark.parametrize("case", FLAG_CASES)
 def test_flag_route_gives_the_direct_alpha_and_pairings(monkeypatch, case):
-    # alpha from one pair's minors extended by the other generator, and the
-    # pairings from d(alpha) on the pairs' minors, equal the direct forms
-    # exactly; on the rescaled torus the pair expanded first is the
-    # rescaled generator's, so that both column choices run
+    # alpha from the minors of (D1, E3) extended by D2, and the pairings
+    # from d(alpha) on the pairs' minors, equal the direct forms exactly;
+    # on the rescaled torus the pair expanded first is (D1, E3) whichever
+    # generator carries f
     d1, d2, space = _flag_case(case)
     pairs = []
     extend = framecalc.extend_minors
@@ -245,8 +245,7 @@ def test_flag_route_gives_the_direct_alpha_and_pairings(monkeypatch, case):
     assert flag.alpha == alpha
     assert flag.pairings == (-d_alpha(d1, e3), -d_alpha(d2, e3))
     if case.startswith("f_on_"):
-        first = d1 if case == "f_on_d1" else d2
-        assert pairs[0] is first and pairs[1] is not first
+        assert pairs == [d1, d2]
         assert flag.passed
 
 

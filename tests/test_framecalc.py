@@ -484,6 +484,19 @@ def test_minor_plans_are_made_once_per_shape_and_hold_no_scalar(cold_ring):
     assert leaves and all(type(x) is int for x in leaves)
 
 
+def test_minor_plans_keep_a_bounded_number_of_shapes(cold_ring):
+    # every order of the requested row sets is its own shape, so a caller
+    # passing row sets in new orders does not grow the table past its bound
+    cold_ring()
+    u, v = (_random_field(random.Random(seed), _law_space().coords) for seed in (7, 8))
+    pairs = list(itertools.combinations(range(4), 2))
+    full = extend_minors([u, v])
+    for order in itertools.islice(itertools.permutations(pairs), 3 * framecalc.PLAN_TABLE_SIZE):
+        minors = extend_minors([u, v], order)
+        assert list(minors) == list(order) and minors == {r: full[r] for r in order}
+    assert framecalc._minor_plan.cache_info().currsize == framecalc.PLAN_TABLE_SIZE
+
+
 # -- frame tables -------------------------------------------------------------------
 
 
