@@ -260,51 +260,29 @@ def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
 
 
 def characteristic_foliation(ctx: Derivation) -> VecField:
-    """The line field W in D with [W, E] inside E, from the context's flag.
+    """The line field W = -u2 D1 + u1 D2 in D, with [W, E] inside E, read
+    off the pairings u_i = alpha([D_i, E3]) of the context's flag.
 
-    Writing W = l1 D1 + l2 D2, the constraint alpha([W, E3]) = 0 is pointwise
-    linear with coefficients u_i = alpha([D_i, E3]), the flag's ``pairings``,
-    so W = -u2 D1 + u1 D2; the Engel certificate keeps them from both vanishing.
-
-    [W, E] lies in E when alpha([W, X]) vanishes for X = D1, D2, E3.  The
-    Leibniz rule [l D, X] = l [D, X] - X(l) D and the linearity of alpha give
+    Nothing is left to certify.  [W, E] lies in E when alpha([W, X])
+    vanishes for X = D1, D2, E3.  With W = l1 D1 + l2 D2, the Leibniz rule
+    [l D, X] = l [D, X] - X(l) D and the linearity of alpha give
 
         alpha([W, X]) = l1 alpha([D1, X]) + l2 alpha([D2, X])
-                        - X(l1) alpha(D1) - X(l2) alpha(D2),
+                        - X(l1) alpha(D1) - X(l2) alpha(D2).
 
-    where alpha([D_i, D_i]) = 0, alpha([D1, D2]) = alpha(E3) and
-    alpha([D_i, E3]) = u_i.  So no bracket is taken, and X(l_i) only where
-    alpha(D_i) is not identically zero.  The precondition is that
-    ``pairings`` equal alpha([D_i, E3]) as functions; ``verify_engel`` sets
-    them to -d(alpha)(D_i, E3), which is that by Cartan's formula.
+    alpha is det(D1, D2, E3, .), so alpha(D1) = alpha(D2) = alpha(E3) = 0
+    identically, and alpha([D1, D2]) = alpha(E3).  The flag's pairings are
+    -d(alpha)(D_i, E3), which is alpha([D_i, E3]) by Cartan's formula.  So
+    the three residuals are -l2 alpha(E3) = 0, l1 alpha(E3) = 0 and
+    l1 u1 + l2 u2 = -u2 u1 + u1 u2 = 0 for (l1, l2) = (-u2, u1).  A passed
+    flag certifies that u1 and u2 vanish nowhere together, so W vanishes
+    nowhere.
     """
-    flag, space = ctx.flag, ctx.space
+    flag = ctx.flag
     if not flag.passed:
         raise PreconditionError("characteristic foliation needs a certified flag")
-    alpha = flag.alpha
     u1, u2 = flag.pairings
-    if u1.is_zero() and u2.is_zero():
-        raise VerificationError("characteristic direction undetermined: "
-                                "both defining coefficients vanish identically")
-    l1, l2 = -u2, u1
-    w = flag.d1.scale(l1) + flag.d2.scale(l2)
-    gens = (flag.d1, flag.d2, flag.e3)
-    on_d1, on_d2, on_e3 = (alpha(x) for x in gens)
-    top = (-(l2 * on_e3), l1 * on_e3, l1 * u1 + l2 * u2)
-    residuals = []
-    for x, r in zip(gens, top):
-        for l, on_d in ((l1, on_d1), (l2, on_d2)):
-            if not on_d.is_zero():
-                r = r - space.apply(x, l) * on_d
-        residuals.append(r)
-    cert = certify_vanishing(residuals, space, ctx.grid,
-                             note="alpha([W, E-generators])")
-    if not cert.passed:
-        raise VerificationError(
-            f"[W, E] does not stay in E; worst residual {cert.bound} "
-            f"at {cert.witness_point}"
-        )
-    return w
+    return flag.d1.scale(-u2) + flag.d2.scale(u1)
 
 
 def j_invariance_check(ctx: Derivation) -> Certificate:

@@ -825,6 +825,8 @@ def extend_minors(
     """
     if minors is None:
         minors = {(): ONE}
+    if not fields:
+        return dict(minors) if rows is None else {r: minors[r] for r in rows}
     width = len(next(iter(minors), ())) + len(fields)
     plan = _minor_plan(width, len(fields), None if rows is None else tuple(rows))
     for column, step in zip(fields, plan):

@@ -239,7 +239,13 @@ class SearchResult:
 
 
 def minimal_n_search(inp: MappingTorusInput, n_max: int) -> SearchResult:
-    """Smallest level whose plane field earns an Engel certificate and JD = D.
+    """Smallest level whose plane field D_n = <A_n, J A_n> earns an Engel
+    certificate.
+
+    JD_n = D_n holds on every level by construction, so only the flag is
+    certified.  With D1 = A_n and D2 = J A_n, the witnesses of JD = D are
+    the maximal minors of (D1, D2, J D1) = (A_n, J A_n, J A_n), which have a
+    repeated column and vanish identically.
 
     Levels are swept in order, each on its ``level_derivation``.  The result
     is deterministic; on exhaustion the trace still carries the per-level
@@ -249,16 +255,13 @@ def minimal_n_search(inp: MappingTorusInput, n_max: int) -> SearchResult:
         raise ValueError("n_max must be at least 1")
     trace: list[dict] = []
     for n in range(1, n_max + 1):
-        ctx = level_derivation(inp, n)
-        flag = ctx.flag
+        flag = level_derivation(inp, n).flag
         entry = {"n": n, "passed": flag.passed}
         for key, cert in flag.certificates.items():
             entry[key] = cert.kind
             if cert.bound is not None:
                 entry[f"{key}_bound"] = cert.bound
-        inv = ctx.j_invariance
-        entry["j_invariant"] = inv.passed
         trace.append(entry)
-        if flag.passed and inv.passed:
+        if flag.passed:
             return SearchResult(n, flag, tuple(trace))
     return SearchResult(None, None, tuple(trace))

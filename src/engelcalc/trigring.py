@@ -75,7 +75,10 @@ of pi, so two single-triple runs take one ``_qmul`` or ``_qadd`` in
 products, sums, scalings and derivatives, and only other runs go through
 ``_pmul`` and ``_merge_runs``.  ``differentiate`` keeps each term's key with cos and
 sin swapped, which is canonical as it stands; each key caches that partner,
-which also names a sine's angle.  A zero operand of a sum or difference gives
+which also names a sine's angle.  Each key likewise keeps its text, such
+as ``sin(2*pi*x)``, once ``format_scalar`` has formed it, so a wave is
+formatted once per key, and a fresh table's key forms the same text again.
+A zero operand of a sum or difference gives
 the other operand (negated for ``0 - x``), and ``parse`` reads an integer
 literal without the tokenizer.
 """
@@ -463,9 +466,10 @@ class WaveKey(int):
     triples).  ``<`` and ``<=`` order keys by their int value.  Indexing,
     unpacking and ``len`` are the triple's.  The instance dict holds
     ``triple``; ``partner``, the key of the wave with cos and sin swapped
-    once ``differentiate`` or a product has needed it; and ``order``, its
+    once ``differentiate`` or a product has needed it; ``order``, its
     sort key in the canonical term order once ``_ordered_terms`` has
-    needed it.
+    needed it; and ``text``, the wave's text form, such as
+    ``cos(2*pi*x - y)``, once ``format_scalar`` has printed it.
     """
 
     def __new__(cls, triple: Wave) -> "WaveKey":
@@ -473,6 +477,7 @@ class WaveKey(int):
         key.triple = triple
         key.partner = None
         key.order = None
+        key.text = None
         return key
 
     def __eq__(self, other: object) -> bool:
@@ -1345,11 +1350,14 @@ def format_scalar(s: TrigScalar) -> str:
         return "0"
     parts = []
     for w, r in _ordered_terms(s):
-        kind, fr, ph = w.triple
         if w is _CONST_WAVE:
             sign, body = _format_coeff(r)
         else:
-            wave = f"{'cos' if kind == 'c' else 'sin'}({_format_angle(fr, ph)})"
+            wave = w.text
+            if wave is None:
+                kind, fr, ph = w.triple
+                wave = w.text = (f"{'cos' if kind == 'c' else 'sin'}"
+                                 f"({_format_angle(fr, ph)})")
             if r == _ONE_RUN:
                 sign, body = "+", wave
             elif r == _MINUS_ONE_RUN:

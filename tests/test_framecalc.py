@@ -27,7 +27,7 @@ from engelcalc.framecalc import (
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.laws import _law_space, _random_field
 from engelcalc.manifest import space_from_json, space_to_json
-from engelcalc.trigring import ZERO, Frequency, TrigScalar, parse
+from engelcalc.trigring import ONE, ZERO, Frequency, TrigScalar, parse
 
 from oracles import (
     brute_force_certificate,
@@ -451,6 +451,18 @@ def test_extend_minors_matches_the_cofactor_expansion(cold_ring, seed, width, ba
             got = extend_minors(fields, rows)
         assert list(got) == list(want)
         assert got == want
+
+
+def test_extend_minors_by_no_columns_gives_the_requested_rows():
+    rng = random.Random(8)
+    u, v = (_random_field(rng, _law_space().coords) for _ in range(2))
+    minors = extend_minors([u, v])
+    rows = [(1, 3), (0, 2)]
+    got = extend_minors([], rows, minors)
+    assert list(got) == rows and all(got[r] is minors[r] for r in rows)
+    assert extend_minors([], [], minors) == {}
+    assert extend_minors([], minors=minors) == minors
+    assert extend_minors([]) == {(): ONE}
 
 
 def test_a_repeated_column_gives_zero_minors():

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from engelcalc import engelcheck
 from engelcalc.engelcheck import (
     Derivation,
     PreconditionError,
@@ -21,7 +23,10 @@ from engelcalc.geiges import (
     residual_decay_fit,
     twisted_torus_input,
 )
+from engelcalc.manifest import load_manifest
 from engelcalc.trigring import parse
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_flat_input_validates():
@@ -96,7 +101,7 @@ def test_minimal_n_search_flat_and_twisted():
         res = minimal_n_search(make(), 16)
         assert res.n_star == 1
         assert res.flag is not None and res.flag.passed
-        assert res.trace[0]["j_invariant"] is True
+        assert "j_invariant" not in res.trace[0]
 
 
 def test_minimal_n_search_deterministic_trace():
@@ -119,11 +124,36 @@ def test_monotone_tail_after_first_pass():
         assert verify_engel(Derivation(a_n, ja_n, inp.J, inp.space, 17 * n)).passed, n
 
 
+def _manifest_input():
+    # the mapping-torus data every sampled benchmark manifest carries
+    mf = load_manifest((FIXTURES / "sampled_clear_1coord.json").read_text())
+    mt = mf.mapping_torus
+    return MappingTorusInput(space=mf.space, V=mt["V"], X=mt["X"], J=mf.J,
+                             t=mt["coordinate"])
+
+
+INPUTS = {"flat": flat_torus_input, "twisted": twisted_torus_input,
+          "manifest": _manifest_input}
+
+
 def test_span_is_j_invariant_for_every_level():
-    inp = twisted_torus_input()
-    for n in (1, 2, 3, 7):
-        a_n, ja_n = build_An(inp, n)
-        assert j_invariance_check(Derivation(a_n, ja_n, inp.J, inp.space)).passed, n
+    # D2 = J D1 on each level, so the minors of (D1, D2, J D1) have a
+    # repeated column: minimal_n_search does not certify JD = D
+    for name, make in INPUTS.items():
+        inp = make()
+        for n in (1, 2, 3, 4, 7):
+            cert = j_invariance_check(level_derivation(inp, n))
+            assert cert.kind == "SYMBOLIC" and cert.passed, (name, n)
+
+
+def test_minimal_n_search_certifies_no_j_invariance(monkeypatch):
+    def forbidden(ctx):
+        raise AssertionError("minimal_n_search certified JD = D")
+
+    monkeypatch.setattr(engelcheck, "j_invariance_check", forbidden)
+    for make in INPUTS.values():
+        res = minimal_n_search(make(), 4)
+        assert res.n_star == 1 and res.flag.passed
 
 
 def test_totally_real_variant_certificates():

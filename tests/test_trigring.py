@@ -750,6 +750,34 @@ def test_wave_table_is_bounded(cold_ring, monkeypatch):
     assert trigring._waves[_CONST_WAVE.triple] is _CONST_WAVE
 
 
+def test_format_forms_each_wave_text_once(cold_ring, monkeypatch):
+    # each wave key keeps its text, so printing scalars again formats no
+    # angle; a fresh table's keys form the same text anew
+    calls = []
+    format_angle = trigring._format_angle
+
+    def counting(fr, ph):
+        calls.append((fr, ph))
+        return format_angle(fr, ph)
+
+    monkeypatch.setattr(trigring, "_format_angle", counting)
+    texts = ["cos(x + y) + 2*sin(2*x) - 1", "sin(x - y) + cos(3*y + pi/3) + 1/2",
+             "3*pi*cos(x + y) - sin(y/2)"]
+    cold_ring()
+    scalars = [parse(t) for t in texts]
+    scalars.append(scalars[0] * scalars[1])
+    first = [str(s) for _ in range(3) for s in scalars]
+    keys = {w for s in scalars for w in s.terms() if w is not _CONST_WAVE}
+    assert len(calls) == len(keys)
+    assert sorted(calls) == sorted((w[1], w[2]) for w in keys)
+    cold_ring()
+    calls.clear()
+    again = [parse(t) for t in texts]
+    again.append(again[0] * again[1])
+    assert [str(s) for _ in range(3) for s in again] == first
+    assert len(calls) == len(keys)
+
+
 def test_wave_table_is_thread_safe(cold_ring, monkeypatch):
     import sys
     import threading
