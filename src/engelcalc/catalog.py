@@ -19,15 +19,12 @@ from typing import Mapping, Sequence
 from .engelcheck import VerificationError
 from .framecalc import (
     DEFAULT_GRID,
-    DEFAULT_TOL,
     Certificate,
     ComplexStructure,
     FramedSpace,
     VecField,
     bracket,
-    certify_nonvanishing,
     certify_vanishing,
-    det_of_fields,
 )
 from .trigring import ONE, ZERO, Frequency, TrigScalar, rat
 
@@ -460,25 +457,26 @@ class BracketRecord:
     quoted: VecField
     status: str  # PASS | DEVIATION | FAIL
     note: str = ""
-    spanning: Certificate | None = None
 
 
-def check_quoted_brackets(spec: FamilySpec, grid: int = DEFAULT_GRID,
-                          tol: float = DEFAULT_TOL) -> list[BracketRecord]:
+def check_quoted_brackets(spec: FamilySpec) -> list[BracketRecord]:
     """Compare computed brackets against the quoted expectations.
 
     Expectations marked as deviations must reproduce the recorded computed
-    value and are reported as DEVIATION together with a fresh rank-4
-    certificate for the computed fields (the spanning conclusion survives).
-    Anything else mismatching is a FAIL.
+    value and are reported as DEVIATION.  Anything else mismatching is a
+    FAIL.  The spanning conclusion of a deviation needs no certificate of
+    its own: with A = D1, JA = D2 and [A, JA] = E3, the computed fields
+    (A, JA, [A, JA], [D_i, [A, JA]]) have determinant
+    det(D1, D2, E3, [D_i, E3]), the flag's pairing u_i, on which
+    ``verify_engel`` certifies rank([D, E]) = 4.  Each deviating family
+    quotes [A, [A, JA]] (i = 1), and its u1 is a nonzero constant, the
+    ``engel.rank_tm`` witness itself.
     """
     env: dict[str, VecField] = {"A": spec.d1, "JA": spec.d2}
     records: list[BracketRecord] = []
-    computed_fields: list[VecField] = []
     for exp in spec.expected_brackets:
         computed = bracket(env[exp.first], env[exp.second], spec.space)
         env[exp.name] = computed
-        computed_fields.append(computed)
         if computed == exp.quoted:
             status, note = "PASS", ""
             if exp.deviation:
@@ -489,15 +487,6 @@ def check_quoted_brackets(spec: FamilySpec, grid: int = DEFAULT_GRID,
         else:
             status, note = "FAIL", "computed value differs from the quoted one"
         records.append(BracketRecord(exp.name, computed, exp.quoted, status, note))
-    if any(r.status == "DEVIATION" for r in records) and len(computed_fields) >= 2:
-        spanning = certify_nonvanishing(
-            det_of_fields([spec.d1, spec.d2, computed_fields[0], computed_fields[1]]),
-            spec.space, grid, tol, note="computed brackets still span")
-        records = [
-            BracketRecord(r.name, r.computed, r.quoted, r.status, r.note, spanning)
-            if r.status == "DEVIATION" else r
-            for r in records
-        ]
     return records
 
 

@@ -8,7 +8,7 @@ of spans) are certified symbolically whenever the normal form collapses,
 with deterministic grid sampling as the fallback.
 
 Reeb fields are represented as exact quotients ``raw / normaliser`` where the
-normaliser is a certified nowhere-zero scalar.  Working in this fraction
+normaliser is a nowhere-zero scalar.  Working in this fraction
 field keeps every identity check exact even when the normaliser is not a
 constant, in which case plain division would leave the trig-polynomial ring.
 """
@@ -31,7 +31,6 @@ from .framecalc import (
     certify_no_common_zero,
     certify_nonvanishing,
     certify_vanishing,
-    det_of_fields,
     exterior_derivative,
     extend_minors,
     minors_of_fields,
@@ -300,22 +299,24 @@ def j_invariance_check(ctx: Derivation) -> Certificate:
                              note="minors of (D1, D2, J D_i)")
 
 
-def complex_framing(ctx: Derivation) -> Certificate:
-    """Global rank-4 certificate for {W, JW, [W,JW], J[W,JW]}: their
-    determinant vanishes nowhere.
+def complex_framing(ctx: Derivation) -> tuple[VecField, VecField]:
+    """The complex frame (W, [W, JW]) of (TM, J), read from the context: W,
+    JW, [W, JW] and J[W, JW] frame TM, so both Chern classes vanish.
 
-    This framing exists exactly when D is J-invariant Engel, and its global
-    existence is the computable counterpart of the vanishing of both Chern
-    classes.
+    Nothing is left to certify once the flag and JD = D are.  W vanishes
+    nowhere and J has no real eigenvector, so W and JW frame D.  With
+    W = l1 D1 + l2 D2 and JW = m1 D1 + m2 D2, the Leibniz rule gives
+    [W, JW] = (l1 m2 - l2 m1) E3 modulo D, and l1 m2 - l2 m1 vanishes
+    nowhere because W and JW are independent; E3 lies outside D by the
+    certified rank(E) = 3, so [W, JW] lies outside D.  As JD = D, J acts
+    on TM / D, which is a complex line, so the nonzero class of [W, JW]
+    and its J-image span it, and the four fields frame TM.
     """
     if not ctx.flag.passed:
         raise PreconditionError("complex framing needs a certified Engel structure")
     if not ctx.j_invariance.passed:
         raise PreconditionError("complex framing needs JD = D")
-    y = ctx.wx
-    return certify_nonvanishing(det_of_fields([ctx.w, ctx.x, y, ctx.J.apply(y)]),
-                                ctx.space, ctx.grid, ctx.tol,
-                                note="framing W, JW, [W,JW], J[W,JW]")
+    return ctx.w, ctx.wx
 
 
 def totally_real_check(ctx: Derivation) -> Certificate:
@@ -346,7 +347,6 @@ class DefiningForms:
     beta_dbeta: KForm
     T: FracField
     R: FracField
-    certificates: Mapping[str, Certificate]
     normalization: str = ""
 
 
@@ -363,28 +363,49 @@ def _compose_with_J(alpha: KForm, J: ComplexStructure) -> KForm:
 
 def defining_forms(ctx: Derivation) -> DefiningForms:
     """Construct alpha (annihilating E), beta = alpha o J, and the Reeb pair
-    from the context's flag.
+    from the context's flag, for a J-invariant D.
 
     alpha is normalised, when the pairing is an exactly invertible constant
     c, so that alpha([D1, E3]) = 1 (falling back to [D2, E3], then to the
     raw form), and d(alpha / c) = d(alpha) / c is the flag's d(alpha) over c:
-    only d(beta) is taken here.  The three defining-form conditions are
-    certified and a failure raises: it signals either a non-Engel plane field
-    or a beta outside the expected conformal class.
+    only d(beta) is taken here.
+
+    The three defining-form conditions hold by construction once the flag
+    and JD = D are certified, so nothing is certified here.  alpha =
+    det(D1, D2, E3, .) vanishes on D1, D2 and E3 identically and nowhere
+    else, by rank(E) = 3, so at each point some Y has alpha(Y) != 0 and
+    (D1, D2, E3, Y) is a frame; d is Cartan's, as in ``verify_engel``.
+
+    - alpha ^ d(alpha) != 0: alpha ^ d(alpha)(D_i, E3, Y) =
+      alpha(Y) d(alpha)(D_i, E3) = -alpha(Y) u_i, and the flag certifies
+      that the pairings u1, u2 vanish nowhere together.  This needs the
+      flag only.
+    - alpha ^ d(alpha) ^ beta = 0: on the frame it is
+      -alpha(Y) (d(alpha) ^ beta)(D1, D2, E3), and that vanishes, as
+      beta(D_i) = alpha(J D_i) = 0 by JD = D and d(alpha)(D1, D2) =
+      -alpha(E3) = 0.
+    - alpha ^ beta ^ d(beta) != 0: E meets JE in a J-invariant space, of
+      even dimension, that holds D; E has odd dimension, so E and JE meet
+      in D, J E3 lies outside E, and beta(E3) = alpha(J E3) vanishes
+      nowhere.  alpha ^ beta vanishes on D and d(beta)(D1, D2) =
+      -beta(E3), so alpha ^ beta ^ d(beta)(D1, D2, E3, Y) =
+      alpha(Y) beta(E3)^2.
 
     The Reeb pair is read off alpha ^ beta ^ d(beta), whose top coefficient
-    ``abdb`` is certified nowhere zero here.  Let K be the kernel field of a
-    3-form omega, so that i_K vol = omega.  For every 1-form theta,
-    theta(K) vol = theta ^ omega: contract the zero 5-form theta ^ vol with
-    K.  So the kernel field K_T of alpha ^ d(beta) has beta(K_T) = -abdb and
-    alpha(K_T) = 0 (alpha ^ alpha = 0), and the kernel field K_R of
-    beta ^ d(beta) has alpha(K_R) = abdb and beta(K_R) = 0 (beta ^ beta = 0).
-    T = K_T / -abdb and R = K_R / abdb are then the Reeb pair, with
-    beta(T) = alpha(R) = 1, and nothing about them is left to certify.
+    is ``abdb``.  Let K be the kernel field of a 3-form omega, so that
+    i_K vol = omega.  For every 1-form theta, theta(K) vol = theta ^ omega:
+    contract the zero 5-form theta ^ vol with K.  So the kernel field K_T of
+    alpha ^ d(beta) has beta(K_T) = -abdb and alpha(K_T) = 0
+    (alpha ^ alpha = 0), and the kernel field K_R of beta ^ d(beta) has
+    alpha(K_R) = abdb and beta(K_R) = 0 (beta ^ beta = 0).  T = K_T / -abdb
+    and R = K_R / abdb are then the Reeb pair, with beta(T) = alpha(R) = 1,
+    and nothing about them is left to certify.
     """
-    flag, space, grid, tol = ctx.flag, ctx.space, ctx.grid, ctx.tol
+    flag, space = ctx.flag, ctx.space
     if not flag.passed:
         raise PreconditionError("defining forms need a certified Engel flag")
+    if not ctx.j_invariance.passed:
+        raise PreconditionError("defining forms need JD = D")
     alpha, d_alpha = flag.alpha, flag.d_alpha
     normalization = "raw"
     for pairing, label in zip(flag.pairings, ("[D1,[D1,D2]]", "[D2,[D1,D2]]")):
@@ -395,31 +416,12 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
             break
     beta = _compose_with_J(alpha, ctx.J)
     d_beta = exterior_derivative(beta, space)
-    certs: dict[str, Certificate] = {}
-
-    ada = wedge(alpha, d_alpha)
-    certs["alpha_da_nonzero"] = certify_no_common_zero(
-        list(ada.terms.values()), space, grid, tol, note="alpha ^ d(alpha) != 0")
-
     beta_dbeta = wedge(beta, d_beta)
     abdb = wedge(alpha, beta_dbeta).component((0, 1, 2, 3))
-    certs["alpha_beta_dbeta_nonzero"] = certify_nonvanishing(
-        abdb, space, grid, tol, note="alpha ^ beta ^ d(beta) != 0")
-
-    adab = wedge(ada, beta)
-    certs["alpha_da_beta_zero"] = certify_vanishing(
-        [adab.component((0, 1, 2, 3))], space, grid,
-        note="alpha ^ d(alpha) ^ beta = 0")
-
-    for key in ("alpha_da_nonzero", "alpha_beta_dbeta_nonzero",
-                "alpha_da_beta_zero"):
-        if not certs[key].passed:
-            raise VerificationError(f"defining-form condition failed: {key}")
-
     T = FracField(wedge(alpha, d_beta).kernel_field(), -abdb)
     R = FracField(beta_dbeta.kernel_field(), abdb)
     return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
-                         certs, normalization)
+                         normalization)
 
 
 @dataclass(frozen=True)
@@ -430,23 +432,23 @@ class StructureFunctions:
     d_XT: Frac
     d_WR: Frac
     d_XR: Frac
-    certificate: Certificate
 
 
 def structure_functions(ctx: Derivation) -> StructureFunctions:
     """c_WX = beta([W,X]), d_XT = alpha([X,T]), d_WR = alpha([W,R]) and
     d_XR = alpha([X,R]), with X = JW, from the context's forms and bracket
-    stages; c_WX must not vanish."""
+    stages.
+
+    c_WX vanishes nowhere by construction.  With W = l1 D1 + l2 D2 and
+    JW = m1 D1 + m2 D2, [W, JW] = (l1 m2 - l2 m1) E3 modulo D, and beta
+    vanishes on D, so c_WX = (l1 m2 - l2 m1) beta(E3): the first factor
+    vanishes nowhere as W and JW frame D, and the second as E and JE meet
+    in D (``defining_forms``).
+    """
     forms, space = ctx.forms, ctx.space
-    c_wx = forms.beta(ctx.wx)
-    cert = certify_nonvanishing(c_wx, space, ctx.grid, ctx.tol,
-                                note="c_WX = beta([W,X])")
-    if not cert.passed:
-        raise VerificationError("c_WX vanishes; D is not bracket-generating "
-                                "against these forms")
     d_xt = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
-    return StructureFunctions(c_wx, d_xt, ctx.wr.pair(forms.alpha),
-                              ctx.xr.pair(forms.alpha), cert)
+    return StructureFunctions(forms.beta(ctx.wx), d_xt, ctx.wr.pair(forms.alpha),
+                              ctx.xr.pair(forms.alpha))
 
 
 def nijenhuis_certificate(ctx: Derivation) -> Certificate:
@@ -622,8 +624,8 @@ def j_engel_splitting(ctx: Derivation) -> tuple[FracField, FracField,
 
     The four fields frame TM.  D is the intersection of ker(alpha) and
     ker(beta): D lies in E = ker(alpha), beta(D) = alpha(JD) = alpha(D) = 0,
-    and alpha ^ beta vanishes nowhere, as alpha ^ beta ^ d(beta) is certified
-    nowhere zero.  Now alpha(R) = 1 and beta(R) = 0, so alpha(JR) = beta(R)
+    and alpha ^ beta vanishes nowhere, as alpha ^ beta ^ d(beta) vanishes
+    nowhere (``defining_forms`` has the proof).  Now alpha(R) = 1 and beta(R) = 0, so alpha(JR) = beta(R)
     = 0 and beta(JR) = -alpha(R) = -1.  Applying alpha to
     a W + b JW + c JR + d R = 0 gives d = 0, then applying beta gives c = 0,
     and W, JW frame D: W vanishes nowhere by the flag's certificates, and J

@@ -7,8 +7,13 @@ code paths they are checking.  The exceptions, ``annihilating_form``,
 ``eight_jd_minors``, ``closed_jr_residual``, ``rescaled_reeb_direction``,
 ``direct_product``, ``reference_product_keys``, ``direct_sum``,
 ``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
-``frame_by_frame_derivative`` and ``cramer_coefficients``, are the exact
-expansions that shortcuts or shared helpers in the code replaced (the flag
+``frame_by_frame_derivative``, ``cramer_coefficients``,
+``framing_determinant`` and ``direct_form_witnesses``, are the exact
+expansions that shortcuts or shared helpers in the code replaced (the
+complex framing, the three defining-form conditions and c_WX hold by
+construction once the flag and JD = D are certified, where the last two
+oracles take the framing's 4x4 determinant, alpha, beta, their wedges and
+[W, JW] afresh; the flag
 reads alpha off the minors of a pair (D_i, E3) it extends by the other
 generator, where ``annihilating_form`` takes the maximal minors of
 (D1, D2, E3) afresh; ``extend_minors`` walks a plan made once per shape,
@@ -102,6 +107,34 @@ def cofactor_minor(columns, rows) -> TrigScalar:
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:
     """alpha([W, X]) for X = D1, D2, E3, with each bracket taken in full."""
     return [flag.alpha(bracket(w, x, space)) for x in (flag.d1, flag.d2, flag.e3)]
+
+
+def framing_determinant(ctx) -> TrigScalar:
+    """det(W, JW, [W, JW], J[W, JW]) for the W of the Derivation ``ctx``,
+    with the bracket and the determinant taken in full."""
+    w = ctx.w
+    x = ctx.J.apply(w)
+    y = bracket(w, x, ctx.space)
+    return det_of_fields([w, x, y, ctx.J.apply(y)])
+
+
+def direct_form_witnesses(ctx) -> dict:
+    """The defining-form witnesses of the Derivation ``ctx``, from
+    alpha = det(D1, D2, E3, .) and beta = alpha o J taken afresh: the
+    coefficients of alpha ^ d(alpha), the top coefficients of
+    alpha ^ beta ^ d(beta) and of alpha ^ d(alpha) ^ beta, and
+    c_WX = beta([W, JW]), with every bracket, d and wedge taken in full."""
+    space, J, w = ctx.space, ctx.J, ctx.w
+    alpha = annihilating_form(ctx.d1, ctx.d2, bracket(ctx.d1, ctx.d2, space))
+    beta = KForm.one_form([alpha(J.apply(VecField.basis(i))) for i in range(4)])
+    alpha_dalpha = wedge(alpha, exterior_derivative(alpha, space))
+    top = (0, 1, 2, 3)
+    return {
+        "alpha_dalpha": list(alpha_dalpha.terms.values()),
+        "abdb": wedge(wedge(alpha, beta), exterior_derivative(beta, space)).component(top),
+        "adab": wedge(alpha_dalpha, beta).component(top),
+        "c_WX": beta(bracket(w, J.apply(w), space)),
+    }
 
 
 def six_pair_nijenhuis(J: ComplexStructure, space: FramedSpace) -> list:

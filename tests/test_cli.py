@@ -146,18 +146,15 @@ def test_one_scalar_gets_one_bound_whatever_its_route():
     # alpha(K_R) = -beta(K_T) = the top coefficient of alpha ^ beta ^ d(beta)
     # is one exact scalar, reached by three routes that insert its terms in
     # different orders; its bound must not depend on the route
-    path = FIXTURES / "sampled_clear_1coord.json"
-    rep = run_verify(str(path), grid=11)
-    bound = next(r.certificate.bound for r in rep.records
-                 if r.name == "forms.alpha_beta_dbeta_nonzero")
-    assert bound is not None
-    mf = load_manifest(path.read_text())
+    mf = load_manifest((FIXTURES / "sampled_clear_1coord.json").read_text())
     forms = Derivation(mf.d1, mf.d2, mf.J, mf.space, grid=11).forms
-    routes = (forms.alpha(rescaled_reeb_direction(forms.beta, ONE, mf.space)),
+    routes = (forms.abdb,
+              forms.alpha(rescaled_reeb_direction(forms.beta, ONE, mf.space)),
               -forms.beta(forms.T.raw))
-    for witness in routes:
-        assert witness == forms.abdb
-        assert certify_nonvanishing(witness, mf.space, 11).bound == bound
+    assert all(witness == forms.abdb for witness in routes)
+    bounds = [certify_nonvanishing(witness, mf.space, 11).bound
+              for witness in routes]
+    assert bounds[0] is not None and bounds == bounds[:1] * 3
 
 
 # every scalar member of a manifest, as a path into the document
@@ -442,6 +439,55 @@ def test_wrong_section_type_diagnostics(tmp_path, capsys, verb, manifest):
     if manifest in OUTSIDE_FRAME_MANIFESTS:
         assert str(_FRAME) in exc.value.code
     assert capsys.readouterr().out == ""
+
+
+def _with_member(key, value):
+    return json.dumps({**_flat_torus_manifest(), key: value})
+
+
+def _with_scalar(text):
+    return _with_member("distribution", [[text, "0", "0", "0"], ["0", "1", "0", "0"]])
+
+
+# manifests whose parse divides by zero or recurses past the interpreter's
+# limit, as JSON text: each is malformed, never a traceback
+ARITHMETIC_MANIFESTS = {
+    "parameter_over_zero": (lambda: _with_member("parameters", {"q": "1/0"}),
+                            "division by zero"),
+    "scalar_over_zero": (lambda: _with_scalar("1/0"), "division by zero"),
+    "angle_over_zero": (lambda: _with_scalar("sin(t/0)"), "division by zero"),
+    "period_rat_over_zero": (
+        lambda: _with_member("periods", {"t": {"rat": "1/0", "pi": "0"}}),
+        "division by zero"),
+    "period_pi_over_zero": (
+        lambda: _with_member("periods", {"t": {"rat": "0", "pi": "1/0"}}),
+        "division by zero"),
+    "deeply_nested_scalar": (lambda: _with_scalar("(" * 3000 + "1" + ")" * 3000),
+                             "nested too deeply"),
+    "deeply_nested_json": (lambda: "[" * 100000 + "]" * 100000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("verb", ("verify", "geiges"))
+@pytest.mark.parametrize("manifest", ARITHMETIC_MANIFESTS)
+def test_zero_denominators_and_deep_nesting_are_malformed(tmp_path, capsys, verb,
+                                                          manifest):
+    make, reason = ARITHMETIC_MANIFESTS[manifest]
+    path = tmp_path / "bad.json"
+    path.write_text(make())
+    args = [str(path)] if verb == "verify" else ["--input", str(path), "--nmax", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *args])
+    assert exc.value.code == f"error: malformed manifest {path}: {reason}"
+    assert capsys.readouterr().out == ""
+
+
+def test_a_zero_denominator_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(ARITHMETIC_MANIFESTS["period_rat_over_zero"][0]())
+    res = run_cli("verify", str(path))
+    assert res.returncode == 1
+    assert res.stderr == f"error: malformed manifest {path}: division by zero\n"
 
 
 @pytest.mark.parametrize("manifest", WRONG_TYPE_MANIFESTS)
@@ -785,7 +831,7 @@ def test_every_certificate_comes_from_a_framecalc_certifier(monkeypatch, cold_ca
             if rec.certificate is not None:
                 assert from_certifier(rec.certificate), (family, rec.name)
         assert {r.name for r in rep.records} >= {"engel.rank_tm",
-                                                 "forms.alpha_beta_dbeta_nonzero"}
+                                                 "jengel.j_invariance"}
 
     flags = []
     verify = engelcheck.verify_engel
@@ -845,6 +891,39 @@ def test_splitting_record_shows_the_four_fields():
     assert split.notes.startswith("TM = <W = (0, 4, 0, 4)> + <JW = ")
     assert "<JR = (0, 0, -2, 0)>" in split.notes
     assert split.notes.endswith("<R = (0, 0, 0, 2)>")
+
+
+def test_complex_framing_record_shows_the_frame():
+    # the frame (W, [W,JW]) of (TM, J) holds by construction once the flag
+    # and JD = D are certified: the record is derived, and the forms suite
+    # reports no defining-form certificate
+    records = {r.name: r for r in run_verify("hopf_s3r", suites=("jengel", "forms")).records}
+    framing = records["jengel.complex_framing"]
+    assert framing.status == "PASS" and framing.certificate is None
+    assert framing.notes == "complex frame (W, [W,JW]) of (TM, J): [W,JW] = (-16, 0, 16, 0)"
+    assert sorted(records) == ["forms.construction", "forms.structure_functions",
+                               "jengel.complex_framing", "jengel.j_invariance"]
+
+
+def test_a_plane_that_is_not_j_invariant_rejects_every_form_check(tmp_path):
+    # D = <X1 - X3 - X4, X2> on hopf_s3r is Engel, with constant witnesses,
+    # but not J-invariant: the checks that need JD = D are rejected
+    spec = build_family("hopf_s3r")
+    doc = manifest_from_parts("hopf_real_plane", spec.space, spec.J,
+                              VecField.of(1, 0, -1, -1), VecField.basis(1))
+    path = tmp_path / "hopf_real_plane.json"
+    path.write_text(dump_manifest(doc))
+    records = {r.name: r for r in run_verify(str(path)).records}
+    for name in ("engel.rank_d", "engel.rank_e", "engel.rank_tm"):
+        assert records[name].status == "PASS", name
+    assert records["jengel.j_invariance"].status == "FAIL"
+    notes = {"jengel.complex_framing": "complex framing needs JD = D",
+             "forms.construction": "defining forms need JD = D",
+             "jofreeb.residual_certificate": "defining forms need JD = D",
+             "kengel.commutators": "defining forms need JD = D",
+             "splitting.fields": "splitting needs JD = D"}
+    for name, note in notes.items():
+        assert (records[name].status, records[name].notes) == ("REJECTED", note)
 
 
 def test_plane_and_j_suites_rejected_without_either(tmp_path):
