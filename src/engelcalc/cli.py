@@ -310,14 +310,8 @@ class _Runner:
             notes="d(beta)^2 = 0" if rep.dbeta_squared_zero else
                   "d(beta)^2 is not zero"))
         if rep.passed:
-            tr = self._run("kengel.transverse_consistency",
-                           lambda: transverse_engel_check(ctx.forms.R.raw, ctx),
-                           cert_of=lambda tr: tr.conclusion)
-            if tr is not None:
-                self.records.append(self._certified("kengel.transverse_engel_field",
-                                                    tr.engel_field))
-                self.records.append(self._certified("kengel.transverse_reeb_match",
-                                                    tr.reeb_match))
+            self._run("kengel.transverse_engel_field",
+                      lambda: transverse_engel_check(ctx))
 
     def suite_splitting(self):
         self._run("splitting.fields", lambda: j_engel_splitting(self.ctx),
@@ -415,8 +409,10 @@ def _parse_params(text: str | None) -> dict[str, str]:
     for item in text.split(","):
         if "=" not in item:
             raise SystemExit(f"error: bad parameter {item!r}; expected key=value")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise SystemExit(f"error: parameter {k!r} given twice")
+        out[k] = v
     return out
 
 

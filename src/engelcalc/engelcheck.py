@@ -33,7 +33,6 @@ from .framecalc import (
     certify_vanishing,
     exterior_derivative,
     extend_minors,
-    minors_of_fields,
     nijenhuis,
     wedge,
 )
@@ -231,7 +230,7 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
     # det(D1, E3, D2) = -det(D1, D2, E3)
     minors = [-m for m in extend_minors([d2], minors=pair).values()]
     alpha = _annihilating_form_of(minors)
-    # alpha's coefficients up to sign, in the order of minors_of_fields
+    # alpha's coefficients up to sign, in the order of extend_minors
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
@@ -251,7 +250,7 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
 
 def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
     """The 1-form u -> det(F1, F2, F3, u), from the maximal minors of
-    (F1, F2, F3) in ``minors_of_fields`` order: expanding the determinant
+    (F1, F2, F3) in ``extend_minors`` order: expanding the determinant
     along u, its coefficients are (-m3, m2, -m1, m0).  Its kernel is
     span(F1, F2, F3)."""
     m0, m1, m2, m3 = minors
@@ -335,8 +334,7 @@ def totally_real_check(ctx: Derivation) -> Certificate:
 class DefiningForms:
     """alpha, beta = alpha o J, their differentials, and the Reeb pair T, R.
 
-    ``abdb`` is the top coefficient of alpha ^ beta ^ d(beta), ``beta_dbeta``
-    the 3-form beta ^ d(beta) whose kernel is R.
+    ``abdb`` is the top coefficient of alpha ^ beta ^ d(beta).
     """
 
     alpha: KForm
@@ -344,7 +342,6 @@ class DefiningForms:
     d_alpha: KForm
     d_beta: KForm
     abdb: TrigScalar
-    beta_dbeta: KForm
     T: FracField
     R: FracField
     normalization: str = ""
@@ -420,8 +417,7 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
     abdb = wedge(alpha, beta_dbeta).component((0, 1, 2, 3))
     T = FracField(wedge(alpha, d_beta).kernel_field(), -abdb)
     R = FracField(beta_dbeta.kernel_field(), abdb)
-    return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, beta_dbeta, T, R,
-                         normalization)
+    return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, T, R, normalization)
 
 
 @dataclass(frozen=True)
@@ -444,9 +440,15 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
     vanishes on D, so c_WX = (l1 m2 - l2 m1) beta(E3): the first factor
     vanishes nowhere as W and JW frame D, and the second as E and JE meet
     in D (``defining_forms``).
+
+    d_XT needs no quotient rule.  T = K_T / r with r = -abdb, so
+    [X, T] = [X, K_T] / r - X(r) K_T / r^2, and alpha(K_T) = 0
+    (``defining_forms``) leaves d_XT = alpha([X, K_T]) / r.  It is kept as
+    alpha([X, K_T]) r / r^2, the quotient rule's numerator and denominator,
+    so that d_WR + d_XT, both over abdb^2, adds on the equal denominator.
     """
-    forms, space = ctx.forms, ctx.space
-    d_xt = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
+    forms, t = ctx.forms, ctx.forms.T
+    d_xt = Frac(forms.alpha(bracket(ctx.x, t.raw, ctx.space)) * t.den, t.den * t.den)
     return StructureFunctions(forms.beta(ctx.wx), d_xt, ctx.wr.pair(forms.alpha),
                               ctx.xr.pair(forms.alpha))
 
@@ -493,13 +495,12 @@ def _nijenhuis_of(J: ComplexStructure, space: FramedSpace, grid: int) -> Certifi
 class Derivation:
     """The chain flag -> W -> forms -> structure functions of one target.
 
-    Every check of this module takes the context as its one argument (the
-    transverse check takes Z first) and reads its target from it.  Each
-    stage is computed on first use by its public stage function, called
-    through the module global, and then kept, so the checks read it from
-    here instead of deriving it again; a stage that raises keeps nothing
-    and raises again when next read.  The plane-field stages need ``d1``
-    and ``d2``, the complex ones ``J``.  ``d_minors``, the 2x2 minors of
+    Every check of this module takes the context as its one argument and
+    reads its target from it.  Each stage is computed on first use by its
+    public stage function, called through the module global, and then
+    kept, so the checks read it from here instead of deriving it again; a
+    stage that raises keeps nothing and raises again when next read.  The
+    plane-field stages need ``d1`` and ``d2``, the complex ones ``J``.  ``d_minors``, the 2x2 minors of
     (D1, D2), is the one place they are expanded: they witness rank(D) = 2,
     and the JD = D, totally-real and transverse checks extend them.  The
     brackets that more than one check reads are stages too: ``wx`` =
@@ -643,55 +644,24 @@ def j_engel_splitting(ctx: Derivation) -> tuple[FracField, FracField,
     return FracField(ctx.w), FracField(ctx.x), r.apply_J(ctx.J), r
 
 
-@dataclass(frozen=True)
-class TransverseReport:
-    engel_field: Certificate
-    conclusion: Certificate
-    reeb_match: Certificate
-    rescaled_alpha: KForm | None
-    rescaled_beta: KForm | None
-    note: str
+def transverse_engel_check(ctx: Derivation) -> Certificate:
+    """Certify that the raw Reeb field Z = K_R of the context's forms is an
+    Engel field: each [Z, D_i] lies in D, so the maximal minors of
+    (D1, D2, [Z, D_i]) vanish, each extended from the context's 2x2 minors
+    of (D1, D2).
 
-
-def transverse_engel_check(z: VecField, ctx: Derivation) -> TransverseReport:
-    """For an Engel field Z transverse to E with JZ in E: certify i_Z(beta^dbeta)=0.
-
-    Preconditions are rejected (not failed): alpha(Z) must vanish nowhere and
-    beta(Z) must vanish identically.  Z is an Engel field when each [Z, D_i]
-    lies in D: the maximal minors of (D1, D2, [Z, D_i]) vanish, each
-    extended from the context's 2x2 minors of (D1, D2).  The conclusion
-    certificate implies Z spans the Reeb direction of the rescaled forms
-    alpha/alpha(Z).
+    That is the one claim about Z that can fail.  Z is the kernel field of
+    beta ^ d(beta), i_Z vol = beta ^ d(beta), so by ``defining_forms``
+    alpha(Z) = abdb vanishes nowhere and beta(Z) = 0: Z is transverse to E
+    and JZ lies in E.  i_Z(beta ^ d(beta)) = i_Z i_Z vol = 0, and Z spans
+    the Reeb line, as R = Z / abdb.  None of these is certified.
     """
-    forms, space, grid = ctx.forms, ctx.space, ctx.grid
-    az = forms.alpha(z)
-    trans = certify_nonvanishing(az, space, grid, ctx.tol, note="alpha(Z)")
-    if not trans.passed:
-        raise PreconditionError("Z is not transverse to E: alpha(Z) vanishes "
-                                f"(witness {trans.witness_point})")
-    bz = certify_vanishing([forms.beta(z)], space, grid, note="beta(Z)")
-    if not bz.passed:
-        raise PreconditionError("JZ is not tangent to E: beta(Z) is not zero")
+    z, space = ctx.forms.R.raw, ctx.space
     minors: list[TrigScalar] = []
     for gen in (ctx.d1, ctx.d2):
         column = bracket(z, gen, space)
         minors.extend(extend_minors([column], minors=ctx.d_minors).values())
-    engel_field = certify_vanishing(minors, space, grid, note="L_Z D stays in D")
-    if not engel_field.passed:
-        raise VerificationError("Z does not preserve D; it is not an Engel field")
-    contraction = forms.beta_dbeta.interior(z)
-    conclusion = certify_vanishing(list(contraction.terms.values()), space, grid,
-                                   note="i_Z(beta ^ d(beta)) = 0")
-    reeb_match = certify_vanishing(minors_of_fields([forms.R.raw, z]), space, grid,
-                                   note="span(Z) = span(R)")
-    # the rescaled pair alpha/alpha(Z), (alpha/alpha(Z)) o J has Z as its
-    # Reeb field; the division is exact only for invertible constant alpha(Z)
-    alpha_r = _div_form(forms.alpha, az)
-    beta_r = None if alpha_r is None else _compose_with_J(alpha_r, ctx.J)
-    note = f"alpha(Z) = {az}" + ("" if alpha_r is not None
-                                 else "; rescaling kept implicit (non-constant)")
-    return TransverseReport(engel_field, conclusion, reeb_match,
-                            alpha_r, beta_r, note)
+    return certify_vanishing(minors, space, ctx.grid, note="L_Z D stays in D")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ __all__ = [
     "wedge",
     "det_of_fields",
     "extend_minors",
-    "minors_of_fields",
     "GridPoints",
     "grid_points",
     "single_direction",
@@ -723,21 +722,6 @@ class KForm:
                 out = out + c * minors[idx]
         return out
 
-    def interior(self, v: VecField) -> "KForm":
-        if self.degree == 0:
-            raise ValueError("no interior product with a 0-form")
-        out: dict[tuple[int, ...], TrigScalar] = {}
-        for idx, c in self.terms.items():
-            for pos, i in enumerate(idx):
-                if v.coeffs[i].is_zero():
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                sign = -1 if pos % 2 else 1
-                acc = out.get(rest, ZERO) + (v.coeffs[i] * c if sign > 0
-                                             else -(v.coeffs[i] * c))
-                out[rest] = acc
-        return KForm.of(self.degree - 1, out)
-
     def kernel_field(self) -> VecField:
         """For a 3-form: the vector K with i_K(volume) equal to the form.
 
@@ -880,8 +864,3 @@ def det_of_fields(fields: Sequence[VecField]) -> TrigScalar:
         raise ValueError("need exactly 4 fields for a determinant")
     return extend_minors(fields, [(0, 1, 2, 3)])[(0, 1, 2, 3)]
 
-
-def minors_of_fields(fields: Sequence[VecField]) -> list[TrigScalar]:
-    """All maximal minors of the 4 x k coefficient matrix, k = len(fields),
-    in the order of ``itertools.combinations`` of the rows."""
-    return list(extend_minors(fields).values())

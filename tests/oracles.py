@@ -3,10 +3,11 @@
 These recompute claims through plain float evaluation (finite differences,
 numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
-``cofactor_minor``, ``direct_w_residuals``, ``six_pair_nijenhuis``,
-``eight_jd_minors``, ``closed_jr_residual``, ``rescaled_reeb_direction``,
-``direct_product``, ``reference_product_keys``, ``direct_sum``,
-``direct_difference``, ``direct_differentiate``, ``direct_sum_of_squares``,
+``cofactor_minor``, ``minors_of_fields``, ``interior``,
+``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
+``closed_jr_residual``, ``rescaled_reeb_direction``, ``direct_product``,
+``reference_product_keys``, ``direct_sum``, ``direct_difference``,
+``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative``, ``cramer_coefficients``,
 ``framing_determinant`` and ``direct_form_witnesses``, are the exact
 expansions that shortcuts or shared helpers in the code replaced (the
@@ -17,7 +18,10 @@ oracles take the framing's 4x4 determinant, alpha, beta, their wedges and
 reads alpha off the minors of a pair (D_i, E3) it extends by the other
 generator, where ``annihilating_form`` takes the maximal minors of
 (D1, D2, E3) afresh; ``extend_minors`` walks a plan made once per shape,
-where ``cofactor_minor`` expands each minor along its first column; the
+where ``cofactor_minor`` expands each minor along its first column, and
+``minors_of_fields`` takes every maximal minor of a few fields through it;
+the transverse check certifies only that the raw Reeb field K_R preserves
+D, where ``interior`` contracts beta ^ d(beta) with K_R term by term; the
 J-claims are certified on the witnesses J leaves free, N_J on two pairs of
 E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
 where the three oracles take every frame pair, both J D_i and J(R)'s own
@@ -61,7 +65,6 @@ from engelcalc.framecalc import (
     bracket,
     det_of_fields,
     exterior_derivative,
-    minors_of_fields,
     nijenhuis,
     wedge,
 )
@@ -102,6 +105,30 @@ def cofactor_minor(columns, rows) -> TrigScalar:
         term = first.coeffs[r] * cofactor_minor(rest, rows[:a] + rows[a + 1:])
         out = out + term if a % 2 == 0 else out - term
     return out
+
+
+def minors_of_fields(fields) -> list[TrigScalar]:
+    """All maximal minors of the 4 x k coefficient matrix, k = len(fields),
+    in the order of ``itertools.combinations`` of the rows, each by
+    ``cofactor_minor``."""
+    fields = list(fields)
+    return [cofactor_minor(fields, rows)
+            for rows in itertools.combinations(range(4), len(fields))]
+
+
+def interior(form: KForm, v: VecField) -> KForm:
+    """The interior product i_v form, term by term: v's component on the
+    index at position p of a term, signed (-1)^p, lands on the term's
+    other indices."""
+    if form.degree == 0:
+        raise ValueError("no interior product with a 0-form")
+    out: dict[tuple[int, ...], TrigScalar] = {}
+    for idx, c in form.terms.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            term = v.coeffs[i] * c
+            out[rest] = out.get(rest, ZERO) + (-term if pos % 2 else term)
+    return KForm.of(form.degree - 1, out)
 
 
 def direct_w_residuals(flag, w: VecField, space: FramedSpace) -> list:

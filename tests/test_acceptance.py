@@ -26,7 +26,6 @@ from engelcalc.framecalc import (
     IDENTITY_TOL,
     VecField,
     det_of_fields,
-    minors_of_fields,
     nijenhuis,
 )
 from engelcalc.geiges import (
@@ -39,7 +38,7 @@ from engelcalc.geiges import (
 )
 from engelcalc.laws import run_law_suite
 from engelcalc.trigring import normalize
-from oracles import rescaled_reeb_direction
+from oracles import minors_of_fields, rescaled_reeb_direction
 
 
 def report(n: int, passed: bool, detail: str) -> None:

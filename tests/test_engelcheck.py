@@ -40,7 +40,6 @@ from engelcalc.framecalc import (
     certify_vanishing,
     det_of_fields,
     exterior_derivative,
-    minors_of_fields,
     wedge,
 )
 from engelcalc.catalog import FAMILIES, build_family
@@ -56,6 +55,8 @@ from oracles import (
     direct_w_residuals,
     eight_jd_minors,
     framing_determinant,
+    interior,
+    minors_of_fields,
     numeric_matrix,
     random_points,
     rescaled_reeb_direction,
@@ -386,9 +387,10 @@ def test_w_takes_no_minors_and_no_form_evaluation(monkeypatch):
 
 
 def _assert_frame_and_forms_hold(ctx):
-    # the claims complex_framing, defining_forms and structure_functions no
-    # longer certify, checked on oracles that take every bracket, d, wedge
-    # and determinant in full, wherever the flag and JD = D are certified
+    # the claims complex_framing, defining_forms, structure_functions and the
+    # transverse check no longer certify, checked on oracles that take every
+    # bracket, d, wedge, interior product and determinant in full, wherever
+    # the flag and JD = D are certified
     space, grid, tol = ctx.space, ctx.grid, ctx.tol
     assert certify_nonvanishing(framing_determinant(ctx), space, grid, tol).passed
     witnesses = direct_form_witnesses(ctx)
@@ -396,6 +398,17 @@ def _assert_frame_and_forms_hold(ctx):
     assert certify_nonvanishing(witnesses["abdb"], space, grid, tol).passed
     assert certify_nonvanishing(witnesses["c_WX"], space, grid, tol).passed
     assert witnesses["adab"].is_zero()
+    # the raw Reeb field K_R: alpha(K_R) = abdb, beta(K_R) = 0 and
+    # i_{K_R}(beta ^ d(beta)) = 0
+    forms = ctx.forms
+    k_r = forms.R.raw
+    assert forms.alpha(k_r) == forms.abdb
+    assert forms.beta(k_r).is_zero()
+    beta_dbeta = wedge(forms.beta, exterior_derivative(forms.beta, space))
+    assert interior(beta_dbeta, k_r).is_zero()
+    # d_XT without the quotient rule is the quotient rule's pairing, term for term
+    direct = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
+    assert (ctx.sf.d_XT.num, ctx.sf.d_XT.den) == (direct.num, direct.den)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -893,28 +906,6 @@ def test_splitting_scaling_by_two_matches_half_reeb():
     assert all(m.is_zero() for m in minors_of_fields([k2, forms.R.raw]))
 
 
-def test_transverse_engel_hopf_and_hyperelliptic():
-    for name, idx in (("hopf_s3r", 3), ("hyperelliptic_solv", 2)):
-        ctx = _context(name)
-        z = VecField.basis(idx)
-        rep = transverse_engel_check(z, ctx)
-        assert rep.engel_field.passed and rep.conclusion.passed
-        assert rep.reeb_match.passed, name
-        # the rescaled forms must have Z itself as their Reeb field
-        assert rep.rescaled_alpha is not None
-        assert rep.rescaled_alpha(z) == parse("1")
-        assert rep.rescaled_beta(z).is_zero()
-        k = wedge(rep.rescaled_beta,
-                  exterior_derivative(rep.rescaled_beta, ctx.space)).kernel_field()
-        assert all(m.is_zero() for m in minors_of_fields([k, z])), name
-
-
-def test_transverse_engel_rejects_tangent_field():
-    ctx = _context("hopf_s3r")
-    with pytest.raises(PreconditionError, match="transverse"):
-        transverse_engel_check(ctx.d1, ctx)
-
-
 def test_k_engel_pass_families():
     for name in ("hopf_s3r", "hyperelliptic_solv"):
         rep = k_engel_check(_context(name))
@@ -931,12 +922,17 @@ def test_k_engel_fail_inoue_s0_with_obstruction():
 
 
 def test_k_engel_pass_implies_transverse_consistency():
-    for name in ("hopf_s3r", "hyperelliptic_solv"):
+    # the raw Reeb field is an Engel field, and it spans the line of a frame
+    # field that is a transverse symmetry, X4 on hopf_s3r and X3 on
+    # hyperelliptic_solv
+    for name, idx in (("hopf_s3r", 3), ("hyperelliptic_solv", 2)):
         ctx = _context(name)
         rep = k_engel_check(ctx)
         assert rep.passed
-        tr = transverse_engel_check(ctx.forms.R.raw, ctx)
-        assert tr.conclusion.passed and tr.reeb_match.passed
+        cert = transverse_engel_check(ctx)
+        assert cert.kind == "SYMBOLIC" and cert.note == "L_Z D stays in D", name
+        assert all(m.is_zero() for m in minors_of_fields([ctx.forms.R.raw,
+                                                          VecField.basis(idx)])), name
 
 
 def _k_check_coefficients(monkeypatch, ctx, targets=None):
@@ -1163,9 +1159,8 @@ def test_forms_carry_their_top_terms(monkeypatch, name):
     ctx.sf, ctx.nijenhuis  # derive the stages before counting
     assert forms.abdb == wedge(wedge(forms.alpha, forms.beta),
                                forms.d_beta).component((0, 1, 2, 3))
-    assert forms.beta_dbeta == wedge(forms.beta, forms.d_beta)
     calls = _count_calls(monkeypatch, "wedge", framecalc, engelcheck)
-    transverse_engel_check(forms.R.raw, ctx)
+    transverse_engel_check(ctx)
     assert calls == []
     jofreeb_residual(ctx)
     assert calls == [(forms.d_alpha, forms.d_alpha)]

@@ -20,7 +20,6 @@ from engelcalc.framecalc import (
     exterior_derivative,
     extend_minors,
     grid_points,
-    minors_of_fields,
     nijenhuis,
     wedge,
 )
@@ -33,6 +32,8 @@ from oracles import (
     brute_force_certificate,
     cofactor_minor,
     frame_by_frame_derivative,
+    interior,
+    minors_of_fields,
     numeric_bracket,
     numeric_matrix,
     random_points,
@@ -333,15 +334,20 @@ def test_wedge_graded_commutativity():
 
 
 def test_interior_product_algebra():
-    # i_v(a ^ b) = a(v) b - b(v) a for 1-forms, on random data
+    # the interior-product oracle: i_v(a ^ b) = a(v) b - b(v) a for
+    # 1-forms, and i_K vol = omega for the kernel field K of a 3-form
+    # omega, on random data
     rng = random.Random(19)
+    vol = KForm.of(4, {(0, 1, 2, 3): 1})
     for _ in range(25):
         a = KForm.one_form([rng.randint(-3, 3) for _ in range(4)])
         b = KForm.one_form([rng.randint(-3, 3) for _ in range(4)])
         v = VecField.of(*(rng.randint(-3, 3) for _ in range(4)))
-        lhs = wedge(a, b).interior(v)
+        lhs = interior(wedge(a, b), v)
         rhs = b.scale(a(v)) - a.scale(b(v))
         assert (lhs - rhs).is_zero()
+        omega = KForm.of(3, {idx: rng.randint(-3, 3) for idx in THREE_FORM_KEYS})
+        assert interior(vol, omega.kernel_field()) == omega
 
 
 def test_wedge_with_scalar_form_scales():

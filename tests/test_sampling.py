@@ -19,7 +19,6 @@ from engelcalc.framecalc import (
     certify_vanishing,
     exterior_derivative,
     grid_points,
-    minors_of_fields,
     single_direction,
 )
 from engelcalc.trigring import Frequency, PiScalar, TrigScalar, parse
@@ -30,6 +29,7 @@ from oracles import (
     fraction_period,
     frequency_vectors,
     is_single_direction,
+    minors_of_fields,
     residue_values,
 )
 

@@ -106,8 +106,7 @@ def test_hooked_and_measured_names_exist(method):
 
 def test_every_engel_stage_takes_the_derivation():
     # one calling convention: each stage, and the totally-real check, reads
-    # its target from the Derivation; the transverse check takes Z first
+    # its target from the Derivation
     for name in (*_tracer_constant("ENGEL_STAGES"), "totally_real_check"):
         params = list(inspect.signature(getattr(engelcheck, name)).parameters)
-        want = ["z", "ctx"] if name == "transverse_engel_check" else ["ctx"]
-        assert params == want, name
+        assert params == ["ctx"], name
