@@ -16,7 +16,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .engelcheck import VerificationError
 from .framecalc import (
     DEFAULT_GRID,
     Certificate,
@@ -161,8 +160,8 @@ def _torus_bryant(params: Mapping[str, Fraction]) -> FamilySpec:
     for f in (re, im):
         for v in (d1, d2):
             if not f(v).is_zero():
-                raise VerificationError("Bryant plane is not the kernel of the "
-                                        "defining form")
+                raise ValueError("Bryant plane is not the kernel of the "
+                                 "defining form")
     return FamilySpec(
         family="torus_bryant",
         parameters={},
@@ -210,7 +209,7 @@ def _hyperelliptic_product(params: Mapping[str, Fraction]) -> FamilySpec:
     d2 = J.apply(d1)
     expected_d2 = VecField.of(c, s, 0, 1)
     if d2 != expected_d2:
-        raise VerificationError("hyperelliptic rotation block incompatible with J")
+        raise ValueError("hyperelliptic rotation block incompatible with J")
     return FamilySpec(
         family="hyperelliptic_product",
         parameters={"k": Fraction(k), "n_k": Fraction(n_k)},

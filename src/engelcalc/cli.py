@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from . import __version__, catalog, geiges
 from .engelcheck import (
-    CheckError,
     Derivation,
     PreconditionError,
     complex_framing,
@@ -129,6 +128,13 @@ def _read_manifest(path: Path) -> Manifest:
         raise SystemExit(f"error: malformed manifest {path}: nested too deeply")
 
 
+def _write_report(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write report {path}: {exc.strerror}")
+
+
 def _mapping_torus_input(tgt: Manifest, grid: int,
                          tol: float) -> geiges.MappingTorusInput:
     mt = tgt.mapping_torus
@@ -191,7 +197,7 @@ class _Runner:
                 record.status, record.notes = status_of(result)
         except PreconditionError as exc:
             record = CheckRecord(name, "REJECTED", notes=str(exc))
-        except (CheckError, ValueError) as exc:
+        except ValueError as exc:
             # ValueError: data the certifiers cannot handle, e.g. sampling
             # without a declarable period; report instead of crashing the batch
             record = CheckRecord(name, "FAIL", notes=str(exc))
@@ -396,7 +402,7 @@ def run_verify(
             getattr(runner, f"suite_{suite}")()
         except PreconditionError as exc:
             runner.records.append(CheckRecord(suite, "REJECTED", notes=str(exc)))
-        except (CheckError, ValueError) as exc:
+        except ValueError as exc:
             runner.records.append(CheckRecord(suite, "FAIL", notes=str(exc)))
     parameters = {k: str(v) for k, v in tgt.parameters.items()}
     return Report(tgt.name, parameters, chosen, grid, tol, runner.records)
@@ -466,6 +472,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.verb == "catalog":
         if args.action == "list":
+            if args.family or args.params is not None:
+                raise SystemExit("error: catalog list takes no family or --params")
             for fam in catalog.FAMILIES:
                 spec = catalog.build_family(fam)
                 params = ", ".join(f"{k}={v}" for k, v in
@@ -487,7 +495,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                             _parse_params(args.params))
         sys.stdout.write(emit_report(report, "text"))
         if args.json_path:
-            Path(args.json_path).write_text(emit_report(report, "json"))
+            _write_report(args.json_path, emit_report(report, "json"))
         return 0 if report.overall == "PASS" else 1
 
     if args.verb == "geiges":
@@ -524,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         sys.stdout.write(text)
         if args.json_path:
-            Path(args.json_path).write_text(text)
+            _write_report(args.json_path, text)
         return 0 if result.n_star is not None else 1
 
     return 2

@@ -36,12 +36,10 @@ from .framecalc import (
     nijenhuis,
     wedge,
 )
-from .trigring import ONE, TrigScalar
+from .trigring import ONE, ZERO, TrigScalar
 
 __all__ = [
-    "CheckError",
     "PreconditionError",
-    "VerificationError",
     "EngelFlag",
     "Frac",
     "FracField",
@@ -62,16 +60,8 @@ __all__ = [
     "k_engel_check",
 ]
 
-class CheckError(Exception):
-    """Base class for verification failures."""
-
-
-class PreconditionError(CheckError):
+class PreconditionError(Exception):
     """A stated precondition does not hold; the check is rejected, not failed."""
-
-
-class VerificationError(CheckError):
-    """A certified condition failed."""
 
 
 # -- exact fractions over the trig ring ---------------------------------------
@@ -683,60 +673,61 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     adapted frame (W, X, T, R) plus the solvability of the rescaling
     equation, which for translation-invariant data amounts to a_WR = 0.
 
-    The expansion reads one coframe: theta_i(u), the raw frame's determinant
-    with column i replaced by u, is (-1)^(3-i) det(other three columns, u),
-    and Cramer's rule gives the coefficient theta_i(C) / theta_3(R) of a
-    commutator C on frame field i.  The other three columns extend the 2x2
-    minors of (T, R) for i < 2, (T, R, u) being an even permutation of
-    (u, T, R), and those of (W, X) for i >= 2.
+    By Cramer's rule, C = [., R] has coefficient theta_i(C) / det on frame
+    field i, where theta_i(u) is det = det(W, X, K_T, K_R) with column i
+    replaced by u.  Over the denominators of C and of the frame fields
+    (1, 1, -abdb and abdb), each coefficient is kept as theta_i(C) den_i
+    over det den(C).  The coframe is built on the first commutator that is
+    not exactly zero; a zero one has only zero coefficients, and a_WR is
+    then 0 over det den([W, R]).  theta_W and theta_X extend the 2x2 minors
+    of (K_T, K_R) by X and by W; the rest is read off the forms.  With
+    C = a W + b X + c K_T + d K_R, alpha and beta vanish on D = <W, X>,
+    and alpha(K_T) = beta(K_R) = 0, alpha(K_R) = abdb and beta(K_T) =
+    -abdb (``defining_forms``), so c = -beta(C) / abdb and d = alpha(C) /
+    abdb.  As i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
+    d(beta)(W, X) = -beta([W, X]) = -c_WX,
+
+        det = -(beta ^ d(beta))(W, X, K_T) = -beta(K_T) d(beta)(W, X)
+            = -abdb c_WX,
+
+    so theta_T(C) = det c = c_WX beta(C) and theta_R(C) = det d =
+    -c_WX alpha(C).  abdb and c_WX vanish nowhere (``defining_forms``,
+    ``structure_functions``), so the frame is never degenerate.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
-    t, r = forms.T, forms.R
-    names = ("W", "X", "T", "R")
-    basis = [FracField(w), FracField(x), t, r]
-    raws = [b.raw for b in basis]
-    pair_minors = (extend_minors(raws[2:]), extend_minors(raws[:2]))
-    coframe = []
-    for i, column in enumerate((raws[1], raws[0], raws[3], raws[2])):
-        minors = extend_minors([column], minors=pair_minors[i // 2])
-        theta = _annihilating_form_of(list(minors.values()))
-        coframe.append(theta if i % 2 else -theta)
-    det = coframe[3](raws[3])
+    t, r, c_wx = forms.T, forms.R, ctx.sf.c_WX
+    det = -(forms.abdb * c_wx)
     comms = {"WR": ctx.wr, "XR": ctx.xr, "TR": frac_bracket(t, r, space)}
     certs: dict[str, Certificate] = {}
     obstructions: dict[str, str] = {}
-    all_zero = True
-    a_wr: Frac | None = None
+    coframe, a_wr = [], None
     for key, br in comms.items():
         certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
                                        note=f"[{key[0]},{key[1]}] = 0")
-        if not certs[key].passed:
-            all_zero = False
-        if not det.is_zero():
-            coefs = [Frac(theta(br.raw) * b.den, det * br.den)
-                     for theta, b in zip(coframe, basis)]
-            for name, c in zip(names, coefs):
-                if not c.is_zero():
-                    obstructions[f"{key}.{name}"] = str(c)
-            if key == "WR":
-                a_wr = coefs[0]
-    if a_wr is None:
-        rescaling = None
-        note = "adapted frame degenerate; no obstruction expansion"
-    else:
-        exact = a_wr.as_trig()
-        if exact is not None and exact.constant_value() is not None:
-            rescaling = exact.is_zero()
-            note = ""
-        else:
-            rescaling = None
-            note = "a_WR is not constant; rescaling equation not decided"
+        if br.is_zero():
+            continue
+        if not coframe:
+            # theta_W(u) = -det(K_T, K_R, X, u), theta_X(u) = det(K_T, K_R, W, u)
+            pair = extend_minors([t.raw, r.raw])
+            coframe = [_annihilating_form_of(list(extend_minors([c], minors=pair).values()))
+                       for c in (x, w)]
+        u, den = br.raw, det * br.den
+        nums = [-coframe[0](u), coframe[1](u),
+                c_wx * forms.beta(u) * t.den, -(c_wx * forms.alpha(u)) * r.den]
+        coefs = [Frac(num, den) for num in nums]
+        for name, c in zip("WXTR", coefs):
+            if not c.is_zero():
+                obstructions[f"{key}.{name}"] = str(c)
+        if key == "WR":
+            a_wr = coefs[0]
+    exact = (a_wr or Frac(ZERO, det * ctx.wr.den)).as_trig()
+    decided = exact is not None and exact.constant_value() is not None
     dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
     return KEngelReport(
-        passed=all_zero,
+        passed=all(c.passed for c in certs.values()),
         commutators=certs,
         obstructions=obstructions,
-        rescaling_solvable=rescaling,
+        rescaling_solvable=exact.is_zero() if decided else None,
         dbeta_squared_zero=dbeta2.is_zero(),
-        note=note,
+        note="" if decided else "a_WR is not constant; rescaling equation not decided",
     )

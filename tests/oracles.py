@@ -27,9 +27,12 @@ E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
 where the three oracles take every frame pair, both J D_i and J(R)'s own
 residual; the splitting reads Z = span(R) off the forms, where
 ``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
-afresh; the K-check reads one coframe where Cramer's rule took five 4x4 determinants per
-commutator; ``FramedSpace.apply`` sums v(c) * ds/dc over the coordinates c,
-where the frame-by-frame formula differentiates s once per frame field; the
+afresh; the K-check expands only a commutator that does not vanish, on a
+coframe that takes minors for its W and X rows alone and reads its T and R
+rows and determinant off the forms, where ``cramer_coefficients`` takes
+five 4x4 determinants per commutator; ``FramedSpace.apply`` sums
+v(c) * ds/dc over the coordinates c, where the frame-by-frame formula
+differentiates s once per frame field; the
 ring
 loops, and the sum of squares built from them, merge whole ``PiScalar``
 coefficients one term at a time by ``PiScalar`` arithmetic, where

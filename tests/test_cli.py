@@ -11,11 +11,12 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engelcalc import cli
+from engelcalc import catalog, cli
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, main, run_verify
 from engelcalc.engelcheck import Derivation
-from engelcalc.framecalc import VecField, bracket, certify_nonvanishing
+from engelcalc.framecalc import (ComplexStructure, VecField, bracket,
+                                 certify_nonvanishing)
 from engelcalc.manifest import dump_manifest, load_manifest, manifest_from_parts
 from engelcalc.trigring import ONE
 
@@ -258,6 +259,42 @@ def test_a_parameter_given_twice_is_an_error():
         res = run_cli(*verb, "--params", "q=1,q=-3")
         assert res.returncode == 1 and res.stdout == "", verb
         assert res.stderr == "error: parameter 'q' given twice\n", verb
+
+
+def test_a_failing_builder_invariant_is_an_error(monkeypatch, capsys, cold_caches):
+    # a J that turns the rotation block the wrong way breaks the
+    # hyperelliptic_product builder's own check
+    class StandardJ:
+        @staticmethod
+        def pairing(*_):
+            return ComplexStructure.pairing(0, 1, 2, 3)
+
+    monkeypatch.setattr(catalog, "ComplexStructure", StandardJ)
+    for argv in (["catalog", "show", "hyperelliptic_product"],
+                 ["verify", "hyperelliptic_product", "--suite", "engel"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == ("error: hyperelliptic rotation block "
+                                  "incompatible with J"), argv
+    assert capsys.readouterr().out == ""
+
+
+def test_catalog_list_takes_no_family_or_params():
+    for extra in (["hopf_s3r"], ["--params", "q=1"], ["hopf_s3r", "--params", "q=1"]):
+        res = run_cli("catalog", "list", *extra)
+        assert res.returncode == 1 and res.stdout == "", extra
+        assert res.stderr == "error: catalog list takes no family or --params\n", extra
+
+
+def test_an_unwritable_json_path_is_an_error(tmp_path):
+    # the report is printed, then the failed write ends the run with one line
+    path = tmp_path / "missing" / "out.json"
+    for argv in (["verify", "hopf_s3r", "--suite", "engel"],
+                 ["geiges", "--builtin", "flat"]):
+        res = run_cli(*argv, "--json", str(path))
+        assert res.returncode == 1 and res.stdout, argv
+        assert res.stderr == (f"error: cannot write report {path}: "
+                              f"No such file or directory\n"), argv
 
 
 def test_bad_catalog_input_ends_without_traceback():

@@ -386,11 +386,12 @@ def test_w_takes_no_minors_and_no_form_evaluation(monkeypatch):
 # -- the complex frame and the defining forms hold by construction -------------
 
 
-def _assert_frame_and_forms_hold(ctx):
-    # the claims complex_framing, defining_forms, structure_functions and the
-    # transverse check no longer certify, checked on oracles that take every
-    # bracket, d, wedge, interior product and determinant in full, wherever
-    # the flag and JD = D are certified
+def _assert_frame_and_forms_hold(ctx, k_rows=True):
+    # the claims complex_framing, defining_forms, structure_functions, the
+    # transverse check and the K-check no longer certify, checked on oracles
+    # that take every bracket, d, wedge, interior product and determinant in
+    # full, wherever the flag and JD = D are certified; ``k_rows`` adds the
+    # K-check's coframe rows read off the forms, nine 4x4 determinants
     space, grid, tol = ctx.space, ctx.grid, ctx.tol
     assert certify_nonvanishing(framing_determinant(ctx), space, grid, tol).passed
     witnesses = direct_form_witnesses(ctx)
@@ -409,6 +410,17 @@ def _assert_frame_and_forms_hold(ctx):
     # d_XT without the quotient rule is the quotient rule's pairing, term for term
     direct = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
     assert (ctx.sf.d_XT.num, ctx.sf.d_XT.den) == (direct.num, direct.den)
+    if not k_rows:
+        return
+    # theta_T = c_WX beta, theta_R = -c_WX alpha and det = -abdb c_WX, where
+    # theta_i(u) is det(W, JW, K_T, K_R) with column i replaced by u
+    frame = [ctx.w, ctx.x, forms.T.raw, k_r]
+    c_wx = ctx.sf.c_WX
+    assert det_of_fields(frame) == -(forms.abdb * c_wx)
+    for j in range(4):
+        e = VecField.basis(j)
+        assert det_of_fields(frame[:2] + [e, k_r]) == c_wx * forms.beta(e)
+        assert det_of_fields(frame[:3] + [e]) == -(c_wx * forms.alpha(e))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -435,7 +447,8 @@ def test_frame_and_form_conditions_hold_on_sampled_fixtures(stem):
             with pytest.raises(PreconditionError):
                 stage(ctx)
         return
-    _assert_frame_and_forms_hold(ctx)
+    # the oracles of the 3-coordinate fixture are slow enough already
+    _assert_frame_and_forms_hold(ctx, k_rows=stem != "sampled_two_direction_3coord")
 
 
 def _random_j_plane(seed):
@@ -936,14 +949,24 @@ def test_k_engel_pass_implies_transverse_consistency():
 
 
 def _k_check_coefficients(monkeypatch, ctx, targets=None):
-    """The adapted frame (W, X, T, R) of ``k_engel_check`` and the four
-    coefficients it forms for each commutator, in WR, XR, TR order.
+    """The adapted frame (W, X, T, R) of ``k_engel_check``, the commutators
+    it expands, in WR, XR, TR order, and the fractions it forms.
 
-    With ``targets`` the commutators are replaced by these fields, so that
-    the expansion of any field in the frame can be read off.
+    The stages before the check are derived first, so that every fraction
+    recorded is the check's own.  With ``targets`` the commutators are
+    replaced by these fields, so that the expansion of any field in the
+    frame can be read off.
     """
     forms = ctx.forms
+    ctx.sf  # derive c_WX, [W, R] and [JW, R] before recording
     basis = [FracField(ctx.w), FracField(ctx.x), forms.T, forms.R]
+    if targets is None:
+        comms = [ctx.wr, ctx.xr, frac_bracket(forms.T, forms.R, ctx.space)]
+    else:
+        comms = list(targets)
+        monkeypatch.setitem(ctx.__dict__, "wr", comms[0])
+        monkeypatch.setitem(ctx.__dict__, "xr", comms[1])
+        monkeypatch.setattr(engelcheck, "frac_bracket", lambda *args: comms[2])
     formed = []
 
     def recording(num, den=ONE):
@@ -951,12 +974,9 @@ def _k_check_coefficients(monkeypatch, ctx, targets=None):
         return formed[-1]
 
     monkeypatch.setattr(engelcheck, "Frac", recording)
-    if targets is not None:
-        queue = list(targets)
-        monkeypatch.setattr(engelcheck, "frac_bracket", lambda *args: queue.pop(0))
     k_engel_check(ctx)
     monkeypatch.undo()
-    return basis, [formed[i:i + 4] for i in range(0, len(formed), 4)]
+    return basis, comms, formed
 
 
 def _assert_matches_cramer(got, target, basis):
@@ -966,16 +986,21 @@ def _assert_matches_cramer(got, target, basis):
         assert a.num * b.den == b.num * a.den
 
 
+def _assert_expansions_match_cramer(basis, comms, formed):
+    # four coefficients for each commutator that is not exactly zero, in
+    # order, then a zero a_WR when [W, R] is exactly zero
+    nonzero = [comm for comm in comms if not comm.is_zero()]
+    for i, comm in enumerate(nonzero):
+        _assert_matches_cramer(formed[4 * i:4 * i + 4], comm, basis)
+    rest = formed[4 * len(nonzero):]
+    assert len(rest) == (1 if comms[0].is_zero() else 0)
+    assert all(f.is_zero() for f in rest)
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_k_check_coframe_matches_cramer(monkeypatch, name):
     ctx = _context(name)
-    basis, coefs = _k_check_coefficients(monkeypatch, ctx)
-    w, x, r = FracField(ctx.w), FracField(ctx.x), ctx.forms.R
-    comms = [frac_bracket(w, r, ctx.space), frac_bracket(x, r, ctx.space),
-             frac_bracket(ctx.forms.T, r, ctx.space)]
-    assert len(coefs) == len(comms)
-    for got, comm in zip(coefs, comms):
-        _assert_matches_cramer(got, comm, basis)
+    _assert_expansions_match_cramer(*_k_check_coefficients(monkeypatch, ctx))
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "inoue_s0", "kodaira_primary",
@@ -996,11 +1021,32 @@ def test_k_check_coframe_expands_every_frame_field(monkeypatch, name):
         for c, b in zip(row, basis):
             target = target + b.scale(Frac(c))
         targets.append(target)
-    basis, coefs = _k_check_coefficients(monkeypatch, ctx, targets)
-    for got, target, row in zip(coefs, targets, rows):
-        _assert_matches_cramer(got, target, basis)
-        for a, c in zip(got, row):
+    basis, comms, formed = _k_check_coefficients(monkeypatch, ctx, targets)
+    _assert_expansions_match_cramer(basis, comms, formed)
+    for i, (target, row) in enumerate(zip(targets, rows)):
+        for a, c in zip(formed[4 * i:4 * i + 4], row):
             assert a.num == c * a.den
+
+
+K_FAILING = ("elliptic_sl2r", "inoue_s0", "kodaira_primary", "kodaira_secondary")
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_k_check_expands_only_commutators_that_do_not_vanish(monkeypatch, name):
+    # a K-passing family takes no minor and forms only a_WR = 0; a failing
+    # one extends the 2x2 minors of (K_T, K_R) by X and by W, once
+    ctx = _context(name)
+    ctx.sf  # derive the stages before counting
+    # the check's own minors; KForm.__call__ takes minors through framecalc
+    calls = _count_calls(monkeypatch, "extend_minors", engelcheck)
+    _, comms, formed = _k_check_coefficients(monkeypatch, ctx)
+    if name in K_FAILING:
+        assert [len(fields) for fields, *_ in calls] == [2, 1, 1]
+        assert [fields[0] for fields, *_ in calls[1:]] == [ctx.x, ctx.w]
+    else:
+        assert all(comm.is_zero() for comm in comms)
+        assert calls == []
+        assert [f.num for f in formed] == [ZERO]
 
 
 def _count_calls(monkeypatch, name, *modules):
