@@ -17,7 +17,6 @@ as strings, and no volatile fields, so identical runs emit identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -38,7 +37,7 @@ from .engelcheck import (
     verify_engel,  # noqa: F401  bench/test_bench.py patches this binding
 )
 from .framecalc import DEFAULT_GRID, DEFAULT_TOL, Certificate, VecField
-from .manifest import Manifest, dump_manifest, load_manifest, manifest_from_parts
+from .manifest import Manifest, dump_json, load_manifest, manifest_from_parts
 
 SUITES = ("engel", "jengel", "forms", "jofreeb", "kengel", "splitting",
           "geiges", "equivariance")
@@ -91,7 +90,7 @@ class Report:
 
 def emit_report(report: Report, format: str = "json") -> str:
     if format == "json":
-        return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        return dump_json(report.to_json())
     if format == "text":
         return _render_text(report)
     raise ValueError(f"unknown format {format!r}")
@@ -485,7 +484,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         spec = _build_family(args.family, _parse_params(args.params))
         doc = manifest_from_parts(spec.family, spec.space, spec.J, spec.d1,
                                   spec.d2, spec.parameters)
-        sys.stdout.write(dump_manifest(doc))
+        sys.stdout.write(dump_json(doc))
         return 0
 
     if args.verb == "verify":
@@ -529,7 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "engel_certificates": {k: c.to_json()
                                        for k, c in ctx.flag.certificates.items()},
             }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = dump_json(doc)
         sys.stdout.write(text)
         if args.json_path:
             _write_report(args.json_path, text)

@@ -84,20 +84,14 @@ class Frac:
     num: TrigScalar
     den: TrigScalar = ONE
 
-    def __add__(self, other: "Frac") -> "Frac":
-        if self.den == other.den:
-            return Frac(self.num + other.num, self.den)
-        return Frac(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
-
-    def __mul__(self, other: "Frac") -> "Frac":
-        return Frac(self.num * other.num, self.den * other.den)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def as_trig(self) -> TrigScalar | None:
-        """Exact TrigScalar value when the denominator divides out."""
+        """Exact TrigScalar value when the denominator divides out; a zero
+        numerator is 0 whatever the (nowhere-zero) denominator."""
+        if self.num.is_zero():
+            return ZERO
         exact = _div_exact([self.num], self.den)
         return None if exact is None else exact[0]
 
@@ -114,21 +108,6 @@ class FracField:
 
     raw: VecField
     den: TrigScalar = ONE
-
-    def __add__(self, other: "FracField") -> "FracField":
-        if self.den == other.den:
-            return FracField(self.raw + other.raw, self.den)
-        return FracField(self.raw.scale(other.den) + other.raw.scale(self.den),
-                         self.den * other.den)
-
-    def __sub__(self, other: "FracField") -> "FracField":
-        return self + (-other)
-
-    def __neg__(self) -> "FracField":
-        return FracField(-self.raw, self.den)
-
-    def scale(self, q: Frac) -> "FracField":
-        return FracField(self.raw.scale(q.num), self.den * q.den)
 
     def is_zero(self) -> bool:
         return self.raw.is_zero()
@@ -435,7 +414,10 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
     [X, T] = [X, K_T] / r - X(r) K_T / r^2, and alpha(K_T) = 0
     (``defining_forms``) leaves d_XT = alpha([X, K_T]) / r.  It is kept as
     alpha([X, K_T]) r / r^2, the quotient rule's numerator and denominator,
-    so that d_WR + d_XT, both over abdb^2, adds on the equal denominator.
+    so that all three d_* are over abdb^2: d_WR and d_XR pair alpha with
+    ``frac_bracket``'s [W, R] and [JW, R], which are over abdb^2 as R is over
+    abdb.  ``jofreeb_residual`` reads their numerators over that one
+    denominator.
     """
     forms, t = ctx.forms, ctx.forms.T
     d_xt = Frac(forms.alpha(bracket(ctx.x, t.raw, ctx.space)) * t.den, t.den * t.den)
@@ -581,28 +563,50 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
     to res_T = J(T) - R - q1 W - q2 JW gives, by J^2 = -1, exactly
     -(J(R) + T - q2 W + q1 JW) = -res_R, so res_T's numerators alone are
     certified.  The identities rely on the integrability of J, so a nonzero
-    Nijenhuis tensor rejects the check.  Additionally certifies
-    d(alpha)^2 = -2 d_WR alpha ^ beta ^ d(beta).
+    Nijenhuis tensor rejects the check.
+
+    res_T is formed over the one denominator the construction fixes,
+    abdb^2 c_WX.  T = K_T / -abdb and R = K_R / abdb, so
+    J(T) - R = -(J K_T + K_R) / abdb, and d_WR, d_XT and d_XR are
+    N_WR / abdb^2, N_XT / abdb^2 and N_XR / abdb^2 (``structure_functions``).
+    Over abdb^2 c_WX the numerator is
+
+        -abdb c_WX (J K_T + K_R) - (N_WR + N_XT) W - N_XR JW.
+
+    Also certifies the scalar d(alpha)^2 abdb^2 + 2 N_WR abdb, the
+    top coefficient of d(alpha)^2 + 2 d_WR alpha ^ beta ^ d(beta) times
+    abdb^2.  On the frame (W, JW, T, R) that scalar is
+    2 abdb N_WR (d_XT + c_WX) / c_WX, so the check decides
+    d_WR (d_XT + c_WX) = 0, not d_WR = 0 alone.  alpha vanishes on W, JW
+    and T and is 1 on R, so Cartan's formula gives d(alpha)(U, V) =
+    -alpha([U, V]) on frame fields: d(alpha)(W, JW) = 0 and
+    d(alpha)(W, T) = 0, as [W, E] lies in E and JW, T lie in E
+    (alpha(K_T) = 0), while d(alpha)(W, R) = -d_WR and d(alpha)(JW, T) =
+    -d_XT.  For a 2-form omega, (omega ^ omega)(1, 2, 3, 4) =
+    2 (omega_12 omega_34 - omega_13 omega_24 + omega_14 omega_23), so
+    d(alpha)^2(W, JW, T, R) = 2 d_WR d_XT.  alpha ^ beta is nonzero only on
+    (T, R), where it is -1, so (alpha ^ beta ^ d(beta))(W, JW, T, R) =
+    -d(beta)(W, JW) = beta([W, JW]) = c_WX.  Both top coefficients are
+    these values over det(W, JW, T, R) = c_WX / abdb, so d(alpha)^2 has
+    top coefficient 2 abdb d_WR d_XT / c_WX, and the scalar is
+    2 abdb^3 d_WR (d_XT + c_WX) / c_WX.
     """
     if not ctx.nijenhuis.passed:
         raise PreconditionError("J is not integrable (nonzero Nijenhuis tensor); "
                                 "the Reeb rotation formulas do not apply")
-    w, x, forms, sf = ctx.w, ctx.x, ctx.forms, ctx.sf
-    J, space, grid = ctx.J, ctx.space, ctx.grid
-    c_inv = Frac(ONE, sf.c_WX)
-    q1 = (sf.d_WR + sf.d_XT) * c_inv
-    q2 = sf.d_XR * c_inv
-    res_t = (forms.T.apply_J(J) - forms.R
-             - FracField(w).scale(q1) - FracField(x).scale(q2))
-    cert = certify_vanishing(list(res_t.raw.coeffs), space, grid,
+    forms, sf, space, grid = ctx.forms, ctx.sf, ctx.space, ctx.grid
+    abdb, c_wx = forms.abdb, sf.c_WX
+    num = ((ctx.J.apply(forms.T.raw) + forms.R.raw).scale(-(abdb * c_wx))
+           - ctx.w.scale(sf.d_WR.num + sf.d_XT.num) - ctx.x.scale(sf.d_XR.num))
+    cert = certify_vanishing(list(num.coeffs), space, grid,
                              note="J(T), J(R) rotation residuals (numerators)")
 
     lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
     # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
-    identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * forms.abdb
+    identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
     dalpha_cert = certify_vanishing([identity], space, grid,
                                     note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
-    return JofReebResult(res_t, cert, dalpha_cert)
+    return JofReebResult(FracField(num, abdb * abdb * c_wx), cert, dalpha_cert)
 
 
 # -- splitting, transverse fields, K-structure ----------------------------------
@@ -668,66 +672,67 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     """Diagnose whether R commutes with W, X and T.
 
     All three commutators vanishing exhibits defining forms and a framing
-    admitting a compatible metric with R as a Killing Engel field.  On
-    failure the report carries the expansion of each commutator in the
-    adapted frame (W, X, T, R) plus the solvability of the rescaling
-    equation, which for translation-invariant data amounts to a_WR = 0.
+    admitting a compatible metric with R as a Killing Engel field.  Each
+    commutator is decided exactly: one that is not identically zero fails,
+    with no grid.  On failure the report carries the expansion of each
+    nonzero commutator in the adapted frame (W, X, T, R) plus the
+    solvability of the rescaling equation, which for translation-invariant
+    data amounts to a_WR = 0; a zero [W, R] has a_WR = 0.
 
-    By Cramer's rule, C = [., R] has coefficient theta_i(C) / det on frame
-    field i, where theta_i(u) is det = det(W, X, K_T, K_R) with column i
-    replaced by u.  Over the denominators of C and of the frame fields
-    (1, 1, -abdb and abdb), each coefficient is kept as theta_i(C) den_i
-    over det den(C).  The coframe is built on the first commutator that is
-    not exactly zero; a zero one has only zero coefficients, and a_WR is
-    then 0 over det den([W, R]).  theta_W and theta_X extend the 2x2 minors
-    of (K_T, K_R) by X and by W; the rest is read off the forms.  With
-    C = a W + b X + c K_T + d K_R, alpha and beta vanish on D = <W, X>,
+    With C = a W + b X + c K_T + d K_R, alpha and beta vanish on D = <W, X>,
     and alpha(K_T) = beta(K_R) = 0, alpha(K_R) = abdb and beta(K_T) =
     -abdb (``defining_forms``), so c = -beta(C) / abdb and d = alpha(C) /
-    abdb.  As i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
+    abdb.  T = K_T / -abdb and R = K_R / abdb, so C's coefficients on T and
+    R are beta(C) and alpha(C): beta(u) / den(C) and alpha(u) / den(C) for
+    C = u / den(C).  The W and X coefficients are, by Cramer's rule,
+    theta_W(u) and theta_X(u) over det den(C), where theta_i(u) is
+    det = det(W, X, K_T, K_R) with column i replaced by u; theta_W and
+    theta_X extend the 2x2 minors of (K_T, K_R) by X and by W, and are
+    built on the first commutator that is not zero.  As
+    i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
     d(beta)(W, X) = -beta([W, X]) = -c_WX,
 
         det = -(beta ^ d(beta))(W, X, K_T) = -beta(K_T) d(beta)(W, X)
             = -abdb c_WX,
 
-    so theta_T(C) = det c = c_WX beta(C) and theta_R(C) = det d =
-    -c_WX alpha(C).  abdb and c_WX vanish nowhere (``defining_forms``,
-    ``structure_functions``), so the frame is never degenerate.
+    which vanishes nowhere (``defining_forms``, ``structure_functions``),
+    so the frame is never degenerate.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
-    t, r, c_wx = forms.T, forms.R, ctx.sf.c_WX
-    det = -(forms.abdb * c_wx)
+    t, r = forms.T, forms.R
+    det = -(forms.abdb * ctx.sf.c_WX)
     comms = {"WR": ctx.wr, "XR": ctx.xr, "TR": frac_bracket(t, r, space)}
     certs: dict[str, Certificate] = {}
     obstructions: dict[str, str] = {}
-    coframe, a_wr = [], None
+    coframe, a_wr = [], ZERO
     for key, br in comms.items():
-        certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
-                                       note=f"[{key[0]},{key[1]}] = 0")
+        note = f"[{key[0]},{key[1]}] = 0"
         if br.is_zero():
+            certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
+                                           note=note)
             continue
+        certs[key] = Certificate("FAILED", "vanishing", note=note)
         if not coframe:
             # theta_W(u) = -det(K_T, K_R, X, u), theta_X(u) = det(K_T, K_R, W, u)
             pair = extend_minors([t.raw, r.raw])
             coframe = [_annihilating_form_of(list(extend_minors([c], minors=pair).values()))
                        for c in (x, w)]
-        u, den = br.raw, det * br.den
-        nums = [-coframe[0](u), coframe[1](u),
-                c_wx * forms.beta(u) * t.den, -(c_wx * forms.alpha(u)) * r.den]
-        coefs = [Frac(num, den) for num in nums]
+        u, den = br.raw, br.den
+        det_den = det * den
+        coefs = [Frac(-coframe[0](u), det_den), Frac(coframe[1](u), det_den),
+                 Frac(forms.beta(u), den), Frac(forms.alpha(u), den)]
         for name, c in zip("WXTR", coefs):
             if not c.is_zero():
                 obstructions[f"{key}.{name}"] = str(c)
         if key == "WR":
-            a_wr = coefs[0]
-    exact = (a_wr or Frac(ZERO, det * ctx.wr.den)).as_trig()
-    decided = exact is not None and exact.constant_value() is not None
+            a_wr = coefs[0].as_trig()
+    decided = a_wr is not None and a_wr.constant_value() is not None
     dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
     return KEngelReport(
         passed=all(c.passed for c in certs.values()),
         commutators=certs,
         obstructions=obstructions,
-        rescaling_solvable=exact.is_zero() if decided else None,
+        rescaling_solvable=a_wr.is_zero() if decided else None,
         dbeta_squared_zero=dbeta2.is_zero(),
         note="" if decided else "a_WR is not constant; rescaling equation not decided",
     )

@@ -12,11 +12,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _escape
 
 from .framecalc import ComplexStructure, FramedSpace, VecField
 from .trigring import Frequency, parse, rat
 
-__all__ = ["Manifest", "load_manifest", "dump_manifest", "manifest_from_parts",
+__all__ = ["Manifest", "load_manifest", "dump_json", "manifest_from_parts",
            "SECTION_TYPES", "REQUIRED_MEMBERS", "SPACE_SECTIONS"]
 
 # The JSON type of each manifest member, as in docs/manifest.schema.json.  A
@@ -160,8 +161,43 @@ def manifest_from_parts(
     return out
 
 
-def dump_manifest(doc: Mapping) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def dump_json(doc) -> str:
+    """The canonical text of a JSON document, manifest or report: the bytes
+    of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, written
+    in one recursive pass.  Strings go through the C escaper, other scalars
+    through ``json.dumps``; object keys must be strings."""
+    parts: list[str] = []
+    _write_json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append ``value`` as ``json.dumps`` indents it at depth ``newline``."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            parts += (sep, inner, _escape(key), ": ")
+            _write_json(value[key], inner, parts)
+            sep = ","
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            parts += (sep, inner)
+            _write_json(item, inner, parts)
+            sep = ","
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def _where(key: str, trail: tuple) -> str:

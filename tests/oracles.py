@@ -5,7 +5,9 @@ numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
 ``cofactor_minor``, ``minors_of_fields``, ``interior``,
 ``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
-``closed_jr_residual``, ``rescaled_reeb_direction``, ``direct_product``,
+``closed_jr_residual``, ``closed_jt_residual``, ``frac_sum``,
+``frac_product``, ``field_sum``, ``field_scale``,
+``rescaled_reeb_direction``, ``direct_product``,
 ``reference_product_keys``, ``direct_sum``, ``direct_difference``,
 ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative``, ``cramer_coefficients``,
@@ -25,11 +27,16 @@ D, where ``interior`` contracts beta ^ d(beta) with K_R term by term; the
 J-claims are certified on the witnesses J leaves free, N_J on two pairs of
 E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
 where the three oracles take every frame pair, both J D_i and J(R)'s own
-residual; the splitting reads Z = span(R) off the forms, where
+residual; the J(T) residual is formed over abdb^2 c_WX, the denominator
+the construction fixes, where ``closed_jt_residual`` and
+``closed_jr_residual`` combine the Reeb pair and the structure functions
+by the fraction helpers, which multiply unequal denominators; the
+splitting reads Z = span(R) off the forms, where
 ``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
 afresh; the K-check expands only a commutator that does not vanish, on a
-coframe that takes minors for its W and X rows alone and reads its T and R
-rows and determinant off the forms, where ``cramer_coefficients`` takes
+coframe that takes minors for its W and X rows alone, reads its
+determinant off the forms and its T and R coefficients as beta(C) and
+alpha(C) over den(C), where ``cramer_coefficients`` takes
 five 4x4 determinants per commutator; ``FramedSpace.apply`` sums
 v(c) * ds/dc over the coordinates c, where the frame-by-frame formula
 differentiates s once per frame field; the
@@ -179,16 +186,58 @@ def eight_jd_minors(d1: VecField, d2: VecField, J: ComplexStructure) -> list:
     return [m for d in (d1, d2) for m in minors_of_fields([d1, d2, J.apply(d)])]
 
 
+def frac_sum(p: Frac, q: Frac) -> Frac:
+    """p + q, over the product of the denominators unless they are equal."""
+    if p.den == q.den:
+        return Frac(p.num + q.num, p.den)
+    return Frac(p.num * q.den + q.num * p.den, p.den * q.den)
+
+
+def frac_product(p: Frac, q: Frac) -> Frac:
+    return Frac(p.num * q.num, p.den * q.den)
+
+
+def field_sum(a: FracField, b: FracField, sign: int = 1) -> FracField:
+    """a + sign b, over the product of the denominators unless they are
+    equal."""
+    b_raw = b.raw if sign > 0 else -b.raw
+    if a.den == b.den:
+        return FracField(a.raw + b_raw, a.den)
+    return FracField(a.raw.scale(b.den) + b_raw.scale(a.den), a.den * b.den)
+
+
+def field_scale(a: FracField, q: Frac) -> FracField:
+    return FracField(a.raw.scale(q.num), a.den * q.den)
+
+
+def _rotation_coefficients(ctx) -> tuple[Frac, Frac]:
+    """q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX by fraction arithmetic."""
+    sf = ctx.sf
+    c_inv = Frac(ONE, sf.c_WX)
+    return (frac_product(frac_sum(sf.d_WR, sf.d_XT), c_inv),
+            frac_product(sf.d_XR, c_inv))
+
+
+def closed_jt_residual(ctx) -> FracField:
+    """J(T) - R - q1 W - q2 JW, the residual of the closed formula for J(T),
+    by fraction arithmetic that multiplies unequal denominators, from the
+    stages of the Derivation ``ctx``."""
+    forms = ctx.forms
+    q1, q2 = _rotation_coefficients(ctx)
+    res = field_sum(forms.T.apply_J(ctx.J), forms.R, -1)
+    res = field_sum(res, field_scale(FracField(ctx.w), q1), -1)
+    return field_sum(res, field_scale(FracField(ctx.x), q2), -1)
+
+
 def closed_jr_residual(ctx) -> FracField:
     """J(R) + T - q2 W + q1 JW, the residual of the closed formula for J(R),
     with q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX, from the stages of the
     Derivation ``ctx``."""
-    forms, sf = ctx.forms, ctx.sf
-    c_inv = Frac(ONE, sf.c_WX)
-    q1 = (sf.d_WR + sf.d_XT) * c_inv
-    q2 = sf.d_XR * c_inv
-    return (forms.R.apply_J(ctx.J) + forms.T
-            - FracField(ctx.w).scale(q2) + FracField(ctx.x).scale(q1))
+    forms = ctx.forms
+    q1, q2 = _rotation_coefficients(ctx)
+    res = field_sum(forms.R.apply_J(ctx.J), forms.T)
+    res = field_sum(res, field_scale(FracField(ctx.w), q2), -1)
+    return field_sum(res, field_scale(FracField(ctx.x), q1))
 
 
 def rescaled_reeb_direction(beta: KForm, lam: TrigScalar,

@@ -17,7 +17,7 @@ from engelcalc.cli import emit_report, main, run_verify
 from engelcalc.engelcheck import Derivation
 from engelcalc.framecalc import (ComplexStructure, VecField, bracket,
                                  certify_nonvanishing)
-from engelcalc.manifest import dump_manifest, load_manifest, manifest_from_parts
+from engelcalc.manifest import dump_json, load_manifest, manifest_from_parts
 from engelcalc.trigring import ONE
 
 from oracles import rescaled_reeb_direction
@@ -54,7 +54,7 @@ def test_catalog_show_round_trips(tmp_path):
     # dumping the loaded manifest reproduces the bytes
     doc = manifest_from_parts(spec.family, spec.space, spec.J, spec.d1, spec.d2,
                               spec.parameters)
-    assert dump_manifest(doc) == res.stdout
+    assert dump_json(doc) == res.stdout
 
 
 def test_verify_hopf_all_suites_passes():
@@ -959,7 +959,7 @@ def test_a_plane_that_is_not_j_invariant_rejects_every_form_check(tmp_path):
     doc = manifest_from_parts("hopf_real_plane", spec.space, spec.J,
                               VecField.of(1, 0, -1, -1), VecField.basis(1))
     path = tmp_path / "hopf_real_plane.json"
-    path.write_text(dump_manifest(doc))
+    path.write_text(dump_json(doc))
     records = {r.name: r for r in run_verify(str(path)).records}
     for name in ("engel.rank_d", "engel.rank_e", "engel.rank_tm"):
         assert records[name].status == "PASS", name
@@ -1020,6 +1020,36 @@ def test_a_repeated_report_is_byte_identical(cold_caches):
         assert emit_report(run_verify(fam), "json") == first[fam], fam
 
 
+def test_clear_fixture_pins_its_plane_suite_statuses():
+    # statuses and certificate kinds, not bytes: its abdb and c_WX vary, so
+    # the fractions it prints are not reduced to scalars; [W, R] = 0 gives
+    # a_WR = 0 and d_WR = 0 over that varying denominator
+    rep = run_verify(str(FIXTURES / "sampled_clear_1coord.json"),
+                     ("engel", "jengel", "forms", "jofreeb", "kengel", "splitting"))
+    got = [(r.name, r.status, r.certificate and r.certificate.kind)
+           for r in rep.records]
+    assert got == [
+        ("engel.nijenhuis", "PASS", "SYMBOLIC"),
+        ("engel.rank_d", "PASS", "SAMPLED"),
+        ("engel.rank_e", "PASS", "SAMPLED"),
+        ("engel.rank_tm", "PASS", "SAMPLED"),
+        ("engel.characteristic", "PASS", None),
+        ("jengel.j_invariance", "PASS", "SYMBOLIC"),
+        ("jengel.complex_framing", "PASS", None),
+        ("forms.construction", "PASS", None),
+        ("forms.structure_functions", "PASS", None),
+        ("jofreeb.residual_certificate", "PASS", "SYMBOLIC"),
+        ("jofreeb.dalpha_squared", "PASS", "SYMBOLIC"),
+        ("kengel.commutators", "FAIL", None),
+        ("kengel.rescaling", "PASS", None),
+        ("kengel.dbeta_squared", "PASS", None),
+        ("splitting.fields", "PASS", None),
+    ]
+    notes = {r.name: r.notes for r in rep.records}
+    assert notes["kengel.rescaling"] == "a_WR = 0"
+    assert ", d_WR = 0, " in notes["forms.structure_functions"]
+
+
 def test_golden_reports_match():
     for fam in FAMILIES:
         golden = (ROOT / "reports" / "golden" / f"{fam}.json").read_text()
@@ -1050,7 +1080,7 @@ def test_geiges_verb_totally_real():
 
 def test_geiges_verb_manifest_input(tmp_path):
     path = tmp_path / "flat.json"
-    path.write_text(dump_manifest(_flat_torus_manifest()))
+    path.write_text(dump_json(_flat_torus_manifest()))
     res = run_cli("geiges", "--input", str(path), "--nmax", "2")
     assert res.returncode == 0
     assert json.loads(res.stdout)["n_star"] == 1
@@ -1065,7 +1095,7 @@ def test_verify_geiges_suite_on_mapping_torus_manifest(tmp_path):
         parameters={},
         mapping_torus={"coordinate": "t", "V": inp.V, "X": inp.X})
     path = tmp_path / "twisted.json"
-    path.write_text(dump_manifest(doc))
+    path.write_text(dump_json(doc))
     rep = run_verify(str(path), suites=("geiges",))
     rec = next(r for r in rep.records if r.name == "geiges.minimal_n")
     assert rec.status == "PASS" and "n* = 1" in rec.notes
@@ -1087,7 +1117,7 @@ def test_mapping_torus_framing_uses_the_run_grid_and_tolerance(tmp_path, capsys)
     from engelcalc.trigring import parse
 
     path = tmp_path / "cos_framing.json"
-    path.write_text(dump_manifest(_flat_torus_manifest(
+    path.write_text(dump_json(_flat_torus_manifest(
         X=VecField.of(0, 0, parse("cos(t)"), 0))))
     for grid, tol, framed in ((17, 1e-6, True), (2, 1e-6, False), (17, 0.5, False)):
         rep = run_verify(str(path), suites=("geiges",), grid=grid, tol=tol)

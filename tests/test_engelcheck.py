@@ -50,10 +50,13 @@ from engelcalc.trigring import ONE, ZERO, Frequency, TrigScalar, normalize, pars
 from oracles import (
     annihilating_form,
     closed_jr_residual,
+    closed_jt_residual,
     cramer_coefficients,
     direct_form_witnesses,
     direct_w_residuals,
     eight_jd_minors,
+    field_scale,
+    field_sum,
     framing_determinant,
     interior,
     minors_of_fields,
@@ -407,9 +410,12 @@ def _assert_frame_and_forms_hold(ctx, k_rows=True):
     assert forms.beta(k_r).is_zero()
     beta_dbeta = wedge(forms.beta, exterior_derivative(forms.beta, space))
     assert interior(beta_dbeta, k_r).is_zero()
-    # d_XT without the quotient rule is the quotient rule's pairing, term for term
+    # d_XT without the quotient rule is the quotient rule's pairing, term for
+    # term, and the three d_* are over abdb^2, as jofreeb_residual reads them
     direct = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
-    assert (ctx.sf.d_XT.num, ctx.sf.d_XT.den) == (direct.num, direct.den)
+    sf = ctx.sf
+    assert (sf.d_XT.num, sf.d_XT.den) == (direct.num, direct.den)
+    assert sf.d_WR.den == sf.d_XT.den == sf.d_XR.den == forms.abdb * forms.abdb
     if not k_rows:
         return
     # theta_T = c_WX beta, theta_R = -c_WX alpha and det = -abdb c_WX, where
@@ -774,7 +780,7 @@ def _context(name):
 
 def _minus_j_of_t_against_r(res_t, res_r, J):
     """-J(res_T) - res_R, cross-multiplied over the two denominators."""
-    return (-res_t.apply_J(J)).raw.scale(res_r.den) - res_r.raw.scale(res_t.den)
+    return (-J.apply(res_t.raw)).scale(res_r.den) - res_r.raw.scale(res_t.den)
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
@@ -809,12 +815,87 @@ def test_jr_residual_is_minus_j_of_the_jt_residual_off_the_identity(name):
     ctx = _context(name)
     forms = ctx.forms
     ctx.sf  # the structure functions read the true T
-    vars(ctx)["forms"] = dataclasses.replace(forms, T=forms.T + FracField(ctx.w))
+    moved_t = field_sum(forms.T, FracField(ctx.w))
+    vars(ctx)["forms"] = dataclasses.replace(forms, T=moved_t)
     res = jofreeb_residual(ctx)
     res_r = closed_jr_residual(ctx)
     assert not res.residual_T.is_zero() and not res_r.is_zero()
     assert res.certificate.kind == "FAILED"
     assert _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J).is_zero()
+
+
+def test_a_zero_numerator_is_zero_over_any_denominator():
+    den = parse("2 + cos(x1)")
+    zero = Frac(ZERO, den)
+    assert zero.as_trig() == ZERO and str(zero) == "0"
+    assert Frac(parse("cos(x1)"), den).as_trig() is None
+    assert Frac(parse("2*cos(x1)"), TrigScalar.constant(2)).as_trig() == parse("cos(x1)")
+
+
+def _clear_context():
+    man = load_manifest((FIXTURES / "sampled_clear_1coord.json").read_text())
+    return Derivation(man.d1, man.d2, man.J, man.space)
+
+
+# the ten families and a fixture whose abdb and c_WX are not constant
+CLOSED_FORM_CASES = (*FAMILIES, "sampled_clear_1coord")
+
+
+def _closed_form_context(case):
+    return _clear_context() if case == "sampled_clear_1coord" else _context(case)
+
+
+def _assert_same_field(got, want):
+    # equal as fractions: cross-multiplied over the two denominators
+    assert got.raw.scale(want.den) == want.raw.scale(got.den)
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_jt_residual_over_abdb2_c_wx_is_the_fraction_arithmetic_one(case):
+    # the residual formed over abdb^2 c_WX is the one fraction arithmetic,
+    # multiplying unequal denominators, forms: at the Reeb pair, and with T
+    # moved off it by W, where the residual does not vanish
+    ctx = _closed_form_context(case)
+    if not ctx.nijenhuis.passed:
+        with pytest.raises(PreconditionError):
+            jofreeb_residual(ctx)
+        return
+    res = jofreeb_residual(ctx).residual_T
+    forms = ctx.forms
+    assert res.den == forms.abdb * forms.abdb * ctx.sf.c_WX
+    _assert_same_field(res, closed_jt_residual(ctx))
+    moved_t = field_sum(forms.T, FracField(ctx.w))
+    vars(ctx)["forms"] = dataclasses.replace(forms, T=moved_t)
+    moved = jofreeb_residual(ctx).residual_T
+    assert not moved.is_zero()
+    _assert_same_field(moved, closed_jt_residual(ctx))
+
+
+def test_dalpha_check_decides_d_wr_times_d_xt_plus_c_wx(monkeypatch):
+    # on a J-plane over kodaira_primary with d_WR != 0, the scalar the
+    # d(alpha)^2 check certifies is 2 abdb N_WR (d_XT + c_WX) / c_WX,
+    # cross-multiplied, and d_XT + c_WX vanishes nowhere there, so it fails
+    ctx = _random_j_plane(54)
+    assert ctx.flag.passed and ctx.nijenhuis.passed
+    sf, abdb = ctx.sf, ctx.forms.abdb
+    assert not sf.d_WR.is_zero()
+    checked = []
+    certify = engelcheck.certify_vanishing
+
+    def recording(scalars, *args, **kwargs):
+        if kwargs.get("note", "").startswith("d(alpha)^2"):
+            checked.extend(scalars)
+        return certify(scalars, *args, **kwargs)
+
+    monkeypatch.setattr(engelcheck, "certify_vanishing", recording)
+    res = jofreeb_residual(ctx)
+    [scalar] = checked
+    c_wx, two = sf.c_WX, TrigScalar.constant(2)
+    d_xt_plus_c = sf.d_XT.num + c_wx * abdb * abdb  # over abdb^2
+    assert scalar * c_wx * abdb == two * sf.d_WR.num * d_xt_plus_c
+    assert certify_nonvanishing(d_xt_plus_c, ctx.space).passed
+    assert res.dalpha_identity.kind == "FAILED"
+    assert res.certificate.kind == "SYMBOLIC"
 
 
 def test_each_j_claim_takes_only_its_deciding_witnesses(monkeypatch):
@@ -988,19 +1069,43 @@ def _assert_matches_cramer(got, target, basis):
 
 def _assert_expansions_match_cramer(basis, comms, formed):
     # four coefficients for each commutator that is not exactly zero, in
-    # order, then a zero a_WR when [W, R] is exactly zero
+    # order, and nothing for a zero one
     nonzero = [comm for comm in comms if not comm.is_zero()]
+    assert len(formed) == 4 * len(nonzero)
     for i, comm in enumerate(nonzero):
         _assert_matches_cramer(formed[4 * i:4 * i + 4], comm, basis)
-    rest = formed[4 * len(nonzero):]
-    assert len(rest) == (1 if comms[0].is_zero() else 0)
-    assert all(f.is_zero() for f in rest)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_k_check_coframe_matches_cramer(monkeypatch, name):
-    ctx = _context(name)
-    _assert_expansions_match_cramer(*_k_check_coefficients(monkeypatch, ctx))
+    # the T and R rows are beta(C) and alpha(C) over den(C), the W and X rows
+    # theta over det den(C); all four against Cramer's rule, cross-multiplied
+    ctx = _closed_form_context(name)
+    basis, comms, formed = _k_check_coefficients(monkeypatch, ctx)
+    _assert_expansions_match_cramer(basis, comms, formed)
+    nonzero = [comm for comm in comms if not comm.is_zero()]
+    assert [f.den for f in formed[2::4]] == [comm.den for comm in nonzero]
+    assert [f.den for f in formed[3::4]] == [comm.den for comm in nonzero]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+def test_k_check_decides_each_commutator_exactly(monkeypatch, name):
+    # a zero commutator keeps its SYMBOLIC certificate; a nonzero one fails
+    # with no grid, through no certifier
+    ctx = _closed_form_context(name)
+    ctx.sf  # derive the stages before counting
+    comms = {"WR": ctx.wr, "XR": ctx.xr,
+             "TR": frac_bracket(ctx.forms.T, ctx.forms.R, ctx.space)}
+    grids = _count_calls(monkeypatch, "grid_points", framecalc)
+    vanishing = _count_calls(monkeypatch, "certify_vanishing", engelcheck)
+    rep = k_engel_check(ctx)
+    assert grids == []
+    assert len(vanishing) == sum(comm.is_zero() for comm in comms.values())
+    for key, comm in comms.items():
+        cert = rep.commutators[key]
+        assert cert.kind == ("SYMBOLIC" if comm.is_zero() else "FAILED"), key
+        assert not cert.grid and cert.bound is None
+    assert rep.passed == all(comm.is_zero() for comm in comms.values())
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "inoue_s0", "kodaira_primary",
@@ -1019,7 +1124,7 @@ def test_k_check_coframe_expands_every_frame_field(monkeypatch, name):
     for row in rows:
         target = FracField(VecField.zero())
         for c, b in zip(row, basis):
-            target = target + b.scale(Frac(c))
+            target = field_sum(target, field_scale(b, Frac(c)))
         targets.append(target)
     basis, comms, formed = _k_check_coefficients(monkeypatch, ctx, targets)
     _assert_expansions_match_cramer(basis, comms, formed)
@@ -1033,7 +1138,7 @@ K_FAILING = ("elliptic_sl2r", "inoue_s0", "kodaira_primary", "kodaira_secondary"
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_k_check_expands_only_commutators_that_do_not_vanish(monkeypatch, name):
-    # a K-passing family takes no minor and forms only a_WR = 0; a failing
+    # a K-passing family takes no minor and forms no fraction; a failing
     # one extends the 2x2 minors of (K_T, K_R) by X and by W, once
     ctx = _context(name)
     ctx.sf  # derive the stages before counting
@@ -1046,7 +1151,7 @@ def test_k_check_expands_only_commutators_that_do_not_vanish(monkeypatch, name):
     else:
         assert all(comm.is_zero() for comm in comms)
         assert calls == []
-        assert [f.num for f in formed] == [ZERO]
+        assert formed == []
 
 
 def _count_calls(monkeypatch, name, *modules):

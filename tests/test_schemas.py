@@ -4,6 +4,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, run_verify
@@ -11,7 +12,7 @@ from engelcalc.geiges import flat_torus_input
 from engelcalc.manifest import (
     REQUIRED_MEMBERS,
     SECTION_TYPES,
-    dump_manifest,
+    dump_json,
     load_manifest,
     manifest_from_parts,
 )
@@ -52,7 +53,7 @@ def test_catalog_manifests_validate_against_schema(family):
     spec = build_family(family)
     doc = manifest_from_parts(spec.family, spec.space, spec.J, spec.d1, spec.d2,
                               spec.parameters)
-    json_doc = json.loads(dump_manifest(doc))
+    json_doc = json.loads(dump_json(doc))
     jsonschema.validate(json_doc, MANIFEST_SCHEMA)
 
 
@@ -61,7 +62,7 @@ def test_mapping_torus_manifest_validates():
     doc = manifest_from_parts(
         "flat", inp.space, inp.J, parameters={},
         mapping_torus={"coordinate": "t", "V": inp.V, "X": inp.X})
-    jsonschema.validate(json.loads(dump_manifest(doc)), MANIFEST_SCHEMA)
+    jsonschema.validate(json.loads(dump_json(doc)), MANIFEST_SCHEMA)
 
 
 def test_schema_rejects_malformed_report():
@@ -166,3 +167,49 @@ def test_schema_and_loader_reject_each_missing_member(key):
         jsonschema.validate(doc, MANIFEST_SCHEMA)
     with pytest.raises(ValueError, match=f"has no member '{member}'"):
         load_manifest(doc)
+
+
+# -- the canonical JSON writer ------------------------------------------------
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": (), "d": [[], {}, ((),)]})
+@example([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324])
+@example({"big": 10 ** 100, "neg": -(10 ** 100), "bool": [True, False, None]})
+@example({"\u00e9t\u00e9": "\u03b1 \u2227 d\u03b1 \U0001d400 \"q\" \\ \n\t\x00\x7f",
+          "z": {"": "", "y": ("\ud800",)}})
+def test_dump_json_writes_the_bytes_of_json_dumps(doc):
+    assert dump_json(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("path", PINNED_REPORTS, ids=lambda p: p.stem)
+def test_dump_json_rewrites_each_pinned_report_byte_for_byte(path):
+    text = path.read_text()
+    assert dump_json(json.loads(text)) == text
+
+
+def test_dump_json_raises_on_what_it_cannot_write():
+    # values json.dumps cannot encode, and object keys that are not strings,
+    # which json.dumps would convert
+    for doc in ({"a": object()}, [1j], {1: "key that is not a string"}):
+        with pytest.raises(TypeError):
+            dump_json(doc)

@@ -19,7 +19,7 @@ import engelcalc
 from engelcalc import cli, engelcheck, manifest
 from engelcalc.cli import emit_report, run_verify
 from engelcalc.framecalc import ComplexStructure, FramedSpace
-from engelcalc.manifest import SPACE_SECTIONS, dump_manifest, load_manifest
+from engelcalc.manifest import SPACE_SECTIONS, dump_json, load_manifest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PINNED = ("sampled_clear_1coord", "sampled_zero_off_grid_4coord",
@@ -69,7 +69,7 @@ def test_equal_space_sections_share_one_space_and_j(monkeypatch, cold_caches, tm
     assert all(first[k] == second[k] for k in SPACE_SECTIONS if k in first)
     paths = [tmp_path / "first.json", tmp_path / "second.json"]
     for path, doc in zip(paths, (first, second)):
-        path.write_text(dump_manifest(doc))
+        path.write_text(dump_json(doc))
 
     calls = {"validate": 0, "nijenhuis_certificate": 0, "verify_engel": 0}
     validate, nijenhuis_certificate = FramedSpace.validate, engelcheck.nijenhuis_certificate
@@ -151,7 +151,7 @@ def test_pinned_reports_are_byte_identical_cold_warm_and_renamed(
         doc = _fixture(stem)
         renamed, doc["name"] = f"renamed_{stem}", f"renamed_{stem}"
         path = tmp_path / f"{renamed}.json"
-        path.write_text(dump_manifest(doc))
+        path.write_text(dump_json(doc))
         rep = run_verify(str(path), ("engel", "geiges"), grid=11)
         assert json.loads(emit_report(rep, "json")) == \
             {**json.loads(want[stem]), "target": renamed}
