@@ -32,9 +32,10 @@ print(f"  R = {[str(c) for c in forms.R.as_field().coeffs]}")
 print(f"  structure functions: c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
       f"d_WR = {sf.d_WR}, d_XR = {sf.d_XR}")
 
-print("\n== the rotation identities hold exactly ==")
+print("\n== the rotation identities, a theorem once N_J = 0 ==")
 res = jofreeb_residual(ctx)
-print(f"  J(T), J(R) residuals: {res.certificate.kind}")
+print(f"  J(T) = R + q1 W + q2 JW, J(R) = -T + q2 W - q1 JW: "
+      f"q1 = {res.q1}, q2 = {res.q2}")
 print(f"  d(alpha)^2 = -2 d_WR alpha^beta^d(beta): {res.dalpha_identity.kind}")
 
 print("\n== the splitting W + JW + JZ + Z, Z = span(R) ==")

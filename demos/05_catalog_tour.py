@@ -21,7 +21,7 @@ for name in FAMILIES:
     spec = build_family(name)
     ctx = Derivation(spec.d1, spec.d2, spec.J, spec.space)
     flag, jinv, nij = ctx.flag, ctx.j_invariance, ctx.nijenhuis
-    recs = check_quoted_brackets(spec)
+    recs = check_quoted_brackets(spec, flag.e3)
     marks = ", ".join(f"{r.name}:{r.status}" for r in recs) or "-"
     print(f"{name:24s} {str(flag.passed):7s} {str(jinv.passed):6s} "
           f"{str(nij.passed):8s} {marks}")
@@ -29,9 +29,9 @@ for name in FAMILIES:
 print("\ndeviations in detail:")
 for name in FAMILIES:
     spec = build_family(name)
-    for r in check_quoted_brackets(spec):
+    flag = Derivation(spec.d1, spec.d2, spec.J, spec.space).flag
+    for r in check_quoted_brackets(spec, flag.e3):
         if r.status == "DEVIATION":
-            flag = Derivation(spec.d1, spec.d2, spec.J, spec.space).flag
             rank_tm = flag.certificates["rank_tm"]
             print(f"  {name} {r.name}: computed "
                   f"{[str(c) for c in r.computed.coeffs]}, quoted "

@@ -547,66 +547,83 @@ class Derivation:
 
 @dataclass(frozen=True)
 class JofReebResult:
-    """The residual of the closed formula for J(T), its certificate, and
-    that of the d(alpha)^2 identity.  J(R)'s residual is -J(residual_T)."""
+    """The rotation coefficients q1 and q2 of J(T) = R + q1 W + q2 JW, and
+    the certificate of the d(alpha)^2 identity."""
 
-    residual_T: FracField
-    certificate: Certificate
+    q1: Frac
+    q2: Frac
     dalpha_identity: Certificate
 
 
 def jofreeb_residual(ctx: Derivation) -> JofReebResult:
-    """Residual of the closed formula for J(T), which also decides J(R).
+    """The rotation of the Reeb pair, J(T) = R + q1 W + q2 JW and
+    J(R) = -T + q2 W - q1 JW, with q1 = (d_WR + d_XT)/c_WX and
+    q2 = d_XR/c_WX: a theorem once the flag, JD = D and N_J = 0 hold, so
+    nothing is certified for it.  A nonzero Nijenhuis tensor rejects it.
 
-    With q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX the expected identities
-    are J(T) = R + q1 W + q2 JW and J(R) = -T + q2 W - q1 JW.  Applying J
-    to res_T = J(T) - R - q1 W - q2 JW gives, by J^2 = -1, exactly
-    -(J(R) + T - q2 W + q1 JW) = -res_R, so res_T's numerators alone are
-    certified.  The identities rely on the integrability of J, so a nonzero
-    Nijenhuis tensor rejects the check.
+    JT - R lies in D: alpha(JT) = beta(T) = 1 = alpha(R) and
+    beta(JT) = -alpha(T) = 0 = beta(R), so JT = R + q1 W + q2 JW for some
+    q1, q2, and J(R) = -T + q2 W - q1 JW follows by J^2 = -1.  Their values
+    come from N_J = 0 (Newlander and Nirenberg 1957): theta = alpha - i beta
+    is a (1,0)-form, theta(JV) = i theta(V), and N_J = 0 kills the
+    (0,2)-part of d(theta).  With A = d(alpha) and B = d(beta), that is,
+    for all U and V,
 
-    res_T is formed over the one denominator the construction fixes,
-    abdb^2 c_WX.  T = K_T / -abdb and R = K_R / abdb, so
-    J(T) - R = -(J K_T + K_R) / abdb, and d_WR, d_XT and d_XR are
-    N_WR / abdb^2, N_XT / abdb^2 and N_XR / abdb^2 (``structure_functions``).
-    Over abdb^2 c_WX the numerator is
+        A(U, V) - A(JU, JV) = -B(JU, V) - B(U, JV),
+        A(JU, V) + A(U, JV) = B(U, V) - B(JU, JV).
 
-        -abdb c_WX (J K_T + K_R) - (N_WR + N_XT) W - N_XR JW.
+    Take U = W and V = T, so JV = R + q1 W + q2 JW.  A(W, T) = 0, as
+    [W, E] lies in E and T in E; A(W, JW) = 0, as [D, D] lies in E;
+    B(W, T) = B(JW, T) = 0, as i_T B is a multiple of alpha (T is the
+    kernel field of alpha ^ d(beta) and alpha(T) = 0); B(W, R) =
+    B(JW, R) = 0, as i_R B is a multiple of beta; and Cartan's formula
+    gives B(W, JW) = -c_WX, A(W, R) = -d_WR, A(JW, T) = -d_XT and
+    A(JW, R) = -d_XR.  The first identity then reads d_XR = q2 c_WX, and
+    the second d_WR + d_XT = q1 c_WX.  c_WX vanishes nowhere
+    (``structure_functions``), and the d_* are N_WR, N_XT and N_XR over
+    abdb^2, so q1 = (N_WR + N_XT) / (abdb^2 c_WX) and
+    q2 = N_XR / (abdb^2 c_WX).
 
-    Also certifies the scalar d(alpha)^2 abdb^2 + 2 N_WR abdb, the
-    top coefficient of d(alpha)^2 + 2 d_WR alpha ^ beta ^ d(beta) times
-    abdb^2.  On the frame (W, JW, T, R) that scalar is
-    2 abdb N_WR (d_XT + c_WX) / c_WX, so the check decides
-    d_WR (d_XT + c_WX) = 0, not d_WR = 0 alone.  alpha vanishes on W, JW
-    and T and is 1 on R, so Cartan's formula gives d(alpha)(U, V) =
-    -alpha([U, V]) on frame fields: d(alpha)(W, JW) = 0 and
-    d(alpha)(W, T) = 0, as [W, E] lies in E and JW, T lie in E
-    (alpha(K_T) = 0), while d(alpha)(W, R) = -d_WR and d(alpha)(JW, T) =
-    -d_XT.  For a 2-form omega, (omega ^ omega)(1, 2, 3, 4) =
+    Also decides d(alpha)^2 + 2 d_WR alpha ^ beta ^ d(beta) = 0.  alpha
+    vanishes on W, JW and T and is 1 on R, so Cartan's formula gives
+    d(alpha)(U, V) = -alpha([U, V]) on frame fields: d(alpha)(W, JW) = 0
+    and d(alpha)(W, T) = 0 as above, while d(alpha)(W, R) = -d_WR and
+    d(alpha)(JW, T) = -d_XT.  For a 2-form omega,
+    (omega ^ omega)(1, 2, 3, 4) =
     2 (omega_12 omega_34 - omega_13 omega_24 + omega_14 omega_23), so
     d(alpha)^2(W, JW, T, R) = 2 d_WR d_XT.  alpha ^ beta is nonzero only on
     (T, R), where it is -1, so (alpha ^ beta ^ d(beta))(W, JW, T, R) =
-    -d(beta)(W, JW) = beta([W, JW]) = c_WX.  Both top coefficients are
-    these values over det(W, JW, T, R) = c_WX / abdb, so d(alpha)^2 has
-    top coefficient 2 abdb d_WR d_XT / c_WX, and the scalar is
-    2 abdb^3 d_WR (d_XT + c_WX) / c_WX.
+    -d(beta)(W, JW) = c_WX.  So d(alpha)^2 =
+    (2 d_WR d_XT / c_WX) alpha ^ beta ^ d(beta), and the claim is
+    d_WR (d_XT + c_WX) = 0, whose factors are N_WR and
+    N_XT + abdb^2 c_WX over abdb^2.  A product of two trig polynomials,
+    real-analytic functions, is zero only when a factor is, so each factor
+    takes the exact zero test, and no d(alpha) ^ d(alpha) is formed.  The
+    test is complete only where no phase keeps a pi part
+    (``certify_vanishing``): a nonzero factor that keeps one, which may be
+    the zero function, goes to the grid on its own, and the claim passes
+    when a factor does.
     """
     if not ctx.nijenhuis.passed:
         raise PreconditionError("J is not integrable (nonzero Nijenhuis tensor); "
                                 "the Reeb rotation formulas do not apply")
-    forms, sf, space, grid = ctx.forms, ctx.sf, ctx.space, ctx.grid
-    abdb, c_wx = forms.abdb, sf.c_WX
-    num = ((ctx.J.apply(forms.T.raw) + forms.R.raw).scale(-(abdb * c_wx))
-           - ctx.w.scale(sf.d_WR.num + sf.d_XT.num) - ctx.x.scale(sf.d_XR.num))
-    cert = certify_vanishing(list(num.coeffs), space, grid,
-                             note="J(T), J(R) rotation residuals (numerators)")
-
-    lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
-    # cross-multiplied: lhs * den(d_WR) + 2 * num(d_WR) * abdb = 0
-    identity = lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * abdb
-    dalpha_cert = certify_vanishing([identity], space, grid,
-                                    note="d(alpha)^2 + 2 d_WR alpha^beta^d(beta)")
-    return JofReebResult(FracField(num, abdb * abdb * c_wx), cert, dalpha_cert)
+    sf = ctx.sf
+    den = sf.d_WR.den * sf.c_WX  # abdb^2 c_WX
+    note = "d(alpha)^2 + 2 d_WR alpha^beta^d(beta)"
+    # the factors of d_WR (d_XT + c_WX) over abdb^2 each: the product is
+    # zero exactly when one of them is
+    factors = (sf.d_WR.num, sf.d_XT.num + den)
+    zero = [f for f in factors if f.is_zero()]
+    if zero:
+        dalpha = certify_vanishing(zero[:1], ctx.space, ctx.grid, note=note)
+    else:
+        sampled = [certify_vanishing([f], ctx.space, ctx.grid, note=note)
+                   for f in factors if f.has_pi_phase()]
+        dalpha = next((c for c in sampled if c.passed),
+                      sampled[0] if sampled else Certificate("FAILED", "vanishing",
+                                                             note=note))
+    return JofReebResult(Frac(sf.d_WR.num + sf.d_XT.num, den),
+                         Frac(sf.d_XR.num, den), dalpha)
 
 
 # -- splitting, transverse fields, K-structure ----------------------------------
@@ -696,7 +713,20 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
             = -abdb c_WX,
 
     which vanishes nowhere (``defining_forms``, ``structure_functions``),
-    so the frame is never degenerate.
+    so the frame is never degenerate.  A zero numerator is 0 over any
+    denominator, so det den(C) is formed only for a nonzero W or X row.
+
+    d(beta)^2 = 0 is read off the [T, R] row.  On the frame (W, X, T, R),
+    i_T d(beta) is a multiple of alpha and i_R d(beta) one of beta
+    (``jofreeb_residual``), so d(beta) is zero on (W, T), (X, T), (W, R)
+    and (X, R), and
+
+        d(beta)^2(W, X, T, R) = 2 d(beta)(W, X) d(beta)(T, R)
+                              = 2 c_WX beta([T, R]),
+
+    by Cartan's formula, as beta(T) = 1 and beta(R) = 0.  c_WX vanishes
+    nowhere, so d(beta)^2 = 0 exactly when [T, R] is zero or has a zero T
+    coefficient, and no d(beta) ^ d(beta) is formed.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     t, r = forms.T, forms.R
@@ -718,8 +748,10 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
             coframe = [_annihilating_form_of(list(extend_minors([c], minors=pair).values()))
                        for c in (x, w)]
         u, den = br.raw, br.den
-        det_den = det * den
-        coefs = [Frac(-coframe[0](u), det_den), Frac(coframe[1](u), det_den),
+        rows = [-coframe[0](u), coframe[1](u)]
+        # a zero Frac is 0 over any denominator
+        det_den = ONE if all(n.is_zero() for n in rows) else det * den
+        coefs = [Frac(rows[0], det_den), Frac(rows[1], det_den),
                  Frac(forms.beta(u), den), Frac(forms.alpha(u), den)]
         for name, c in zip("WXTR", coefs):
             if not c.is_zero():
@@ -727,12 +759,11 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
         if key == "WR":
             a_wr = coefs[0].as_trig()
     decided = a_wr is not None and a_wr.constant_value() is not None
-    dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
     return KEngelReport(
         passed=all(c.passed for c in certs.values()),
         commutators=certs,
         obstructions=obstructions,
         rescaling_solvable=a_wr.is_zero() if decided else None,
-        dbeta_squared_zero=dbeta2.is_zero(),
+        dbeta_squared_zero="TR.T" not in obstructions,
         note="" if decided else "a_WR is not constant; rescaling equation not decided",
     )

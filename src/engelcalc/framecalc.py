@@ -543,7 +543,14 @@ def certify_vanishing(
     tol: float = IDENTITY_TOL,
     note: str = "",
 ) -> Certificate:
-    """Certify that every scalar in the list is identically zero."""
+    """Certify that every scalar in the list is identically zero.
+
+    A nonzero normal form whose phases all have a zero pi part after
+    quarter-turn absorption is a nonzero function, the class in which the
+    zero test is complete, so a claim on such a scalar fails whatever its
+    grid maximum; the grid gives the certificate its bound and witness
+    point.  A claim passes as ``SAMPLED`` only when every nonzero scalar
+    keeps another rational-pi phase."""
     if all(s.is_zero() for s in scalars):
         return Certificate("SYMBOLIC", "vanishing", witness="identically zero",
                            note=note)
@@ -551,7 +558,7 @@ def certify_vanishing(
     points, shape = grid_points(space, live, grid)
     peaks = [points.abs_extreme(s, max) for s in live]
     worst = max(peak for peak, _ in peaks)
-    if worst <= tol:
+    if worst <= tol and all(s.has_pi_phase() for s in live):
         return Certificate("SAMPLED", "vanishing", grid=shape, bound=worst,
                            tolerance=tol, note=note)
     # the witness point is the first maximiser in grid order, over all the

@@ -801,6 +801,11 @@ class TrigScalar:
     def coordinates(self) -> set[str]:
         return {c for w in self._terms for c, _ in w.triple[1]}
 
+    def has_pi_phase(self) -> bool:
+        """Whether some phase keeps a pi part after quarter-turn absorption:
+        only then can a nonzero normal form be the zero function."""
+        return any(w.triple[2][2] for w in self._terms)
+
     def frequencies_of(self, coord: str) -> set[Frequency]:
         out = set()
         for w in self._terms:

@@ -5,7 +5,8 @@ numpy determinants, pointwise linear algebra), never through the symbolic
 code paths they are checking.  The exceptions, ``annihilating_form``,
 ``cofactor_minor``, ``minors_of_fields``, ``interior``,
 ``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
-``closed_jr_residual``, ``closed_jt_residual``, ``frac_sum``,
+``rotation_coefficients``, ``closed_jr_residual``,
+``closed_jt_residual``, ``dalpha_squared_scalar``, ``frac_sum``,
 ``frac_product``, ``field_sum``, ``field_scale``,
 ``rescaled_reeb_direction``, ``direct_product``,
 ``reference_product_keys``, ``direct_sum``, ``direct_difference``,
@@ -25,12 +26,13 @@ where ``cofactor_minor`` expands each minor along its first column, and
 the transverse check certifies only that the raw Reeb field K_R preserves
 D, where ``interior`` contracts beta ^ d(beta) with K_R term by term; the
 J-claims are certified on the witnesses J leaves free, N_J on two pairs of
-E1's frame row, JD = D on J D1 and the Reeb rotation on J(T)'s residual,
-where the three oracles take every frame pair, both J D_i and J(R)'s own
-residual; the J(T) residual is formed over abdb^2 c_WX, the denominator
-the construction fixes, where ``closed_jt_residual`` and
-``closed_jr_residual`` combine the Reeb pair and the structure functions
-by the fraction helpers, which multiply unequal denominators; the
+E1's frame row and JD = D on J D1, where the two oracles take every frame
+pair and both J D_i; the Reeb rotation is a theorem once N_J = 0, and its
+record reports q1 and q2 over abdb^2 c_WX, where ``closed_jt_residual``
+and ``closed_jr_residual`` form the rotation residuals from the Reeb pair
+and the structure functions, with ``rotation_coefficients``' q1 and q2, by
+the fraction helpers, which multiply unequal denominators; the d(alpha)^2 identity is decided on its two
+factors, where ``dalpha_squared_scalar`` takes d(alpha) ^ d(alpha); the
 splitting reads Z = span(R) off the forms, where
 ``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
 afresh; the K-check expands only a commutator that does not vanish, on a
@@ -210,7 +212,7 @@ def field_scale(a: FracField, q: Frac) -> FracField:
     return FracField(a.raw.scale(q.num), a.den * q.den)
 
 
-def _rotation_coefficients(ctx) -> tuple[Frac, Frac]:
+def rotation_coefficients(ctx) -> tuple[Frac, Frac]:
     """q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX by fraction arithmetic."""
     sf = ctx.sf
     c_inv = Frac(ONE, sf.c_WX)
@@ -218,26 +220,37 @@ def _rotation_coefficients(ctx) -> tuple[Frac, Frac]:
             frac_product(sf.d_XR, c_inv))
 
 
-def closed_jt_residual(ctx) -> FracField:
+def closed_jt_residual(ctx, q: tuple[Frac, Frac] | None = None) -> FracField:
     """J(T) - R - q1 W - q2 JW, the residual of the closed formula for J(T),
     by fraction arithmetic that multiplies unequal denominators, from the
-    stages of the Derivation ``ctx``."""
+    stages of the Derivation ``ctx``; (q1, q2) is ``q`` when given, else
+    formed from the structure functions."""
     forms = ctx.forms
-    q1, q2 = _rotation_coefficients(ctx)
+    q1, q2 = rotation_coefficients(ctx) if q is None else q
     res = field_sum(forms.T.apply_J(ctx.J), forms.R, -1)
     res = field_sum(res, field_scale(FracField(ctx.w), q1), -1)
     return field_sum(res, field_scale(FracField(ctx.x), q2), -1)
 
 
-def closed_jr_residual(ctx) -> FracField:
+def closed_jr_residual(ctx, q: tuple[Frac, Frac] | None = None) -> FracField:
     """J(R) + T - q2 W + q1 JW, the residual of the closed formula for J(R),
-    with q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX, from the stages of the
-    Derivation ``ctx``."""
+    from the stages of the Derivation ``ctx``; (q1, q2) is ``q`` when given,
+    else q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX."""
     forms = ctx.forms
-    q1, q2 = _rotation_coefficients(ctx)
+    q1, q2 = rotation_coefficients(ctx) if q is None else q
     res = field_sum(forms.R.apply_J(ctx.J), forms.T)
     res = field_sum(res, field_scale(FracField(ctx.w), q2), -1)
     return field_sum(res, field_scale(FracField(ctx.x), q1))
+
+
+def dalpha_squared_scalar(ctx) -> TrigScalar:
+    """abdb^2 times the top coefficient of
+    d(alpha)^2 + 2 d_WR alpha ^ beta ^ d(beta), with d(alpha) ^ d(alpha)
+    taken afresh: the scalar whose vanishing ``jofreeb_residual`` decides
+    on its two factors, N_WR and N_XT + abdb^2 c_WX."""
+    forms, sf = ctx.forms, ctx.sf
+    lhs = wedge(forms.d_alpha, forms.d_alpha).component((0, 1, 2, 3))
+    return lhs * sf.d_WR.den + TrigScalar.constant(2) * sf.d_WR.num * forms.abdb
 
 
 def rescaled_reeb_direction(beta: KForm, lam: TrigScalar,

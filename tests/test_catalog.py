@@ -147,13 +147,15 @@ def test_quoted_bracket_statuses():
     seen = set()
     for name in FAMILIES:
         spec = build_family(name)
-        records = check_quoted_brackets(spec)
+        # the quoted [A, JA] is the flag's E3, as A = D1 and JA = D2
+        flag = Derivation(spec.d1, spec.d2, spec.J, spec.space).flag
+        assert flag.e3 == bracket(spec.d1, spec.d2, spec.space), name
+        records = check_quoted_brackets(spec, flag.e3)
         for rec in records:
             if rec.status == "DEVIATION":
                 seen.add((name, rec.name))
                 # the spanning conclusion survives as engel.rank_tm: the
                 # computed fields' determinant is the flag's pairing u_i
-                flag = Derivation(spec.d1, spec.d2, spec.J, spec.space).flag
                 det = det_of_fields([spec.d1, spec.d2] +
                                     [r.computed for r in records])
                 i = ("A", "JA").index(spec.expected_brackets[1].first)

@@ -15,8 +15,7 @@ from engelcalc import catalog, cli
 from engelcalc.catalog import FAMILIES, build_family
 from engelcalc.cli import emit_report, main, run_verify
 from engelcalc.engelcheck import Derivation
-from engelcalc.framecalc import (ComplexStructure, VecField, bracket,
-                                 certify_nonvanishing)
+from engelcalc.framecalc import VecField, bracket, certify_nonvanishing
 from engelcalc.manifest import dump_json, load_manifest, manifest_from_parts
 from engelcalc.trigring import ONE
 
@@ -264,12 +263,7 @@ def test_a_parameter_given_twice_is_an_error():
 def test_a_failing_builder_invariant_is_an_error(monkeypatch, capsys, cold_caches):
     # a J that turns the rotation block the wrong way breaks the
     # hyperelliptic_product builder's own check
-    class StandardJ:
-        @staticmethod
-        def pairing(*_):
-            return ComplexStructure.pairing(0, 1, 2, 3)
-
-    monkeypatch.setattr(catalog, "ComplexStructure", StandardJ)
+    monkeypatch.setattr(catalog, "_CONJUGATE_J", catalog._STANDARD_J)
     for argv in (["catalog", "show", "hyperelliptic_product"],
                  ["verify", "hyperelliptic_product", "--suite", "engel"]):
         with pytest.raises(SystemExit) as exc:
@@ -918,7 +912,7 @@ def test_splitting_uses_the_run_tolerance(tmp_path):
     records = {r.name: r for r in rep.records}
     assert records["engel.rank_d"].status == "FAIL"
     for name in ("jengel.complex_framing", "forms.construction",
-                 "jofreeb.residual_certificate", "kengel.commutators"):
+                 "jofreeb.rotation", "kengel.commutators"):
         assert records[name].status == "REJECTED", name
     split = records["splitting.fields"]
     assert split.status == "REJECTED"
@@ -966,7 +960,7 @@ def test_a_plane_that_is_not_j_invariant_rejects_every_form_check(tmp_path):
     assert records["jengel.j_invariance"].status == "FAIL"
     notes = {"jengel.complex_framing": "complex framing needs JD = D",
              "forms.construction": "defining forms need JD = D",
-             "jofreeb.residual_certificate": "defining forms need JD = D",
+             "jofreeb.rotation": "defining forms need JD = D",
              "kengel.commutators": "defining forms need JD = D",
              "splitting.fields": "splitting needs JD = D"}
     for name, note in notes.items():
@@ -1038,7 +1032,7 @@ def test_clear_fixture_pins_its_plane_suite_statuses():
         ("jengel.complex_framing", "PASS", None),
         ("forms.construction", "PASS", None),
         ("forms.structure_functions", "PASS", None),
-        ("jofreeb.residual_certificate", "PASS", "SYMBOLIC"),
+        ("jofreeb.rotation", "PASS", None),
         ("jofreeb.dalpha_squared", "PASS", "SYMBOLIC"),
         ("kengel.commutators", "FAIL", None),
         ("kengel.rescaling", "PASS", None),
@@ -1048,6 +1042,11 @@ def test_clear_fixture_pins_its_plane_suite_statuses():
     notes = {r.name: r.notes for r in rep.records}
     assert notes["kengel.rescaling"] == "a_WR = 0"
     assert ", d_WR = 0, " in notes["forms.structure_functions"]
+    # q1 and q2 do not reduce to trig polynomials, so the record names
+    # them by the structure functions instead of printing the quotients
+    assert notes["jofreeb.rotation"] == (
+        "J(T) = R + q1 W + q2 JW, J(R) = -T + q2 W - q1 JW: "
+        "q1 = (d_WR + d_XT)/c_WX, q2 = d_XR/c_WX (forms.structure_functions)")
 
 
 def test_golden_reports_match():
@@ -1142,3 +1141,52 @@ def test_main_entry_point_smoke(capsys):
     code = main(["catalog", "list"])
     assert code == 0
     assert "hopf_s3r" in capsys.readouterr().out
+
+
+def test_a_nonzero_jd_minor_fails_in_the_complete_class(tmp_path):
+    # D2[0] = 1e-12 cos(2 pi x1) makes D not J-invariant; the JD = D minors
+    # are nonzero normal forms of size about 1e-12 whose phases are quarter
+    # turns only, so the claim fails whatever the grid maximum, and the
+    # checks that hold by construction once JD = D are rejected
+    doc = json.loads((FIXTURES / "sampled_clear_1coord.json").read_text())
+    doc["distribution"][1][0] = "1/1000000000000*cos(2*pi*x1)"
+    path = tmp_path / "perturbed.json"
+    path.write_text(dump_json(doc))
+    records = {r.name: r for r in run_verify(str(path), ("engel", "jengel", "forms",
+                                                           "splitting")).records}
+    jd = records["jengel.j_invariance"]
+    assert (jd.status, jd.certificate.kind) == ("FAIL", "FAILED")
+    assert jd.certificate.bound < 1e-9  # inside the old SAMPLED tolerance
+    for name in ("jengel.complex_framing", "forms.construction", "splitting.fields"):
+        assert records[name].status == "REJECTED", name
+
+
+def test_fresh_torus_lattices_share_one_space_and_j(monkeypatch, cold_caches):
+    # the coordinate torus and J of torus_trig read no parameter: three
+    # fresh lattices share them, certify N_J once, and report what cold
+    # builds of each lattice report
+    from engelcalc import engelcheck
+
+    lattices = [{"alpha1": "3/2", "alpha2": "5", "alpha3": "1/4"},
+                {"alpha1": "7/6", "alpha2": "2/3", "alpha3": "1"},
+                {"alpha1": "1/5", "alpha2": "4", "alpha3": "7/2"}]
+    verified = []
+    verify = engelcheck.verify_engel
+
+    def counting(*args, **kwargs):
+        verified.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(engelcheck, "verify_engel", counting)
+    specs = [build_family("torus_trig", params) for params in lattices]
+    assert len({id(s) for s in specs}) == 3
+    assert len({id(s.space) for s in specs}) == 1
+    assert len({id(s.J) for s in specs}) == 1
+    shared = [emit_report(run_verify("torus_trig", params=params), "json")
+              for params in lattices]
+    assert engelcheck._nijenhuis_of.cache_info().misses == 1
+    assert len(verified) == 3  # once per target
+    for params, text in zip(lattices, shared):
+        catalog._cached_spec.cache_clear()
+        engelcheck._nijenhuis_of.cache_clear()
+        assert emit_report(run_verify("torus_trig", params=params), "json") == text

@@ -52,6 +52,7 @@ from oracles import (
     closed_jr_residual,
     closed_jt_residual,
     cramer_coefficients,
+    dalpha_squared_scalar,
     direct_form_witnesses,
     direct_w_residuals,
     eight_jd_minors,
@@ -63,6 +64,7 @@ from oracles import (
     numeric_matrix,
     random_points,
     rescaled_reeb_direction,
+    rotation_coefficients,
     six_pair_nijenhuis,
 )
 
@@ -785,27 +787,35 @@ def _minus_j_of_t_against_r(res_t, res_r, J):
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
 def test_jofreeb_residual_symbolically_zero(name):
+    # the rotation record certifies nothing; the closed formulas' residuals,
+    # formed afresh with the record's q1 and q2, vanish exactly
     ctx = _context(name)
     res = jofreeb_residual(ctx)
-    res_r = closed_jr_residual(ctx)
-    assert res.certificate.kind == "SYMBOLIC"
-    assert res.residual_T.is_zero() and res_r.is_zero()
-    assert _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J).is_zero()
+    q = (res.q1, res.q2)
+    res_t, res_r = closed_jt_residual(ctx, q), closed_jr_residual(ctx, q)
+    assert res_t.is_zero() and res_r.is_zero()
+    assert _minus_j_of_t_against_r(res_t, res_r, ctx.J).is_zero()
     assert res.dalpha_identity.kind == "SYMBOLIC"
 
 
 def test_jofreeb_residual_numeric_sampling_agreement():
-    # the residual numerators, and -J(res_T) against the closed J(R)
-    # residual, must vanish at 100 random points as floats
-    ctx = _context("hopf_s3r")
-    res = jofreeb_residual(ctx)
-    res_r = closed_jr_residual(ctx)
-    cross = _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J)
-    for p in random_points(ctx.space, random.Random(9), 100):
-        vals = [c.evaluate(p) for c in res.residual_T.raw.coeffs]
-        vals += [c.evaluate(p) for c in res_r.raw.coeffs]
-        vals += [c.evaluate(p) for c in cross.coeffs]
-        assert max(abs(v) for v in vals) < 1e-12
+    # J(T) = R + q1 W + q2 JW and J(R) = -T + q2 W - q1 JW, with the
+    # record's q1 and q2, as floats at 100 random points, to 1e-12
+    # absolute; torus_trig's fields and q1, q2 reach about 250 in size
+    for name in ("hopf_s3r", "torus_trig"):
+        ctx = _context(name)
+        res = jofreeb_residual(ctx)
+        forms = ctx.forms
+        fields = {"T": forms.T, "R": forms.R, "JT": forms.T.apply_J(ctx.J),
+                  "JR": forms.R.apply_J(ctx.J), "W": FracField(ctx.w),
+                  "X": FracField(ctx.x)}
+        for p in random_points(ctx.space, random.Random(9), 100):
+            v = {k: np.array([c.evaluate(p) for c in f.raw.coeffs]) / f.den.evaluate(p)
+                 for k, f in fields.items()}
+            q1, q2 = (q.num.evaluate(p) / q.den.evaluate(p) for q in (res.q1, res.q2))
+            res_t = v["JT"] - (v["R"] + q1 * v["W"] + q2 * v["X"])
+            res_r = v["JR"] - (-v["T"] + q2 * v["W"] - q1 * v["X"])
+            assert max(abs(res_t).max(), abs(res_r).max()) < 1e-12, name
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "kodaira_primary"])
@@ -817,11 +827,9 @@ def test_jr_residual_is_minus_j_of_the_jt_residual_off_the_identity(name):
     ctx.sf  # the structure functions read the true T
     moved_t = field_sum(forms.T, FracField(ctx.w))
     vars(ctx)["forms"] = dataclasses.replace(forms, T=moved_t)
-    res = jofreeb_residual(ctx)
-    res_r = closed_jr_residual(ctx)
-    assert not res.residual_T.is_zero() and not res_r.is_zero()
-    assert res.certificate.kind == "FAILED"
-    assert _minus_j_of_t_against_r(res.residual_T, res_r, ctx.J).is_zero()
+    res_t, res_r = closed_jt_residual(ctx), closed_jr_residual(ctx)
+    assert not res_t.is_zero() and not res_r.is_zero()
+    assert _minus_j_of_t_against_r(res_t, res_r, ctx.J).is_zero()
 
 
 def test_a_zero_numerator_is_zero_over_any_denominator():
@@ -845,57 +853,102 @@ def _closed_form_context(case):
     return _clear_context() if case == "sampled_clear_1coord" else _context(case)
 
 
-def _assert_same_field(got, want):
-    # equal as fractions: cross-multiplied over the two denominators
-    assert got.raw.scale(want.den) == want.raw.scale(got.den)
+def _assert_rotation_holds(ctx):
+    """The rotation record's q1 and q2 are over abdb^2 c_WX, equal the
+    fraction arithmetic's (d_WR + d_XT)/c_WX and d_XR/c_WX, and with them
+    the closed formulas' residuals vanish exactly."""
+    res = jofreeb_residual(ctx)
+    forms, sf = ctx.forms, ctx.sf
+    den = forms.abdb * forms.abdb * sf.c_WX
+    assert res.q1.den == den and res.q2.den == den
+    for got, q in zip((res.q1, res.q2), rotation_coefficients(ctx)):
+        assert got.num * q.den == q.num * got.den
+    q = (res.q1, res.q2)
+    assert closed_jt_residual(ctx, q).is_zero()
+    assert closed_jr_residual(ctx, q).is_zero()
 
 
 @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
 def test_jt_residual_over_abdb2_c_wx_is_the_fraction_arithmetic_one(case):
-    # the residual formed over abdb^2 c_WX is the one fraction arithmetic,
-    # multiplying unequal denominators, forms: at the Reeb pair, and with T
-    # moved off it by W, where the residual does not vanish
+    # the record's q1 and q2 over abdb^2 c_WX are the ones fraction
+    # arithmetic, multiplying unequal denominators, forms, and the rotation
+    # identity holds with them; a nonzero N_J rejects the record
     ctx = _closed_form_context(case)
     if not ctx.nijenhuis.passed:
         with pytest.raises(PreconditionError):
             jofreeb_residual(ctx)
         return
-    res = jofreeb_residual(ctx).residual_T
-    forms = ctx.forms
-    assert res.den == forms.abdb * forms.abdb * ctx.sf.c_WX
-    _assert_same_field(res, closed_jt_residual(ctx))
-    moved_t = field_sum(forms.T, FracField(ctx.w))
-    vars(ctx)["forms"] = dataclasses.replace(forms, T=moved_t)
-    moved = jofreeb_residual(ctx).residual_T
-    assert not moved.is_zero()
-    _assert_same_field(moved, closed_jt_residual(ctx))
+    _assert_rotation_holds(ctx)
 
 
-def test_dalpha_check_decides_d_wr_times_d_xt_plus_c_wx(monkeypatch):
-    # on a J-plane over kodaira_primary with d_WR != 0, the scalar the
-    # d(alpha)^2 check certifies is 2 abdb N_WR (d_XT + c_WX) / c_WX,
-    # cross-multiplied, and d_XT + c_WX vanishes nowhere there, so it fails
+def test_rotation_holds_on_random_j_planes():
+    # every seeded J-plane whose flag passes on a J with N_J = 0
+    checked = 0
+    for seed in range(60):
+        ctx = _random_j_plane(seed)
+        if ctx.flag.passed and ctx.nijenhuis.passed:
+            _assert_rotation_holds(ctx)
+            checked += 1
+    assert checked >= 40
+
+
+# the ten families, and J-planes over kodaira_primary with d_WR != 0
+DALPHA_CASES = (*FAMILIES, "j_plane_4", "j_plane_24", "j_plane_54")
+
+
+@pytest.mark.parametrize("case", DALPHA_CASES)
+def test_dalpha_factors_decide_the_wedge_scalar(monkeypatch, case):
+    # the factor decision agrees with the d(alpha) ^ d(alpha) scalar, which
+    # the record no longer forms
+    ctx = (_random_j_plane(int(case.rsplit("_", 1)[1])) if case.startswith("j_plane")
+           else _context(case))
+    assert ctx.flag.passed
+    if not ctx.nijenhuis.passed:
+        with pytest.raises(PreconditionError):
+            jofreeb_residual(ctx)
+        return
+    ctx.sf  # derive the stages before counting
+    wedges = _count_calls(monkeypatch, "wedge", framecalc, engelcheck)
+    res = jofreeb_residual(ctx)
+    assert wedges == []
+    assert res.dalpha_identity.kind == \
+        ("SYMBOLIC" if dalpha_squared_scalar(ctx).is_zero() else "FAILED")
+    assert ctx.sf.d_WR.is_zero() == (case in FAMILIES)
+    if res.dalpha_identity.kind == "FAILED":
+        assert not res.dalpha_identity.grid and res.dalpha_identity.bound is None
+
+
+def test_dalpha_check_decides_d_wr_times_d_xt_plus_c_wx():
+    # on a J-plane over kodaira_primary with d_WR != 0, the d(alpha)^2
+    # scalar is 2 abdb N_WR (d_XT + c_WX) / c_WX, cross-multiplied, and
+    # d_XT + c_WX vanishes nowhere there, so the check fails on its factors
     ctx = _random_j_plane(54)
     assert ctx.flag.passed and ctx.nijenhuis.passed
     sf, abdb = ctx.sf, ctx.forms.abdb
     assert not sf.d_WR.is_zero()
-    checked = []
-    certify = engelcheck.certify_vanishing
-
-    def recording(scalars, *args, **kwargs):
-        if kwargs.get("note", "").startswith("d(alpha)^2"):
-            checked.extend(scalars)
-        return certify(scalars, *args, **kwargs)
-
-    monkeypatch.setattr(engelcheck, "certify_vanishing", recording)
-    res = jofreeb_residual(ctx)
-    [scalar] = checked
     c_wx, two = sf.c_WX, TrigScalar.constant(2)
     d_xt_plus_c = sf.d_XT.num + c_wx * abdb * abdb  # over abdb^2
-    assert scalar * c_wx * abdb == two * sf.d_WR.num * d_xt_plus_c
+    assert dalpha_squared_scalar(ctx) * c_wx * abdb == two * sf.d_WR.num * d_xt_plus_c
     assert certify_nonvanishing(d_xt_plus_c, ctx.space).passed
-    assert res.dalpha_identity.kind == "FAILED"
-    assert res.certificate.kind == "SYMBOLIC"
+    assert jofreeb_residual(ctx).dalpha_identity.kind == "FAILED"
+
+
+def test_a_pi_phase_dalpha_factor_goes_to_the_grid():
+    # the exact zero test is incomplete at pi/3 phases: a d_WR numerator
+    # that is the zero function without normalising to zero passes on the
+    # grid, beside a nonzero d_XT + c_WX, and a nonzero one fails there
+    ctx = _context("torus_trig")
+    sf = ctx.sf
+    assert not (sf.d_XT.num + sf.d_WR.den * sf.c_WX).is_zero()
+    hidden_zero = parse("cos(2*pi*x1 + pi/3) + cos(2*pi*x1 - pi/3) - cos(2*pi*x1)")
+    nonzero = parse("1/1000*cos(2*pi*x1 + pi/3)")
+    assert not hidden_zero.is_zero() and hidden_zero.has_pi_phase()
+    for num, kind in ((hidden_zero, "SAMPLED"), (nonzero, "FAILED")):
+        vars(ctx)["sf"] = dataclasses.replace(sf, d_WR=Frac(num, sf.d_WR.den))
+        cert = jofreeb_residual(ctx).dalpha_identity
+        assert cert.kind == kind, kind
+        assert cert.grid and cert.bound is not None
+        assert cert == certify_vanishing([num], ctx.space, ctx.grid, note=cert.note)
 
 
 def test_each_j_claim_takes_only_its_deciding_witnesses(monkeypatch):
@@ -935,8 +988,9 @@ def test_jofreeb_symbolic_on_every_integrable_family():
         spec = build_family(name)
         if not spec.j_integrable:
             continue
-        res = jofreeb_residual(_context(name))
-        assert res.certificate.kind == "SYMBOLIC", name
+        ctx = _context(name)
+        res = jofreeb_residual(ctx)
+        assert closed_jt_residual(ctx, (res.q1, res.q2)).is_zero(), name
         assert res.dalpha_identity.kind == "SYMBOLIC", name
 
 
@@ -1086,6 +1140,12 @@ def test_k_check_coframe_matches_cramer(monkeypatch, name):
     nonzero = [comm for comm in comms if not comm.is_zero()]
     assert [f.den for f in formed[2::4]] == [comm.den for comm in nonzero]
     assert [f.den for f in formed[3::4]] == [comm.den for comm in nonzero]
+    # det den(C) only for a nonzero W or X row; a zero row is 0 over ONE
+    det = -(ctx.forms.abdb * ctx.sf.c_WX)
+    for i, comm in enumerate(nonzero):
+        w_row, x_row = formed[4 * i:4 * i + 2]
+        want = ONE if w_row.is_zero() and x_row.is_zero() else det * comm.den
+        assert w_row.den == x_row.den == want
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
@@ -1166,6 +1226,24 @@ def _count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counting, raising=False)
     return calls
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+def test_dbeta_squared_is_read_off_the_tr_row(monkeypatch, name):
+    # d(beta)^2(W, X, T, R) = 2 c_WX beta([T, R]) and det(W, X, T, R) =
+    # c_WX / abdb, so the top coefficient of d(beta) ^ d(beta), taken afresh,
+    # is 2 abdb beta([T, R]); the K-check forms no wedge
+    ctx = _closed_form_context(name)
+    forms = ctx.forms
+    ctx.sf  # derive the stages before counting
+    wedges = _count_calls(monkeypatch, "wedge", framecalc, engelcheck)
+    rep = k_engel_check(ctx)
+    assert wedges == []
+    dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
+    tr = frac_bracket(forms.T, forms.R, ctx.space)
+    two = TrigScalar.constant(2)
+    assert dbeta2 * tr.den == two * forms.abdb * forms.beta(tr.raw)
+    assert rep.dbeta_squared_zero == dbeta2.is_zero()
 
 
 @pytest.mark.parametrize("name", ["inoue_s0", "kodaira_primary", "torus_trig"])
@@ -1312,9 +1390,9 @@ def test_forms_carry_their_top_terms(monkeypatch, name):
                                forms.d_beta).component((0, 1, 2, 3))
     calls = _count_calls(monkeypatch, "wedge", framecalc, engelcheck)
     transverse_engel_check(ctx)
-    assert calls == []
     jofreeb_residual(ctx)
-    assert calls == [(forms.d_alpha, forms.d_alpha)]
+    k_engel_check(ctx)
+    assert calls == []
 
 
 def test_beta_annihilates_distribution_on_all_families():

@@ -1,6 +1,7 @@
 """Grid sampling through the float form and by residue class, against plain
 evaluation and against point-by-point oracles."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -327,7 +328,18 @@ def test_vanishing_takes_each_scalar_in_its_own_direction():
     assert directions == [(1, 2, 0), (0, 1, 0), (0, 0, 1)]
     cert = certify_vanishing(live, sp, grid=5, tol=-1.0)
     assert_matches_oracles(cert, live, points, "vanishing")
-    cert = certify_vanishing(live, sp, grid=5, tol=1.0)
+    # every phase has a zero pi part, so the nonzero scalars fail within
+    # the tolerance too, and so does a claim that pairs one of them with a
+    # pi/3 phase, where the zero test is incomplete; pi/3 phases alone keep
+    # the grid's SAMPLED pass
+    assert certify_vanishing(live, sp, grid=5, tol=1.0) == \
+        dataclasses.replace(cert, tolerance=1.0)
+    thirds = [parse("sin(2*pi*x + 4*pi*y + pi/3)"), parse("3/4*cos(6*pi*y + pi/3)"),
+              parse("1/2*cos(2*pi*z + pi/3) - 1/5*sin(4*pi*z + pi/3)")]
+    assert all(s.has_pi_phase() for s in thirds)
+    assert not any(s.has_pi_phase() for s in live)
+    assert certify_vanishing([thirds[0], *live[1:]], sp, grid=5, tol=1.0).kind == "FAILED"
+    cert = certify_vanishing(thirds, sp, grid=5, tol=1.0)
     assert cert.kind == "SAMPLED"
 
 
