@@ -8,7 +8,7 @@ formulas, and R commuting with the frame detects metric compatibility.
 
 from engelcalc.catalog import build_family
 from engelcalc.engelcheck import (
-    Derivation, j_engel_splitting, jofreeb_residual, k_engel_check,
+    Derivation, Frac, j_engel_splitting, jofreeb_residual, k_engel_check,
     transverse_engel_check,
 )
 from engelcalc.framecalc import exterior_derivative, wedge
@@ -27,8 +27,11 @@ ctx = context("hopf_s3r")
 forms, sf = ctx.forms, ctx.sf
 print(f"  alpha components: {[str(forms.alpha.component((i,))) for i in range(4)]}")
 print(f"  beta  components: {[str(forms.beta.component((i,))) for i in range(4)]}")
-print(f"  T = {[str(c) for c in forms.T.as_field().coeffs]}")
-print(f"  R = {[str(c) for c in forms.R.as_field().coeffs]}")
+# T = K_T / -abdb and R = K_R / abdb, from the kernel fields of
+# alpha ^ d(beta) and beta ^ d(beta)
+print(f"  abdb = {forms.abdb}")
+print(f"  T = K_T / -abdb = {[str(Frac(c, -forms.abdb)) for c in forms.k_t.coeffs]}")
+print(f"  R = K_R / abdb = {[str(Frac(c, forms.abdb)) for c in forms.k_r.coeffs]}")
 print(f"  structure functions: c_WX = {sf.c_WX}, d_XT = {sf.d_XT}, "
       f"d_WR = {sf.d_WR}, d_XR = {sf.d_XR}")
 
@@ -38,9 +41,9 @@ print(f"  J(T) = R + q1 W + q2 JW, J(R) = -T + q2 W - q1 JW: "
       f"q1 = {res.q1}, q2 = {res.q2}")
 print(f"  d(alpha)^2 = -2 d_WR alpha^beta^d(beta): {res.dalpha_identity.kind}")
 
-print("\n== the splitting W + JW + JZ + Z, Z = span(R) ==")
-for label, field in zip(("W", "JW", "JZ", "Z"), j_engel_splitting(ctx)):
-    print(f"  {label:2s} = {[str(c) for c in field.as_field().coeffs]}")
+print("\n== the splitting W + JW + JZ + Z, Z = span(R) = span(K_R) ==")
+for label, field in zip(("W", "JW", "J K_R", "K_R"), j_engel_splitting(ctx)):
+    print(f"  {label:5s} = {[str(c) for c in field.coeffs]}")
 # Z ignores the choice of alpha: (lambda beta) ^ d(lambda beta) is
 # lambda^2 beta ^ d(beta), since beta ^ beta = 0; shown on the twisted torus,
 # whose forms depend on x1, with a lambda that does too
@@ -58,7 +61,7 @@ print(f"  [W,R] = [X,R] = [T,R] = 0: {rep.passed}")
 # the raw Reeb field K_R is transverse to E and spans the Reeb line by
 # construction; that it preserves D is the one claim left to certify
 cert = transverse_engel_check(ctx)
-print(f"  K_R = {[str(c) for c in ctx.forms.R.raw.coeffs]} is an Engel field "
+print(f"  K_R = {[str(c) for c in ctx.forms.k_r.coeffs]} is an Engel field "
       f"({cert.note}): {cert.kind}")
 
 print("\n== and a family without the compatibility ==")

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 from . import __version__, catalog, geiges
 from .engelcheck import (
     Derivation,
+    Frac,
     PreconditionError,
     complex_framing,
     j_engel_splitting,
@@ -326,10 +327,12 @@ class _Runner:
                       lambda: transverse_engel_check(ctx))
 
     def suite_splitting(self):
+        # W and JW are over 1, J K_R and K_R over abdb
         self._run("splitting.fields", lambda: j_engel_splitting(self.ctx),
                   status_of=lambda fields: ("PASS", "TM = " + " + ".join(
-                      f"<{label} = {_frac_field_str(f)}>"
-                      for label, f in zip(("W", "JW", "JR", "R"), fields))))
+                      f"<{label} = {_vec_str(f, den)}>" for label, f, den in zip(
+                          ("W", "JW", "JR", "R"), fields,
+                          (None, None) + (self.ctx.forms.abdb,) * 2))))
 
     def suite_geiges(self):
         inp = _mapping_torus_input(self.tgt, self.ctx.grid, self.ctx.tol)
@@ -354,13 +357,12 @@ class _Runner:
                       self.spec, self.ctx.grid))
 
 
-def _vec_str(v: VecField) -> str:
-    return "(" + ", ".join(str(c) for c in v.coeffs) + ")"
-
-
-def _frac_field_str(f) -> str:
-    exact = f.as_field()
-    return _vec_str(exact) if exact is not None else f"{_vec_str(f.raw)} / ({f.den})"
+def _vec_str(v: VecField, den=None) -> str:
+    """v, or v / den one exact coefficient at a time when each divides out."""
+    coeffs = v.coeffs if den is None else [Frac(c, den).as_trig() for c in v.coeffs]
+    if None in coeffs:
+        return f"{_vec_str(v)} / ({den})"
+    return "(" + ", ".join(str(c) for c in coeffs) + ")"
 
 
 def _form_str(form) -> str:

@@ -7,10 +7,11 @@ back as :class:`Certificate` values; identity claims (residuals, invariance
 of spans) are certified symbolically whenever the normal form collapses,
 with deterministic grid sampling as the fallback.
 
-Reeb fields are represented as exact quotients ``raw / normaliser`` where the
-normaliser is a nowhere-zero scalar.  Working in this fraction
-field keeps every identity check exact even when the normaliser is not a
-constant, in which case plain division would leave the trig-polynomial ring.
+Every denominator of the Reeb chain is a power of the nowhere-zero top
+coefficient abdb of alpha ^ beta ^ d(beta): T and R are over abdb, [W, R],
+[JW, R] and the d_* over abdb^2, [T, R] over abdb^3.  Each is carried as a
+numerator over its power, with ``abdb_bracket`` the one bracket rule, so
+every identity check stays in the trig-polynomial ring.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "PreconditionError",
     "EngelFlag",
     "Frac",
-    "FracField",
+    "abdb_bracket",
     "DefiningForms",
     "StructureFunctions",
     "Derivation",
@@ -64,7 +65,7 @@ class PreconditionError(Exception):
     """A stated precondition does not hold; the check is rejected, not failed."""
 
 
-# -- exact fractions over the trig ring ---------------------------------------
+# -- quotients over the trig ring ---------------------------------------------
 
 
 def _div_exact(scalars: Iterable[TrigScalar], s: TrigScalar) -> list[TrigScalar] | None:
@@ -102,36 +103,20 @@ class Frac:
         return f"({self.num}) / ({self.den})"
 
 
-@dataclass(frozen=True)
-class FracField:
-    """Vector field raw/den with a nowhere-zero scalar denominator."""
-
-    raw: VecField
-    den: TrigScalar = ONE
-
-    def is_zero(self) -> bool:
-        return self.raw.is_zero()
-
-    def apply_J(self, J: ComplexStructure) -> "FracField":
-        return FracField(J.apply(self.raw), self.den)
-
-    def pair(self, form: KForm) -> Frac:
-        return Frac(form(self.raw), self.den)
-
-    def as_field(self) -> VecField | None:
-        if self.den == ONE:
-            return self.raw
-        coeffs = _div_exact(self.raw.coeffs, self.den)
-        return None if coeffs is None else VecField(tuple(coeffs))
-
-
-def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
-    """[u/s, v/r] = (s r [u,v] - s u(r) v + r v(s) u) / (s r)^2."""
-    u, s = a.raw, a.den
-    v, r = b.raw, b.den
-    core = bracket(u, v, space).scale(s * r)
-    core = core - v.scale(s * space.apply(u, r)) + u.scale(r * space.apply(v, s))
-    return FracField(core, s * s * r * r)
+def abdb_bracket(u: VecField, j: int, v: VecField, k: int, a: TrigScalar,
+                 space: FramedSpace) -> VecField:
+    """The numerator a [u, v] - k u(a) v + j v(a) u of [u / a^j, v / a^k]
+    over a^(j+k+1), by the Leibniz rule [f u, g v] = f g [u, v] + f u(g) v
+    - g v(f) u with f = a^-j and g = a^-k: the chain's one bracket rule,
+    with a = abdb, and no product of denominators."""
+    out = bracket(u, v, space).scale(a)
+    if k:
+        du = space.apply(u, a)
+        out = out - v.scale(du if k == 1 else du * k)
+    if j:
+        dv = space.apply(v, a)
+        out = out + u.scale(dv if j == 1 else dv * j)
+    return out
 
 
 # -- Engel flags ----------------------------------------------------------------
@@ -303,7 +288,9 @@ def totally_real_check(ctx: Derivation) -> Certificate:
 class DefiningForms:
     """alpha, beta = alpha o J, their differentials, and the Reeb pair T, R.
 
-    ``abdb`` is the top coefficient of alpha ^ beta ^ d(beta).
+    ``abdb`` is the top coefficient of alpha ^ beta ^ d(beta), and ``k_t``
+    and ``k_r`` are the kernel fields of alpha ^ d(beta) and of
+    beta ^ d(beta): T = K_T / -abdb and R = K_R / abdb.
     """
 
     alpha: KForm
@@ -311,8 +298,8 @@ class DefiningForms:
     d_alpha: KForm
     d_beta: KForm
     abdb: TrigScalar
-    T: FracField
-    R: FracField
+    k_t: VecField
+    k_r: VecField
     normalization: str = ""
 
 
@@ -384,9 +371,9 @@ def defining_forms(ctx: Derivation) -> DefiningForms:
     d_beta = exterior_derivative(beta, space)
     beta_dbeta = wedge(beta, d_beta)
     abdb = wedge(alpha, beta_dbeta).component((0, 1, 2, 3))
-    T = FracField(wedge(alpha, d_beta).kernel_field(), -abdb)
-    R = FracField(beta_dbeta.kernel_field(), abdb)
-    return DefiningForms(alpha, beta, d_alpha, d_beta, abdb, T, R, normalization)
+    return DefiningForms(alpha, beta, d_alpha, d_beta, abdb,
+                         wedge(alpha, d_beta).kernel_field(),
+                         beta_dbeta.kernel_field(), normalization)
 
 
 @dataclass(frozen=True)
@@ -410,19 +397,19 @@ def structure_functions(ctx: Derivation) -> StructureFunctions:
     vanishes nowhere as W and JW frame D, and the second as E and JE meet
     in D (``defining_forms``).
 
-    d_XT needs no quotient rule.  T = K_T / r with r = -abdb, so
+    d_XT needs no bracket rule.  T = K_T / r with r = -abdb, so
     [X, T] = [X, K_T] / r - X(r) K_T / r^2, and alpha(K_T) = 0
-    (``defining_forms``) leaves d_XT = alpha([X, K_T]) / r.  It is kept as
-    alpha([X, K_T]) r / r^2, the quotient rule's numerator and denominator,
-    so that all three d_* are over abdb^2: d_WR and d_XR pair alpha with
-    ``frac_bracket``'s [W, R] and [JW, R], which are over abdb^2 as R is over
-    abdb.  ``jofreeb_residual`` reads their numerators over that one
-    denominator.
+    (``defining_forms``) leaves d_XT = alpha([X, K_T]) / r, kept as
+    -abdb alpha([X, K_T]) over abdb^2.  d_WR and d_XR pair alpha with the
+    numerators of [W, R] and [JW, R] over abdb^2 (``abdb_bracket``), so
+    each d_* is a numerator over the context's one abdb^2, and
+    ``jofreeb_residual`` reads the numerators over it.
     """
-    forms, t = ctx.forms, ctx.forms.T
-    d_xt = Frac(forms.alpha(bracket(ctx.x, t.raw, ctx.space)) * t.den, t.den * t.den)
-    return StructureFunctions(forms.beta(ctx.wx), d_xt, ctx.wr.pair(forms.alpha),
-                              ctx.xr.pair(forms.alpha))
+    forms, abdb2 = ctx.forms, ctx.abdb2
+    d_xt = -(forms.abdb * forms.alpha(bracket(ctx.x, forms.k_t, ctx.space)))
+    return StructureFunctions(forms.beta(ctx.wx), Frac(d_xt, abdb2),
+                              Frac(forms.alpha(ctx.wr), abdb2),
+                              Frac(forms.alpha(ctx.xr), abdb2))
 
 
 def nijenhuis_certificate(ctx: Derivation) -> Certificate:
@@ -478,7 +465,7 @@ class Derivation:
     brackets that more than one check reads are stages too: ``wx`` =
     [W, JW] (the complex framing and c_WX), and ``wr`` = [W, R] and ``xr``
     = [JW, R] (the structure functions and the K-check), so each is taken
-    once per target.
+    once per target; ``wr`` and ``xr`` are over the stage ``abdb2``.
     ``nijenhuis`` alone reads a module memo, ``_nijenhuis_of``, as N_J
     depends on J, the space and the grid only, which many targets share.
 
@@ -527,14 +514,19 @@ class Derivation:
         return bracket(self.w, self.x, self.space)
 
     @cached_property
-    def wr(self) -> FracField:
-        """[W, R]."""
-        return frac_bracket(FracField(self.w), self.forms.R, self.space)
+    def abdb2(self) -> TrigScalar:
+        """abdb^2."""
+        return self.forms.abdb * self.forms.abdb
 
     @cached_property
-    def xr(self) -> FracField:
-        """[JW, R]."""
-        return frac_bracket(FracField(self.x), self.forms.R, self.space)
+    def wr(self) -> VecField:
+        """[W, R] = [W, K_R / abdb], over abdb^2."""
+        return abdb_bracket(self.w, 0, self.forms.k_r, 1, self.forms.abdb, self.space)
+
+    @cached_property
+    def xr(self) -> VecField:
+        """[JW, R] = [JW, K_R / abdb], over abdb^2."""
+        return abdb_bracket(self.x, 0, self.forms.k_r, 1, self.forms.abdb, self.space)
 
     @cached_property
     def sf(self) -> StructureFunctions:
@@ -608,7 +600,7 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
         raise PreconditionError("J is not integrable (nonzero Nijenhuis tensor); "
                                 "the Reeb rotation formulas do not apply")
     sf = ctx.sf
-    den = sf.d_WR.den * sf.c_WX  # abdb^2 c_WX
+    den = ctx.abdb2 * sf.c_WX
     note = "d(alpha)^2 + 2 d_WR alpha^beta^d(beta)"
     # the factors of d_WR (d_XT + c_WX) over abdb^2 each: the product is
     # zero exactly when one of them is
@@ -629,10 +621,10 @@ def jofreeb_residual(ctx: Derivation) -> JofReebResult:
 # -- splitting, transverse fields, K-structure ----------------------------------
 
 
-def j_engel_splitting(ctx: Derivation) -> tuple[FracField, FracField,
-                                                 FracField, FracField]:
+def j_engel_splitting(ctx: Derivation) -> tuple[VecField, VecField,
+                                                 VecField, VecField]:
     """The splitting TM = W + JW + JZ + Z of a J-Engel structure, with
-    Z = span(R), as the fields (W, JW, JR, R) read from the context.
+    Z = span(R), as the fields (W, JW, J K_R, K_R) read from the context.
 
     The four fields frame TM.  D is the intersection of ker(alpha) and
     ker(beta): D lies in E = ker(alpha), beta(D) = alpha(JD) = alpha(D) = 0,
@@ -651,8 +643,8 @@ def j_engel_splitting(ctx: Derivation) -> tuple[FracField, FracField,
         raise PreconditionError("splitting needs a certified Engel structure")
     if not ctx.j_invariance.passed:
         raise PreconditionError("splitting needs JD = D")
-    r = ctx.forms.R
-    return FracField(ctx.w), FracField(ctx.x), r.apply_J(ctx.J), r
+    k_r = ctx.forms.k_r
+    return ctx.w, ctx.x, ctx.J.apply(k_r), k_r
 
 
 def transverse_engel_check(ctx: Derivation) -> Certificate:
@@ -667,7 +659,7 @@ def transverse_engel_check(ctx: Derivation) -> Certificate:
     and JZ lies in E.  i_Z(beta ^ d(beta)) = i_Z i_Z vol = 0, and Z spans
     the Reeb line, as R = Z / abdb.  None of these is certified.
     """
-    z, space = ctx.forms.R.raw, ctx.space
+    z, space = ctx.forms.k_r, ctx.space
     minors: list[TrigScalar] = []
     for gen in (ctx.d1, ctx.d2):
         column = bracket(z, gen, space)
@@ -701,12 +693,13 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     -abdb (``defining_forms``), so c = -beta(C) / abdb and d = alpha(C) /
     abdb.  T = K_T / -abdb and R = K_R / abdb, so C's coefficients on T and
     R are beta(C) and alpha(C): beta(u) / den(C) and alpha(u) / den(C) for
-    C = u / den(C).  The W and X coefficients are, by Cramer's rule,
-    theta_W(u) and theta_X(u) over det den(C), where theta_i(u) is
-    det = det(W, X, K_T, K_R) with column i replaced by u; theta_W and
-    theta_X extend the 2x2 minors of (K_T, K_R) by X and by W, and are
-    built on the first commutator that is not zero.  As
-    i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
+    C = u / den(C), with den(C) = abdb^2 for [W, R] and [JW, R] and abdb^3
+    for [T, R] (``abdb_bracket``), formed only for a nonzero C.  The W and
+    X coefficients are, by Cramer's rule, theta_W(u) and theta_X(u) over
+    det den(C), where theta_i(u) is det = det(W, X, K_T, K_R) with column
+    i replaced by u; theta_W and theta_X extend the 2x2 minors of
+    (K_T, K_R) by X and by W, and are built on the first commutator that is
+    not zero.  As i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
     d(beta)(W, X) = -beta([W, X]) = -c_WX,
 
         det = -(beta ^ d(beta))(W, X, K_T) = -beta(K_T) d(beta)(W, X)
@@ -729,25 +722,26 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     coefficient, and no d(beta) ^ d(beta) is formed.
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
-    t, r = forms.T, forms.R
-    det = -(forms.abdb * ctx.sf.c_WX)
-    comms = {"WR": ctx.wr, "XR": ctx.xr, "TR": frac_bracket(t, r, space)}
+    abdb = forms.abdb
+    det = -(abdb * ctx.sf.c_WX)
+    # each commutator's numerator and the power of abdb it is over
+    comms = {"WR": (ctx.wr, 2), "XR": (ctx.xr, 2),
+             "TR": (abdb_bracket(-forms.k_t, 1, forms.k_r, 1, abdb, space), 3)}
     certs: dict[str, Certificate] = {}
     obstructions: dict[str, str] = {}
     coframe, a_wr = [], ZERO
-    for key, br in comms.items():
+    for key, (u, k) in comms.items():
         note = f"[{key[0]},{key[1]}] = 0"
-        if br.is_zero():
-            certs[key] = certify_vanishing(list(br.raw.coeffs), space, ctx.grid,
-                                           note=note)
+        if u.is_zero():
+            certs[key] = certify_vanishing(list(u.coeffs), space, ctx.grid, note=note)
             continue
         certs[key] = Certificate("FAILED", "vanishing", note=note)
         if not coframe:
             # theta_W(u) = -det(K_T, K_R, X, u), theta_X(u) = det(K_T, K_R, W, u)
-            pair = extend_minors([t.raw, r.raw])
+            pair = extend_minors([forms.k_t, forms.k_r])
             coframe = [_annihilating_form_of(list(extend_minors([c], minors=pair).values()))
                        for c in (x, w)]
-        u, den = br.raw, br.den
+        den = ctx.abdb2 if k == 2 else ctx.abdb2 * abdb
         rows = [-coframe[0](u), coframe[1](u)]
         # a zero Frac is 0 over any denominator
         det_den = ONE if all(n.is_zero() for n in rows) else det * den

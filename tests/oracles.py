@@ -6,7 +6,8 @@ code paths they are checking.  The exceptions, ``annihilating_form``,
 ``cofactor_minor``, ``minors_of_fields``, ``interior``,
 ``direct_w_residuals``, ``six_pair_nijenhuis``, ``eight_jd_minors``,
 ``rotation_coefficients``, ``closed_jr_residual``,
-``closed_jt_residual``, ``dalpha_squared_scalar``, ``frac_sum``,
+``closed_jt_residual``, ``dalpha_squared_scalar``, ``FracField``,
+``frac_bracket``, ``reeb_pair``, ``adapted_frame``, ``frac_sum``,
 ``frac_product``, ``field_sum``, ``field_scale``,
 ``rescaled_reeb_direction``, ``direct_product``,
 ``reference_product_keys``, ``direct_sum``, ``direct_difference``,
@@ -31,8 +32,13 @@ pair and both J D_i; the Reeb rotation is a theorem once N_J = 0, and its
 record reports q1 and q2 over abdb^2 c_WX, where ``closed_jt_residual``
 and ``closed_jr_residual`` form the rotation residuals from the Reeb pair
 and the structure functions, with ``rotation_coefficients``' q1 and q2, by
-the fraction helpers, which multiply unequal denominators; the d(alpha)^2 identity is decided on its two
-factors, where ``dalpha_squared_scalar`` takes d(alpha) ^ d(alpha); the
+the fraction helpers, which multiply unequal denominators; the chain
+carries every field as a numerator over a power of abdb and brackets by
+``abdb_bracket``, where ``FracField`` and ``frac_bracket`` take any
+denominators and multiply them, and ``reeb_pair`` and ``adapted_frame``
+build T, R and the frame (W, JW, T, R) as such fractions; the d(alpha)^2
+identity is decided on its two factors, where ``dalpha_squared_scalar``
+takes d(alpha) ^ d(alpha); the
 splitting reads Z = span(R) off the forms, where
 ``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
 afresh; the K-check expands only a commutator that does not vanish, on a
@@ -64,11 +70,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from engelcalc.engelcheck import Frac, FracField
+from engelcalc.engelcheck import Frac
 from engelcalc.framecalc import (
     ComplexStructure,
     FramedSpace,
@@ -188,6 +195,43 @@ def eight_jd_minors(d1: VecField, d2: VecField, J: ComplexStructure) -> list:
     return [m for d in (d1, d2) for m in minors_of_fields([d1, d2, J.apply(d)])]
 
 
+@dataclass(frozen=True)
+class FracField:
+    """Vector field raw/den with a nowhere-zero scalar denominator."""
+
+    raw: VecField
+    den: TrigScalar = ONE
+
+    def is_zero(self) -> bool:
+        return self.raw.is_zero()
+
+    def apply_J(self, J: ComplexStructure) -> "FracField":
+        return FracField(J.apply(self.raw), self.den)
+
+    def pair(self, form: KForm) -> Frac:
+        return Frac(form(self.raw), self.den)
+
+
+def frac_bracket(a: FracField, b: FracField, space: FramedSpace) -> FracField:
+    """[u/s, v/r] = (s r [u,v] - s u(r) v + r v(s) u) / (s r)^2, by the
+    quotient rule for any two denominators."""
+    u, s = a.raw, a.den
+    v, r = b.raw, b.den
+    core = bracket(u, v, space).scale(s * r)
+    core = core - v.scale(s * space.apply(u, r)) + u.scale(r * space.apply(v, s))
+    return FracField(core, s * s * r * r)
+
+
+def reeb_pair(forms) -> tuple[FracField, FracField]:
+    """T = K_T / -abdb and R = K_R / abdb as fraction fields."""
+    return FracField(forms.k_t, -forms.abdb), FracField(forms.k_r, forms.abdb)
+
+
+def adapted_frame(ctx) -> list[FracField]:
+    """The frame (W, JW, T, R) of the Derivation ``ctx``."""
+    return [FracField(ctx.w), FracField(ctx.x), *reeb_pair(ctx.forms)]
+
+
 def frac_sum(p: Frac, q: Frac) -> Frac:
     """p + q, over the product of the denominators unless they are equal."""
     if p.den == q.den:
@@ -225,9 +269,9 @@ def closed_jt_residual(ctx, q: tuple[Frac, Frac] | None = None) -> FracField:
     by fraction arithmetic that multiplies unequal denominators, from the
     stages of the Derivation ``ctx``; (q1, q2) is ``q`` when given, else
     formed from the structure functions."""
-    forms = ctx.forms
+    t, r = reeb_pair(ctx.forms)
     q1, q2 = rotation_coefficients(ctx) if q is None else q
-    res = field_sum(forms.T.apply_J(ctx.J), forms.R, -1)
+    res = field_sum(t.apply_J(ctx.J), r, -1)
     res = field_sum(res, field_scale(FracField(ctx.w), q1), -1)
     return field_sum(res, field_scale(FracField(ctx.x), q2), -1)
 
@@ -236,9 +280,9 @@ def closed_jr_residual(ctx, q: tuple[Frac, Frac] | None = None) -> FracField:
     """J(R) + T - q2 W + q1 JW, the residual of the closed formula for J(R),
     from the stages of the Derivation ``ctx``; (q1, q2) is ``q`` when given,
     else q1 = (d_WR + d_XT)/c_WX and q2 = d_XR/c_WX."""
-    forms = ctx.forms
+    t, r = reeb_pair(ctx.forms)
     q1, q2 = rotation_coefficients(ctx) if q is None else q
-    res = field_sum(forms.R.apply_J(ctx.J), forms.T)
+    res = field_sum(r.apply_J(ctx.J), t)
     res = field_sum(res, field_scale(FracField(ctx.w), q2), -1)
     return field_sum(res, field_scale(FracField(ctx.x), q1))
 
@@ -261,10 +305,11 @@ def rescaled_reeb_direction(beta: KForm, lam: TrigScalar,
     return wedge(beta_l, exterior_derivative(beta_l, space)).kernel_field()
 
 
-def cramer_coefficients(target, basis) -> list[Frac] | None:
-    """Coefficients of a ``FracField`` target in a basis of four of them, by
-    Cramer's rule with one 4x4 determinant per column; None when the raw
-    basis is degenerate."""
+def cramer_coefficients(target: FracField, ctx) -> list[Frac] | None:
+    """Coefficients of a ``FracField`` target in the adapted frame
+    (W, JW, T, R) of the Derivation ``ctx``, by Cramer's rule with one 4x4
+    determinant per column; None when the raw frame is degenerate."""
+    basis = adapted_frame(ctx)
     raws = [b.raw for b in basis]
     det = det_of_fields(raws)
     if det.is_zero():

@@ -150,7 +150,7 @@ def test_one_scalar_gets_one_bound_whatever_its_route():
     forms = Derivation(mf.d1, mf.d2, mf.J, mf.space, grid=11).forms
     routes = (forms.abdb,
               forms.alpha(rescaled_reeb_direction(forms.beta, ONE, mf.space)),
-              -forms.beta(forms.T.raw))
+              -forms.beta(forms.k_t))
     assert all(witness == forms.abdb for witness in routes)
     bounds = [certify_nonvanishing(witness, mf.space, 11).bound
               for witness in routes]
@@ -727,30 +727,41 @@ def test_a_repeated_target_reuses_its_nijenhuis_certificate(monkeypatch, cold_ca
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_each_frame_bracket_is_taken_once_per_target(monkeypatch, family):
-    # [W, R], [JW, R] and [T, R] are three frac_brackets, and [W, JW] and
-    # [JW, K_T] (d_XT, with T = K_T / r) one bracket each, however many
-    # checks read them
+    # [W, R], [JW, R] and [T, R] are three calls of the bracket rule, [W, JW]
+    # and [JW, K_T] (d_XT, with T = K_T / -abdb) one bracket each, and
+    # abdb^2 one product, however many checks read them
     from engelcalc import engelcheck
+    from engelcalc.trigring import TrigScalar
 
     spec = build_family(family)
     ref = engelcheck.Derivation(spec.d1, spec.d2, spec.J, spec.space)
-    pairs = [((ref.w, ref.x), "[W,JW]"), ((ref.x, ref.forms.T.raw), "[JW,K_T]")]
-    calls = {"frac_bracket": 0, "[W,JW]": 0, "[JW,K_T]": 0}
-    frac_of, bracket_of = engelcheck.frac_bracket, engelcheck.bracket
+    pairs = [((ref.w, ref.x), "[W,JW]"), ((ref.x, ref.forms.k_t), "[JW,K_T]")]
+    abdb = ref.forms.abdb
+    calls = {"abdb_bracket": 0, "[W,JW]": 0, "[JW,K_T]": 0, "abdb^2": 0}
+    rule_of, bracket_of = engelcheck.abdb_bracket, engelcheck.bracket
+    mul_of = TrigScalar.__mul__
 
-    def counting_frac(*args):
-        calls["frac_bracket"] += 1
-        return frac_of(*args)
+    def counting_rule(*args):
+        calls["abdb_bracket"] += 1
+        return rule_of(*args)
 
     def counting_bracket(a, b, space):
         for pair, label in pairs:
             calls[label] += (a, b) == pair
         return bracket_of(a, b, space)
 
-    monkeypatch.setattr(engelcheck, "frac_bracket", counting_frac)
+    def counting_mul(a, b):
+        # a square of abdb or of -abdb, as one scalar times itself, in
+        # engelcheck: a constant abdb is a factor of many other products
+        calls["abdb^2"] += (a is b and a in (abdb, -abdb) and
+                            sys._getframe(1).f_globals["__name__"] == engelcheck.__name__)
+        return mul_of(a, b)
+
+    monkeypatch.setattr(engelcheck, "abdb_bracket", counting_rule)
     monkeypatch.setattr(engelcheck, "bracket", counting_bracket)
+    monkeypatch.setattr(TrigScalar, "__mul__", counting_mul)
     run_verify(family)
-    assert calls == {"frac_bracket": 3, "[W,JW]": 1, "[JW,K_T]": 1}
+    assert calls == {"abdb_bracket": 3, "[W,JW]": 1, "[JW,K_T]": 1, "abdb^2": 1}
 
 
 def test_top_pairings_take_no_bracket_with_e3(monkeypatch):

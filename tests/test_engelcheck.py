@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +15,11 @@ from engelcalc import engelcheck, framecalc
 from engelcalc.engelcheck import (
     Derivation,
     Frac,
-    FracField,
     PreconditionError,
+    abdb_bracket,
     characteristic_foliation,
     complex_framing,
     defining_forms,
-    frac_bracket,
     j_engel_splitting,
     j_invariance_check,
     jofreeb_residual,
@@ -48,6 +49,8 @@ from engelcalc.manifest import load_manifest
 from engelcalc.trigring import ONE, ZERO, Frequency, TrigScalar, normalize, parse
 
 from oracles import (
+    FracField,
+    adapted_frame,
     annihilating_form,
     closed_jr_residual,
     closed_jt_residual,
@@ -56,13 +59,13 @@ from oracles import (
     direct_form_witnesses,
     direct_w_residuals,
     eight_jd_minors,
-    field_scale,
-    field_sum,
+    frac_bracket,
     framing_determinant,
     interior,
     minors_of_fields,
     numeric_matrix,
     random_points,
+    reeb_pair,
     rescaled_reeb_direction,
     rotation_coefficients,
     six_pair_nijenhuis,
@@ -391,6 +394,43 @@ def test_w_takes_no_minors_and_no_form_evaluation(monkeypatch):
 # -- the complex frame and the defining forms hold by construction -------------
 
 
+def _power(a, n):
+    out = ONE
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+def _assert_is_quotient(num, j, k, ref, a):
+    """num / a^(j+k+1), the bracket rule's [u / a^j, v / a^k], is the
+    quotient rule's ``ref`` over a^(2(j+k)), cross-multiplied: ref's
+    numerator is num a^(j+k-1), or num / a when j = k = 0."""
+    if j + k:
+        assert num.scale(_power(a, j + k - 1)) == ref.raw
+    else:
+        assert num == ref.raw.scale(a)
+
+
+def _assert_chain_brackets_match_the_quotient_rule(ctx, t, r):
+    """[W, R] and [JW, R], the context's numerators over abdb^2, and the
+    K-check's [T, R] over abdb^3 are the quotient rule's, for the
+    reference Reeb pair (t, r)."""
+    a, space = ctx.forms.abdb, ctx.space
+    _assert_is_quotient(ctx.wr, 0, 1, frac_bracket(FracField(ctx.w), r, space), a)
+    _assert_is_quotient(ctx.xr, 0, 1, frac_bracket(FracField(ctx.x), r, space), a)
+    made = []
+    rule = engelcheck.abdb_bracket
+
+    def recording(*args):
+        made.append(rule(*args))
+        return made[-1]
+
+    with mock.patch.object(engelcheck, "abdb_bracket", recording):
+        k_engel_check(ctx)
+    assert len(made) == 1
+    _assert_is_quotient(made[0], 1, 1, frac_bracket(t, r, space), a)
+
+
 def _assert_frame_and_forms_hold(ctx, k_rows=True):
     # the claims complex_framing, defining_forms, structure_functions, the
     # transverse check and the K-check no longer certify, checked on oracles
@@ -407,22 +447,25 @@ def _assert_frame_and_forms_hold(ctx, k_rows=True):
     # the raw Reeb field K_R: alpha(K_R) = abdb, beta(K_R) = 0 and
     # i_{K_R}(beta ^ d(beta)) = 0
     forms = ctx.forms
-    k_r = forms.R.raw
+    k_r = forms.k_r
     assert forms.alpha(k_r) == forms.abdb
     assert forms.beta(k_r).is_zero()
     beta_dbeta = wedge(forms.beta, exterior_derivative(forms.beta, space))
     assert interior(beta_dbeta, k_r).is_zero()
     # d_XT without the quotient rule is the quotient rule's pairing, term for
     # term, and the three d_* are over abdb^2, as jofreeb_residual reads them
-    direct = frac_bracket(FracField(ctx.x), forms.T, space).pair(forms.alpha)
+    t, r = reeb_pair(forms)
+    direct = frac_bracket(FracField(ctx.x), t, space).pair(forms.alpha)
     sf = ctx.sf
     assert (sf.d_XT.num, sf.d_XT.den) == (direct.num, direct.den)
-    assert sf.d_WR.den == sf.d_XT.den == sf.d_XR.den == forms.abdb * forms.abdb
+    assert sf.d_WR.den is sf.d_XT.den is sf.d_XR.den is ctx.abdb2
+    assert ctx.abdb2 == forms.abdb * forms.abdb
+    _assert_chain_brackets_match_the_quotient_rule(ctx, t, r)
     if not k_rows:
         return
     # theta_T = c_WX beta, theta_R = -c_WX alpha and det = -abdb c_WX, where
     # theta_i(u) is det(W, JW, K_T, K_R) with column i replaced by u
-    frame = [ctx.w, ctx.x, forms.T.raw, k_r]
+    frame = [ctx.w, ctx.x, forms.k_t, k_r]
     c_wx = ctx.sf.c_WX
     assert det_of_fields(frame) == -(forms.abdb * c_wx)
     for j in range(4):
@@ -588,11 +631,11 @@ PLANE_COORDS = TORUS_COORDS[:2]
 
 
 @st.composite
-def torus_scalars(draw):
+def torus_scalars(draw, coords=PLANE_COORDS):
     out = TrigScalar.constant(draw(st.integers(-2, 2)))
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if coords else 0):
         wave = draw(st.sampled_from((TrigScalar.cosine, TrigScalar.sine)))
-        coord = draw(st.sampled_from(PLANE_COORDS))
+        coord = draw(st.sampled_from(coords))
         out = out + wave({coord: Frequency.of(draw(st.integers(1, 2)))},
                          coeff=draw(st.integers(-3, 3)))
     return out
@@ -713,20 +756,21 @@ def test_reeb_pair_pairings_are_exact():
     for name in ("hopf_s3r", "hyperelliptic_solv", "inoue_s0", "kodaira_primary"):
         spec = family(name)
         forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
+        t, r = reeb_pair(forms)
         # beta(T) = 1 and alpha(R) = 1 exactly, alpha(T) = beta(R) = 0
-        assert forms.T.pair(forms.beta).num == forms.T.pair(forms.beta).den
-        assert forms.R.pair(forms.alpha).num == forms.R.pair(forms.alpha).den
-        assert forms.T.pair(forms.alpha).is_zero()
-        assert forms.R.pair(forms.beta).is_zero(), name
+        assert t.pair(forms.beta).num == t.pair(forms.beta).den
+        assert r.pair(forms.alpha).num == r.pair(forms.alpha).den
+        assert t.pair(forms.alpha).is_zero()
+        assert r.pair(forms.beta).is_zero(), name
 
 
 def test_hopf_reeb_fields_quoted_directions():
     spec = family("hopf_s3r")
     forms = defining_forms(Derivation(spec.d1, spec.d2, spec.J, spec.space))
     assert all(m.is_zero()
-               for m in minors_of_fields([forms.R.raw, VecField.basis(3)]))
+               for m in minors_of_fields([forms.k_r, VecField.basis(3)]))
     assert all(m.is_zero()
-               for m in minors_of_fields([forms.T.raw, VecField.of(-1, 0, 1, 0)]))
+               for m in minors_of_fields([forms.k_t, VecField.of(-1, 0, 1, 0)]))
 
 
 def test_defining_forms_reject_uncertified_flag():
@@ -805,10 +849,9 @@ def test_jofreeb_residual_numeric_sampling_agreement():
     for name in ("hopf_s3r", "torus_trig"):
         ctx = _context(name)
         res = jofreeb_residual(ctx)
-        forms = ctx.forms
-        fields = {"T": forms.T, "R": forms.R, "JT": forms.T.apply_J(ctx.J),
-                  "JR": forms.R.apply_J(ctx.J), "W": FracField(ctx.w),
-                  "X": FracField(ctx.x)}
+        t, r = reeb_pair(ctx.forms)
+        fields = {"T": t, "R": r, "JT": t.apply_J(ctx.J), "JR": r.apply_J(ctx.J),
+                  "W": FracField(ctx.w), "X": FracField(ctx.x)}
         for p in random_points(ctx.space, random.Random(9), 100):
             v = {k: np.array([c.evaluate(p) for c in f.raw.coeffs]) / f.den.evaluate(p)
                  for k, f in fields.items()}
@@ -825,8 +868,9 @@ def test_jr_residual_is_minus_j_of_the_jt_residual_off_the_identity(name):
     ctx = _context(name)
     forms = ctx.forms
     ctx.sf  # the structure functions read the true T
-    moved_t = field_sum(forms.T, FracField(ctx.w))
-    vars(ctx)["forms"] = dataclasses.replace(forms, T=moved_t)
+    # T + W = (K_T - abdb W) / -abdb
+    moved_k_t = forms.k_t - ctx.w.scale(forms.abdb)
+    vars(ctx)["forms"] = dataclasses.replace(forms, k_t=moved_k_t)
     res_t, res_r = closed_jt_residual(ctx), closed_jr_residual(ctx)
     assert not res_t.is_zero() and not res_r.is_zero()
     assert _minus_j_of_t_against_r(res_t, res_r, ctx.J).is_zero()
@@ -861,6 +905,7 @@ def _assert_rotation_holds(ctx):
     forms, sf = ctx.forms, ctx.sf
     den = forms.abdb * forms.abdb * sf.c_WX
     assert res.q1.den == den and res.q2.den == den
+    assert res.q1.den is res.q2.den
     for got, q in zip((res.q1, res.q2), rotation_coefficients(ctx)):
         assert got.num * q.den == q.num * got.den
     q = (res.q1, res.q2)
@@ -1037,8 +1082,8 @@ def test_splitting_invariance(name):
     for lam in scalings:
         k = rescaled_reeb_direction(ctx.forms.beta, normalize(lam), spec.space)
         assert not k.is_zero(), lam
-        assert all(m.is_zero() for m in minors_of_fields([z.raw, k])), lam
-    frame = certify_nonvanishing(det_of_fields([f.raw for f in split]), spec.space)
+        assert all(m.is_zero() for m in minors_of_fields([z, k])), lam
+    frame = certify_nonvanishing(det_of_fields(list(split)), spec.space)
     assert frame.passed
 
 
@@ -1051,7 +1096,7 @@ def test_splitting_scaling_by_two_matches_half_reeb():
 
     beta2 = _compose_with_J(scaled_alpha, spec.J)
     k2 = wedge(beta2, exterior_derivative(beta2, spec.space)).kernel_field()
-    assert all(m.is_zero() for m in minors_of_fields([k2, forms.R.raw]))
+    assert all(m.is_zero() for m in minors_of_fields([k2, forms.k_r]))
 
 
 def test_k_engel_pass_families():
@@ -1079,64 +1124,82 @@ def test_k_engel_pass_implies_transverse_consistency():
         assert rep.passed
         cert = transverse_engel_check(ctx)
         assert cert.kind == "SYMBOLIC" and cert.note == "L_Z D stays in D", name
-        assert all(m.is_zero() for m in minors_of_fields([ctx.forms.R.raw,
+        assert all(m.is_zero() for m in minors_of_fields([ctx.forms.k_r,
                                                           VecField.basis(idx)])), name
 
 
 def _k_check_coefficients(monkeypatch, ctx, targets=None):
-    """The adapted frame (W, X, T, R) of ``k_engel_check``, the commutators
-    it expands, in WR, XR, TR order, and the fractions it forms.
+    """The commutators ``k_engel_check`` expands, in WR, XR, TR order, as
+    fraction fields over abdb^2, abdb^2 and abdb^3, and the fractions it
+    forms.
 
     The stages before the check are derived first, so that every fraction
-    recorded is the check's own.  With ``targets`` the commutators are
-    replaced by these fields, so that the expansion of any field in the
-    frame can be read off.
+    recorded is the check's own.  With ``targets`` the commutators' three
+    numerators are replaced by these fields, so that the expansion of any
+    field in the frame can be read off.
     """
-    forms = ctx.forms
     ctx.sf  # derive c_WX, [W, R] and [JW, R] before recording
-    basis = [FracField(ctx.w), FracField(ctx.x), forms.T, forms.R]
-    if targets is None:
-        comms = [ctx.wr, ctx.xr, frac_bracket(forms.T, forms.R, ctx.space)]
-    else:
-        comms = list(targets)
-        monkeypatch.setitem(ctx.__dict__, "wr", comms[0])
-        monkeypatch.setitem(ctx.__dict__, "xr", comms[1])
-        monkeypatch.setattr(engelcheck, "frac_bracket", lambda *args: comms[2])
+    rule, made = engelcheck.abdb_bracket, []
+    if targets is not None:
+        monkeypatch.setitem(ctx.__dict__, "wr", targets[0])
+        monkeypatch.setitem(ctx.__dict__, "xr", targets[1])
+
+        def rule(*args):
+            return targets[2]
+
+    def tr(*args):
+        made.append(rule(*args))
+        return made[-1]
+
     formed = []
 
     def recording(num, den=ONE):
         formed.append(Frac(num, den))
         return formed[-1]
 
+    monkeypatch.setattr(engelcheck, "abdb_bracket", tr)
     monkeypatch.setattr(engelcheck, "Frac", recording)
     k_engel_check(ctx)
+    wr, xr, abdb2 = ctx.wr, ctx.xr, ctx.abdb2
     monkeypatch.undo()
-    return basis, comms, formed
+    return [FracField(wr, abdb2), FracField(xr, abdb2),
+            FracField(made[0], abdb2 * ctx.forms.abdb)], formed
 
 
-def _assert_matches_cramer(got, target, basis):
-    want = cramer_coefficients(target, basis)
+def _over_abdb_power(ctx, row, k):
+    """The numerator over abdb^k of the field with coefficients ``row`` in
+    the frame (W, X, T, R), where T = -K_T / abdb and R = K_R / abdb."""
+    c_w, c_x, c_t, c_r = row
+    forms = ctx.forms
+    d = ctx.w.scale(c_w) + ctx.x.scale(c_x)
+    reeb = forms.k_r.scale(c_r) - forms.k_t.scale(c_t)
+    return d.scale(_power(forms.abdb, k)) + reeb.scale(_power(forms.abdb, k - 1))
+
+
+def _assert_matches_cramer(got, target, ctx):
+    want = cramer_coefficients(target, ctx)
     assert len(got) == len(want) == 4
     for a, b in zip(got, want):
         assert a.num * b.den == b.num * a.den
 
 
-def _assert_expansions_match_cramer(basis, comms, formed):
+def _assert_expansions_match_cramer(ctx, comms, formed):
     # four coefficients for each commutator that is not exactly zero, in
     # order, and nothing for a zero one
     nonzero = [comm for comm in comms if not comm.is_zero()]
     assert len(formed) == 4 * len(nonzero)
     for i, comm in enumerate(nonzero):
-        _assert_matches_cramer(formed[4 * i:4 * i + 4], comm, basis)
+        _assert_matches_cramer(formed[4 * i:4 * i + 4], comm, ctx)
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_k_check_coframe_matches_cramer(monkeypatch, name):
     # the T and R rows are beta(C) and alpha(C) over den(C), the W and X rows
-    # theta over det den(C); all four against Cramer's rule, cross-multiplied
+    # theta over det den(C); all four against Cramer's rule, cross-multiplied;
+    # den(C) is abdb^2 for [W, R] and [JW, R] and abdb^3 for [T, R]
     ctx = _closed_form_context(name)
-    basis, comms, formed = _k_check_coefficients(monkeypatch, ctx)
-    _assert_expansions_match_cramer(basis, comms, formed)
+    comms, formed = _k_check_coefficients(monkeypatch, ctx)
+    _assert_expansions_match_cramer(ctx, comms, formed)
     nonzero = [comm for comm in comms if not comm.is_zero()]
     assert [f.den for f in formed[2::4]] == [comm.den for comm in nonzero]
     assert [f.den for f in formed[3::4]] == [comm.den for comm in nonzero]
@@ -1155,7 +1218,7 @@ def test_k_check_decides_each_commutator_exactly(monkeypatch, name):
     ctx = _closed_form_context(name)
     ctx.sf  # derive the stages before counting
     comms = {"WR": ctx.wr, "XR": ctx.xr,
-             "TR": frac_bracket(ctx.forms.T, ctx.forms.R, ctx.space)}
+             "TR": frac_bracket(*reeb_pair(ctx.forms), ctx.space)}
     grids = _count_calls(monkeypatch, "grid_points", framecalc)
     vanishing = _count_calls(monkeypatch, "certify_vanishing", engelcheck)
     rep = k_engel_check(ctx)
@@ -1174,21 +1237,17 @@ def test_k_check_coframe_expands_every_frame_field(monkeypatch, name):
     # the catalog's commutators have no T component, so expand fields with a
     # nonzero coefficient on each frame field, some of them not constant
     ctx = _context(name)
-    basis = [FracField(ctx.w), FracField(ctx.x), ctx.forms.T, ctx.forms.R]
+    basis = adapted_frame(ctx)
     # a coefficient of the frame itself keeps the sampled periods commensurate
     varying = [c for b in basis for c in b.raw.coeffs if c.constant_value() is None]
     wave = normalize(2) + (varying[0] if varying else normalize(3))
     rows = [[normalize(c) for c in row]
             for row in ((1, 2, 3, 4), (wave, -1, 1, 2), (-3, wave, 2, -wave))]
-    targets = []
-    for row in rows:
-        target = FracField(VecField.zero())
-        for c, b in zip(row, basis):
-            target = field_sum(target, field_scale(b, Frac(c)))
-        targets.append(target)
-    basis, comms, formed = _k_check_coefficients(monkeypatch, ctx, targets)
-    _assert_expansions_match_cramer(basis, comms, formed)
-    for i, (target, row) in enumerate(zip(targets, rows)):
+    # [W, R] and [JW, R] are over abdb^2, [T, R] over abdb^3
+    targets = [_over_abdb_power(ctx, row, k) for row, k in zip(rows, (2, 2, 3))]
+    comms, formed = _k_check_coefficients(monkeypatch, ctx, targets)
+    _assert_expansions_match_cramer(ctx, comms, formed)
+    for i, row in enumerate(rows):
         for a, c in zip(formed[4 * i:4 * i + 4], row):
             assert a.num == c * a.den
 
@@ -1204,7 +1263,7 @@ def test_k_check_expands_only_commutators_that_do_not_vanish(monkeypatch, name):
     ctx.sf  # derive the stages before counting
     # the check's own minors; KForm.__call__ takes minors through framecalc
     calls = _count_calls(monkeypatch, "extend_minors", engelcheck)
-    _, comms, formed = _k_check_coefficients(monkeypatch, ctx)
+    comms, formed = _k_check_coefficients(monkeypatch, ctx)
     if name in K_FAILING:
         assert [len(fields) for fields, *_ in calls] == [2, 1, 1]
         assert [fields[0] for fields, *_ in calls[1:]] == [ctx.x, ctx.w]
@@ -1240,7 +1299,7 @@ def test_dbeta_squared_is_read_off_the_tr_row(monkeypatch, name):
     rep = k_engel_check(ctx)
     assert wedges == []
     dbeta2 = wedge(forms.d_beta, forms.d_beta).component((0, 1, 2, 3))
-    tr = frac_bracket(forms.T, forms.R, ctx.space)
+    tr = frac_bracket(*reeb_pair(forms), ctx.space)
     two = TrigScalar.constant(2)
     assert dbeta2 * tr.den == two * forms.abdb * forms.beta(tr.raw)
     assert rep.dbeta_squared_zero == dbeta2.is_zero()
@@ -1331,7 +1390,7 @@ def test_the_reeb_pair_and_the_splitting_take_no_form_work(monkeypatch):
             made.clear()
         pairings.clear()
         split = j_engel_splitting(ctx)
-        assert split[3] is forms.R, fam
+        assert split[3] is forms.k_r, fam
         assert {name: len(made) for name, made in calls.items()} == \
             dict.fromkeys(work, 0), fam
         assert pairings == [], fam
@@ -1418,11 +1477,39 @@ def test_totally_real_oscillating_variant_passes():
     assert not j_invariance_check(ctx).passed
 
 
-def test_frac_bracket_matches_plain_bracket():
-    from engelcalc.engelcheck import FracField
+@lru_cache(maxsize=None)
+def _catalog_abdb(name):
+    return _context(name).forms.abdb
 
-    spec = family("kodaira_primary")
-    u = FracField(spec.d1)
-    v = FracField(spec.d2)
-    assert frac_bracket(u, v, spec.space).raw == bracket(spec.d1, spec.d2,
-                                                         spec.space)
+
+@st.composite
+def bracket_rule_cases(draw):
+    """(u, j, v, k, a, space): exponents j, k in {0, 1, 2}, a a catalog
+    family's abdb over its space or a random scalar over the torus, and u, v
+    random fields over the same coordinates."""
+    j, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        space, a = TORUS, draw(torus_scalars())
+        coords = PLANE_COORDS
+    else:
+        name = draw(st.sampled_from(FAMILIES))
+        space, a = family(name).space, _catalog_abdb(name)
+        coords = space.coords
+    u, v = (VecField.of(*draw(st.lists(torus_scalars(coords), min_size=4,
+                                       max_size=4)))
+            for _ in range(2))
+    return u, j, v, k, a, space
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_rule_cases())
+def test_the_bracket_rule_is_the_quotient_rule(case):
+    # the rule's numerator of [u / a^j, v / a^k] over a^(j+k+1) against the
+    # quotient rule's over a^(2(j+k)), cross-multiplied; over a = 1 with
+    # j = k = 0 it is the plain bracket
+    u, j, v, k, a, space = case
+    num = abdb_bracket(u, j, v, k, a, space)
+    ref = frac_bracket(FracField(u, _power(a, j)), FracField(v, _power(a, k)), space)
+    assert ref.den == _power(a, 2 * (j + k))
+    _assert_is_quotient(num, j, k, ref, a)
+    assert abdb_bracket(u, 0, v, 0, ONE, space) == bracket(u, v, space)
