@@ -183,8 +183,10 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
     pair = extend_minors([d1, e3])
     # det(D1, E3, D2) = -det(D1, D2, E3)
     minors = [-m for m in extend_minors([d2], minors=pair).values()]
-    alpha = _annihilating_form_of(minors)
-    # alpha's coefficients up to sign, in the order of extend_minors
+    # u -> det(D1, D2, E3, u) expanded along u, whose kernel is E; its
+    # coefficients are the minors up to sign, in the order of extend_minors
+    m0, m1, m2, m3 = minors
+    alpha = KForm.one_form([-m3, m2, -m1, m0])
     certs["rank_e"] = certify_no_common_zero(minors, space, grid, tol)
     if not certs["rank_e"].passed:
         return EngelFlag(d1, d2, e3, certs, alpha)
@@ -200,15 +202,6 @@ def verify_engel(ctx: Derivation) -> EngelFlag:
         certs["rank_tm"] = certify_no_common_zero(
             [u1, u2], space, grid, tol, note="sum of squares of the two top minors")
     return EngelFlag(d1, d2, e3, certs, alpha, d_alpha, (u1, u2))
-
-
-def _annihilating_form_of(minors: list[TrigScalar]) -> KForm:
-    """The 1-form u -> det(F1, F2, F3, u), from the maximal minors of
-    (F1, F2, F3) in ``extend_minors`` order: expanding the determinant
-    along u, its coefficients are (-m3, m2, -m1, m0).  Its kernel is
-    span(F1, F2, F3)."""
-    m0, m1, m2, m3 = minors
-    return KForm.one_form([-m3, m2, -m1, m0])
 
 
 def characteristic_foliation(ctx: Derivation) -> VecField:
@@ -459,13 +452,14 @@ class Derivation:
     public stage function, called through the module global, and then
     kept, so the checks read it from here instead of deriving it again; a
     stage that raises keeps nothing and raises again when next read.  The
-    plane-field stages need ``d1`` and ``d2``, the complex ones ``J``.  ``d_minors``, the 2x2 minors of
-    (D1, D2), is the one place they are expanded: they witness rank(D) = 2,
-    and the JD = D, totally-real and transverse checks extend them.  The
-    brackets that more than one check reads are stages too: ``wx`` =
-    [W, JW] (the complex framing and c_WX), and ``wr`` = [W, R] and ``xr``
-    = [JW, R] (the structure functions and the K-check), so each is taken
-    once per target; ``wr`` and ``xr`` are over the stage ``abdb2``.
+    plane-field stages need ``d1`` and ``d2``, the complex ones ``J``.
+    ``d_minors``, the 2x2 minors of (D1, D2), is the one place they are
+    expanded: they witness rank(D) = 2, and the JD = D and totally-real
+    checks extend them.  The brackets that more than one check reads are
+    stages too: ``wx`` = [W, JW] (the complex framing and c_WX), and
+    ``wr`` = [W, R] and ``xr`` = [JW, R] (the structure functions and the
+    K-check), so each is taken once per target; ``wr`` and ``xr`` are over
+    the stage ``abdb2``.
     ``nijenhuis`` alone reads a module memo, ``_nijenhuis_of``, as N_J
     depends on J, the space and the grid only, which many targets share.
 
@@ -485,7 +479,7 @@ class Derivation:
     @cached_property
     def d_minors(self) -> dict[tuple[int, ...], TrigScalar]:
         """The six 2x2 minors of (D1, D2): the rank(D) witness, which the
-        JD = D, totally-real and transverse checks extend."""
+        JD = D and totally-real checks extend."""
         return extend_minors([self.d1, self.d2])
 
     @cached_property
@@ -649,22 +643,30 @@ def j_engel_splitting(ctx: Derivation) -> tuple[VecField, VecField,
 
 def transverse_engel_check(ctx: Derivation) -> Certificate:
     """Certify that the raw Reeb field Z = K_R of the context's forms is an
-    Engel field: each [Z, D_i] lies in D, so the maximal minors of
-    (D1, D2, [Z, D_i]) vanish, each extended from the context's 2x2 minors
-    of (D1, D2).
+    Engel field: each [Z, D_i] lies in D, certified on the two scalars
+    alpha([Z, D_i]).
 
     That is the one claim about Z that can fail.  Z is the kernel field of
     beta ^ d(beta), i_Z vol = beta ^ d(beta), so by ``defining_forms``
     alpha(Z) = abdb vanishes nowhere and beta(Z) = 0: Z is transverse to E
     and JZ lies in E.  i_Z(beta ^ d(beta)) = i_Z i_Z vol = 0, and Z spans
     the Reeb line, as R = Z / abdb.  None of these is certified.
+
+    D is the intersection of ker(alpha) and ker(beta)
+    (``j_engel_splitting``), and beta([Z, D_i]) vanishes identically.
+    i_Z(beta ^ d(beta)) = 0 is beta(Z) d(beta) - beta ^ i_Z d(beta), and
+    beta(Z) = 0, so beta ^ i_Z d(beta) = 0 and i_Z d(beta) = mu beta for
+    some function mu.  By Cartan's formula, with beta(D_i) = 0 and
+    beta(Z) = 0,
+
+        beta([Z, D_i]) = Z beta(D_i) - D_i beta(Z) - d(beta)(Z, D_i)
+                       = -mu beta(D_i) = 0.
+
+    So [Z, D_i] lies in D exactly when alpha([Z, D_i]) = 0.
     """
-    z, space = ctx.forms.k_r, ctx.space
-    minors: list[TrigScalar] = []
-    for gen in (ctx.d1, ctx.d2):
-        column = bracket(z, gen, space)
-        minors.extend(extend_minors([column], minors=ctx.d_minors).values())
-    return certify_vanishing(minors, space, ctx.grid, note="L_Z D stays in D")
+    forms, space = ctx.forms, ctx.space
+    residuals = [forms.alpha(bracket(forms.k_r, gen, space)) for gen in (ctx.d1, ctx.d2)]
+    return certify_vanishing(residuals, space, ctx.grid, note="L_Z D stays in D")
 
 
 @dataclass(frozen=True)
@@ -688,31 +690,29 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     solvability of the rescaling equation, which for translation-invariant
     data amounts to a_WR = 0; a zero [W, R] has a_WR = 0.
 
-    With C = a W + b X + c K_T + d K_R, alpha and beta vanish on D = <W, X>,
-    and alpha(K_T) = beta(K_R) = 0, alpha(K_R) = abdb and beta(K_T) =
-    -abdb (``defining_forms``), so c = -beta(C) / abdb and d = alpha(C) /
-    abdb.  T = K_T / -abdb and R = K_R / abdb, so C's coefficients on T and
-    R are beta(C) and alpha(C): beta(u) / den(C) and alpha(u) / den(C) for
-    C = u / den(C), with den(C) = abdb^2 for [W, R] and [JW, R] and abdb^3
-    for [T, R] (``abdb_bracket``), formed only for a nonzero C.  The W and
-    X coefficients are, by Cramer's rule, theta_W(u) and theta_X(u) over
-    det den(C), where theta_i(u) is det = det(W, X, K_T, K_R) with column
-    i replaced by u; theta_W and theta_X extend the 2x2 minors of
-    (K_T, K_R) by X and by W, and are built on the first commutator that is
-    not zero.  As i_{K_R} vol = beta ^ d(beta) and, by Cartan's formula,
-    d(beta)(W, X) = -beta([W, X]) = -c_WX,
+    Each row is read off the forms.  With C = a W + b X + c K_T + d K_R,
+    alpha and beta vanish on D = <W, X>, and alpha(K_T) = beta(K_R) = 0,
+    alpha(K_R) = abdb and beta(K_T) = -abdb (``defining_forms``), so
+    c = -beta(C) / abdb and d = alpha(C) / abdb.  T = K_T / -abdb and
+    R = K_R / abdb, so C's coefficients on T and R are beta(C) and
+    alpha(C).  For the W and X rows, i_{K_T} d(beta) is a multiple of
+    alpha: i_{K_T}(alpha ^ d(beta)) = i_{K_T} i_{K_T} vol = 0, and it is
+    alpha(K_T) d(beta) - alpha ^ i_{K_T} d(beta) with alpha(K_T) = 0.
+    Likewise i_{K_R} d(beta) is a multiple of beta.  Both vanish on D, so
+    d(beta)(K_T, .) and d(beta)(K_R, .) vanish on W and on X, and with
+    d(beta)(W, X) = -beta([W, X]) = -c_WX by Cartan's formula,
 
-        det = -(beta ^ d(beta))(W, X, K_T) = -beta(K_T) d(beta)(W, X)
-            = -abdb c_WX,
+        d(beta)(C, X) = -a c_WX,    d(beta)(C, W) = b c_WX.
 
-    which vanishes nowhere (``defining_forms``, ``structure_functions``),
-    so the frame is never degenerate.  A zero numerator is 0 over any
-    denominator, so det den(C) is formed only for a nonzero W or X row.
+    For C = u / den(C), with den(C) = abdb^2 for [W, R] and [JW, R] and
+    abdb^3 for [T, R] (``abdb_bracket``), formed only for a nonzero C, the
+    rows are -d(beta)(u, X) and d(beta)(u, W) over c_WX den(C), and
+    beta(u) and alpha(u) over den(C).  c_WX vanishes nowhere
+    (``structure_functions``).  A zero numerator is 0 over any
+    denominator, so c_WX den(C) is formed only for a nonzero W or X row.
 
     d(beta)^2 = 0 is read off the [T, R] row.  On the frame (W, X, T, R),
-    i_T d(beta) is a multiple of alpha and i_R d(beta) one of beta
-    (``jofreeb_residual``), so d(beta) is zero on (W, T), (X, T), (W, R)
-    and (X, R), and
+    d(beta) is zero on (W, T), (X, T), (W, R) and (X, R), as above, and
 
         d(beta)^2(W, X, T, R) = 2 d(beta)(W, X) d(beta)(T, R)
                               = 2 c_WX beta([T, R]),
@@ -723,29 +723,23 @@ def k_engel_check(ctx: Derivation) -> KEngelReport:
     """
     w, x, forms, space = ctx.w, ctx.x, ctx.forms, ctx.space
     abdb = forms.abdb
-    det = -(abdb * ctx.sf.c_WX)
     # each commutator's numerator and the power of abdb it is over
     comms = {"WR": (ctx.wr, 2), "XR": (ctx.xr, 2),
              "TR": (abdb_bracket(-forms.k_t, 1, forms.k_r, 1, abdb, space), 3)}
     certs: dict[str, Certificate] = {}
     obstructions: dict[str, str] = {}
-    coframe, a_wr = [], ZERO
+    a_wr = ZERO
     for key, (u, k) in comms.items():
         note = f"[{key[0]},{key[1]}] = 0"
         if u.is_zero():
             certs[key] = certify_vanishing(list(u.coeffs), space, ctx.grid, note=note)
             continue
         certs[key] = Certificate("FAILED", "vanishing", note=note)
-        if not coframe:
-            # theta_W(u) = -det(K_T, K_R, X, u), theta_X(u) = det(K_T, K_R, W, u)
-            pair = extend_minors([forms.k_t, forms.k_r])
-            coframe = [_annihilating_form_of(list(extend_minors([c], minors=pair).values()))
-                       for c in (x, w)]
         den = ctx.abdb2 if k == 2 else ctx.abdb2 * abdb
-        rows = [-coframe[0](u), coframe[1](u)]
+        rows = [-forms.d_beta(u, x), forms.d_beta(u, w)]
         # a zero Frac is 0 over any denominator
-        det_den = ONE if all(n.is_zero() for n in rows) else det * den
-        coefs = [Frac(rows[0], det_den), Frac(rows[1], det_den),
+        row_den = ONE if all(n.is_zero() for n in rows) else ctx.sf.c_WX * den
+        coefs = [Frac(rows[0], row_den), Frac(rows[1], row_den),
                  Frac(forms.beta(u), den), Frac(forms.alpha(u), den)]
         for name, c in zip("WXTR", coefs):
             if not c.is_zero():

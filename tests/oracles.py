@@ -13,7 +13,8 @@ code paths they are checking.  The exceptions, ``annihilating_form``,
 ``reference_product_keys``, ``direct_sum``, ``direct_difference``,
 ``direct_differentiate``, ``direct_sum_of_squares``,
 ``frame_by_frame_derivative``, ``cramer_coefficients``,
-``framing_determinant`` and ``direct_form_witnesses``, are the exact
+``transverse_minors``, ``framing_determinant`` and
+``direct_form_witnesses``, are the exact
 expansions that shortcuts or shared helpers in the code replaced (the
 complex framing, the three defining-form conditions and c_WX hold by
 construction once the flag and JD = D are certified, where the last two
@@ -25,7 +26,9 @@ generator, where ``annihilating_form`` takes the maximal minors of
 where ``cofactor_minor`` expands each minor along its first column, and
 ``minors_of_fields`` takes every maximal minor of a few fields through it;
 the transverse check certifies only that the raw Reeb field K_R preserves
-D, where ``interior`` contracts beta ^ d(beta) with K_R term by term; the
+D, where ``interior`` contracts beta ^ d(beta) with K_R term by term, and
+certifies it on alpha([K_R, D_i]), where ``transverse_minors`` takes the
+maximal minors of (D1, D2, [K_R, D_i]); the
 J-claims are certified on the witnesses J leaves free, N_J on two pairs of
 E1's frame row and JD = D on J D1, where the two oracles take every frame
 pair and both J D_i; the Reeb rotation is a theorem once N_J = 0, and its
@@ -41,11 +44,10 @@ identity is decided on its two factors, where ``dalpha_squared_scalar``
 takes d(alpha) ^ d(alpha); the
 splitting reads Z = span(R) off the forms, where
 ``rescaled_reeb_direction`` derives the Reeb direction of a rescaled pair
-afresh; the K-check expands only a commutator that does not vanish, on a
-coframe that takes minors for its W and X rows alone, reads its
-determinant off the forms and its T and R coefficients as beta(C) and
-alpha(C) over den(C), where ``cramer_coefficients`` takes
-five 4x4 determinants per commutator; ``FramedSpace.apply`` sums
+afresh; the K-check expands only a commutator that does not vanish, and
+reads its four coefficients off the forms, -d(beta)(C, JW) and
+d(beta)(C, W) over c_WX den(C) and beta(C) and alpha(C) over den(C),
+where ``cramer_coefficients`` takes five 4x4 determinants per commutator; ``FramedSpace.apply`` sums
 v(c) * ds/dc over the coordinates c, where the frame-by-frame formula
 differentiates s once per frame field; the
 ring
@@ -321,6 +323,15 @@ def cramer_coefficients(target: FracField, ctx) -> list[Frac] | None:
         # clear the denominators: target.raw/target.den = sum coef_i raw_i/den_i
         out.append(Frac(det_of_fields(cols) * basis[i].den, det * target.den))
     return out
+
+
+def transverse_minors(ctx) -> list[TrigScalar]:
+    """The maximal minors of (D1, D2, [K_R, D_i]), i = 1, 2, for the raw
+    Reeb field K_R of the Derivation ``ctx``, each taken afresh: where
+    D1 ^ D2 != 0 they vanish exactly when each [K_R, D_i] lies in D."""
+    z, d1, d2 = ctx.forms.k_r, ctx.d1, ctx.d2
+    return [m for d in (d1, d2)
+            for m in minors_of_fields([d1, d2, bracket(z, d, ctx.space)])]
 
 
 def direct_sum_of_squares(scalars) -> TrigScalar:

@@ -69,6 +69,7 @@ from oracles import (
     rescaled_reeb_direction,
     rotation_coefficients,
     six_pair_nijenhuis,
+    transverse_minors,
 )
 
 J_STD = ComplexStructure.pairing(0, 1, 2, 3)
@@ -431,12 +432,11 @@ def _assert_chain_brackets_match_the_quotient_rule(ctx, t, r):
     _assert_is_quotient(made[0], 1, 1, frac_bracket(t, r, space), a)
 
 
-def _assert_frame_and_forms_hold(ctx, k_rows=True):
+def _assert_frame_and_forms_hold(ctx):
     # the claims complex_framing, defining_forms, structure_functions, the
     # transverse check and the K-check no longer certify, checked on oracles
     # that take every bracket, d, wedge, interior product and determinant in
-    # full, wherever the flag and JD = D are certified; ``k_rows`` adds the
-    # K-check's coframe rows read off the forms, nine 4x4 determinants
+    # full, wherever the flag and JD = D are certified
     space, grid, tol = ctx.space, ctx.grid, ctx.tol
     assert certify_nonvanishing(framing_determinant(ctx), space, grid, tol).passed
     witnesses = direct_form_witnesses(ctx)
@@ -447,7 +447,7 @@ def _assert_frame_and_forms_hold(ctx, k_rows=True):
     # the raw Reeb field K_R: alpha(K_R) = abdb, beta(K_R) = 0 and
     # i_{K_R}(beta ^ d(beta)) = 0
     forms = ctx.forms
-    k_r = forms.k_r
+    k_t, k_r = forms.k_t, forms.k_r
     assert forms.alpha(k_r) == forms.abdb
     assert forms.beta(k_r).is_zero()
     beta_dbeta = wedge(forms.beta, exterior_derivative(forms.beta, space))
@@ -461,17 +461,18 @@ def _assert_frame_and_forms_hold(ctx, k_rows=True):
     assert sf.d_WR.den is sf.d_XT.den is sf.d_XR.den is ctx.abdb2
     assert ctx.abdb2 == forms.abdb * forms.abdb
     _assert_chain_brackets_match_the_quotient_rule(ctx, t, r)
-    if not k_rows:
-        return
-    # theta_T = c_WX beta, theta_R = -c_WX alpha and det = -abdb c_WX, where
-    # theta_i(u) is det(W, JW, K_T, K_R) with column i replaced by u
-    frame = [ctx.w, ctx.x, forms.k_t, k_r]
-    c_wx = ctx.sf.c_WX
-    assert det_of_fields(frame) == -(forms.abdb * c_wx)
-    for j in range(4):
-        e = VecField.basis(j)
-        assert det_of_fields(frame[:2] + [e, k_r]) == c_wx * forms.beta(e)
-        assert det_of_fields(frame[:3] + [e]) == -(c_wx * forms.alpha(e))
+    # the identities the K-check's rows rest on, with each interior product
+    # taken term by term: alpha(K_T) = 0 and beta(K_T) = -abdb;
+    # d(beta)(K_T, .) and d(beta)(K_R, .) vanish on W and on JW; and
+    # d(beta)(W, JW) = -c_WX, with det(W, JW, K_T, K_R) = -abdb c_WX
+    assert forms.alpha(k_t).is_zero()
+    assert forms.beta(k_t) == -forms.abdb
+    for k in (k_t, k_r):
+        i_k = interior(forms.d_beta, k)
+        assert i_k(ctx.w).is_zero() and i_k(ctx.x).is_zero()
+    c_wx = sf.c_WX
+    assert interior(forms.d_beta, ctx.w)(ctx.x) == -c_wx
+    assert det_of_fields([ctx.w, ctx.x, k_t, k_r]) == -(forms.abdb * c_wx)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -498,8 +499,7 @@ def test_frame_and_form_conditions_hold_on_sampled_fixtures(stem):
             with pytest.raises(PreconditionError):
                 stage(ctx)
         return
-    # the oracles of the 3-coordinate fixture are slow enough already
-    _assert_frame_and_forms_hold(ctx, k_rows=stem != "sampled_two_direction_3coord")
+    _assert_frame_and_forms_hold(ctx)
 
 
 def _random_j_plane(seed):
@@ -894,6 +894,8 @@ CLOSED_FORM_CASES = (*FAMILIES, "sampled_clear_1coord")
 
 
 def _closed_form_context(case):
+    if case.startswith("j_plane"):
+        return _random_j_plane(int(case.rsplit("_", 1)[1]))
     return _clear_context() if case == "sampled_clear_1coord" else _context(case)
 
 
@@ -945,8 +947,7 @@ DALPHA_CASES = (*FAMILIES, "j_plane_4", "j_plane_24", "j_plane_54")
 def test_dalpha_factors_decide_the_wedge_scalar(monkeypatch, case):
     # the factor decision agrees with the d(alpha) ^ d(alpha) scalar, which
     # the record no longer forms
-    ctx = (_random_j_plane(int(case.rsplit("_", 1)[1])) if case.startswith("j_plane")
-           else _context(case))
+    ctx = _closed_form_context(case)
     assert ctx.flag.passed
     if not ctx.nijenhuis.passed:
         with pytest.raises(PreconditionError):
@@ -1192,23 +1193,33 @@ def _assert_expansions_match_cramer(ctx, comms, formed):
         _assert_matches_cramer(formed[4 * i:4 * i + 4], comm, ctx)
 
 
-@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+# seeded J-planes whose K-check fails with nonzero W or X rows over
+# denominators that are not constant: seed 1 on [JW, R] alone, 54 on all
+# three commutators
+K_FAILING_J_PLANES = ("j_plane_1", "j_plane_54")
+
+
+@pytest.mark.parametrize("name", (*CLOSED_FORM_CASES, *K_FAILING_J_PLANES))
 def test_k_check_coframe_matches_cramer(monkeypatch, name):
     # the T and R rows are beta(C) and alpha(C) over den(C), the W and X rows
-    # theta over det den(C); all four against Cramer's rule, cross-multiplied;
-    # den(C) is abdb^2 for [W, R] and [JW, R] and abdb^3 for [T, R]
+    # -d(beta)(C, JW) and d(beta)(C, W) over c_WX den(C); all four against
+    # Cramer's rule, cross-multiplied; den(C) is abdb^2 for [W, R] and
+    # [JW, R] and abdb^3 for [T, R]
     ctx = _closed_form_context(name)
     comms, formed = _k_check_coefficients(monkeypatch, ctx)
     _assert_expansions_match_cramer(ctx, comms, formed)
     nonzero = [comm for comm in comms if not comm.is_zero()]
     assert [f.den for f in formed[2::4]] == [comm.den for comm in nonzero]
     assert [f.den for f in formed[3::4]] == [comm.den for comm in nonzero]
-    # det den(C) only for a nonzero W or X row; a zero row is 0 over ONE
-    det = -(ctx.forms.abdb * ctx.sf.c_WX)
+    # c_WX den(C) only for a nonzero W or X row; a zero row is 0 over ONE
+    c_wx = ctx.sf.c_WX
     for i, comm in enumerate(nonzero):
         w_row, x_row = formed[4 * i:4 * i + 2]
-        want = ONE if w_row.is_zero() and x_row.is_zero() else det * comm.den
+        want = ONE if w_row.is_zero() and x_row.is_zero() else c_wx * comm.den
         assert w_row.den == x_row.den == want
+    if name in K_FAILING_J_PLANES:
+        assert any(not f.is_zero() and f.den.constant_value() is None
+                   for i in range(0, len(formed), 4) for f in formed[i:i + 2])
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
@@ -1257,20 +1268,18 @@ K_FAILING = ("elliptic_sl2r", "inoue_s0", "kodaira_primary", "kodaira_secondary"
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_k_check_expands_only_commutators_that_do_not_vanish(monkeypatch, name):
-    # a K-passing family takes no minor and forms no fraction; a failing
-    # one extends the 2x2 minors of (K_T, K_R) by X and by W, once
+    # a K-passing family forms no fraction; a failing one forms four for each
+    # nonzero commutator; neither takes a minor of its own, as the W and X
+    # rows are d(beta) on (C, JW) and (C, W)
     ctx = _context(name)
     ctx.sf  # derive the stages before counting
     # the check's own minors; KForm.__call__ takes minors through framecalc
     calls = _count_calls(monkeypatch, "extend_minors", engelcheck)
     comms, formed = _k_check_coefficients(monkeypatch, ctx)
-    if name in K_FAILING:
-        assert [len(fields) for fields, *_ in calls] == [2, 1, 1]
-        assert [fields[0] for fields, *_ in calls[1:]] == [ctx.x, ctx.w]
-    else:
-        assert all(comm.is_zero() for comm in comms)
-        assert calls == []
-        assert formed == []
+    assert calls == []
+    nonzero = [comm for comm in comms if not comm.is_zero()]
+    assert len(formed) == 4 * len(nonzero)
+    assert bool(nonzero) == (name in K_FAILING)
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -1399,7 +1408,8 @@ def test_the_reeb_pair_and_the_splitting_take_no_form_work(monkeypatch):
 def test_plane_field_minors_are_expanded_once(monkeypatch):
     # every family under every suite: the 2x2 minors of (D1, D2) are expanded
     # once per target, as the Derivation's d_minors, and the transverse check
-    # extends them by its [Z, D_i] columns instead of expanding (D1, D2) again
+    # takes no minor of two or more columns: it pairs alpha with each
+    # [Z, D_i], one column at a time
     from engelcalc import cli
 
     calls, inside = [], []
@@ -1430,14 +1440,44 @@ def test_plane_field_minors_are_expanded_once(monkeypatch):
         plane = [out for fields, minors, out, _ in calls
                  if fields == [spec.d1, spec.d2] and minors is None]
         assert len(plane) == 1, fam
-        extended = [(fields, minors) for fields, minors, _, in_t in calls
-                    if in_t and minors is not None]
-        if any(in_t for *_, in_t in calls):
+        in_check = [(fields, minors) for fields, minors, _, in_t in calls if in_t]
+        if in_check:
             transverse_runs += 1
-            assert len(extended) == 2, fam
-            assert all(len(fields) == 1 and minors is plane[0]
-                       for fields, minors in extended), fam
+            assert len(in_check) == 2, fam
+            assert all(len(fields) == 1 and minors is None
+                       for fields, minors in in_check), fam
     assert transverse_runs
+
+
+def _transverse_cases():
+    """The Derivations the transverse oracle runs on: the ten families,
+    ``sampled_clear_1coord`` and the seeded J-planes 0-59 whose flag passes
+    (JD = D holds on each by construction)."""
+    yield from ((fam, _context(fam)) for fam in FAMILIES)
+    yield "sampled_clear_1coord", _clear_context()
+    for seed in range(60):
+        ctx = _random_j_plane(seed)
+        if ctx.flag.passed:
+            yield f"j_plane_{seed}", ctx
+
+
+def test_transverse_claim_agrees_with_the_minors_of_d_and_z_d():
+    # [Z, D_i] lies in D exactly when alpha([Z, D_i]) = 0, as
+    # beta([Z, D_i]) vanishes identically; against the maximal minors of
+    # (D1, D2, [Z, D_i]), taken afresh, on passing and failing claims alike
+    failing = 0
+    for case, ctx in _transverse_cases():
+        assert ctx.j_invariance.passed, case
+        z, forms, space = ctx.forms.k_r, ctx.forms, ctx.space
+        for gen in (ctx.d1, ctx.d2):
+            assert forms.beta(bracket(z, gen, space)).is_zero(), case
+        minors = transverse_minors(ctx)
+        cert = transverse_engel_check(ctx)
+        holds = all(m.is_zero() for m in minors)
+        assert cert.passed == holds, case
+        assert cert.kind == ("SYMBOLIC" if holds else "FAILED"), case
+        failing += not holds
+    assert failing >= 20
 
 
 @pytest.mark.parametrize("name", ["hopf_s3r", "hyperelliptic_solv"])
