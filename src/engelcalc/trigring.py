@@ -46,15 +46,19 @@ it every sampled bound, depends on its exact value alone.
 A product of two waves is expanded and canonicalised once per unordered pair
 of their angles: ``_angle_products`` forms the sum and difference angles of
 two angles, named by their cos keys, from one merge pass over their
-frequencies, and gives the canonical keys and signs of cos*cos, cos*sin,
-sin*cos and sin*sin at once.  It keeps the last ``PRODUCT_MEMO_SIZE`` (256)
-angle pairs in an ``lru_cache``: three ``sampled`` rounds (seed 201) meet
-1,015 distinct pairs and expand 1,416 times, where a memo of as many wave
-pairs expanded 4,563 times.  Swapping the angles only negates their
-difference, which canonical orientation undoes (and the swapped
-product-to-sum sign cancels for a sine), so products look each pair up in
-one fixed order, the smaller hash first.  Integer parts are added without a
-gcd, and a zero phase skips the phase reduction.
+frequencies, and keeps the four oriented waves cos and sin of the difference
+and of the sum, each a canonical key and sign (or None where it vanishes).
+The four product-to-sum identities are one table, ``_PRODUCT_ROWS``, of
+(wave index, sign) pairs, from which a product reads cos*cos, cos*sin,
+sin*cos or sin*sin.  The memo keeps the last ``PRODUCT_MEMO_SIZE`` (2,048)
+angle pairs in an ``lru_cache``, which holds each workload's working set:
+44 ``laws`` rounds meet 1,542 distinct pairs, three ``sampled`` rounds
+1,016 and the catalog 32.  At 256 entries the ``laws`` run (seed 0)
+expanded 22,088 times; at 2,048 it expands each pair once.  Swapping the
+angles only negates their difference, which canonical orientation undoes
+(and the swapped product-to-sum sign cancels for a sine), so products look
+each pair up in one fixed order, the smaller hash first.  Integer parts are
+added without a gcd, and a zero phase skips the phase reduction.
 
 Every canonical wave key is a ``WaveKey``: an int whose value is the hash of
 its ``(kind, freqs, phase)`` triple, hashed by ``int``'s own C slot, so term
@@ -670,14 +674,24 @@ def _sum_and_difference(f1: Freqs, f2: Freqs) -> tuple[Freqs, Freqs]:
     return tuple(plus), tuple(minus)
 
 
-# bound of the angle-pair memo below.  Three sampled rounds (seed 201) meet
-# 1,015 distinct unordered angle pairs and expand 1,416 times at this bound;
-# eight laws rounds (seed 0) expand 4,137 times, and 2,025 at 1024 entries,
-# which saved about 25 ms of their 1 s but raised peak RSS by 3-4% on laws
-PRODUCT_MEMO_SIZE = 256
+# bound of the angle-pair memo below, sized to hold the working sets of the
+# bench's workloads: a 44-round laws run meets 1,542 distinct unordered angle
+# pairs (seeds 0, 7 and 123, and the 1000-case suite alike), three sampled
+# rounds 1,016 and the catalog 32.  Misses on a laws run (seed 0) by bound:
+# 22,088 at 256, 16,412 at 512, 8,488 at 1,024, 1,572 at 1,536 and 1,542
+# (one per pair) at 2,048
+PRODUCT_MEMO_SIZE = 2048
 
-# the canonical keys of a wave product, each with the sign of its coefficient
-Expansion = tuple[tuple[WaveKey, int], ...]
+# The product-to-sum identities over the waves of a memo entry, which are
+# (cos(a - b), sin(a - b), cos(a + b), sin(a + b)): row 2*i + j lists the
+# waves of trig_i(a) * trig_j(b) (kind bit 0 for cos, 1 for sin) as
+# (wave index, sign), and the product is half the signed sum of its waves.
+_PRODUCT_ROWS = (((0, 1), (2, 1)),     # cos a cos b
+                 ((3, 1), (1, -1)),    # cos a sin b
+                 ((3, 1), (1, 1)),     # sin a cos b
+                 ((0, 1), (2, -1)))    # sin a sin b
+# a constant times a wave: the entry is that wave alone
+_SCALE_ROW = ((0, 1),)
 
 
 def _angle(w: WaveKey) -> tuple[WaveKey | None, int, int]:
@@ -693,37 +707,21 @@ def _angle(w: WaveKey) -> tuple[WaveKey | None, int, int]:
 
 
 @functools.lru_cache(maxsize=PRODUCT_MEMO_SIZE)
-def _angle_products(a: WaveKey, b: WaveKey) -> tuple[Expansion, Expansion,
-                                                     Expansion, Expansion]:
-    """Product-to-sum expansions of the four wave products of two angles.
+def _angle_products(a: WaveKey, b: WaveKey) -> tuple:
+    """The oriented waves of two angles' difference and sum.
 
-    ``a`` and ``b`` are the cos keys of the angles.  Entry ``2*i + j`` expands
-    ``trig_i(a) * trig_j(b)``, with kind bit 0 for cos and 1 for sin.  Each
-    output wave comes as its canonical key with the sign of its coefficient,
-    which is 1/2 times that sign: the product-to-sum sign times the sign
-    picked up by ``_orient``.
+    ``a`` and ``b`` are the cos keys of the angles.  The entry is
+    ``(cos(a - b), sin(a - b), cos(a + b), sin(a + b))``, each as ``_orient``
+    gives it: the canonical key with the sign the orientation picked up, or
+    None for a wave that vanishes (sin of the zero angle, or cos of an angle
+    without frequencies whose phase is an odd multiple of pi/2).
+    ``_PRODUCT_ROWS`` reads the four kind products off it.
     """
     (_, f1, p1), (_, f2, p2) = a.triple, b.triple
     sf, df = _sum_and_difference(f1, f2)
     sp, dp = p1.add(p2), p1.add(p2.neg())
-    cos_d, cos_s = _orient("c", df, dp), _orient("c", sf, sp)
-    sin_s, sin_d = _orient("s", sf, sp), _orient("s", df, dp)
-    return (_expansion(cos_d, cos_s, 1),     # cos a cos b
-            _expansion(sin_s, sin_d, -1),    # cos a sin b
-            _expansion(sin_s, sin_d, 1),     # sin a cos b
-            _expansion(cos_d, cos_s, -1))    # sin a sin b
-
-
-def _expansion(first: tuple[WaveKey, int] | None, second: tuple[WaveKey, int] | None,
-               sign: int) -> Expansion:
-    """The waves ``first + sign * second`` of a product, each ``(key, sign)``
-    from ``_orient``; a wave that vanishes (None) is left out.  Sin of the
-    zero angle vanishes, and so does cos of an angle without frequencies whose
-    phase is an odd multiple of pi/2."""
-    out = () if first is None else (first,)
-    if second is not None:
-        out += (second if sign > 0 else (second[0], -second[1]),)
-    return out
+    return (_orient("c", df, dp), _orient("s", df, dp),
+            _orient("c", sf, sp), _orient("s", sf, sp))
 
 
 class TrigScalar:
@@ -886,17 +884,23 @@ class TrigScalar:
                     # swapping the angles only negates their difference, which
                     # canonical orientation undoes: one memo entry per
                     # unordered angle pair, the smaller hash first
-                    keys = (_angle_products(x1, x2)[2 * k1 + k2] if h1 <= h2
-                            else _angle_products(x2, x1)[2 * k2 + k1])
+                    if h1 <= h2:
+                        waves, row = _angle_products(x1, x2), _PRODUCT_ROWS[2 * k1 + k2]
+                    else:
+                        waves, row = _angle_products(x2, x1), _PRODUCT_ROWS[2 * k2 + k1]
                     c = half
                 else:  # a constant times a wave keeps the wave's key
-                    keys, c = ((w2 if x1 is None else w1, 1),), r1
+                    waves, row, c = ((w2 if x1 is None else w1, 1),), _SCALE_ROW, r1
                 if len(c) == 1 and len(r2) == 1:
                     (e1, n1, d1), (e2, n2, d2) = c[0], r2[0]
                     e = e1 + e2
                     n, d = _qmul(n1, d1, n2, d2)
-                    for key, sign in keys:
-                        m = n if sign > 0 else -n
+                    for i, s in row:
+                        wave = waves[i]
+                        if wave is None:
+                            continue
+                        key, sign = wave
+                        m = n if sign == s else -n
                         prev = acc.get(key)
                         if prev is None:
                             acc[key] = ((e, m, d),)
@@ -912,12 +916,16 @@ class TrigScalar:
                             del acc[key]
                     continue
                 run = _pmul(c, r2)
-                for key, sign in keys:
+                for i, s in row:
+                    wave = waves[i]
+                    if wave is None:
+                        continue
+                    key, sign = wave
                     prev = acc.get(key)
                     if prev is None:
-                        acc[key] = run if sign > 0 else _neg(run)
+                        acc[key] = run if sign == s else _neg(run)
                         continue
-                    total = _merge_runs(prev, run, sign < 0)
+                    total = _merge_runs(prev, run, sign != s)
                     if total:
                         acc[key] = total
                     else:
@@ -1214,11 +1222,18 @@ class _Parser:
             f"unsupported factor {tok!r}: coordinates may appear only inside sin/cos"
         )
 
+    def integer(self) -> int:
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise ValueError(f"expected an integer at position {self.pos}")
+        self.pos += 1
+        return int(tok)
+
     def rational(self) -> Fraction:
-        num = int(self.take())
+        num = self.integer()
         if self.peek() == "/":
             self.take()
-            return Fraction(num, int(self.take()))
+            return Fraction(num, self.integer())
         return Fraction(num)
 
     def signed_int(self) -> int:
@@ -1226,18 +1241,20 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             sign = -1
-        return sign * int(self.take())
+        return sign * self.integer()
 
-    # affine angle: sum of products of {rational, pi, coordinate}
+    # affine angle: sum of products of {rational, pi, coordinate}; signs
+    # come before a product's first factor, and every product has one
     def affine(self) -> tuple[dict[str, Frequency], Frequency]:
         freqs: dict[str, Frequency] = {}
         const = FREQ_ZERO
         sign = 1
         while True:
             q, pideg, coord = _ONE, 0, None
+            factors, star = 0, False
             while True:
                 tok = self.peek()
-                if tok == "-" and coord is None and pideg == 0 and q == _ONE:
+                if tok == "-" and not factors:
                     self.take()
                     sign = -sign
                     continue
@@ -1255,13 +1272,19 @@ class _Parser:
                         raise ValueError("sin/cos argument must be affine in one "
                                          "coordinate per product")
                     coord = self.take()
+                elif star:
+                    raise ValueError(f"expected a factor after '*' at position {self.pos}")
                 else:
                     break
+                factors += 1
                 while self.peek() == "/":
                     self.take()
-                    q /= Fraction(int(self.take()))
-                if self.peek() == "*":
+                    q /= Fraction(self.integer())
+                star = self.peek() == "*"
+                if star:
                     self.take()
+            if not factors:
+                raise ValueError(f"empty product in sin/cos argument at position {self.pos}")
             if pideg > 1:
                 raise ValueError("sin/cos argument may carry at most one factor of pi")
             f = Frequency(q * sign, _ZERO) if pideg == 0 else Frequency(_ZERO, q * sign)

@@ -416,8 +416,9 @@ def _reference_orient(kind, fr, phase):
 
 
 def reference_product_keys(w1, w2) -> tuple:
-    """The expansion of ``w1 * w2`` that ``trigring._angle_products`` gives
-    for two canonical waves other than the constant one, with every
+    """The expansion of ``w1 * w2`` that a product reads off the entry of
+    ``trigring._angle_products`` through ``_PRODUCT_ROWS``, for two
+    canonical waves other than the constant one, with every
     product-to-sum angle built through ``Frequency.add`` and ``neg`` and
     oriented by ``_reference_orient``."""
     out = []

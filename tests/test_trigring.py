@@ -17,6 +17,7 @@ from engelcalc.trigring import (
     TrigScalar,
     WaveKey,
     _CONST_WAVE,
+    _PRODUCT_ROWS,
     _Parser,
     _angle,
     _angle_products,
@@ -37,8 +38,15 @@ from oracles import (
     reference_product_keys,
 )
 
-# the index of trig_i(a) * trig_j(b) in an entry of the angle-pair memo
+# the row of trig_i(a) * trig_j(b) in the product-to-sum table
 _KINDS = (("c", "c", 0), ("c", "s", 1), ("s", "c", 2), ("s", "s", 3))
+
+
+def _kind_product(entry, i):
+    """The waves of kind product ``i`` of an angle-pair memo entry, each
+    ``(key, sign)``, read through the table the product loop uses."""
+    return tuple((entry[j][0], entry[j][1] * s) for j, s in _PRODUCT_ROWS[i]
+                 if entry[j] is not None)
 
 
 def test_pythagorean_collapse():
@@ -67,6 +75,43 @@ def test_non_affine_argument_rejected():
         parse("sin(pi*pi*t)")
     with pytest.raises(ValueError):
         parse("t")  # bare coordinates are not trig polynomials
+
+
+# an angle product with no factor, or a '*' with none after it, was read as a
+# factor of 1: cos(x + ) parsed as cos(x + 1) and sin(x*-y) as sin(x - y)
+@pytest.mark.parametrize("text, position", [
+    ("cos(x + )", 4), ("sin(x + + y)", 4), ("sin(+x)", 2), ("sin()", 2),
+    ("cos( - )", 3), ("sin(x - )", 4),
+])
+def test_an_empty_angle_product_is_rejected(text, position):
+    with pytest.raises(ValueError, match=f"^empty product in sin/cos argument "
+                                         f"at position {position}$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("sin(x*)", 4), ("sin(x*-y)", 4), ("sin(1*-x)", 4), ("cos(2*pi* + x)", 6),
+])
+def test_a_dangling_star_in_an_angle_is_rejected(text, position):
+    with pytest.raises(ValueError, match=fr"^expected a factor after '\*' at "
+                                         fr"position {position}$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("pi^x", 2), ("1//2", 2), ("1/-2", 2), ("cos(()*x)", 3), ("sin(x/y)", 4),
+    ("pi^", 2), ("1/", 2),
+])
+def test_a_missing_integer_names_its_position(text, position):
+    with pytest.raises(ValueError, match=f"^expected an integer at position {position}$"):
+        parse(text)
+
+
+def test_a_sign_after_a_factor_starts_the_next_product():
+    # a '-' after a first factor of 1 was read as that product's sign
+    assert parse("sin(1 - x)") == parse("-sin(x - 1)")
+    assert parse("cos(1 - pi*x)") == parse("cos(pi*x - 1)")
+    assert parse("sin(-x - 1)") == parse("-sin(x + 1)")
 
 
 def test_differentiate_chain_rule():
@@ -600,20 +645,22 @@ def test_product_keys_are_symmetric(a, b):
     ab, ba = _angle_products.__wrapped__(a["c"], b["c"]), \
         _angle_products.__wrapped__(b["c"], a["c"])
     for k1, k2, i in _KINDS:
-        assert ab[i] == ba[2 * "cs".index(k2) + "cs".index(k1)]
+        assert _kind_product(ab, i) == \
+            _kind_product(ba, 2 * "cs".index(k2) + "cs".index(k1))
 
 
 @settings(max_examples=400, deadline=None)
 @given(angles(), angles())
 def test_product_keys_match_the_general_path(a, b):
-    # the angle-pair expansion, its integer and zero-phase shortcuts and the
-    # reading of a kind product from it give exactly the keys of the general
-    # frequency arithmetic and phase orientation, for all four kind products
+    # the angle-pair waves, their integer and zero-phase shortcuts and the
+    # reading of a kind product through the product-to-sum table give exactly
+    # the keys of the general frequency arithmetic and phase orientation, for
+    # all four kind products
     entry = _angle_products.__wrapped__(a["c"], b["c"])
     for k1, k2, i in _KINDS:
         w1, w2 = a[k1], b[k2]
         assert _angle(w1) == (a["c"], int(a["c"]), i // 2)
-        assert entry[i] == reference_product_keys(w1, w2)
+        assert _kind_product(entry, i) == reference_product_keys(w1, w2)
 
 
 def test_four_kind_products_of_an_angle_pair_cost_one_expansion(cold_ring):
@@ -641,12 +688,26 @@ def test_swapped_product_adds_no_memo_misses(cold_ring):
 
 
 def test_product_memo_is_bounded(cold_ring):
+    # 2,500 distinct angle pairs, more than the memo holds
+    waves = [parse(f"cos({j}*x)") for j in range(1, 51)]
+    others = [parse(f"cos({k}*y)") for k in range(1, 51)]
     cold_ring()
-    run_law_suite(0, cases=50)
+    for a in waves:
+        for b in others:
+            a * b
     info = _angle_products.cache_info()
     assert info.maxsize == PRODUCT_MEMO_SIZE
     assert info.misses > info.maxsize  # the bound was reached
     assert info.currsize <= info.maxsize
+
+
+def test_the_law_suite_expands_each_angle_pair_once(cold_ring):
+    # the law suite's working set fits the memo: no pair is evicted and
+    # expanded again
+    cold_ring()
+    run_law_suite(0, cases=50)
+    info = _angle_products.cache_info()
+    assert info.misses == info.currsize
 
 
 def test_a_zero_operand_gives_the_other_itself():
